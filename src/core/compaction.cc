@@ -7,6 +7,7 @@
 
 #include "core/filename.h"
 #include "core/merging_iterator.h"
+#include "core/sorted_run_writer.h"
 #include "core/unikv_db.h"
 #include "util/env.h"
 
@@ -344,20 +345,6 @@ Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
 
 namespace {
 
-// Layout for SortedStore tables (merge and GC outputs): every entry a
-// restart point, so point probes binary-search full keys instead of
-// prefix-decoding a scan run (Options::sorted_block_restart_interval).
-TableOptions SortedTableOptions(const Options& options) {
-  TableOptions opt = options.table_options;
-  if (options.sorted_block_restart_interval > 0) {
-    opt.block_restart_interval = options.sorted_block_restart_interval;
-  }
-  if (options.sorted_block_size > 0) {
-    opt.block_size = options.sorted_block_size;
-  }
-  return opt;
-}
-
 // Writes a hash-index checkpoint image with an explicit covered-id list.
 Status WriteCheckpointFile(Env* env, const std::string& fname,
                            const HashIndex& index,
@@ -625,68 +612,21 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   // Output value log (partial KV separation: only values arriving from
   // the UnsortedStore are appended; SortedStore values keep their existing
   // pointers).
+  SortedRunWriter writer(this);
   std::unique_ptr<ValueLogWriter> vlog;
   uint64_t vlog_number = 0;
   if (separate) {
-    MutexLock lock(&mu_);
-    vlog_number = versions_->NewFileNumber();
-    pending_outputs_.insert(vlog_number);
-  }
-  if (separate) {
+    vlog_number = writer.NewFileNumber();
     std::unique_ptr<WritableFile> vfile;
     Status s =
         env_->NewWritableFile(ValueLogFileName(dbname_, vlog_number), &vfile);
-    if (!s.ok()) {
-      MutexLock lock(&mu_);
-      pending_outputs_.erase(vlog_number);
-      return s;
-    }
+    if (!s.ok()) return s;
     vlog = std::make_unique<ValueLogWriter>(std::move(vfile), pid,
                                             vlog_number);
   }
 
-  // Output tables.
-  struct Output {
-    FileMeta meta;
-  };
-  std::vector<Output> outputs;
-  std::unique_ptr<WritableFile> out_file;
-  std::unique_ptr<TableBuilder> builder;
-  std::string first_key;
   uint64_t garbage_added = 0;
-  uint64_t bytes_written = 0;
   Status s;
-
-  auto rotate_output = [&]() -> Status {
-    if (builder == nullptr) return Status::OK();
-    Status rs = builder->Finish();
-    if (rs.ok()) rs = out_file->Sync();
-    if (rs.ok()) rs = out_file->Close();
-    if (rs.ok()) {
-      outputs.back().meta.size = builder->FileSize();
-      bytes_written += builder->FileSize();
-    }
-    builder.reset();
-    out_file.reset();
-    return rs;
-  };
-  auto open_output = [&]() -> Status {
-    uint64_t number;
-    {
-      MutexLock lock(&mu_);
-      number = versions_->NewFileNumber();
-      pending_outputs_.insert(number);
-    }
-    outputs.emplace_back();
-    outputs.back().meta.number = number;
-    Status rs = env_->NewWritableFile(TableFileName(dbname_, number), &out_file);
-    if (!rs.ok()) return rs;
-    builder = std::make_unique<TableBuilder>(SortedTableOptions(options_),
-                                             out_file.get());
-    first_key.clear();
-    return Status::OK();
-  };
-
   std::string current_user_key;
   bool has_current_user_key = false;
   std::string rewritten;
@@ -737,15 +677,10 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
       out_type = kTypeValuePointer;
     }
 
-    if (builder == nullptr) {
-      s = open_output();
-      if (!s.ok()) break;
-    }
     std::string out_key;
     AppendInternalKey(&out_key,
                       ParsedInternalKey(ikey.user_key, ikey.sequence,
                                         out_type));
-    builder->Add(out_key, out_value);
     // Logical bytes: key plus the value the entry governs (the pointed-to
     // record for separated values).
     uint64_t governed = ikey.user_key.size();
@@ -756,29 +691,10 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     } else {
       governed += out_value.size();
     }
-    outputs.back().meta.logical += governed;
-    if (first_key.empty()) first_key = ikey.user_key.ToString();
-    outputs.back().meta.smallest = first_key;
-    outputs.back().meta.largest = ikey.user_key.ToString();
-
-    // Rotate on physical size OR governed logical size, so a partition
-    // large in *values* still produces multiple tables (split points).
-    const uint64_t rotation_logical =
-        std::max<uint64_t>(options_.sorted_table_size,
-                           options_.partition_size_limit / 8);
-    if (builder->FileSize() >= options_.sorted_table_size ||
-        outputs.back().meta.logical >= rotation_logical) {
-      s = rotate_output();
-      if (!s.ok()) break;
-    }
+    s = writer.Add(out_key, out_value, governed);
   }
   if (s.ok()) s = merged->status();
-  if (s.ok()) {
-    s = rotate_output();
-  } else if (builder != nullptr) {
-    builder->Abandon();
-    builder.reset();
-  }
+  if (s.ok()) s = writer.Finish();
 
   uint64_t vlog_size = 0;
   if (s.ok() && vlog != nullptr) {
@@ -786,15 +702,10 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     if (vlog_size > 0) {
       s = vlog->Sync();
       if (s.ok()) s = vlog->Close();
-      bytes_written += vlog_size;
     }
   }
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    for (const Output& out : outputs) pending_outputs_.erase(out.meta.number);
-    if (separate) pending_outputs_.erase(vlog_number);
-    return s;
-  }
+  if (!s.ok()) return s;
+  const uint64_t bytes_written = writer.bytes_written() + vlog_size;
 
   // Install: the snapshot's unsorted files and previous sorted files are
   // replaced wholesale; old value logs stay (their dead records are GC'ed
@@ -804,7 +715,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   VersionEdit edit;
   for (const FileMeta& f : p->unsorted) edit.RemoveUnsortedFile(pid, f.number);
   for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
-  for (const Output& out : outputs) edit.AddSortedFile(pid, out.meta);
+  for (const FileMeta& f : writer.outputs()) edit.AddSortedFile(pid, f);
   if (separate && vlog_size > 0) {
     VlogMeta v;
     v.number = vlog_number;
@@ -825,8 +736,6 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
       versions_->current()->FindById(pid);
   if (cur_p == nullptr) {
     // Partition vanished (unreachable today: nothing removes partitions).
-    for (const Output& out : outputs) pending_outputs_.erase(out.meta.number);
-    if (separate) pending_outputs_.erase(vlog_number);
     return Status::OK();
   }
   std::set<uint64_t> consumed;
@@ -846,13 +755,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
                                             options_.index_num_hashes);
     for (const FileMeta& f : survivors) {
       s = InsertTableIntoIndex(new_index.get(), f);
-      if (!s.ok()) {
-        for (const Output& out : outputs) {
-          pending_outputs_.erase(out.meta.number);
-        }
-        if (separate) pending_outputs_.erase(vlog_number);
-        return s;
-      }
+      if (!s.ok()) return s;
     }
   }
 
@@ -861,8 +764,6 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   MaintainAnchorViewLocked(pid, survivors, nullptr, nullptr, &edit);
 
   s = versions_->LogAndApply(&edit);
-  for (const Output& out : outputs) pending_outputs_.erase(out.meta.number);
-  if (separate) pending_outputs_.erase(vlog_number);
   if (s.ok()) {
     if (new_index != nullptr) {
       indexes_[pid] = new_index;
@@ -886,7 +787,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
     ev.AddUint("input_tables", p->unsorted.size() + p->sorted.size());
-    ev.AddUint("output_tables", outputs.size());
+    ev.AddUint("output_tables", writer.outputs().size());
     ev.AddUint("surviving_tables", survivors.size());
     ev.AddUint("vlog_bytes", vlog_size);
     ev.AddUint("garbage_added", garbage_added);
@@ -1047,20 +948,12 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   }
 
   // New value log for the rewritten live values.
-  uint64_t vlog_number;
-  {
-    MutexLock lock(&mu_);
-    vlog_number = versions_->NewFileNumber();
-    pending_outputs_.insert(vlog_number);
-  }
+  SortedRunWriter writer(this);
+  const uint64_t vlog_number = writer.NewFileNumber();
   std::unique_ptr<WritableFile> vfile;
   Status s =
       env_->NewWritableFile(ValueLogFileName(dbname_, vlog_number), &vfile);
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    pending_outputs_.erase(vlog_number);
-    return s;
-  }
+  if (!s.ok()) return s;
   ValueLogWriter vlog(std::move(vfile), pid, vlog_number);
 
   // Scan the SortedStore (the authority on liveness), fetch every live
@@ -1074,51 +967,21 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   std::unique_ptr<Iterator> iter(
       NewConcatenatingIterator(icmp_, std::move(run)));
 
-  std::vector<FileMeta> outputs;
-  std::unique_ptr<WritableFile> out_file;
-  std::unique_ptr<TableBuilder> builder;
-  uint64_t bytes_written = 0;
-
-  auto rotate_output = [&]() -> Status {
-    if (builder == nullptr) return Status::OK();
-    Status rs = builder->Finish();
-    if (rs.ok()) rs = out_file->Sync();
-    if (rs.ok()) rs = out_file->Close();
-    if (rs.ok()) {
-      outputs.back().size = builder->FileSize();
-      bytes_written += builder->FileSize();
-    }
-    builder.reset();
-    out_file.reset();
-    return rs;
-  };
-  auto open_output = [&]() -> Status {
-    uint64_t number;
-    {
-      MutexLock lock(&mu_);
-      number = versions_->NewFileNumber();
-      pending_outputs_.insert(number);
-    }
-    outputs.emplace_back();
-    outputs.back().number = number;
-    Status rs = env_->NewWritableFile(TableFileName(dbname_, number), &out_file);
-    if (!rs.ok()) return rs;
-    builder = std::make_unique<TableBuilder>(SortedTableOptions(options_),
-                                             out_file.get());
-    return Status::OK();
-  };
-
-  // Batched parallel fetch of live values through the thread pool.
+  // Batched parallel fetch of live values through the thread pool. Each
+  // is a point pread checked against its entry's user key.
   struct Entry {
     std::string internal_key;
-    std::string value;  // Encoded pointer (in) -> value bytes (out).
+    std::string value;  // Inline value, or the fetched one.
     bool is_pointer = false;
     ValuePointer ptr;
     Status status;
   };
   std::vector<Entry> batch;
   const size_t kBatchSize = 256;
-  std::string rewritten;
+  auto fetch = [this](Entry* e) {
+    e->status = vlog_cache_->Get(e->ptr, ExtractUserKey(e->internal_key),
+                                 &e->value);
+  };
 
   auto flush_batch = [&]() -> Status {
     if (batch.empty()) return Status::OK();
@@ -1130,23 +993,19 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
       ThreadPool::TaskGroup group;
       for (Entry& e : batch) {
         if (!e.is_pointer) continue;
-        fetch_pool_->Schedule(&group, [this, &e] {
-          std::string stored_key;
-          e.status = vlog_cache_->Get(e.ptr, &e.value, &stored_key);
-        });
+        fetch_pool_->Schedule(&group, [&fetch, &e] { fetch(&e); });
       }
       group.Wait();
     } else {
       for (Entry& e : batch) {
-        if (!e.is_pointer) continue;
-        e.status = vlog_cache_->Get(e.ptr, &e.value);
+        if (e.is_pointer) fetch(&e);
       }
     }
+    std::string encoded;
     for (Entry& e : batch) {
       if (!e.status.ok()) return e.status;
       Slice user_key = ExtractUserKey(e.internal_key);
       Slice out_value(e.value);
-      std::string encoded;
       if (e.is_pointer) {
         bytes_read += e.ptr.size;
         ValuePointer new_ptr;
@@ -1156,30 +1015,9 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
         new_ptr.EncodeTo(&encoded);
         out_value = Slice(encoded);
       }
-      if (builder == nullptr) {
-        Status rs = open_output();
-        if (!rs.ok()) return rs;
-      }
-      builder->Add(e.internal_key, out_value);
-      uint64_t governed = user_key.size();
-      if (e.is_pointer) {
-        governed += e.value.size();
-      } else {
-        governed += out_value.size();
-      }
-      outputs.back().logical += governed;
-      if (outputs.back().smallest.empty()) {
-        outputs.back().smallest = user_key.ToString();
-      }
-      outputs.back().largest = user_key.ToString();
-      const uint64_t rotation_logical =
-          std::max<uint64_t>(options_.sorted_table_size,
-                             options_.partition_size_limit / 8);
-      if (builder->FileSize() >= options_.sorted_table_size ||
-          outputs.back().logical >= rotation_logical) {
-        Status rs = rotate_output();
-        if (!rs.ok()) return rs;
-      }
+      Status rs = writer.Add(e.internal_key, out_value,
+                             user_key.size() + e.value.size());
+      if (!rs.ok()) return rs;
     }
     batch.clear();
     return Status::OK();
@@ -1206,21 +1044,15 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   }
   if (s.ok()) s = iter->status();
   if (s.ok()) s = flush_batch();
-  if (s.ok()) s = rotate_output();
+  if (s.ok()) s = writer.Finish();
 
   uint64_t vlog_size = vlog.CurrentOffset();
   if (s.ok() && vlog_size > 0) {
     s = vlog.Sync();
     if (s.ok()) s = vlog.Close();
-    bytes_written += vlog_size;
   }
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    for (const FileMeta& f : outputs) pending_outputs_.erase(f.number);
-    pending_outputs_.erase(vlog_number);
-    if (builder != nullptr) builder->Abandon();
-    return s;
-  }
+  if (!s.ok()) return s;
+  const uint64_t bytes_written = writer.bytes_written() + vlog_size;
 
   // Install atomically: old sorted tables and this partition's references
   // to the old logs go away; shared logs survive physically until the
@@ -1228,7 +1060,7 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   VersionEdit edit;
   for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
   for (const VlogMeta& v : p->vlogs) edit.RemoveValueLog(pid, v.number);
-  for (const FileMeta& f : outputs) edit.AddSortedFile(pid, f);
+  for (const FileMeta& f : writer.outputs()) edit.AddSortedFile(pid, f);
   if (vlog_size > 0) {
     VlogMeta v;
     v.number = vlog_number;
@@ -1255,8 +1087,6 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     }
     if (!unchanged) {
       assert(false && "partition changed under an exclusive GC");
-      for (const FileMeta& f : outputs) pending_outputs_.erase(f.number);
-      pending_outputs_.erase(vlog_number);
       return Status::OK();
     }
   }
@@ -1281,15 +1111,13 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
         }
       }
       if (shared) continue;
-      vlog_cache_->Evict(0, v.number);
+      vlog_cache_->Evict(v.number);
       // Best-effort: a survivor costs disk until the next obsolete-file
       // sweep retries it; GC itself already succeeded.
       (void)env_->RemoveFile(ValueLogFileName(dbname_, v.number));
     }
   }
   s = versions_->LogAndApply(&edit);
-  for (const FileMeta& f : outputs) pending_outputs_.erase(f.number);
-  pending_outputs_.erase(vlog_number);
   if (s.ok()) {
     vlog_garbage_[pid] = 0;
     stats_.gcs++;
@@ -1306,7 +1134,7 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
     ev.AddUint("input_vlogs", p->vlogs.size());
-    ev.AddUint("output_tables", outputs.size());
+    ev.AddUint("output_tables", writer.outputs().size());
     ev.AddUint("vlog_bytes", vlog_size);
     event_log_->Log("gc", &ev);
   }
@@ -1451,7 +1279,7 @@ void UniKVDB::RemoveObsoleteFiles() {
       if (type == FileType::kTableFile) {
         table_cache_->Evict(number);
       } else if (type == FileType::kValueLogFile) {
-        vlog_cache_->Evict(0, number);
+        vlog_cache_->Evict(number);
       }
       // Best-effort sweep; re-attempted on every pass.
       (void)env_->RemoveFile(dbname_ + "/" + child);

@@ -54,8 +54,10 @@ Slice DBIter::value() const {
     } else if (vlog_ == nullptr) {
       resolve_status_ = Status::Corruption("value pointer without value log");
     } else {
-      resolve_status_ = vlog_->Get(ptr, &resolved_value_);
+      resolve_status_ = vlog_->Get(ptr, key(), &resolved_value_);
     }
+    // A failed fetch must not surface the previous entry's value.
+    if (!resolve_status_.ok()) resolved_value_.clear();
     value_resolved_ = true;
   }
   return Slice(resolved_value_);

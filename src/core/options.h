@@ -19,9 +19,6 @@ struct Options {
   bool create_if_missing = true;
   bool error_if_exists = false;
 
-  /// Verify checksums on every read path (table blocks always carry CRCs).
-  bool paranoid_checks = false;
-
   /// Memtable size that triggers a flush.
   size_t write_buffer_size = 4 * 1024 * 1024;
 
@@ -92,17 +89,6 @@ struct Options {
   /// Thread-pool size for parallel value fetches during scans and GC
   /// (the paper uses 32; scale to the machine).
   int value_fetch_threads = 8;
-
-  /// MultiGet value-log coalescing: two value pointers into the same log
-  /// whose byte ranges are within this many bytes of each other are
-  /// fetched as one span. 0 coalesces only truly adjacent/overlapping
-  /// records. Spans are served zero-copy from the log's memory mapping
-  /// when the Env supports it (gap bytes then cost nothing — they are
-  /// never touched); on the pread fallback the gap bytes are read and
-  /// discarded, so the default is one page: bridging more than a few
-  /// records' worth to save one syscall is a net loss there — raise it
-  /// (e.g. to 64KB) only for cold data on seek-bound media.
-  size_t multiget_coalesce_gap_bytes = 4096;
 
   /// Background maintenance workers. Each worker picks one job at a time
   /// (memtable flush, merge, scan merge, GC, or split); jobs touching the
@@ -181,11 +167,6 @@ struct Options {
 };
 
 struct ReadOptions {
-  /// Checksum verification on reads. Table blocks and value-log records
-  /// always carry CRCs and this engine always verifies them on read, so
-  /// the default (off) is already satisfied with the stronger behavior;
-  /// setting it true asserts the same thing explicitly.
-  bool verify_checksums = false;
   /// Insert data blocks read by this operation into the block cache.
   /// Turn off for bulk scans that should not evict the hot working set.
   bool fill_cache = true;

@@ -1,0 +1,88 @@
+#include "core/sorted_run_writer.h"
+
+#include <algorithm>
+
+#include "core/filename.h"
+
+namespace unikv {
+
+namespace {
+
+// Layout for SortedStore tables: every entry a restart point, so point
+// probes binary-search full keys instead of prefix-decoding a scan run
+// (Options::sorted_block_restart_interval).
+TableOptions SortedTableOptions(const Options& options) {
+  TableOptions opt = options.table_options;
+  if (options.sorted_block_restart_interval > 0) {
+    opt.block_restart_interval = options.sorted_block_restart_interval;
+  }
+  if (options.sorted_block_size > 0) {
+    opt.block_size = options.sorted_block_size;
+  }
+  return opt;
+}
+
+}  // namespace
+
+UniKVDB::SortedRunWriter::SortedRunWriter(UniKVDB* db)
+    : db_(db),
+      table_options_(SortedTableOptions(db->options_)),
+      rotation_logical_(std::max<uint64_t>(
+          db->options_.sorted_table_size,
+          db->options_.partition_size_limit / 8)) {}
+
+UniKVDB::SortedRunWriter::~SortedRunWriter() {
+  if (builder_ != nullptr) builder_->Abandon();
+  // Installed outputs are live in the version by now; failed ones become
+  // sweepable orphans.
+  MutexLock lock(&db_->mu_);
+  for (uint64_t number : numbers_) db_->pending_outputs_.erase(number);
+}
+
+uint64_t UniKVDB::SortedRunWriter::NewFileNumber() {
+  MutexLock lock(&db_->mu_);
+  const uint64_t number = db_->versions_->NewFileNumber();
+  db_->pending_outputs_.insert(number);
+  numbers_.push_back(number);
+  return number;
+}
+
+Status UniKVDB::SortedRunWriter::Add(const Slice& internal_key,
+                                     const Slice& value, uint64_t governed) {
+  const Slice user_key = ExtractUserKey(internal_key);
+  if (builder_ == nullptr) {
+    outputs_.emplace_back();
+    FileMeta& meta = outputs_.back();
+    meta.number = NewFileNumber();
+    Status s = db_->env_->NewWritableFile(
+        TableFileName(db_->dbname_, meta.number), &file_);
+    if (!s.ok()) return s;
+    builder_ = std::make_unique<TableBuilder>(table_options_, file_.get());
+    meta.smallest = user_key.ToString();
+  }
+  builder_->Add(internal_key, value);
+  FileMeta& meta = outputs_.back();
+  meta.logical += governed;
+  meta.largest.assign(user_key.data(), user_key.size());
+  if (builder_->FileSize() >= db_->options_.sorted_table_size ||
+      meta.logical >= rotation_logical_) {
+    return Finish();
+  }
+  return Status::OK();
+}
+
+Status UniKVDB::SortedRunWriter::Finish() {
+  if (builder_ == nullptr) return Status::OK();
+  Status s = builder_->Finish();
+  if (s.ok()) s = file_->Sync();
+  if (s.ok()) s = file_->Close();
+  if (s.ok()) {
+    outputs_.back().size = builder_->FileSize();
+    bytes_written_ += builder_->FileSize();
+  }
+  builder_.reset();
+  file_.reset();
+  return s;
+}
+
+}  // namespace unikv

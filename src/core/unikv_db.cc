@@ -11,6 +11,7 @@
 #include "table/cache.h"
 #include "util/coding.h"
 #include "util/env.h"
+#include "vlog/value_fetcher.h"
 #include "wal/log_reader.h"
 
 namespace unikv {
@@ -1351,16 +1352,14 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
   // Probe each partition group's stores with one pinned table-handle set
   // per group (N probes of the same table cost one cache lookup, not N).
   // Separated values are not fetched here: their pointers are collected
-  // for the coalescing pass below.
-  struct Deferred {
-    size_t key_idx = 0;
-    ValuePointer ptr;
-  };
-  std::vector<std::vector<Deferred>> deferred_per_group(groups.size());
+  // for the batched value fetch below.
+  std::vector<std::vector<ValueFetcher::Item>> deferred_per_group(
+      groups.size());
 
   auto resolve_group = [this, &keys, &candidates, &part_of, &ver, snapshot,
-                        values, statuses](const std::vector<size_t>& members,
-                                          std::vector<Deferred>* defer) {
+                        values, statuses](
+                           const std::vector<size_t>& members,
+                           std::vector<ValueFetcher::Item>* defer) {
     TableCache::BatchPin pin(table_cache_.get());
     // Declared after `pin` so the destructor order releases the probe's
     // block before the table handles it borrows from. Members are probed
@@ -1379,8 +1378,11 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
         s = GetFromSorted(p, lkey, &(*values)[idx], &found, &pin, &dptr,
                           &is_deferred, &probe);
         if (s.ok() && is_deferred) {
-          defer->push_back(Deferred{idx, dptr});
-          continue;  // Status resolves when the log fetch completes.
+          // Status resolves when the log fetch completes.
+          defer->push_back(ValueFetcher::Item{dptr, keys[idx],
+                                              &(*values)[idx],
+                                              &(*statuses)[idx]});
+          continue;
         }
       }
       if (s.ok() && !found) s = Status::NotFound(Slice());
@@ -1415,130 +1417,19 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
     }
   }
 
-  // One sorted, coalesced fetch pass over every separated value the batch
-  // needs. Sorting by (log, offset) turns random per-key preads into a
-  // few span reads per log; ranges within multiget_coalesce_gap_bytes of
-  // each other share one pread (the gap bytes are read and discarded).
-  std::vector<Deferred> deferred;
+  // One sorted, coalesced fetch of every separated value the batch needs.
+  std::vector<ValueFetcher::Item> deferred;
   for (auto& d : deferred_per_group) {
     deferred.insert(deferred.end(), d.begin(), d.end());
   }
-
   if (!deferred.empty()) {
-    std::sort(deferred.begin(), deferred.end(),
-              [](const Deferred& a, const Deferred& b) {
-                if (a.ptr.log_number != b.ptr.log_number) {
-                  return a.ptr.log_number < b.ptr.log_number;
-                }
-                return a.ptr.offset < b.ptr.offset;
-              });
-
-    struct Span {
-      std::vector<size_t> members;  // Indices into `deferred`.
-      uint64_t log_number = 0;
-      uint64_t begin = 0, end = 0;  // Byte span in the log.
-    };
-    constexpr uint64_t kMaxSpan = 1 << 20;
-    const uint64_t gap = options_.multiget_coalesce_gap_bytes;
-    std::vector<Span> spans;
-    for (size_t i = 0; i < deferred.size(); i++) {
-      const ValuePointer& ptr = deferred[i].ptr;
-      const uint64_t pend = ptr.offset + ptr.size;
-      if (!spans.empty()) {
-        Span& last = spans.back();
-        // Unlike the scan path, a batch may carry duplicate keys, so the
-        // merge tolerates overlapping ranges (max-end extension) instead
-        // of requiring disjoint ascending ones.
-        if (last.log_number == ptr.log_number &&
-            ptr.offset <= last.end + gap &&
-            std::max(pend, last.end) - last.begin <= kMaxSpan) {
-          last.members.push_back(i);
-          last.end = std::max(last.end, pend);
-          continue;
-        }
-      }
-      Span next;
-      next.log_number = ptr.log_number;
-      next.begin = ptr.offset;
-      next.end = pend;
-      next.members.push_back(i);
-      spans.push_back(std::move(next));
-    }
-
-    // Spans are fetched against a pinned RandomAccessFile handle, reused
-    // across consecutive spans of the same log (spans arrive log-sorted).
-    auto fetch_spans = [this, &spans, &deferred, &keys, values, statuses](
-                           size_t begin, size_t end) {
-      std::shared_ptr<RandomAccessFile> file;
-      uint64_t file_log = 0;
-      // Grow-only scratch reused across spans: a std::string would
-      // zero-fill every resize, doubling the memory traffic of each read.
-      std::unique_ptr<char[]> scratch;
-      size_t scratch_cap = 0;
-      for (size_t si = begin; si < end; si++) {
-        const Span& sp = spans[si];
-        Status s;
-        if (file == nullptr || file_log != sp.log_number) {
-          s = vlog_cache_->PinLog(sp.log_number, &file);
-          file_log = sp.log_number;
-          if (!s.ok()) file = nullptr;
-        }
-        Slice span_data;
-        if (s.ok()) {
-          const size_t len = static_cast<size_t>(sp.end - sp.begin);
-          if (len > scratch_cap) {
-            scratch_cap = std::max(len, scratch_cap * 2);
-            scratch.reset(new char[scratch_cap]);
-          }
-          s = vlog_cache_->GetSpanPinned(file.get(), sp.begin, len,
-                                         &span_data, scratch.get());
-        }
-        for (size_t mi : sp.members) {
-          const Deferred& d = deferred[mi];
-          Status rs = s;
-          if (rs.ok()) {
-            Slice record(span_data.data() + (d.ptr.offset - sp.begin),
-                         d.ptr.size);
-            Slice rkey, rvalue;
-            rs = DecodeValueRecord(record, &rkey, &rvalue);
-            if (rs.ok() && rkey != keys[d.key_idx]) {
-              rs = Status::Corruption("value log key mismatch");
-            }
-            if (rs.ok()) {
-              (*values)[d.key_idx].assign(rvalue.data(), rvalue.size());
-            }
-          }
-          (*statuses)[d.key_idx] = rs;
-        }
-      }
-    };
-
-    if (parallelism > 1 && spans.size() > 1) {
-      ThreadPool::TaskGroup tasks;
-      const int fanout =
-          std::min(parallelism, static_cast<int>(spans.size()));
-      const size_t chunk = (spans.size() + fanout - 1) / fanout;
-      for (size_t begin = 0; begin < spans.size(); begin += chunk) {
-        const size_t end = std::min(begin + chunk, spans.size());
-        fetch_pool_->Schedule(
-            &tasks, [&fetch_spans, begin, end] { fetch_spans(begin, end); });
-      }
-      tasks.Wait();
-    } else {
-      fetch_spans(0, spans.size());
-    }
-
-    // Count the coalescing win on the calling thread so it reaches this
-    // DB's registry (pool-thread PerfContexts are never folded here):
-    // spans that served several pointers, and the record bytes the merged
-    // members would have re-read as separate point preads.
-    for (const Span& sp : spans) {
-      if (sp.members.size() < 2) continue;
-      perf->multiget_coalesced_reads++;
-      for (size_t k = 1; k < sp.members.size(); k++) {
-        perf->multiget_io_bytes_saved += deferred[sp.members[k]].ptr.size;
-      }
-    }
+    const ValueFetcher::Stats fetched =
+        ValueFetcher(vlog_cache_.get(), fetch_pool_.get())
+            .Fetch(&deferred, options.multiget_parallelism);
+    // Counted on the calling thread so the coalescing win reaches this
+    // DB's registry (pool-thread PerfContexts are never folded here).
+    perf->multiget_coalesced_reads += fetched.coalesced_spans;
+    perf->multiget_io_bytes_saved += fetched.bytes_saved;
   }
 
 
@@ -1693,12 +1584,8 @@ Status UniKVDB::GetFromSorted(const PartitionState& p, const LookupKey& lkey,
     *found = true;
     return Status::OK();
   }
-  std::string stored_key;
-  s = vlog_cache_->Get(ptr, value, &stored_key);
+  s = vlog_cache_->Get(ptr, user_key, value);
   if (!s.ok()) return s;
-  if (Slice(stored_key) != user_key) {
-    return Status::Corruption("value log key mismatch");
-  }
   *found = true;
   return Status::OK();
 }
@@ -1839,7 +1726,7 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
 
   struct PendingEntry {
     std::string key;
-    std::string inline_value;  // Used when !is_pointer.
+    std::string value;  // Inline, or fetched through ptr.
     ValuePointer ptr;
     bool is_pointer = false;
     Status status;
@@ -1862,113 +1749,30 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
         vlog_cache_->Readahead(e.ptr, 1 << 20);
       }
     } else {
-      e.inline_value = iter.raw_value().ToString();
+      e.value = iter.raw_value().ToString();
     }
     entries.push_back(std::move(e));
   }
   Status s = iter.status();
   if (!s.ok()) return s;
 
-  // Group consecutive pointer entries that land in a contiguous region of
-  // the same log: merges and GC emit values in key order, so a sorted
-  // scan usually dereferences an ascending run of offsets. Each group is
-  // fetched with a single pread; groups are fetched in parallel through
-  // the thread pool.
-  struct Group {
-    std::vector<size_t> members;  // Entry indices served by this span.
-    uint64_t log_number = 0;
-    uint64_t begin = 0, end = 0;  // Byte span in the log.
-    Status status;
-  };
-  constexpr uint64_t kMaxSpan = 1 << 20;
-  constexpr uint64_t kMaxGap = 64 * 1024;
-
-  // Bucket the pointer entries per log, order each bucket by offset, and
-  // coalesce offset-adjacent records (gap tolerance kMaxGap) into spans.
-  // Pointers from several merge epochs interleave across logs, but within
-  // one log a sorted scan touches ascending offsets, so a scan of N
-  // entries typically needs only #logs-touched preads.
-  std::unordered_map<uint64_t, std::vector<size_t>> by_log;
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (entries[i].is_pointer) {
-      by_log[entries[i].ptr.log_number].push_back(i);
+  // Merges and GC write values in key order, so a sorted scan mostly
+  // dereferences ascending offsets within each log: the fetcher turns the
+  // scan's pointers into a few span reads and spreads them over the pool.
+  std::vector<ValueFetcher::Item> items;
+  for (PendingEntry& e : entries) {
+    if (e.is_pointer) {
+      items.push_back(
+          ValueFetcher::Item{e.ptr, e.key, &e.value, &e.status});
     }
   }
-  std::vector<Group> groups;
-  for (auto& [log_number, indices] : by_log) {
-    std::sort(indices.begin(), indices.end(), [&entries](size_t a, size_t b) {
-      return entries[a].ptr.offset < entries[b].ptr.offset;
-    });
-    for (size_t i : indices) {
-      const ValuePointer& ptr = entries[i].ptr;
-      if (!groups.empty()) {
-        Group& g = groups.back();
-        if (g.log_number == log_number && ptr.offset >= g.end &&
-            ptr.offset + ptr.size - g.begin <= kMaxSpan &&
-            ptr.offset - g.end <= kMaxGap) {
-          g.members.push_back(i);
-          g.end = ptr.offset + ptr.size;
-          continue;
-        }
-      }
-      Group g;
-      g.log_number = log_number;
-      g.begin = ptr.offset;
-      g.end = ptr.offset + ptr.size;
-      g.members.push_back(i);
-      groups.push_back(std::move(g));
-    }
-  }
-
-  auto fetch_group = [this, &entries](Group* g) {
-    std::string span;
-    g->status = vlog_cache_->GetSpan(g->log_number, g->begin,
-                                     static_cast<size_t>(g->end - g->begin),
-                                     &span);
-    if (!g->status.ok()) return;
-    for (size_t i : g->members) {
-      PendingEntry& e = entries[i];
-      Slice record(span.data() + (e.ptr.offset - g->begin), e.ptr.size);
-      Slice key, value;
-      e.status = DecodeValueRecord(record, &key, &value);
-      if (e.status.ok()) {
-        e.inline_value.assign(value.data(), value.size());
-      }
-    }
-  };
-
-  // Fan the groups out over a bounded number of pool tasks (one chunk per
-  // worker) so scheduling overhead stays constant regardless of how
-  // fragmented the runs are.
-  const int workers = fetch_pool_->num_threads();
-  if (groups.size() > 8 && workers > 1) {
-    // The pool is shared with background GC (and concurrent scans), so
-    // wait on this call's own completion group — a global WaitIdle would
-    // block this scan behind every other caller's outstanding fetches.
-    ThreadPool::TaskGroup group;
-    const size_t chunk = (groups.size() + workers - 1) / workers;
-    for (size_t begin = 0; begin < groups.size(); begin += chunk) {
-      size_t end = std::min(begin + chunk, groups.size());
-      fetch_pool_->Schedule(&group, [&fetch_group, &groups, begin, end] {
-        for (size_t i = begin; i < end; i++) {
-          fetch_group(&groups[i]);
-        }
-      });
-    }
-    group.Wait();
-  } else {
-    for (Group& g : groups) {
-      fetch_group(&g);
-    }
-  }
+  ValueFetcher(vlog_cache_.get(), fetch_pool_.get())
+      .Fetch(&items, fetch_pool_->num_threads());
 
   out->reserve(entries.size());
-  for (Group& g : groups) {
-    if (!g.status.ok()) return g.status;
-  }
   for (PendingEntry& e : entries) {
     if (!e.status.ok()) return e.status;
-    out->emplace_back(std::move(e.key), std::move(e.inline_value));
+    out->emplace_back(std::move(e.key), std::move(e.value));
   }
   return Status::OK();
 }

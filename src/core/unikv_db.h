@@ -377,6 +377,9 @@ class UniKVDB : public DB {
       REQUIRES(mu_);
   Status CompactMemTable(size_t shard_idx) EXCLUDES(mu_);
 
+  /// Table output of merge and GC (core/sorted_run_writer.h).
+  class SortedRunWriter;
+
   Status MergePartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);
   Status ScanMergePartition(std::shared_ptr<const PartitionState> p)

@@ -45,7 +45,10 @@ Status ValueLogWriter::Add(const Slice& key, const Slice& value,
   return Status::OK();
 }
 
-Status DecodeValueRecord(const Slice& record, Slice* key, Slice* value) {
+namespace {
+
+// Splits a record into key and value after verifying its checksum.
+Status ParseValueRecord(const Slice& record, Slice* key, Slice* value) {
   Slice input = record;
   uint32_t crc_stored;
   if (!GetFixed32(&input, &crc_stored)) {
@@ -65,36 +68,48 @@ Status DecodeValueRecord(const Slice& record, Slice* key, Slice* value) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status DecodeValueRecord(const Slice& record, const Slice& key,
+                         Slice* value) {
+  Slice stored_key;
+  Status s = ParseValueRecord(record, &stored_key, value);
+  if (s.ok() && stored_key != key) {
+    return Status::Corruption("value log key mismatch");
+  }
+  return s;
+}
+
 ValueLogCache::ValueLogCache(Env* env, std::string dbname)
     : env_(env), dbname_(std::move(dbname)) {}
 
-Status ValueLogCache::GetFile(const ValuePointer& ptr,
-                              std::shared_ptr<RandomAccessFile>* file) {
+Status ValueLogCache::PinLog(uint64_t log_number,
+                             std::shared_ptr<RandomAccessFile>* file) {
   MutexLock l(&mu_);
-  auto it = files_.find(ptr.log_number);
+  auto it = files_.find(log_number);
   if (it != files_.end()) {
     *file = it->second;
     return Status::OK();
   }
   std::unique_ptr<RandomAccessFile> f;
   Status s =
-      env_->NewRandomAccessFile(ValueLogFileName(dbname_, ptr.log_number), &f);
+      env_->NewRandomAccessFile(ValueLogFileName(dbname_, log_number), &f);
   if (!s.ok()) return s;
   std::shared_ptr<RandomAccessFile> shared(f.release());
-  files_[ptr.log_number] = shared;
+  files_[log_number] = shared;
   *file = std::move(shared);
   return Status::OK();
 }
 
-Status ValueLogCache::Get(const ValuePointer& ptr, std::string* value,
-                          std::string* stored_key) {
+Status ValueLogCache::Get(const ValuePointer& ptr, const Slice& key,
+                          std::string* value) {
   PerfContext* perf = GetPerfContext();
   perf->vlog_reads++;
   perf->vlog_read_bytes += ptr.size;
   if (reads_counter_ != nullptr) reads_counter_->Inc();
   if (read_bytes_counter_ != nullptr) read_bytes_counter_->Add(ptr.size);
   std::shared_ptr<RandomAccessFile> file;
-  Status s = GetFile(ptr, &file);
+  Status s = PinLog(ptr.log_number, &file);
   if (!s.ok()) return s;
 
   std::string buf;
@@ -105,40 +120,10 @@ Status ValueLogCache::Get(const ValuePointer& ptr, std::string* value,
   if (record.size() != ptr.size) {
     return Status::Corruption("short value log read");
   }
-  Slice key, val;
-  s = DecodeValueRecord(record, &key, &val);
+  Slice val;
+  s = DecodeValueRecord(record, key, &val);
   if (!s.ok()) return s;
   value->assign(val.data(), val.size());
-  if (stored_key != nullptr) {
-    stored_key->assign(key.data(), key.size());
-  }
-  return Status::OK();
-}
-
-Status ValueLogCache::GetSpan(uint64_t log_number, uint64_t offset,
-                              size_t size, std::string* buffer) {
-  std::shared_ptr<RandomAccessFile> file;
-  Status s = PinLog(log_number, &file);
-  if (!s.ok()) return s;
-  return GetSpanPinned(file.get(), offset, size, buffer);
-}
-
-Status ValueLogCache::PinLog(uint64_t log_number,
-                             std::shared_ptr<RandomAccessFile>* file) {
-  ValuePointer ptr;
-  ptr.log_number = log_number;
-  return GetFile(ptr, file);
-}
-
-Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
-                                    size_t size, std::string* buffer) {
-  buffer->resize(size);
-  Slice result;
-  Status s = GetSpanPinned(file, offset, size, &result, buffer->data());
-  if (!s.ok()) return s;
-  if (result.data() != buffer->data()) {
-    buffer->assign(result.data(), result.size());
-  }
   return Status::OK();
 }
 
@@ -169,12 +154,12 @@ Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
 
 void ValueLogCache::Readahead(const ValuePointer& ptr, size_t bytes) {
   std::shared_ptr<RandomAccessFile> file;
-  if (GetFile(ptr, &file).ok()) {
+  if (PinLog(ptr.log_number, &file).ok()) {
     file->ReadaheadHint(ptr.offset, bytes);
   }
 }
 
-void ValueLogCache::Evict(uint32_t /*partition*/, uint64_t log_number) {
+void ValueLogCache::Evict(uint64_t log_number) {
   MutexLock l(&mu_);
   files_.erase(log_number);
 }
@@ -206,8 +191,6 @@ Status ScanValueLog(
     if (!GetVarint32(&peek, &key_len) || !GetVarint32(&peek, &val_len)) {
       break;  // Torn tail.
     }
-    size_t header = 4 + (peek.data() - (input.data() + 4)) + 4;
-    (void)header;
     size_t record_size =
         (peek.data() - input.data()) + static_cast<size_t>(key_len) + val_len;
     if (record_size > input.size()) {
@@ -215,7 +198,7 @@ Status ScanValueLog(
     }
     Slice record(input.data(), record_size);
     Slice key, value;
-    if (!DecodeValueRecord(record, &key, &value).ok()) {
+    if (!ParseValueRecord(record, &key, &value).ok()) {
       break;  // Corrupt record: stop scanning (crash-truncated tail).
     }
     fn(offset, static_cast<uint32_t>(record_size), key, value);

@@ -65,20 +65,22 @@ class ValueLogWriter {
 };
 
 /// Parses one value-log record out of `record` bytes (as read from a file
-/// at a ValuePointer). Verifies the checksum.
-Status DecodeValueRecord(const Slice& record, Slice* key, Slice* value);
+/// through a pointer found under user key `key`) and points *value at its
+/// value. Verifies the checksum and that the record stores `key`: a
+/// checksum-valid record of another key (a misdirected pointer, or records
+/// moved within the file) is Corruption, never the other key's value.
+Status DecodeValueRecord(const Slice& record, const Slice& key, Slice* value);
 
-/// Caches open read handles for value log files and serves point fetches
-/// by ValuePointer. Thread-safe.
+/// Caches open read handles for value log files (one directory, keyed by
+/// log number) and serves point fetches by ValuePointer. Thread-safe.
 class ValueLogCache {
  public:
-  /// `dir_for_partition(p)` maps a partition id to its directory.
   ValueLogCache(Env* env, std::string dbname);
 
   /// Wires engine-wide read counters (owned by the DB's MetricsRegistry).
   /// Unlike the thread-local PerfContext — which only sees the calling
   /// thread — these capture fetches issued from thread-pool workers during
-  /// scans and GC. All three may be null (counting disabled).
+  /// scans and GC. Any of the four may be null (not counted).
   void SetCounters(Counter* reads, Counter* span_reads, Counter* read_bytes,
                    Counter* mmap_reads = nullptr) {
     reads_counter_ = reads;
@@ -87,20 +89,14 @@ class ValueLogCache {
     mmap_reads_counter_ = mmap_reads;
   }
 
-  /// Fetches the record at *ptr, verifies it, and stores the value bytes
-  /// in *value (and optionally the stored key for validation).
-  Status Get(const ValuePointer& ptr, std::string* value,
-             std::string* stored_key = nullptr);
+  /// Point fetch: preads the record at `ptr` into a private buffer,
+  /// verifies its checksum and that it stores user key `key`, and copies
+  /// the value into *value. Never touches the log's mapping, so point
+  /// reads do not grow the process's resident mapped pages.
+  Status Get(const ValuePointer& ptr, const Slice& key, std::string* value);
 
   /// Issues a readahead hint on the log for a scan starting at `ptr`.
   void Readahead(const ValuePointer& ptr, size_t bytes);
-
-  /// Reads the byte span [offset, offset+size) of a log file in one I/O.
-  /// Scans use this to fetch runs of adjacent values (merges and GC write
-  /// values in key order, so consecutive scan pointers usually touch a
-  /// contiguous region). *buffer is resized to hold the span.
-  Status GetSpan(uint64_t log_number, uint64_t offset, size_t size,
-                 std::string* buffer);
 
   /// Pins the shared read handle of one log (opening the file if needed)
   /// so a batched caller can issue several span reads against it without
@@ -109,32 +105,24 @@ class ValueLogCache {
   Status PinLog(uint64_t log_number,
                 std::shared_ptr<RandomAccessFile>* file);
 
-  /// GetSpan against a handle previously pinned with PinLog (same
-  /// counting and short-read checks, no cache-mutex acquisition).
-  Status GetSpanPinned(RandomAccessFile* file, uint64_t offset, size_t size,
-                       std::string* buffer);
-
-  /// Zero-copy-friendly variant: reads into caller-owned `scratch` (which
-  /// must hold `size` bytes) and points *result at the bytes — either
-  /// scratch or the file's own mapping. Avoids std::string's zero-fill on
-  /// hot batched-read paths that reuse one scratch buffer across spans.
+  /// Reads the byte span [offset, offset+size) of a pinned log in one I/O
+  /// and points *result at it: at the file's own mapping when the Env
+  /// offers one (zero-copy), else at caller-owned `scratch`, which must
+  /// hold `size` bytes. No cache-mutex acquisition.
   Status GetSpanPinned(RandomAccessFile* file, uint64_t offset, size_t size,
                        Slice* result, char* scratch);
 
   /// Drops the cached handle for a deleted log file.
-  void Evict(uint32_t partition, uint64_t log_number);
+  void Evict(uint64_t log_number);
 
  private:
-  Status GetFile(const ValuePointer& ptr,
-                 std::shared_ptr<RandomAccessFile>* file);
-
   Env* env_;
   std::string dbname_;
   Counter* reads_counter_ = nullptr;
   Counter* span_reads_counter_ = nullptr;
   Counter* mmap_reads_counter_ = nullptr;
   Counter* read_bytes_counter_ = nullptr;
-  // mu_ guards the handle map. Held across the open syscall in GetFile
+  // mu_ guards the handle map. Held across the open syscall in PinLog
   // (first access to a log serializes openers); reads through a handle
   // never take it.
   Mutex mu_;

@@ -304,6 +304,56 @@ TEST_F(DbAnchorViewTest, ScanRacesConcurrentFlush) {
   writer.join();
 }
 
+// Values written in ten merge epochs live in ten value logs, so a scan
+// across the interleaved keys needs one span read per log: more than the
+// fan-out threshold, so the fetch runs on the shared pool. Two scanners
+// share that pool at once (the TSan twin checks the slot hand-off).
+TEST_F(DbAnchorViewTest, ScanFansOutValueFetchAcrossEpochs) {
+  Open(AnchorOptions(), "anchor_fanout");
+  const int kEpochs = 10, kKeys = 400;
+  std::map<std::string, std::string> model;
+  for (int e = 0; e < kEpochs; e++) {
+    for (int i = e; i < kKeys; i += kEpochs) {
+      std::string value = test::TestValue(i, 200);
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), value).ok());
+      model[test::TestKey(i)] = value;
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+  }
+
+  const double spans_before = MetricValue(db_.get(), "vlog_span_reads");
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), test::TestKey(0), kKeys, &out).ok());
+  EXPECT_GE(MetricValue(db_.get(), "vlog_span_reads") - spans_before,
+            kEpochs);
+  ASSERT_EQ(model.size(), out.size());
+  size_t i = 0;
+  for (const auto& [key, value] : model) {
+    ASSERT_EQ(key, out[i].first);
+    ASSERT_EQ(value, out[i].second);
+    i++;
+  }
+
+  auto scanner = [&](uint32_t seed) {
+    Random rnd(seed);
+    for (int trial = 0; trial < 10; trial++) {
+      std::string start = test::TestKey(rnd.Uniform(kKeys / 2));
+      std::vector<std::pair<std::string, std::string>> got;
+      ASSERT_TRUE(db_->Scan(ReadOptions(), start, kKeys / 2, &got).ok());
+      auto mit = model.lower_bound(start);
+      ASSERT_EQ(static_cast<size_t>(kKeys / 2), got.size());
+      for (const auto& [key, value] : got) {
+        ASSERT_EQ(mit->first, key);
+        ASSERT_EQ(mit->second, value);
+        ++mit;
+      }
+    }
+  };
+  std::thread other(scanner, 11);
+  scanner(12);
+  other.join();
+}
+
 // A deleted .anchors file is a recovery non-event: the tables are the
 // source of truth and the view is rebuilt in memory.
 TEST_F(DbAnchorViewTest, DeletedAnchorsFileRebuilds) {

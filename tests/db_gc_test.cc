@@ -12,6 +12,7 @@
 #include "test_util.h"
 #include "util/fault_injection_env.h"
 #include "util/random.h"
+#include "vlog/value_log.h"
 
 namespace unikv {
 namespace {
@@ -206,6 +207,115 @@ TEST_F(DbGcTest, ObsoleteFilesAreDeleted) {
   }
   EXPECT_LE(wals, 2);
   EXPECT_EQ(0, tmps);
+}
+
+// Two records of the same size swapped inside a .vlog file keep valid
+// checksums, so only the stored-key check tells them apart. Every read
+// path, and the GC that rewrites them, must report Corruption rather than
+// hand one key the other's value.
+TEST_F(DbGcTest, SwappedValueRecordsAreCorruptionOnEveryPath) {
+  Options opt = GcOptions();
+  Open(opt, "gc_swapped_records");
+  const std::string a = test::TestKey(1), b = test::TestKey(2),
+                    c = test::TestKey(3);
+  const std::string va = test::TestValue(1, 1024), vb = test::TestValue(2, 1024);
+  ASSERT_TRUE(db_->Put(WriteOptions(), a, va).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), b, vb).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), c, test::TestValue(3, 1024)).ok());
+  ASSERT_TRUE(db_->CompactAll().ok());
+  db_.reset();
+
+  // Swap a's and b's records in the one value log the merge wrote.
+  std::vector<std::string> children;
+  ASSERT_TRUE(Env::Default()->GetChildren(dir_, &children).ok());
+  std::string fname;
+  for (const std::string& child : children) {
+    uint64_t number;
+    FileType type;
+    if (ParseFileName(child, &number, &type) &&
+        type == FileType::kValueLogFile) {
+      ASSERT_TRUE(fname.empty()) << "expected a single value log";
+      fname = dir_ + "/" + child;
+    }
+  }
+  ASSERT_FALSE(fname.empty());
+  uint64_t off_a = 0, off_b = 0;
+  uint32_t size_a = 0, size_b = 0;
+  ASSERT_TRUE(ScanValueLog(Env::Default(), fname,
+                           [&](uint64_t offset, uint32_t size,
+                               const Slice& key, const Slice&) {
+                             if (key == Slice(a)) off_a = offset, size_a = size;
+                             if (key == Slice(b)) off_b = offset, size_b = size;
+                           })
+                  .ok());
+  ASSERT_GT(size_a, 0u);
+  ASSERT_EQ(size_a, size_b);
+  uint64_t file_size = 0;
+  ASSERT_TRUE(Env::Default()->GetFileSize(fname, &file_size).ok());
+  std::string contents(file_size, '\0');
+  {
+    std::unique_ptr<SequentialFile> in;
+    ASSERT_TRUE(Env::Default()->NewSequentialFile(fname, &in).ok());
+    Slice data;
+    ASSERT_TRUE(in->Read(file_size, &data, contents.data()).ok());
+    contents.assign(data.data(), data.size());
+  }
+  std::string rec_a = contents.substr(off_a, size_a);
+  contents.replace(off_a, size_a, contents.substr(off_b, size_b));
+  contents.replace(off_b, size_b, rec_a);
+  {
+    std::unique_ptr<WritableFile> out;
+    ASSERT_TRUE(Env::Default()->NewWritableFile(fname, &out).ok());
+    ASSERT_TRUE(out->Append(contents).ok());
+    ASSERT_TRUE(out->Sync().ok());
+    ASSERT_TRUE(out->Close().ok());
+  }
+
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, dir_, &raw).ok());
+  db_.reset(raw);
+
+  std::string value;
+  Status s = db_->Get(ReadOptions(), a, &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_FALSE(value == vb);
+
+  std::vector<Slice> keys = {a, b, c};
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  s = db_->MultiGet(ReadOptions(), keys, &values, &statuses);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(statuses[0].IsCorruption()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].IsCorruption()) << statuses[1].ToString();
+  EXPECT_TRUE(statuses[2].ok()) << statuses[2].ToString();
+  EXPECT_FALSE(values[0] == vb);
+  EXPECT_FALSE(values[1] == va);
+
+  std::vector<std::pair<std::string, std::string>> out;
+  s = db_->Scan(ReadOptions(), a, 3, &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  for (const auto& [k, v] : out) {
+    EXPECT_FALSE(k == a && v == vb);
+    EXPECT_FALSE(k == b && v == va);
+  }
+
+  {
+    std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+    iter->Seek(a);
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_FALSE(iter->value() == Slice(vb));
+    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+    iter->Next();
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_FALSE(iter->value() == Slice(va));
+    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  }
+
+  // Overwriting c turns its old record into garbage, so CompactAll's merge
+  // is followed by a GC that rewrites a's and b's records: it must refuse.
+  ASSERT_TRUE(db_->Put(WriteOptions(), c, test::TestValue(4, 1024)).ok());
+  s = db_->CompactAll();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 // ----------------------------------------------------------- GC + crashes

@@ -1,15 +1,24 @@
 // Value-log tests: pointer codec, record round trips via the cache,
-// span reads, sequential scans, and torn-tail handling.
+// sequential scans, torn-tail handling, and the batched ValueFetcher
+// (coalescing, span cap, per-slot failures, pool fan-out). The fixture
+// runs over MemEnv, whose files have no mapping (the pread fallback), and
+// over PosixEnv, whose span reads are served zero-copy from mmap.
 
 #include "vlog/value_log.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/filename.h"
+#include "test_util.h"
 #include "util/env.h"
-#include "util/random.h"
+#include "util/metrics.h"
+#include "util/thread_pool.h"
+#include "vlog/value_fetcher.h"
 
 namespace unikv {
 namespace {
@@ -37,26 +46,100 @@ TEST(ValuePointer, Codec) {
   }
 }
 
-class ValueLogTest : public testing::Test {
+using Records = std::vector<std::pair<std::string, std::string>>;
+
+// Parameter: true = PosixEnv in a scratch dir, false = MemEnv.
+class ValueLogTest : public testing::TestWithParam<bool> {
  protected:
-  ValueLogTest() : env_(NewMemEnv()) {
-    env_->CreateDir("/db");
-    cache_ = std::make_unique<ValueLogCache>(env_.get(), "/db");
+  void SetUp() override {
+    if (UsePosix()) {
+      dir_ = test::NewTestDir("value_log");
+      env_ = Env::Default();
+    } else {
+      mem_env_.reset(NewMemEnv());
+      env_ = mem_env_.get();
+      dir_ = "/db";
+      ASSERT_TRUE(env_->CreateDir(dir_).ok());
+    }
+    cache_ = std::make_unique<ValueLogCache>(env_, dir_);
+    cache_->SetCounters(&reads_, &span_reads_, &read_bytes_, &mmap_reads_);
   }
+
+  bool UsePosix() const { return GetParam(); }
 
   std::unique_ptr<ValueLogWriter> NewWriter(uint64_t log_number) {
     std::unique_ptr<WritableFile> file;
     EXPECT_TRUE(
-        env_->NewWritableFile(ValueLogFileName("/db", log_number), &file)
+        env_->NewWritableFile(ValueLogFileName(dir_, log_number), &file)
             .ok());
     return std::make_unique<ValueLogWriter>(std::move(file), 0, log_number);
   }
 
-  std::unique_ptr<MemEnv> env_;
+  // Writes `records` as one complete log and returns their pointers.
+  std::vector<ValuePointer> WriteLog(uint64_t log_number,
+                                     const Records& records) {
+    auto writer = NewWriter(log_number);
+    std::vector<ValuePointer> ptrs(records.size());
+    for (size_t i = 0; i < records.size(); i++) {
+      EXPECT_TRUE(
+          writer->Add(records[i].first, records[i].second, &ptrs[i]).ok());
+    }
+    EXPECT_TRUE(writer->Close().ok());
+    return ptrs;
+  }
+
+  std::string ReadFile(const std::string& fname) {
+    uint64_t size = 0;
+    EXPECT_TRUE(env_->GetFileSize(fname, &size).ok());
+    std::unique_ptr<RandomAccessFile> reader;
+    EXPECT_TRUE(env_->NewRandomAccessFile(fname, &reader).ok());
+    std::string contents(size, '\0');
+    Slice data;
+    EXPECT_TRUE(reader->Read(0, size, &data, contents.data()).ok());
+    return data.ToString();
+  }
+
+  void RewriteFile(const std::string& fname, const std::string& contents) {
+    std::unique_ptr<WritableFile> w;
+    ASSERT_TRUE(env_->NewWritableFile(fname, &w).ok());
+    ASSERT_TRUE(w->Append(contents).ok());
+    ASSERT_TRUE(w->Close().ok());
+  }
+
+  // Fetches ptrs[i] expecting keys[i] through the ValueFetcher; slot i of
+  // the outputs belongs to ptrs[i] whatever order the fetcher reads in.
+  ValueFetcher::Stats Fetch(const std::vector<ValuePointer>& ptrs,
+                            const std::vector<std::string>& keys,
+                            std::vector<std::string>* values,
+                            std::vector<Status>* statuses,
+                            ThreadPool* pool = nullptr, int max_tasks = 1) {
+    values->assign(ptrs.size(), "untouched");
+    statuses->assign(ptrs.size(), Status::OK());
+    std::vector<ValueFetcher::Item> items;
+    for (size_t i = 0; i < ptrs.size(); i++) {
+      items.push_back(ValueFetcher::Item{ptrs[i], keys[i], &(*values)[i],
+                                         &(*statuses)[i]});
+    }
+    return ValueFetcher(cache_.get(), pool).Fetch(&items, max_tasks);
+  }
+
+  std::unique_ptr<MemEnv> mem_env_;
+  Env* env_ = nullptr;
+  std::string dir_;
   std::unique_ptr<ValueLogCache> cache_;
+  Counter reads_, span_reads_, read_bytes_, mmap_reads_;
 };
 
-TEST_F(ValueLogTest, WriteAndFetch) {
+Records NumberedRecords(int n, size_t value_size, const std::string& tag) {
+  Records records;
+  for (int i = 0; i < n; i++) {
+    records.emplace_back(tag + "k" + std::to_string(i),
+                         test::TestValue(i, value_size));
+  }
+  return records;
+}
+
+TEST_P(ValueLogTest, WriteAndFetch) {
   auto writer = NewWriter(5);
   std::vector<ValuePointer> ptrs;
   for (int i = 0; i < 100; i++) {
@@ -71,14 +154,26 @@ TEST_F(ValueLogTest, WriteAndFetch) {
   ASSERT_TRUE(writer->Flush().ok());
 
   for (int i = 0; i < 100; i++) {
-    std::string value, key;
-    ASSERT_TRUE(cache_->Get(ptrs[i], &value, &key).ok());
+    std::string value;
+    ASSERT_TRUE(cache_->Get(ptrs[i], "key" + std::to_string(i), &value).ok());
     EXPECT_EQ("value" + std::to_string(i), value);
-    EXPECT_EQ("key" + std::to_string(i), key);
   }
+  EXPECT_EQ(100u, reads_.Value());
+  EXPECT_EQ(0u, mmap_reads_.Value());  // Point reads never map the log.
 }
 
-TEST_F(ValueLogTest, OffsetsAreContiguous) {
+TEST_P(ValueLogTest, GetChecksStoredKey) {
+  auto ptrs = WriteLog(8, {{"a", "value-of-a"}, {"b", "value-of-b"}});
+  std::string value = "untouched";
+  Status s = cache_->Get(ptrs[1], "a", &value);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("key mismatch"), std::string::npos);
+  EXPECT_EQ("untouched", value);
+  ASSERT_TRUE(cache_->Get(ptrs[1], "b", &value).ok());
+  EXPECT_EQ("value-of-b", value);
+}
+
+TEST_P(ValueLogTest, OffsetsAreContiguous) {
   auto writer = NewWriter(1);
   ValuePointer a, b;
   ASSERT_TRUE(writer->Add("k1", "v1", &a).ok());
@@ -88,74 +183,30 @@ TEST_F(ValueLogTest, OffsetsAreContiguous) {
   EXPECT_EQ(writer->CurrentOffset(), b.offset + b.size);
 }
 
-TEST_F(ValueLogTest, LargeAndEmptyValues) {
-  auto writer = NewWriter(2);
+TEST_P(ValueLogTest, LargeAndEmptyValues) {
   std::string big(1 << 20, 'B');
-  ValuePointer p_big, p_empty;
-  ASSERT_TRUE(writer->Add("big", big, &p_big).ok());
-  ASSERT_TRUE(writer->Add("empty", "", &p_empty).ok());
-  writer->Flush();
+  auto ptrs = WriteLog(2, {{"big", big}, {"empty", ""}});
   std::string value;
-  ASSERT_TRUE(cache_->Get(p_big, &value).ok());
+  ASSERT_TRUE(cache_->Get(ptrs[0], "big", &value).ok());
   EXPECT_EQ(big, value);
-  ASSERT_TRUE(cache_->Get(p_empty, &value).ok());
+  ASSERT_TRUE(cache_->Get(ptrs[1], "empty", &value).ok());
   EXPECT_EQ("", value);
 }
 
-TEST_F(ValueLogTest, SpanRead) {
-  auto writer = NewWriter(3);
-  std::vector<ValuePointer> ptrs(10);
-  for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(
-        writer->Add("k" + std::to_string(i), std::string(100, 'a' + i),
-                    &ptrs[i]).ok());
-  }
-  writer->Flush();
-  std::string span;
-  uint64_t begin = ptrs[2].offset;
-  uint64_t end = ptrs[7].offset + ptrs[7].size;
-  ASSERT_TRUE(cache_->GetSpan(3, begin, end - begin, &span).ok());
-  // Each record can be decoded at its relative offset.
-  for (int i = 2; i <= 7; i++) {
-    Slice record(span.data() + (ptrs[i].offset - begin), ptrs[i].size);
-    Slice key, value;
-    ASSERT_TRUE(DecodeValueRecord(record, &key, &value).ok());
-    EXPECT_EQ("k" + std::to_string(i), key.ToString());
-    EXPECT_EQ(std::string(100, 'a' + i), value.ToString());
-  }
-}
-
-TEST_F(ValueLogTest, CorruptRecordDetected) {
-  auto writer = NewWriter(4);
-  ValuePointer ptr;
-  ASSERT_TRUE(writer->Add("key", "value", &ptr).ok());
-  writer->Flush();
-
-  // Corrupt a byte of the stored record.
-  std::string fname = ValueLogFileName("/db", 4);
-  uint64_t size;
-  env_->GetFileSize(fname, &size);
-  std::string contents(size, 0);
-  {
-    std::unique_ptr<RandomAccessFile> reader;
-    env_->NewRandomAccessFile(fname, &reader);
-    Slice data;
-    reader->Read(0, size, &data, contents.data());
-    contents.assign(data.data(), data.size());
-  }
-  contents[size / 2] ^= 0x10;
-  std::unique_ptr<WritableFile> w;
-  env_->NewWritableFile(fname, &w);
-  w->Append(contents);
-  w->Close();
-  cache_->Evict(0, 4);
+TEST_P(ValueLogTest, CorruptRecordDetected) {
+  auto ptrs = WriteLog(4, {{"key", "value"}});
+  const std::string fname = ValueLogFileName(dir_, 4);
+  std::string contents = ReadFile(fname);
+  contents[contents.size() / 2] ^= 0x10;
+  RewriteFile(fname, contents);
+  cache_->Evict(4);
 
   std::string value;
-  Status s = cache_->Get(ptr, &value);
+  Status s = cache_->Get(ptrs[0], "key", &value);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-TEST_F(ValueLogTest, SequentialScanAndTornTail) {
+TEST_P(ValueLogTest, SequentialScanAndTornTail) {
   auto writer = NewWriter(6);
   for (int i = 0; i < 50; i++) {
     ValuePointer ptr;
@@ -163,11 +214,11 @@ TEST_F(ValueLogTest, SequentialScanAndTornTail) {
         writer->Add("k" + std::to_string(i), "v" + std::to_string(i), &ptr)
             .ok());
   }
-  writer->Flush();
-  std::string fname = ValueLogFileName("/db", 6);
+  ASSERT_TRUE(writer->Close().ok());
+  const std::string fname = ValueLogFileName(dir_, 6);
 
   int count = 0;
-  ASSERT_TRUE(ScanValueLog(env_.get(), fname,
+  ASSERT_TRUE(ScanValueLog(env_, fname,
                            [&](uint64_t, uint32_t, const Slice& key,
                                const Slice& value) {
                              EXPECT_EQ("k" + std::to_string(count),
@@ -180,50 +231,248 @@ TEST_F(ValueLogTest, SequentialScanAndTornTail) {
   EXPECT_EQ(50, count);
 
   // Truncate mid-record: the scan stops at the torn tail without error.
-  uint64_t size;
-  env_->GetFileSize(fname, &size);
-  std::string contents(size, 0);
-  {
-    std::unique_ptr<RandomAccessFile> reader;
-    env_->NewRandomAccessFile(fname, &reader);
-    Slice data;
-    reader->Read(0, size, &data, contents.data());
-    contents.assign(data.data(), data.size());
-  }
-  contents.resize(size - 3);
-  std::unique_ptr<WritableFile> w;
-  env_->NewWritableFile(fname, &w);
-  w->Append(contents);
-  w->Close();
+  std::string contents = ReadFile(fname);
+  contents.resize(contents.size() - 3);
+  RewriteFile(fname, contents);
 
   count = 0;
-  ASSERT_TRUE(ScanValueLog(env_.get(), fname,
+  ASSERT_TRUE(ScanValueLog(env_, fname,
                            [&](uint64_t, uint32_t, const Slice&,
                                const Slice&) { count++; })
                   .ok());
   EXPECT_EQ(49, count);
 }
 
-TEST_F(ValueLogTest, MissingLogFileSurfacesError) {
+TEST_P(ValueLogTest, MissingLogFileSurfacesError) {
   ValuePointer ptr;
   ptr.log_number = 999;
   ptr.size = 10;
   std::string value;
-  EXPECT_FALSE(cache_->Get(ptr, &value).ok());
+  EXPECT_FALSE(cache_->Get(ptr, "key", &value).ok());
 }
 
-TEST_F(ValueLogTest, BinaryKeysAndValues) {
-  auto writer = NewWriter(7);
+TEST_P(ValueLogTest, BinaryKeysAndValues) {
   std::string key("\0\xff\n", 3);
   std::string value("\0\0\0\0", 4);
-  ValuePointer ptr;
-  ASSERT_TRUE(writer->Add(key, value, &ptr).ok());
-  writer->Flush();
-  std::string got_value, got_key;
-  ASSERT_TRUE(cache_->Get(ptr, &got_value, &got_key).ok());
-  EXPECT_EQ(key, got_key);
+  auto ptrs = WriteLog(7, {{key, value}});
+  std::string got_value;
+  ASSERT_TRUE(cache_->Get(ptrs[0], key, &got_value).ok());
   EXPECT_EQ(value, got_value);
 }
+
+// ---------------------------------------------------------- ValueFetcher
+
+// Duplicate pointers overlap exactly; with a larger neighbour a span's end
+// stays at the max of its members' ends. Every slot gets its own answer.
+TEST_P(ValueLogTest, FetchDuplicateAndOverlappingPointers) {
+  Records records = NumberedRecords(10, 300, "");
+  records[4].second = std::string(9000, 'x');  // A wide record mid-span.
+  auto ptrs = WriteLog(3, records);
+
+  const std::vector<size_t> pick = {5, 2, 5, 4, 7, 2, 4, 0};
+  std::vector<ValuePointer> want;
+  std::vector<std::string> keys;
+  uint64_t total = 0;
+  for (size_t i : pick) {
+    want.push_back(ptrs[i]);
+    keys.push_back(records[i].first);
+    total += ptrs[i].size;
+  }
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ValueFetcher::Stats stats = Fetch(want, keys, &values, &statuses);
+  for (size_t j = 0; j < pick.size(); j++) {
+    ASSERT_TRUE(statuses[j].ok()) << j << " " << statuses[j].ToString();
+    EXPECT_EQ(records[pick[j]].second, values[j]) << j;
+  }
+  EXPECT_EQ(1u, span_reads_.Value());
+  EXPECT_EQ(1u, stats.coalesced_spans);
+  EXPECT_EQ(total - ptrs[0].size, stats.bytes_saved);  // All but the first.
+  EXPECT_EQ(UsePosix() ? 1u : 0u, mmap_reads_.Value());
+}
+
+// A gap up to kGapBytes is bridged (read and discarded, or never touched
+// when zero-copy); a wider one starts a new span.
+TEST_P(ValueLogTest, FetchBridgesSmallGapsAndSplitsLargeOnes) {
+  const std::string filler(30 * 1024, 'f');
+  Records records = {{"a", "value-a"},   {"f1", filler}, {"b", "value-b"},
+                     {"f2", filler},     {"f3", filler}, {"f4", filler},
+                     {"c", "value-c"}};
+  auto ptrs = WriteLog(3, records);
+  ASSERT_LE(ptrs[2].offset - (ptrs[0].offset + ptrs[0].size),
+            ValueFetcher::kGapBytes);
+  ASSERT_GT(ptrs[6].offset - (ptrs[2].offset + ptrs[2].size),
+            ValueFetcher::kGapBytes);
+
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ValueFetcher::Stats stats = Fetch({ptrs[6], ptrs[0], ptrs[2]},
+                                    {"c", "a", "b"}, &values, &statuses);
+  for (const Status& s : statuses) ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ("value-c", values[0]);
+  EXPECT_EQ("value-a", values[1]);
+  EXPECT_EQ("value-b", values[2]);
+  EXPECT_EQ(2u, span_reads_.Value());  // {a, b} bridged; c alone.
+  EXPECT_EQ(1u, stats.coalesced_spans);
+  EXPECT_EQ(ptrs[2].size, stats.bytes_saved);
+  EXPECT_EQ(UsePosix() ? 2u : 0u, mmap_reads_.Value());
+}
+
+// Contiguous records coalesce only up to kMaxSpanBytes per span; a single
+// record larger than the cap is still one (oversized) span.
+TEST_P(ValueLogTest, FetchCapsSpanBytes) {
+  Records records = NumberedRecords(40, 100 * 1024, "");
+  records.emplace_back("huge", std::string(3 << 19, 'h'));  // 1.5 MiB.
+  auto ptrs = WriteLog(3, records);
+  std::vector<std::string> keys;
+  for (const auto& r : records) keys.push_back(r.first);
+
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ValueFetcher::Stats stats = Fetch(ptrs, keys, &values, &statuses);
+  for (size_t i = 0; i < records.size(); i++) {
+    ASSERT_TRUE(statuses[i].ok()) << i << " " << statuses[i].ToString();
+    ASSERT_EQ(records[i].second, values[i]) << i;
+  }
+  // Ten ~100 KiB records fit under 1 MiB, eleven do not.
+  ASSERT_LE(10 * static_cast<uint64_t>(ptrs[0].size),
+            ValueFetcher::kMaxSpanBytes);
+  ASSERT_GT(11 * static_cast<uint64_t>(ptrs[0].size),
+            ValueFetcher::kMaxSpanBytes);
+  EXPECT_EQ(5u, span_reads_.Value());  // 4 x 10 records, then the huge one.
+  EXPECT_EQ(4u, stats.coalesced_spans);
+}
+
+TEST_P(ValueLogTest, FetchAcrossSeveralLogs) {
+  Records r3 = NumberedRecords(5, 200, "x"), r4 = NumberedRecords(5, 200, "y"),
+          r5 = NumberedRecords(5, 200, "z");
+  auto p3 = WriteLog(3, r3), p4 = WriteLog(4, r4), p5 = WriteLog(5, r5);
+  // Interleave the logs in request order.
+  std::vector<ValuePointer> ptrs;
+  std::vector<std::string> keys, expect;
+  for (int i = 4; i >= 0; i--) {
+    for (auto* set : {&r5, &r3, &r4}) {
+      const auto& p = set == &r3 ? p3 : set == &r4 ? p4 : p5;
+      ptrs.push_back(p[i]);
+      keys.push_back((*set)[i].first);
+      expect.push_back((*set)[i].second);
+    }
+  }
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ValueFetcher::Stats stats = Fetch(ptrs, keys, &values, &statuses);
+  for (size_t i = 0; i < ptrs.size(); i++) {
+    ASSERT_TRUE(statuses[i].ok()) << i << " " << statuses[i].ToString();
+    EXPECT_EQ(expect[i], values[i]) << i;
+  }
+  EXPECT_EQ(3u, span_reads_.Value());  // One per log.
+  EXPECT_EQ(3u, stats.coalesced_spans);
+}
+
+// A log that cannot be opened fails every slot it owns, and only those.
+TEST_P(ValueLogTest, FetchMissingLogFailsOnlyItsSlots) {
+  Records records = NumberedRecords(3, 100, "");
+  auto p3 = WriteLog(3, records), p5 = WriteLog(5, records);
+  std::vector<ValuePointer> ptrs = {p3[0], p5[1], p3[1], p5[2]};
+  for (int i = 0; i < 2; i++) {
+    ValuePointer missing = p3[i];
+    missing.log_number = 4;
+    ptrs.push_back(missing);
+  }
+  std::vector<std::string> keys = {"k0", "k1", "k1", "k2", "k0", "k1"};
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  Fetch(ptrs, keys, &values, &statuses);
+  for (size_t i = 0; i < 4; i++) {
+    ASSERT_TRUE(statuses[i].ok()) << i << " " << statuses[i].ToString();
+    EXPECT_EQ(records[std::stoi(keys[i].substr(1))].second, values[i]);
+  }
+  for (size_t i = 4; i < 6; i++) {
+    EXPECT_FALSE(statuses[i].ok()) << i;
+    EXPECT_EQ("untouched", values[i]) << i;
+  }
+}
+
+// A checksum failure and a record of another key each fail only their own
+// slot; their span-mates still resolve.
+TEST_P(ValueLogTest, FetchBadRecordsFailOnlyTheirSlots) {
+  Records records = NumberedRecords(6, 100, "");
+  auto ptrs = WriteLog(3, records);
+  const std::string fname = ValueLogFileName(dir_, 3);
+  std::string contents = ReadFile(fname);
+  contents[ptrs[2].offset + ptrs[2].size - 1] ^= 0x01;  // Value byte.
+  RewriteFile(fname, contents);
+
+  std::vector<std::string> keys;
+  for (const auto& r : records) keys.push_back(r.first);
+  keys[4] = records[3].first;  // Slot 4 expects another key's record.
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  Fetch(ptrs, keys, &values, &statuses);
+  EXPECT_EQ(1u, span_reads_.Value());
+  for (size_t i = 0; i < records.size(); i++) {
+    if (i == 2 || i == 4) {
+      EXPECT_TRUE(statuses[i].IsCorruption()) << i << " "
+                                              << statuses[i].ToString();
+      EXPECT_EQ("untouched", values[i]) << i;
+    } else {
+      ASSERT_TRUE(statuses[i].ok()) << i << " " << statuses[i].ToString();
+      EXPECT_EQ(records[i].second, values[i]) << i;
+    }
+  }
+  EXPECT_NE(statuses[2].ToString().find("checksum"), std::string::npos);
+  EXPECT_NE(statuses[4].ToString().find("key mismatch"), std::string::npos);
+}
+
+// More than kMinSpansToFanOut spans over a pool give exactly the serial
+// answer, failures included.
+TEST_P(ValueLogTest, FetchFanOutMatchesSerial) {
+  const std::string filler(70 * 1024, 'f');  // Wider than the gap.
+  std::vector<ValuePointer> ptrs;
+  std::vector<std::string> keys;
+  for (uint64_t log = 3; log <= 5; log++) {
+    Records records;
+    for (int i = 0; i < 6; i++) {
+      records.emplace_back("k" + std::to_string(log * 100 + i),
+                           test::TestValue(log * 100 + i, 500));
+      records.emplace_back("filler", filler);
+    }
+    auto p = WriteLog(log, records);
+    for (size_t i = 0; i < records.size(); i += 2) {
+      ptrs.push_back(p[i]);
+      keys.push_back(records[i].first);
+    }
+  }
+  keys[7] = "wrong-key";
+  ValuePointer missing = ptrs[0];
+  missing.log_number = 9;
+  ptrs.push_back(missing);
+  keys.push_back(keys[0]);
+
+  std::vector<std::string> serial_values, pooled_values;
+  std::vector<Status> serial_statuses, pooled_statuses;
+  ValueFetcher::Stats serial =
+      Fetch(ptrs, keys, &serial_values, &serial_statuses);
+  const uint64_t spans = span_reads_.Value();
+  ASSERT_GT(spans, ValueFetcher::kMinSpansToFanOut);
+  ThreadPool pool(4);
+  ValueFetcher::Stats pooled =
+      Fetch(ptrs, keys, &pooled_values, &pooled_statuses, &pool, 4);
+  EXPECT_EQ(2 * spans, span_reads_.Value());
+  EXPECT_EQ(serial.coalesced_spans, pooled.coalesced_spans);
+  EXPECT_EQ(serial.bytes_saved, pooled.bytes_saved);
+  EXPECT_EQ(serial_values, pooled_values);
+  for (size_t i = 0; i < ptrs.size(); i++) {
+    EXPECT_EQ(serial_statuses[i].ToString(), pooled_statuses[i].ToString())
+        << i;
+    EXPECT_EQ(i != 7 && i + 1 != ptrs.size(), pooled_statuses[i].ok()) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MemAndPosix, ValueLogTest, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Posix" : "Mem";
+                         });
 
 }  // namespace
 }  // namespace unikv
