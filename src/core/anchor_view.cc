@@ -11,22 +11,11 @@
 #include "table/format.h"
 #include "table/table.h"
 #include "util/coding.h"
-#include "util/crc32c.h"
-#include "util/env.h"
 
 namespace unikv {
 
 namespace {
 
-// <number>.anchors layout:
-//   fixed32 magic  fixed32 format_version  varint32 pid
-//   varint32 covered_count
-//     per covered table: varint64 number  varint64 size  varint32 table_id
-//   varint64 entry_count
-//   varint64 block_len  block image bytes
-//   fixed32 masked crc32c over everything above
-constexpr uint32_t kAnchorMagic = 0x414e4348;  // "ANCH"
-constexpr uint32_t kAnchorFormatVersion = 1;
 constexpr int kAnchorRestartInterval = 16;
 
 struct Anchor {
@@ -158,7 +147,7 @@ class TableSource : public AnchorSource {
 };
 
 /// Streams an existing view's entries, remapping nothing: ordinals stay
-/// valid because flush installs only append to the covered list.
+/// valid because flushes only append to the covered list.
 class ViewSource : public AnchorSource {
  public:
   ViewSource(const InternalKeyComparator& icmp, const AnchorView& base) {
@@ -243,15 +232,15 @@ Status MergeSources(const InternalKeyComparator& icmp,
   out->block = std::make_shared<Block>(contents);
   out->entry_count = entries;
   out->byte_size = owned->size();
-  out->file_number = 0;
   return Status::OK();
 }
 
 }  // namespace
 
-bool AnchorView::Covers(const std::vector<FileMeta>& unsorted) const {
-  if (covered.size() != unsorted.size()) return false;
-  for (size_t i = 0; i < covered.size(); i++) {
+bool AnchorView::CoversPrefix(const std::vector<FileMeta>& unsorted,
+                              size_t n) const {
+  if (covered.size() != n || n > unsorted.size()) return false;
+  for (size_t i = 0; i < n; i++) {
     if (covered[i].number != unsorted[i].number) return false;
   }
   return true;
@@ -272,111 +261,22 @@ Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
 }
 
 Status MergeAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const AnchorView& base, const FileMeta& added,
-                       int restart_interval, AnchorView* out) {
+                       const AnchorView& base,
+                       std::span<const FileMeta> added, int restart_interval,
+                       AnchorView* out) {
   AnchorView result;
   result.covered = base.covered;
-  result.covered.push_back({added.number, added.size, added.table_id});
   std::vector<std::unique_ptr<AnchorSource>> sources;
   sources.push_back(std::make_unique<ViewSource>(icmp, base));
-  sources.push_back(std::make_unique<TableSource>(
-      cache, added, static_cast<uint32_t>(base.covered.size()),
-      restart_interval));
+  for (const FileMeta& f : added) {
+    sources.push_back(std::make_unique<TableSource>(
+        cache, f, static_cast<uint32_t>(result.covered.size()),
+        restart_interval));
+    result.covered.push_back({f.number, f.size, f.table_id});
+  }
   Status s = MergeSources(icmp, &sources, &result);
   if (!s.ok()) return s;
   *out = std::move(result);
-  return Status::OK();
-}
-
-Status WriteAnchorViewFile(Env* env, const std::string& fname, uint32_t pid,
-                           const AnchorView& view) {
-  std::string buf;
-  PutFixed32(&buf, kAnchorMagic);
-  PutFixed32(&buf, kAnchorFormatVersion);
-  PutVarint32(&buf, pid);
-  PutVarint32(&buf, static_cast<uint32_t>(view.covered.size()));
-  for (const auto& t : view.covered) {
-    PutVarint64(&buf, t.number);
-    PutVarint64(&buf, t.size);
-    PutVarint32(&buf, t.table_id);
-  }
-  PutVarint64(&buf, view.entry_count);
-  PutVarint64(&buf, view.image->size());
-  buf.append(*view.image);
-  PutFixed32(&buf, crc32c::Mask(crc32c::Value(buf.data(), buf.size())));
-
-  std::unique_ptr<WritableFile> file;
-  Status s = env->NewWritableFile(fname, &file);
-  if (!s.ok()) return s;
-  s = file->Append(buf);
-  if (s.ok()) s = file->Sync();
-  if (s.ok()) s = file->Close();
-  return s;
-}
-
-Status LoadAnchorViewFile(Env* env, const std::string& fname,
-                          uint32_t expected_pid, AnchorView* out) {
-  *out = AnchorView();
-  uint64_t size = 0;
-  Status s = env->GetFileSize(fname, &size);
-  if (!s.ok()) return s;
-  if (size < 12) return Status::Corruption("anchor view file too short");
-
-  std::unique_ptr<SequentialFile> file;
-  s = env->NewSequentialFile(fname, &file);
-  if (!s.ok()) return s;
-  std::string buf;
-  buf.resize(size);
-  Slice contents;
-  s = file->Read(size, &contents, buf.data());
-  if (!s.ok()) return s;
-  if (contents.size() != size) {
-    return Status::Corruption("anchor view short read");
-  }
-
-  const uint32_t stored_crc =
-      crc32c::Unmask(DecodeFixed32(contents.data() + size - 4));
-  if (crc32c::Value(contents.data(), size - 4) != stored_crc) {
-    return Status::Corruption("anchor view crc mismatch");
-  }
-
-  Slice input(contents.data(), size - 4);
-  if (input.size() < 8 || DecodeFixed32(input.data()) != kAnchorMagic ||
-      DecodeFixed32(input.data() + 4) != kAnchorFormatVersion) {
-    return Status::Corruption("bad anchor view header");
-  }
-  input.remove_prefix(8);
-
-  uint32_t pid = 0, covered_count = 0;
-  if (!GetVarint32(&input, &pid) || !GetVarint32(&input, &covered_count)) {
-    return Status::Corruption("bad anchor view header");
-  }
-  if (pid != expected_pid) {
-    return Status::Corruption("anchor view partition mismatch");
-  }
-  for (uint32_t i = 0; i < covered_count; i++) {
-    uint64_t number = 0, fsize = 0;
-    uint32_t table_id = 0;
-    if (!GetVarint64(&input, &number) || !GetVarint64(&input, &fsize) ||
-        !GetVarint32(&input, &table_id)) {
-      return Status::Corruption("bad anchor view covered list");
-    }
-    out->covered.push_back({number, fsize, static_cast<uint16_t>(table_id)});
-  }
-  uint64_t entry_count = 0, block_len = 0;
-  if (!GetVarint64(&input, &entry_count) ||
-      !GetVarint64(&input, &block_len) || input.size() != block_len) {
-    return Status::Corruption("bad anchor view block length");
-  }
-  auto image = std::make_shared<const std::string>(input.data(), input.size());
-  BlockContents bc;
-  bc.data = Slice(image->data(), image->size());
-  bc.cachable = false;
-  bc.heap_allocated = false;
-  out->image = image;
-  out->block = std::make_shared<Block>(bc);
-  out->entry_count = entry_count;
-  out->byte_size = image->size();
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,6 @@
 namespace unikv {
 
 class Block;
-class Env;
 class TableCache;
 
 /// A REMIX-style sorted view over one partition's UnsortedStore
@@ -33,10 +33,11 @@ class TableCache;
 /// accelerators: the iterator always verifies cursor alignment by key, so
 /// correctness never depends on them.
 ///
-/// Views are immutable. The UnsortedStore is bounded by
-/// Options::unsorted_limit, so a view's key material is a small fraction
-/// of that; flush installs extend it with a single merge pass and
-/// merge/scan-merge installs rebuild or retire it.
+/// Views are immutable, in-memory derived data: never persisted, built on
+/// demand by the first iterator that needs one, and cached per partition.
+/// The UnsortedStore is bounded by Options::unsorted_limit, so a view's
+/// key material is a small fraction of that; after a flush the next
+/// iterator extends the cached view with a single merge pass.
 struct AnchorView {
   /// Descriptor of one unsorted table the view covers, in the partition's
   /// table order (oldest first, table_id ascending).
@@ -52,17 +53,19 @@ struct AnchorView {
   std::shared_ptr<const std::string> image;
   /// Sorted (internal key -> anchor) entries, parsed over `image`.
   std::shared_ptr<Block> block;
-  /// Backing <file_number>.anchors file; 0 when the view only lives in
-  /// memory (e.g. rebuilt during recovery and not yet re-persisted).
-  uint64_t file_number = 0;
   uint64_t entry_count = 0;
   /// Size of the block image in bytes (the view's memory footprint).
   uint64_t byte_size = 0;
 
-  /// True iff the view covers exactly `unsorted` (same file numbers, same
-  /// order). Anything else is stale: scans must fall back to the merging
-  /// iterator.
-  bool Covers(const std::vector<FileMeta>& unsorted) const;
+  /// True iff the view covers exactly the first `n` tables of `unsorted`
+  /// (same file numbers, same order; false when n > unsorted.size()).
+  bool CoversPrefix(const std::vector<FileMeta>& unsorted, size_t n) const;
+
+  /// True iff the view covers exactly `unsorted`. Anything else is stale:
+  /// an iterator must extend or rebuild it before use.
+  bool Covers(const std::vector<FileMeta>& unsorted) const {
+    return CoversPrefix(unsorted, unsorted.size());
+  }
 };
 
 using AnchorViewPtr = std::shared_ptr<const AnchorView>;
@@ -75,24 +78,15 @@ Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
                        const std::vector<FileMeta>& tables,
                        int restart_interval, AnchorView* out);
 
-/// Flush-install maintenance: merges `added` (the freshly flushed table,
-/// already internally sorted) into `base` in a single pass. `base` must
-/// cover the partition's unsorted tables as they were before the flush;
-/// the result covers them plus `added` (appended, preserving order).
+/// Extends a view after flushes: merges `added` (the tables flushed since
+/// `base` was built, oldest first, each already internally sorted) into
+/// `base` in a single pass. `base` must cover the partition's unsorted
+/// tables as they were before those flushes; the result covers them plus
+/// `added` (appended, preserving order).
 Status MergeAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const AnchorView& base, const FileMeta& added,
-                       int restart_interval, AnchorView* out);
-
-/// Persists `view` to `fname` (<number>.anchors layout: magic, version,
-/// pid, covered tables, entry count, block image, crc32c trailer).
-Status WriteAnchorViewFile(Env* env, const std::string& fname, uint32_t pid,
-                           const AnchorView& view);
-
-/// Loads a persisted view. Fails (Corruption) on any structural or crc
-/// mismatch, or when the file was written for a different partition;
-/// callers fall back to BuildAnchorView.
-Status LoadAnchorViewFile(Env* env, const std::string& fname,
-                          uint32_t expected_pid, AnchorView* out);
+                       const AnchorView& base,
+                       std::span<const FileMeta> added, int restart_interval,
+                       AnchorView* out);
 
 /// Returns an internal-key iterator over the view: yields every entry of
 /// the covered tables in global sorted order, resolving values through

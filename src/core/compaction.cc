@@ -345,15 +345,18 @@ Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
 
 namespace {
 
-// Writes a hash-index checkpoint image with an explicit covered-id list.
-Status WriteCheckpointFile(Env* env, const std::string& fname,
-                           const HashIndex& index,
-                           const std::vector<uint16_t>& covered_ids) {
+// A hash-index checkpoint image: the covered-id list, then the index.
+std::string CheckpointImage(const HashIndex& index,
+                            const std::vector<uint16_t>& covered_ids) {
   std::string image;
   PutVarint32(&image, static_cast<uint32_t>(covered_ids.size()));
   for (uint16_t id : covered_ids) PutVarint32(&image, id);
   index.EncodeTo(&image);
+  return image;
+}
 
+Status WriteCheckpointFile(Env* env, const std::string& fname,
+                           const std::string& image) {
   std::unique_ptr<WritableFile> file;
   Status s = env->NewWritableFile(fname, &file);
   if (!s.ok()) return s;
@@ -403,7 +406,60 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   s = FlushMemTableToUnsorted(mem, base, &outputs);
   if (!s.ok()) return s;
 
+  // Periodic hash-index checkpointing (paper: every UnsortedLimit/2 of
+  // flushed tables) for the partitions this flush makes due. Each image
+  // is the index as it stands before this flush's keys land, copied under
+  // a short mu_ hold; the file is written with mu_ released, and the
+  // install below records it in the flush's own edit. Writing the files
+  // under the install hold made their I/O dominate a hold every Get waits
+  // on.
+  struct Checkpoint {
+    uint32_t pid = 0;
+    uint64_t number = 0;
+    std::vector<uint64_t> tables;  // File numbers of the covered tables.
+    std::string image;
+    bool written = false;
+  };
+  std::vector<Checkpoint> checkpoints;
+  // Time under mu_ for this install (EVENTS install_micros): the image
+  // copy hold plus the install hold below.
+  uint64_t install_us = 0;
+  if (options_.index_checkpoint_interval > 0) {
+    {
+      MutexLock lock(&mu_);
+      const uint64_t copy_start_us = env_->NowMicros();
+      VersionPtr cur = versions_->current();
+      for (const FlushOutput& out : outputs) {
+        if (flushes_since_checkpoint_[out.pid] + 1 <
+            options_.index_checkpoint_interval) {
+          continue;
+        }
+        auto p = cur->FindById(out.pid);
+        if (p == nullptr || p->unsorted.empty()) continue;
+        Checkpoint cp;
+        cp.pid = out.pid;
+        std::vector<uint16_t> covered;
+        for (const FileMeta& f : p->unsorted) {
+          covered.push_back(f.table_id);
+          cp.tables.push_back(f.number);
+        }
+        cp.image = CheckpointImage(*GetOrCreateIndex(out.pid), covered);
+        cp.number = versions_->NewFileNumber();
+        pending_outputs_.insert(cp.number);
+        checkpoints.push_back(std::move(cp));
+      }
+      install_us += env_->NowMicros() - copy_start_us;
+    }
+    for (Checkpoint& cp : checkpoints) {
+      cp.written = WriteCheckpointFile(
+                       env_, IndexCheckpointFileName(dbname_, cp.number),
+                       cp.image)
+                       .ok();
+    }
+  }
+
   MutexLock lock(&mu_);
+  uint64_t install_start_us = env_->NowMicros();
 
   // A concurrent split may have moved partition boundaries while the
   // tables were building; an output routed by the old boundaries could
@@ -419,7 +475,13 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     lock.Unlock();
     s = FlushMemTableToUnsorted(mem, base, &outputs);
     lock.Lock();
-    if (!s.ok()) return s;
+    install_start_us = env_->NowMicros();
+    if (!s.ok()) {
+      for (const Checkpoint& cp : checkpoints) {
+        pending_outputs_.erase(cp.number);
+      }
+      return s;
+    }
   }
 
   VersionEdit edit;
@@ -475,60 +537,28 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     }
   }
 
-  // Maintain each affected partition's anchor view: when the existing
-  // view covers the pre-flush tables, one merge pass folds the new table
-  // in; otherwise rebuild from the post-flush set (DESIGN.md §12). Apply
-  // appends added files after the survivors, so the post-install order is
-  // exactly current unsorted + new meta.
-  {
-    VersionPtr cur = versions_->current();
-    for (const FlushOutput& out : outputs) {
-      auto cp = cur->FindById(out.pid);
-      std::vector<FileMeta> post;
-      if (cp != nullptr) post = cp->unsorted;
-      post.push_back(out.meta);
-      const AnchorView* base_view = nullptr;
-      auto it = anchor_views_.find(out.pid);
-      if (it != anchor_views_.end() && cp != nullptr &&
-          it->second->Covers(cp->unsorted)) {
-        base_view = it->second.get();
-      }
-      MaintainAnchorViewLocked(out.pid, post, base_view,
-                               base_view != nullptr ? &out.meta : nullptr,
-                               &edit);
-    }
-  }
-
-  // Periodic hash-index checkpointing (paper: every UnsortedLimit/2 of
-  // flushed tables).
-  std::vector<uint64_t> checkpoint_numbers;
+  // Record each checkpoint written above that is still valid. A merge or
+  // scan-merge installed meanwhile consumed covered tables (and restarts
+  // table ids, so the covered-id list would name other tables); a newer
+  // checkpoint makes this one redundant. A skipped one is only an
+  // optimization lost: recovery replays the uncovered tables, and the
+  // sweep deletes the file.
   if (options_.index_checkpoint_interval > 0) {
-    VersionPtr ver = versions_->current();
     for (const FlushOutput& out : outputs) {
-      int& counter = flushes_since_checkpoint_[out.pid];
-      counter++;
-      if (counter < options_.index_checkpoint_interval) continue;
-
-      std::vector<uint16_t> covered;
-      for (const auto& p : ver->partitions) {
-        if (p->id == out.pid) {
-          for (const FileMeta& f : p->unsorted) covered.push_back(f.table_id);
-        }
-      }
-      for (const FlushOutput& o2 : outputs) {
-        if (o2.pid == out.pid) covered.push_back(o2.meta.table_id);
-      }
-      uint64_t number = versions_->NewFileNumber();
-      pending_outputs_.insert(number);
-      auto index = GetOrCreateIndex(out.pid);
-      Status cs = WriteCheckpointFile(
-          env_, IndexCheckpointFileName(dbname_, number), *index, covered);
-      if (cs.ok()) {
-        edit.SetIndexCheckpoint(out.pid, number);
-        checkpoint_numbers.push_back(number);
-        counter = 0;
-      } else {
-        pending_outputs_.erase(number);
+      flushes_since_checkpoint_[out.pid]++;
+    }
+    VersionPtr cur = versions_->current();
+    for (const Checkpoint& cp : checkpoints) {
+      auto p = cur->FindById(cp.pid);
+      auto live = [&p](uint64_t number) {
+        return std::any_of(
+            p->unsorted.begin(), p->unsorted.end(),
+            [number](const FileMeta& f) { return f.number == number; });
+      };
+      if (cp.written && p != nullptr && p->index_checkpoint < cp.number &&
+          std::all_of(cp.tables.begin(), cp.tables.end(), live)) {
+        edit.SetIndexCheckpoint(cp.pid, cp.number);
+        flushes_since_checkpoint_[cp.pid] = 0;
       }
     }
   }
@@ -540,12 +570,11 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     versions_->SetLastSequence(flush_ceiling);
   }
   s = versions_->LogAndApply(&edit);
+  install_us += env_->NowMicros() - install_start_us;
   for (const FlushOutput& out : outputs) {
     pending_outputs_.erase(out.meta.number);
   }
-  for (uint64_t number : checkpoint_numbers) {
-    pending_outputs_.erase(number);
-  }
+  for (const Checkpoint& cp : checkpoints) pending_outputs_.erase(cp.number);
   if (s.ok()) {
     stats_.flushes++;
     {
@@ -578,6 +607,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_written", bytes_written);
     ev.AddUint("output_tables", outputs.size());
+    ev.AddUint("install_micros", install_us);
     event_log_->Log("flush", &ev);
   }
   bg_cv_.SignalAll();
@@ -725,6 +755,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   edit.SetIndexCheckpoint(pid, 0);
 
   MutexLock lock(&mu_);
+  const uint64_t install_start_us = env_->NowMicros();
 
   // Re-validate the snapshot against the current version. The busy set
   // excludes other merges/GCs/splits on this partition, but flushes are
@@ -759,12 +790,12 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     }
   }
 
-  // The consumed tables' anchor view dies with the epoch; survivors get a
-  // fresh view (or none, if fewer than two remain).
-  MaintainAnchorViewLocked(pid, survivors, nullptr, nullptr, &edit);
-
   s = versions_->LogAndApply(&edit);
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
+    // The cached anchor view dies with the consumed tables; the next
+    // iterator builds one over the survivors if two or more remain.
+    InstallAnchorViewLocked(pid, nullptr);
     if (new_index != nullptr) {
       indexes_[pid] = new_index;
     } else {
@@ -791,6 +822,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("surviving_tables", survivors.size());
     ev.AddUint("vlog_bytes", vlog_size);
     ev.AddUint("garbage_added", garbage_added);
+    ev.AddUint("install_micros", install_us);
     event_log_->Log("merge", &ev);
   }
   bg_cv_.SignalAll();
@@ -875,6 +907,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   edit.SetIndexCheckpoint(pid, 0);
 
   MutexLock lock(&mu_);
+  const uint64_t install_start_us = env_->NowMicros();
 
   // Tables flushed into this partition while the job ran survive the edit
   // (removals are by number); the rebuilt index must cover them too.
@@ -906,17 +939,11 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     }
   }
 
-  // Post-install unsorted set: survivors (in current order) followed by
-  // the consolidated table (Apply appends adds, then erases removals).
-  {
-    std::vector<FileMeta> post = survivors;
-    post.push_back(meta);
-    MaintainAnchorViewLocked(pid, post, nullptr, nullptr, &edit);
-  }
-
   s = versions_->LogAndApply(&edit);
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
   pending_outputs_.erase(number);
   if (s.ok()) {
+    InstallAnchorViewLocked(pid, nullptr);  // Consumed with its tables.
     indexes_[pid] = new_index;
     flushes_since_checkpoint_[pid] = 0;
     stats_.scan_merges++;
@@ -930,6 +957,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("input_tables", p->unsorted.size());
     ev.AddUint("output_tables", 1);
     ev.AddUint("bytes_written", meta.size);
+    ev.AddUint("install_micros", install_us);
     event_log_->Log("scan_merge", &ev);
   }
   bg_cv_.SignalAll();
@@ -1069,6 +1097,7 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   }
 
   MutexLock lock(&mu_);
+  const uint64_t install_start_us = env_->NowMicros();
 
   // Re-validate: per-partition exclusivity means no other job can have
   // touched this partition's sorted run or value logs, but verify rather
@@ -1118,6 +1147,7 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     }
   }
   s = versions_->LogAndApply(&edit);
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
     vlog_garbage_[pid] = 0;
     stats_.gcs++;
@@ -1136,6 +1166,7 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("input_vlogs", p->vlogs.size());
     ev.AddUint("output_tables", writer.outputs().size());
     ev.AddUint("vlog_bytes", vlog_size);
+    ev.AddUint("install_micros", install_us);
     event_log_->Log("gc", &ev);
   }
   bg_cv_.SignalAll();
@@ -1154,6 +1185,7 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
   // any time, and those would straddle the boundary).
   const uint64_t start_us = env_->NowMicros();
   MutexLock lock(&mu_);
+  const uint64_t install_start_us = env_->NowMicros();
   std::shared_ptr<const PartitionState> cur_p =
       versions_->current()->FindById(p->id);
   if (cur_p == nullptr || !cur_p->unsorted.empty() ||
@@ -1192,13 +1224,13 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
     edit.AddValueLog(npid, v);
   }
 
-  // Split preconditions guarantee no unsorted tables, hence no view on
-  // either side; drop any stale entry defensively.
-  InstallAnchorViewLocked(p->id, nullptr);
-  InstallAnchorViewLocked(npid, nullptr);
-
   Status s = versions_->LogAndApply(&edit);
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
+    // Split preconditions guarantee no unsorted tables, hence no useful
+    // view on either side; drop any stale cache entry.
+    InstallAnchorViewLocked(p->id, nullptr);
+    InstallAnchorViewLocked(npid, nullptr);
     indexes_[npid] = std::make_shared<HashIndex>(IndexExpectedEntries(),
                                                  options_.index_num_hashes);
     uint64_t garbage = vlog_garbage_[p->id];
@@ -1216,6 +1248,7 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("duration_micros", dur);
     ev.AddString("boundary", boundary);
     ev.AddUint("tables_moved", p->sorted.size() - k);
+    ev.AddUint("install_micros", install_us);
     event_log_->Log("split", &ev);
   }
   bg_cv_.SignalAll();
@@ -1264,9 +1297,9 @@ void UniKVDB::RemoveObsoleteFiles() {
       case FileType::kTableFile:
       case FileType::kValueLogFile:
       case FileType::kIndexCheckpoint:
-      case FileType::kAnchorsFile:
         keep = live.count(number) > 0;
         break;
+      case FileType::kAnchorsFile:  // Anchor views are no longer persisted.
       case FileType::kTempFile:
         keep = false;
         break;

@@ -33,10 +33,6 @@ std::string IndexCheckpointFileName(const std::string& dbname,
   return MakeFileName(dbname, number, "hidx");
 }
 
-std::string AnchorViewFileName(const std::string& dbname, uint64_t number) {
-  return MakeFileName(dbname, number, "anchors");
-}
-
 std::string ManifestFileName(const std::string& dbname, uint64_t number) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "/MANIFEST-%06llu",

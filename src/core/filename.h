@@ -13,7 +13,7 @@ enum class FileType {
   kTableFile,      // %06llu.sst
   kValueLogFile,   // %06llu.vlog
   kIndexCheckpoint,  // %06llu.hidx
-  kAnchorsFile,    // %06llu.anchors (sorted anchor view over unsorted tables)
+  kAnchorsFile,    // %06llu.anchors (retired persisted anchor view; swept)
   kManifestFile,   // MANIFEST-%06llu
   kCurrentFile,    // CURRENT
   kTempFile,       // %06llu.tmp
@@ -26,7 +26,6 @@ std::string TableFileName(const std::string& dbname, uint64_t number);
 std::string ValueLogFileName(const std::string& dbname, uint64_t number);
 std::string IndexCheckpointFileName(const std::string& dbname,
                                     uint64_t number);
-std::string AnchorViewFileName(const std::string& dbname, uint64_t number);
 std::string ManifestFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
 std::string LockFileName(const std::string& dbname);

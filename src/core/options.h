@@ -39,10 +39,10 @@ struct Options {
   size_t partition_size_limit = 256 * 1024 * 1024;
 
   /// Number of UnsortedStore tables that triggers the size-based merge
-  /// scan optimization (paper: scanMergeLimit). With the sorted anchor
-  /// view (enable_anchor_view) scans no longer pay a per-Next() merge-heap
-  /// pop per overlapping table, so the default is raised from 8 to 16:
-  /// fewer consolidation rewrites, less background write traffic.
+  /// scan optimization (paper: scanMergeLimit). With the in-memory sorted
+  /// anchor view (enable_anchor_view) scans no longer pay a per-Next()
+  /// merge-heap pop per overlapping table, so the default is raised from
+  /// 8 to 16: fewer consolidation rewrites, less background write traffic.
   int scan_merge_limit = 16;
 
   /// Stale value-log bytes in a partition that trigger GC.
@@ -146,9 +146,10 @@ struct Options {
   /// Off: no size-based merge, no readahead, no parallel value fetch.
   bool enable_scan_optimization = true;
   /// Off: scans always k-way-merge the overlapping unsorted tables. On:
-  /// each partition with >= 2 unsorted tables maintains a sorted anchor
-  /// view (<id>.anchors; DESIGN.md §12) that iterators binary-search once
-  /// and then stream with one lockstep cursor per table.
+  /// iterators over a partition with >= 2 unsorted tables use a sorted
+  /// anchor view (DESIGN.md §12), built on first use and cached in memory
+  /// (never persisted), that they binary-search once and then stream with
+  /// one lockstep cursor per table.
   bool enable_anchor_view = true;
 
   // --- Baseline LSM knobs ---

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <span>
 
 #include "core/db_iter.h"
 #include "core/filename.h"
@@ -53,6 +54,7 @@ EngineMetrics::EngineMetrics() {
   scans = registry.GetCounter("scans");
   scan_entries = registry.GetCounter("scan_entries");
   anchor_view_builds = registry.GetCounter("anchor_view_builds");
+  anchor_view_merges = registry.GetCounter("anchor_view_merges");
   scan_anchor_hits = registry.GetCounter("scan_anchor_hits");
   anchor_view_bytes = registry.GetGauge("anchor_view_bytes");
 
@@ -408,9 +410,6 @@ Status UniKVDB::Recover() {
   s = RebuildHashIndexes();
   if (!s.ok()) return s;
 
-  s = RecoverAnchorViews();
-  if (!s.ok()) return s;
-
   RemoveObsoleteFiles();
   return Status::OK();
 }
@@ -545,90 +544,63 @@ void UniKVDB::InstallAnchorViewLocked(uint32_t pid, AnchorViewPtr view) {
   }
 }
 
-void UniKVDB::MaintainAnchorViewLocked(uint32_t pid,
-                                       const std::vector<FileMeta>& tables,
-                                       const AnchorView* base,
-                                       const FileMeta* added,
-                                       VersionEdit* edit) {
-  if (!options_.enable_anchor_view || tables.size() < 2) {
-    // A single table is already sorted; nothing to accelerate. Retire
-    // the view (the edit also drops the backing file from the live set,
-    // so RemoveObsoleteFiles sweeps it).
-    InstallAnchorViewLocked(pid, nullptr);
-    edit->SetAnchorView(pid, 0);
-    return;
-  }
-
+void UniKVDB::RefreshAnchorViews(
+    const VersionData& ver,
+    std::unordered_map<uint32_t, AnchorViewPtr>* views) {
   const int restart_interval = options_.table_options.block_restart_interval;
-  AnchorView built;
-  Status s;
-  if (base != nullptr && added != nullptr) {
-    // Flush install: one merge pass over the existing view and the new
-    // table instead of re-reading every covered table.
-    s = MergeAnchorView(icmp_, table_cache_.get(), *base, *added,
-                        restart_interval, &built);
-  } else {
-    s = BuildAnchorView(icmp_, table_cache_.get(), tables, restart_interval,
-                        &built);
-  }
-  if (!s.ok()) {
-    // View maintenance is never fatal: retire it and let scans fall back
-    // to the merging iterator until the next install rebuilds it.
-    InstallAnchorViewLocked(pid, nullptr);
-    edit->SetAnchorView(pid, 0);
-    return;
-  }
+  std::vector<std::pair<uint32_t, AnchorViewPtr>> built;
+  for (const auto& p : ver.partitions) {
+    if (p->unsorted.size() < 2) continue;  // One table is already sorted.
+    auto it = views->find(p->id);
+    AnchorViewPtr cached = it != views->end() ? it->second : nullptr;
+    if (cached != nullptr && cached->Covers(p->unsorted)) continue;
 
-  // Persist before the manifest edit lands; mu_ is held through
-  // LogAndApply, so the file becomes live atomically with the edit (same
-  // install-time I/O precedent as InsertTableIntoIndex). On a write
-  // failure keep the view in memory only — RemoveObsoleteFiles sweeps
-  // the orphan.
-  const uint64_t number = versions_->NewFileNumber();
-  Status ws = WriteAnchorViewFile(
-      env_, AnchorViewFileName(dbname_, number), pid, built);
-  if (ws.ok()) {
-    built.file_number = number;
-    edit->SetAnchorView(pid, number);
-  } else {
-    built.file_number = 0;
-    edit->SetAnchorView(pid, 0);
-  }
-  metrics_.anchor_view_builds->Inc();
-  InstallAnchorViewLocked(
-      pid, std::make_shared<const AnchorView>(std::move(built)));
-}
-
-Status UniKVDB::RecoverAnchorViews() {
-  if (!options_.enable_anchor_view) return Status::OK();
-  const int restart_interval = options_.table_options.block_restart_interval;
-  VersionPtr ver = versions_->current();
-  for (const auto& p : ver->partitions) {
-    if (p->unsorted.size() < 2) continue;
     AnchorView view;
-    bool have = false;
-    if (p->anchor_view != 0) {
-      Status s = LoadAnchorViewFile(
-          env_, AnchorViewFileName(dbname_, p->anchor_view), p->id, &view);
-      if (s.ok() && view.Covers(p->unsorted)) {
-        view.file_number = p->anchor_view;
-        have = true;
-      }
-      // A missing, corrupt, or stale file (e.g. the manifest edit landed
-      // but the crash hit before/after unevenly) is not an error — the
-      // tables are the source of truth; rebuild below.
+    Status s;
+    const size_t have = cached != nullptr ? cached->covered.size() : 0;
+    const bool extend = have > 0 && cached->CoversPrefix(p->unsorted, have);
+    if (extend) {
+      // Flushes appended tables since the view was built: fold just those
+      // in with one merge pass instead of re-reading every covered table.
+      s = MergeAnchorView(icmp_, table_cache_.get(), *cached,
+                          std::span(p->unsorted).subspan(have),
+                          restart_interval, &view);
+    } else {
+      s = BuildAnchorView(icmp_, table_cache_.get(), p->unsorted,
+                          restart_interval, &view);
     }
-    if (!have) {
-      Status s = BuildAnchorView(icmp_, table_cache_.get(), p->unsorted,
-                                 restart_interval, &view);
-      if (!s.ok()) continue;  // scans fall back to the merging iterator
-      view.file_number = 0;   // memory-only; next flush install re-persists
-      metrics_.anchor_view_builds->Inc();
+    if (!s.ok()) {
+      // Never fatal: the partition falls back to per-table children.
+      views->erase(p->id);
+      continue;
     }
-    InstallAnchorViewLocked(p->id,
-                            std::make_shared<const AnchorView>(std::move(view)));
+    metrics_.anchor_view_builds->Inc();
+    if (extend) metrics_.anchor_view_merges->Inc();
+    auto ptr = std::make_shared<const AnchorView>(std::move(view));
+    (*views)[p->id] = ptr;
+    built.emplace_back(p->id, std::move(ptr));
   }
-  return Status::OK();
+  if (built.empty()) return;
+
+  // Publish. A racing iterator may have published a view for the current
+  // version already, and an install may have moved on since `ver`: keep
+  // an entry that covers the current tables, and cache a new view only
+  // while it still describes a prefix of them (a later iterator can
+  // extend it), never one over tables a merge consumed.
+  MutexLock lock(&mu_);
+  VersionPtr cur = versions_->current();
+  for (auto& [pid, view] : built) {
+    auto cp = cur->FindById(pid);
+    if (cp == nullptr || !view->CoversPrefix(cp->unsorted,
+                                             view->covered.size())) {
+      continue;
+    }
+    auto it = anchor_views_.find(pid);
+    if (it != anchor_views_.end() && it->second->Covers(cp->unsorted)) {
+      continue;
+    }
+    InstallAnchorViewLocked(pid, std::move(view));
+  }
 }
 
 // ------------------------------------------------------------ write path
@@ -1164,7 +1136,7 @@ Status UniKVDB::Get(const ReadOptions& /*options*/, const Slice& key,
   if (!done) {
     const PartitionState& p = *ver->partitions[pi];
     bool found = false;
-    s = GetFromUnsorted(p, candidates, lkey, value, &found);
+    s = GetFromUnsorted(p, &candidates, lkey, value, &found);
     if (s.ok() && !found) {
       s = GetFromSorted(p, lkey, value, &found);
     }
@@ -1370,7 +1342,7 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
       const PartitionState& p = *ver->partitions[part_of[idx]];
       LookupKey lkey(keys[idx], snapshot);
       bool found = false;
-      Status s = GetFromUnsorted(p, candidates[idx], lkey, &(*values)[idx],
+      Status s = GetFromUnsorted(p, &candidates[idx], lkey, &(*values)[idx],
                                  &found, &pin);
       if (s.ok() && !found) {
         ValuePointer dptr;
@@ -1454,7 +1426,7 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
 }
 
 Status UniKVDB::GetFromUnsorted(const PartitionState& p,
-                                std::vector<uint16_t> candidates,
+                                std::vector<uint16_t>* candidates,
                                 const LookupKey& lkey, std::string* value,
                                 bool* found, TableCache::BatchPin* pin) {
   *found = false;
@@ -1463,15 +1435,15 @@ Status UniKVDB::GetFromUnsorted(const PartitionState& p,
   const Slice user_key = lkey.user_key();
   std::vector<const FileMeta*> probe_order;
   if (options_.enable_hash_index) {
-    if (candidates.empty()) return Status::OK();
+    if (candidates->empty()) return Status::OK();
     // Newer tables have larger table ids within an epoch: probing ids in
     // descending order guarantees the newest version wins even under
     // keyTag collisions.
-    std::sort(candidates.begin(), candidates.end(),
+    std::sort(candidates->begin(), candidates->end(),
               std::greater<uint16_t>());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (uint16_t id : candidates) {
+    candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                      candidates->end());
+    for (uint16_t id : *candidates) {
       for (const FileMeta& f : p.unsorted) {
         if (f.table_id == id) {
           probe_order.push_back(&f);
@@ -1620,11 +1592,11 @@ Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
     }
   }
 
-  // Capture the version and the anchor-view snapshots under a short mu_
-  // hold — no I/O. Table iterators (which can open files and read blocks
-  // on a cache miss) are created only after mu_ is released; the pinned
-  // version keeps every captured file live against RemoveObsoleteFiles,
-  // exactly as the Get path relies on.
+  // Capture the version and the cached anchor views under a short mu_
+  // hold — no I/O. Missing or stale views are built, and table iterators
+  // (which can open files and read blocks on a cache miss) created, only
+  // after mu_ is released; the pinned version keeps every captured file
+  // live against RemoveObsoleteFiles, exactly as the Get path relies on.
   VersionPtr ver;
   std::unordered_map<uint32_t, AnchorViewPtr> views;
   {
@@ -1632,13 +1604,13 @@ Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
     ver = versions_->current();
     if (options_.enable_anchor_view) views = anchor_views_;
   }
+  if (options_.enable_anchor_view) RefreshAnchorViews(*ver, &views);
 
   const bool fill = options.fill_cache;
   for (const auto& p : ver->partitions) {
     AnchorViewPtr view;
     if (auto it = views.find(p->id); it != views.end()) view = it->second;
-    if (view != nullptr && p->unsorted.size() >= 2 &&
-        view->Covers(p->unsorted)) {
+    if (view != nullptr && p->unsorted.size() >= 2) {
       // One anchor-guided child replaces one child per unsorted table:
       // Next() costs a view step + one cursor step instead of a k-way
       // heap pop (DESIGN.md §12).

@@ -122,7 +122,8 @@ struct EngineMetrics {
   Counter* scan_entries;
 
   // Sorted anchor view (DESIGN.md §12).
-  Counter* anchor_view_builds;  // Views built or extended (installs, recovery).
+  Counter* anchor_view_builds;  // Views built or extended by iterators.
+  Counter* anchor_view_merges;  // Of those, extended by one merge pass.
   Counter* scan_anchor_hits;    // Iterator trees that used a view.
   Gauge* anchor_view_bytes;     // Current total view bytes across partitions.
 
@@ -433,10 +434,12 @@ class UniKVDB : public DB {
   /// Renders the history ring as a JSON array (db.stats.history).
   std::string StatsHistoryJsonLocked() const REQUIRES(mu_);
 
-  /// When `pin` is non-null, table lookups go through it so repeated
-  /// probes of the same table within one batch reuse the pinned handle.
+  /// `candidates` (the hash-index hits for the key, owned by the caller)
+  /// is sorted and deduplicated in place. When `pin` is non-null, table
+  /// lookups go through it so repeated probes of the same table within
+  /// one batch reuse the pinned handle.
   Status GetFromUnsorted(const PartitionState& p,
-                         std::vector<uint16_t> candidates,
+                         std::vector<uint16_t>* candidates,
                          const LookupKey& lkey, std::string* value,
                          bool* found, TableCache::BatchPin* pin = nullptr);
   /// When `dptr`/`deferred` are non-null, a hit on a separated value is
@@ -464,34 +467,27 @@ class UniKVDB : public DB {
   /// *latest_seq receives the snapshot sequence. FileMeta lists and the
   /// pinned version are captured under a short mu_ hold; the table
   /// iterators themselves (which can do disk I/O) open after it is
-  /// released. Partitions whose anchor view exactly covers their unsorted
-  /// tables contribute one anchor-guided child instead of one child per
-  /// table (DESIGN.md §12).
+  /// released. Partitions with two or more unsorted tables contribute one
+  /// anchor-guided child instead of one child per table (DESIGN.md §12).
   Iterator* NewInternalIterator(const ReadOptions& options,
                                 SequenceNumber* latest_seq) EXCLUDES(mu_);
 
-  /// Replaces (or retires, view == nullptr) a partition's in-memory
-  /// anchor view and keeps the anchor_view_bytes gauge in sync.
+  /// On-demand anchor views (DESIGN.md §12), run without mu_. `views`
+  /// holds the cached views captured with `ver`; on return it maps each
+  /// partition of `ver` with >= 2 unsorted tables to a view covering
+  /// exactly those tables: the cached one when it already does, the
+  /// cached one extended by MergeAnchorView when it covers a prefix of
+  /// them (flushes appended the rest), else a fresh BuildAnchorView.
+  /// Partitions whose build fails are left out (per-table children). New
+  /// views are published to anchor_views_ under one short mu_ hold.
+  void RefreshAnchorViews(const VersionData& ver,
+                          std::unordered_map<uint32_t, AnchorViewPtr>* views)
+      EXCLUDES(mu_);
+
+  /// Replaces (or retires, view == nullptr) a partition's cached anchor
+  /// view and keeps the anchor_view_bytes gauge in sync.
   void InstallAnchorViewLocked(uint32_t pid, AnchorViewPtr view)
       REQUIRES(mu_);
-
-  /// Install-path maintenance (under mu_, like the survivor
-  /// hash-index rebuild it mirrors): builds the post-install view for
-  /// `pid` over `tables`, persists it, and records it in `edit`. With
-  /// fewer than two tables the view is retired instead. `base` (optional)
-  /// is the pre-flush view a flush install extends with `added` in one
-  /// merge pass; otherwise the view is rebuilt by walking `tables`.
-  /// Failures retire the view (scans fall back to the merging iterator) —
-  /// never fatal.
-  void MaintainAnchorViewLocked(uint32_t pid,
-                                const std::vector<FileMeta>& tables,
-                                const AnchorView* base, const FileMeta* added,
-                                VersionEdit* edit) REQUIRES(mu_);
-
-  /// Recovery: loads each partition's persisted view (validating coverage
-  /// against the recovered unsorted set) and rebuilds missing or stale
-  /// ones from the tables themselves.
-  Status RecoverAnchorViews() EXCLUDES(mu_);
 
   // ---- Immutable after Open ----
   Options options_;
@@ -563,9 +559,11 @@ class UniKVDB : public DB {
   // Mutable per-partition side state (not versioned).
   std::unordered_map<uint32_t, std::shared_ptr<HashIndex>> indexes_
       GUARDED_BY(mu_);
-  /// Immutable per-partition anchor views (DESIGN.md §12). The map is
-  /// guarded by mu_; the views themselves are immutable, so readers
-  /// snapshot the shared_ptr under mu_ and use it lock-free.
+  /// Cache of immutable per-partition anchor views (DESIGN.md §12),
+  /// filled by iterators and erased by merge, scan-merge and split
+  /// installs. The map is guarded by mu_; the views themselves are
+  /// immutable, so readers snapshot the shared_ptr under mu_ and use it
+  /// lock-free.
   std::unordered_map<uint32_t, AnchorViewPtr> anchor_views_ GUARDED_BY(mu_);
   std::unordered_map<uint32_t, uint64_t> vlog_garbage_ GUARDED_BY(mu_);
   std::unordered_map<uint32_t, int> flushes_since_checkpoint_

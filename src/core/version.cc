@@ -41,7 +41,6 @@ void VersionData::AddLiveFiles(std::set<uint64_t>* live) const {
     for (const auto& f : p->sorted) live->insert(f.number);
     for (const auto& v : p->vlogs) live->insert(v.number);
     if (p->index_checkpoint != 0) live->insert(p->index_checkpoint);
-    if (p->anchor_view != 0) live->insert(p->anchor_view);
   }
 }
 
@@ -62,7 +61,9 @@ enum EditTag : uint32_t {
   kAddVlog = 10,
   kRemoveVlog = 11,
   kIndexCheckpoint = 12,
-  kAnchorView = 13,
+  // Retired: pointed a partition at its persisted <n>.anchors file.
+  // Decoded and dropped so older MANIFESTs still open; never encoded.
+  kRetiredAnchorView = 13,
 };
 
 void PutFileMeta(std::string* dst, const FileMeta& f) {
@@ -146,11 +147,6 @@ void VersionEdit::EncodeTo(std::string* dst) const {
   }
   for (const auto& [pid, number] : index_checkpoints_) {
     PutVarint32(dst, kIndexCheckpoint);
-    PutVarint32(dst, pid);
-    PutVarint64(dst, number);
-  }
-  for (const auto& [pid, number] : anchor_views_) {
-    PutVarint32(dst, kAnchorView);
     PutVarint32(dst, pid);
     PutVarint64(dst, number);
   }
@@ -243,11 +239,10 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
         }
         index_checkpoints_.emplace_back(pid, number);
         break;
-      case kAnchorView:
+      case kRetiredAnchorView:
         if (!GetVarint32(&input, &pid) || !GetVarint64(&input, &number)) {
           return Status::Corruption("bad edit: anchor view");
         }
-        anchor_views_.emplace_back(pid, number);
         break;
       default:
         return Status::Corruption("unknown version edit tag");
@@ -341,11 +336,6 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
     if (p == nullptr) return Status::Corruption("edit: unknown partition");
     p->index_checkpoint = number;
   }
-  for (const auto& [pid, number] : edit.anchor_views_) {
-    PartitionState* p = find(pid);
-    if (p == nullptr) return Status::Corruption("edit: unknown partition");
-    p->anchor_view = number;
-  }
 
   auto next = std::make_shared<VersionData>();
   for (auto& [pid, p] : parts) {
@@ -378,9 +368,6 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
     for (const auto& v : p->vlogs) edit.AddValueLog(p->id, v);
     if (p->index_checkpoint != 0) {
       edit.SetIndexCheckpoint(p->id, p->index_checkpoint);
-    }
-    if (p->anchor_view != 0) {
-      edit.SetAnchorView(p->id, p->anchor_view);
     }
   }
   std::string record;

@@ -60,11 +60,6 @@ struct PartitionState {
   /// File number of the newest hash-index checkpoint (0 = none). The
   /// checkpoint covers unsorted tables with table_id < covered_upto.
   uint64_t index_checkpoint = 0;
-  /// File number of the persisted sorted anchor view over this partition's
-  /// unsorted tables (0 = none). The file records which table numbers it
-  /// covers; a view whose covered set no longer matches `unsorted` is
-  /// stale and gets rebuilt (recovery) or replaced (next install).
-  uint64_t anchor_view = 0;
 
   uint64_t UnsortedBytes() const {
     uint64_t n = 0;
@@ -158,10 +153,6 @@ class VersionEdit {
   void SetIndexCheckpoint(uint32_t pid, uint64_t file_number) {
     index_checkpoints_.emplace_back(pid, file_number);
   }
-  /// Points the partition's anchor view at `file_number` (0 retires it).
-  void SetAnchorView(uint32_t pid, uint64_t file_number) {
-    anchor_views_.emplace_back(pid, file_number);
-  }
 
   void EncodeTo(std::string* dst) const;
   Status DecodeFrom(const Slice& src);
@@ -185,7 +176,6 @@ class VersionEdit {
   std::vector<std::pair<uint32_t, VlogMeta>> new_vlogs_;
   std::vector<std::pair<uint32_t, uint64_t>> removed_vlogs_;
   std::vector<std::pair<uint32_t, uint64_t>> index_checkpoints_;
-  std::vector<std::pair<uint32_t, uint64_t>> anchor_views_;
 };
 
 /// Owns the MANIFEST and the chain of immutable versions. Mutating

@@ -4,12 +4,15 @@
 // std::map and against the forced heap-merge fallback
 // (enable_anchor_view=false over the same files), across flush, merge,
 // and recovery epochs, with inline and log-separated values, under a
-// pinned snapshot, against a concurrent flusher, and after the backing
-// .anchors file is deleted or corrupted.
+// pinned snapshot, and with scanners racing each other and a concurrent
+// flusher to build and publish views. Lifecycle tests check that views
+// are built on demand by iterators only, and that legacy .anchors files
+// are swept.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -210,7 +213,7 @@ TEST_F(DbAnchorViewTest, DifferentialAcrossEpochs) {
   ExpectMatchesModel(model);
   EXPECT_EQ(MetricValue(db_.get(), "scan_anchor_hits"), 0.0);
 
-  // View back on: recovery rebuilds it from the tables.
+  // View back on: the first iterator rebuilds it from the tables.
   Reopen(/*enable_anchor_view=*/true);
   ExpectMatchesModel(model);
   EXPECT_GT(MetricValue(db_.get(), "scan_anchor_hits"), 0.0);
@@ -220,7 +223,7 @@ TEST_F(DbAnchorViewTest, DifferentialAcrossEpochs) {
   ASSERT_TRUE(db_->CompactAll().ok());
   ExpectMatchesModel(model);
 
-  // Post-merge flushes grow a fresh view via the single-pass merge path.
+  // Post-merge flushes: the next scan builds a fresh view over them.
   FillManyTables(&model, 6, 1013);
   ASSERT_GE(UnsortedTableCount(), 6);
   ExpectMatchesModel(model);
@@ -265,7 +268,10 @@ TEST_F(DbAnchorViewTest, SnapshotPinsIteratorsAndScans) {
   EXPECT_EQ("new", out[0].second);
 }
 
-// Scans racing a concurrent flusher: each scan is a point-in-time
+// Scanners racing each other and a concurrent flusher: every flush
+// leaves the cached view behind the partition's tables, so the scanners
+// race to extend (or rebuild) and publish the same view while installs land
+// (the TSan twin checks the publication). Each scan is a point-in-time
 // snapshot, so results must stay sorted and agree with the model for
 // every key written before the scan started.
 TEST_F(DbAnchorViewTest, ScanRacesConcurrentFlush) {
@@ -273,35 +279,58 @@ TEST_F(DbAnchorViewTest, ScanRacesConcurrentFlush) {
   std::map<std::string, std::string> base;
   FillManyTables(&base, 4);
 
+  constexpr int kScanners = 3;
   std::atomic<bool> stop{false};
+  std::atomic<int> scans{0}, flushes{0};
   std::thread writer([&] {
     // Disjoint key range (>= 1000) so the base model stays authoritative
-    // for the scanned range.
+    // for the scanned range. Installs do not build views, so nothing else
+    // paces the flusher: after each flush it waits until at least one
+    // scan has started and finished after it (at most kScanners were in
+    // flight), so flushes and scans interleave, the table stack stays
+    // small, and the scans after the second flush must extend a view.
     uint64_t id = 1000;
-    while (!stop.load(std::memory_order_relaxed)) {
+    while (!stop.load()) {
       for (int i = 0; i < 50; i++) {
         ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(id++), "race")
                         .ok());
       }
       ASSERT_TRUE(db_->FlushMemTable().ok());
+      flushes.fetch_add(1);
+      const int target = scans.load() + kScanners + 1;
+      while (scans.load() < target && !stop.load()) {
+        std::this_thread::yield();
+      }
     }
   });
 
-  Random rnd(7);
-  for (int trial = 0; trial < 60; trial++) {
-    std::string start = test::TestKey(rnd.Uniform(600));
-    std::vector<std::pair<std::string, std::string>> out;
-    ASSERT_TRUE(db_->Scan(ReadOptions(), start, 40, &out).ok());
-    auto mit = base.lower_bound(start);
-    size_t i = 0;
-    for (; mit != base.end() && i < 40u && i < out.size(); ++mit, ++i) {
-      if (mit->first >= test::TestKey(1000)) break;
-      ASSERT_EQ(mit->first, out[i].first);
-      ASSERT_EQ(mit->second, out[i].second);
+  auto scanner = [&](uint32_t seed) {
+    Random rnd(seed);
+    // At least 60 scans each, and on until three flushes have landed
+    // (bounded, in case the writer failed).
+    for (int trial = 0;
+         trial < 60 || (flushes.load() < 3 && trial < 100000); trial++) {
+      std::string start = test::TestKey(rnd.Uniform(600));
+      std::vector<std::pair<std::string, std::string>> out;
+      ASSERT_TRUE(db_->Scan(ReadOptions(), start, 40, &out).ok());
+      scans.fetch_add(1);
+      auto mit = base.lower_bound(start);
+      size_t i = 0;
+      for (; mit != base.end() && i < 40u && i < out.size(); ++mit, ++i) {
+        if (mit->first >= test::TestKey(1000)) break;
+        ASSERT_EQ(mit->first, out[i].first);
+        ASSERT_EQ(mit->second, out[i].second);
+      }
     }
+  };
+  std::vector<std::thread> scanners;
+  for (uint32_t seed = 7; seed < 7 + kScanners; seed++) {
+    scanners.emplace_back(scanner, seed);
   }
+  for (std::thread& t : scanners) t.join();
   stop.store(true);
   writer.join();
+  EXPECT_GT(MetricValue(db_.get(), "anchor_view_merges"), 0.0);
 }
 
 // Values written in ten merge epochs live in ten value logs, so a scan
@@ -354,49 +383,97 @@ TEST_F(DbAnchorViewTest, ScanFansOutValueFetchAcrossEpochs) {
   other.join();
 }
 
-// A deleted .anchors file is a recovery non-event: the tables are the
-// source of truth and the view is rebuilt in memory.
-TEST_F(DbAnchorViewTest, DeletedAnchorsFileRebuilds) {
-  Open(AnchorOptions(), "anchor_delete");
-  std::map<std::string, std::string> model;
-  FillManyTables(&model);
-  db_.reset();
+// Views are built on demand by iterators, never by installs: flushes
+// alone build nothing and write no .anchors file; the first scan builds,
+// a repeat scan reuses the cache, and after one more flush only the
+// partition that flush touched is extended, by one merge pass.
+TEST_F(DbAnchorViewTest, ViewLifecycleIsDrivenByIterators) {
+  // Split the key space into several partitions first, then reopen with
+  // stacking options so every partition keeps its unsorted tables.
+  Options split = AnchorOptions();
+  split.unsorted_limit = 128 * 1024;
+  split.partition_size_limit = 256 * 1024;
+  split.sorted_table_size = 32 * 1024;
+  Open(split, "anchor_lifecycle");
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i, 512))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  // Dozens of flushes (and merges) without a scan build nothing.
+  EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
+  EXPECT_TRUE(AnchorsFiles().empty());
+  opt_ = AnchorOptions();
+  Reopen(/*enable_anchor_view=*/true);
 
-  std::vector<std::string> files = AnchorsFiles();
-  ASSERT_FALSE(files.empty());
-  for (const std::string& f : files) {
-    ASSERT_TRUE(Env::Default()->RemoveFile(f).ok());
+  std::map<std::string, std::string> model;
+  for (int b = 0; b < 3; b++) {
+    for (int i = b; i < 2000; i += 7) {
+      std::string value = test::TestValue(b * 10000 + i, 100);
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), value).ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  }
+  for (int i = 0; i < 2000; i++) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok());
+    model[test::TestKey(i)] = value;
   }
 
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(opt_, dir_, &raw).ok());
-  db_.reset(raw);
+  std::string sstables;
+  ASSERT_TRUE(db_->GetProperty("db.sstables", &sstables));
+  int stacked = 0;
+  for (size_t pos = 0;
+       (pos = sstables.find("unsorted=", pos)) != std::string::npos;
+       pos += 9) {
+    if (std::atoi(sstables.c_str() + pos + 9) >= 2) stacked++;
+  }
+  ASSERT_GE(stacked, 2) << sstables;
+
+  EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
+  EXPECT_TRUE(AnchorsFiles().empty());
+
+  const double views = stacked;
   ExpectMatchesModel(model);
-  EXPECT_GT(MetricValue(db_.get(), "scan_anchor_hits"), 0.0);
+  EXPECT_EQ(views, MetricValue(db_.get(), "anchor_view_builds"));
+  EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_merges"));
+  EXPECT_GT(MetricValue(db_.get(), "anchor_view_bytes"), 0.0);
+
+  ExpectMatchesModel(model);
+  EXPECT_EQ(views, MetricValue(db_.get(), "anchor_view_builds"));
+
+  // One more table in the first partition only.
+  ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(0), "one-more").ok());
+  model[test::TestKey(0)] = "one-more";
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ExpectMatchesModel(model);
+  EXPECT_EQ(views + 1, MetricValue(db_.get(), "anchor_view_builds"));
+  EXPECT_EQ(1.0, MetricValue(db_.get(), "anchor_view_merges"));
+  EXPECT_TRUE(AnchorsFiles().empty());
 }
 
-// A corrupted .anchors file fails its crc and is likewise rebuilt.
-TEST_F(DbAnchorViewTest, CorruptedAnchorsFileRebuilds) {
-  Open(AnchorOptions(), "anchor_corrupt");
+// Earlier versions persisted views as <n>.anchors files. A store that
+// still holds one opens normally, the file is swept, and scans (which
+// rebuild the views in memory) match the model.
+TEST_F(DbAnchorViewTest, LegacyAnchorsFilesAreSwept) {
+  Open(AnchorOptions(), "anchor_legacy");
   std::map<std::string, std::string> model;
   FillManyTables(&model);
   db_.reset();
 
-  std::vector<std::string> files = AnchorsFiles();
-  ASSERT_FALSE(files.empty());
-  for (const std::string& fname : files) {
-    std::FILE* f = std::fopen(fname.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 24, SEEK_SET);
-    int c = std::fgetc(f);
-    std::fseek(f, 24, SEEK_SET);
-    std::fputc(c ^ 0xff, f);
-    std::fclose(f);
-  }
+  const std::string legacy = dir_ + "/999999.anchors";
+  std::FILE* f = std::fopen(legacy.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs("not an anchor view", f);
+  std::fclose(f);
+  ASSERT_EQ(1u, AnchorsFiles().size());
 
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(opt_, dir_, &raw).ok());
   db_.reset(raw);
+  EXPECT_FALSE(Env::Default()->FileExists(legacy));
+  EXPECT_TRUE(AnchorsFiles().empty());
   ExpectMatchesModel(model);
   EXPECT_GT(MetricValue(db_.get(), "scan_anchor_hits"), 0.0);
 }

@@ -6,6 +6,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/db.h"
 #include "test_util.h"
@@ -209,6 +211,35 @@ TEST_F(DbRecoveryTest, CheckpointedIndexRecoversConsistently) {
     } else {
       EXPECT_EQ(test::TestValue(i), Get(test::TestKey(i))) << i;
     }
+  }
+}
+
+// The periodic hash-index checkpoint file is written with the DB mutex
+// released, before the flush install that records it in the manifest.
+// Recorded, it is live: a crash-reopen keeps the file (the sweep deletes
+// unrecorded ones) and recovery loads it.
+TEST_F(DbRecoveryTest, IndexCheckpointIsRecordedInManifest) {
+  Open();
+  for (int round = 0; round < 2; round++) {  // index_checkpoint_interval
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           "v" + std::to_string(round))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  }
+  Crash();
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  int checkpoints = 0;
+  for (const std::string& c : children) {
+    if (c.size() > 5 && c.compare(c.size() - 5, 5, ".hidx") == 0) {
+      checkpoints++;
+    }
+  }
+  EXPECT_EQ(1, checkpoints);
+  for (int i = 0; i < 100; i++) {
+    EXPECT_EQ("v1", Get(test::TestKey(i))) << i;
   }
 }
 

@@ -180,6 +180,20 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
     EXPECT_NE(line.find("\"ts_micros\":"), std::string::npos) << line;
     if (line.find("\"event\":\"flush\"") != std::string::npos) flushes++;
     if (line.find("\"event\":\"merge\"") != std::string::npos) merges++;
+    // Every job that installs a version reports how long it held the DB
+    // mutex for the install, at most its whole duration.
+    for (const char* kind : {"flush", "merge", "scan_merge", "gc", "split"}) {
+      if (line.find("\"event\":\"" + std::string(kind) + "\"") ==
+          std::string::npos) {
+        continue;
+      }
+      const size_t pos = line.find("\"install_micros\":");
+      ASSERT_NE(pos, std::string::npos) << line;
+      const uint64_t install = std::stoull(line.substr(pos + 17));
+      const uint64_t duration =
+          std::stoull(line.substr(line.find("\"duration_micros\":") + 18));
+      EXPECT_LE(install, duration) << line;
+    }
   }
   EXPECT_GT(flushes, 0);
   EXPECT_GT(merges, 0);
