@@ -576,7 +576,6 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   }
   for (const Checkpoint& cp : checkpoints) pending_outputs_.erase(cp.number);
   if (s.ok()) {
-    stats_.flushes++;
     {
       MutexLock shard_lock(&shard->mu);
       shard->imm->Unref();
@@ -588,21 +587,19 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.flush_latency->Add(static_cast<double>(dur));
+    MetricsRegistry& reg = metrics_.registry;
+    reg.GetCounter("flushes")->Inc();
     uint64_t bytes_written = 0;
     for (const FlushOutput& out : outputs) {
-      PartitionCounters& pc = partition_stats_[out.pid];
-      pc.flushes++;
-      pc.flush_bytes += out.meta.size;
+      metrics_.CountJob(out.pid, {{"flush_bytes", out.meta.size}});
+      reg.GetCounter("flushes", out.pid)->Inc();
       // Heat + write-amp inputs: entries and logical user bytes landing
       // in the partition. Flush routing is where keys first meet
       // partition boundaries, so update frequency is measured here.
-      pc.heat_writes += out.keys.size();
-      pc.user_bytes_flushed += out.meta.logical;
+      reg.GetCounter("heat_writes", out.pid)->Add(out.keys.size());
+      reg.GetCounter("user_bytes_flushed", out.pid)->Add(out.meta.logical);
       bytes_written += out.meta.size;
     }
-    // Accounted here, under mu_, rather than in FlushMemTableToUnsorted:
-    // stats_ is mutex-guarded and the builder runs unlocked.
-    stats_.flush_bytes += bytes_written;
     JsonBuilder ev;
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_written", bytes_written);
@@ -804,11 +801,9 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     }
     flushes_since_checkpoint_[pid] = 0;
     vlog_garbage_[pid] += garbage_added;
-    stats_.merges++;
-    stats_.merge_bytes_read += bytes_read;
-    stats_.merge_bytes_written += bytes_written;
-    partition_stats_[pid].merges++;
-    partition_stats_[pid].merge_bytes_written += bytes_written;
+    metrics_.CountJob(pid, {{"merges", 1},
+                            {"merge_bytes_read", bytes_read},
+                            {"merge_bytes_written", bytes_written}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.merge_latency->Add(static_cast<double>(dur));
@@ -946,8 +941,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     InstallAnchorViewLocked(pid, nullptr);  // Consumed with its tables.
     indexes_[pid] = new_index;
     flushes_since_checkpoint_[pid] = 0;
-    stats_.scan_merges++;
-    partition_stats_[pid].scan_merges++;
+    metrics_.CountJob(pid, {{"scan_merges", 1}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.scan_merge_latency->Add(static_cast<double>(dur));
@@ -1150,11 +1144,9 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
     vlog_garbage_[pid] = 0;
-    stats_.gcs++;
-    stats_.gc_bytes_read += bytes_read;
-    stats_.gc_bytes_written += bytes_written;
-    partition_stats_[pid].gcs++;
-    partition_stats_[pid].gc_bytes_written += bytes_written;
+    metrics_.CountJob(pid, {{"gcs", 1},
+                            {"gc_bytes_read", bytes_read},
+                            {"gc_bytes_written", bytes_written}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.gc_latency->Add(static_cast<double>(dur));
@@ -1237,8 +1229,8 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
     vlog_garbage_[p->id] = garbage / 2;
     vlog_garbage_[npid] = garbage - garbage / 2;
     flushes_since_checkpoint_[npid] = 0;
-    stats_.splits++;
-    partition_stats_[p->id].splits++;
+    heat_reads_[npid] = metrics_.RegisterPartition(npid);
+    metrics_.CountJob(p->id, {{"splits", 1}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.split_latency->Add(static_cast<double>(dur));

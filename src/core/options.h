@@ -41,8 +41,11 @@ struct Options {
   /// Number of UnsortedStore tables that triggers the size-based merge
   /// scan optimization (paper: scanMergeLimit). With the in-memory sorted
   /// anchor view (enable_anchor_view) scans no longer pay a per-Next()
-  /// merge-heap pop per overlapping table, so the default is raised from
-  /// 8 to 16: fewer consolidation rewrites, less background write traffic.
+  /// merge-heap pop per overlapping table, so the default was raised from
+  /// 8 to 16. The rewrite now pays off on point reads instead: it drops
+  /// the shadowed versions of hot keys, keeping the hash-index candidate
+  /// chain short (turning it off cost mixed_zipf 18% of its throughput;
+  /// see EXPERIMENTS.md).
   int scan_merge_limit = 16;
 
   /// Stale value-log bytes in a partition that trigger GC.
@@ -172,13 +175,16 @@ struct ReadOptions {
   /// Turn off for bulk scans that should not evict the hot working set.
   bool fill_cache = true;
 
-  /// Snapshot sequence for iterators and scans: entries written with a
-  /// sequence number greater than this are invisible, giving a
-  /// point-in-time read. 0 (the default) reads at the latest visible
-  /// sequence. Obtain the current visible sequence from
-  /// GetProperty("db.visible-sequence"); the store keeps all versions
-  /// until merge time, so recent snapshots stay readable while the
-  /// iterator pins its version.
+  /// Snapshot sequence for Get, MultiGet, iterators and scans: entries
+  /// written with a sequence number greater than this are invisible,
+  /// giving a point-in-time read. 0 (the default) reads at the latest
+  /// visible sequence, and a snapshot above it is clamped to it. Obtain
+  /// the current visible sequence from GetProperty("db.visible-sequence").
+  /// Snapshots are not registered: the memtable and UnsortedStore keep
+  /// every version, but a merge into the SortedStore drops shadowed
+  /// ones, so a snapshot read after a merge may miss the value it would
+  /// have seen. An iterator opened before the merge pins its version and
+  /// is unaffected.
   uint64_t snapshot = 0;
 
   /// MultiGet only: upper bound on reader tasks a batch may fan out

@@ -1,26 +1,72 @@
 // The StatsSampler: a background thread (off by default, enabled with
-// Options::stats_sample_interval_ms > 0) that periodically snapshots the
-// engine's cumulative counters under the DB mutex, keeps the snapshots in
-// a bounded in-memory ring served by the `db.stats.history` property, and
-// appends one `stats_sample` line per interval to the EVENTS log carrying
-// both the interval deltas (d_*) and the cumulative values (cum_*) — so
-// the deltas across any run of lines telescope exactly to the cumulative
-// counters, and a dropped line costs at most one interval of history.
+// Options::stats_sample_interval_ms > 0) that periodically snapshots every
+// counter series in the metrics registry under the DB mutex, keeps the
+// snapshots in a bounded in-memory ring served by the `db.stats.history`
+// property, and appends one `stats_sample` line per interval to the
+// EVENTS log carrying both the interval deltas (d_*) and the cumulative
+// values (cum_*) of every series — so the deltas across any run of lines
+// telescope exactly to the cumulative counters, and a dropped line costs
+// at most one interval of history.
 
-#include <algorithm>
 #include <chrono>
 
 #include "core/unikv_db.h"
 
 namespace unikv {
 
+namespace {
+
+using Series = std::map<std::string, uint64_t>;
+
+// Adds `prefix + name` for every series in `cur`: its value minus the
+// same series in `base` (absent = 0), or the plain value without `base`.
+void AddSeries(JsonBuilder* j, const char* prefix, const Series& cur,
+               const Series* base) {
+  for (const auto& [name, v] : cur) {
+    uint64_t b = 0;
+    if (base != nullptr) {
+      auto it = base->find(name);
+      if (it != base->end()) b = it->second;
+    }
+    j->AddUint(prefix + name, v - b);
+  }
+}
+
+// [{"id":..,<prefix><series>:..},...] over the partitions of `cur`,
+// delta'd against `base` when given. Partitions absent from `base`
+// (created mid-interval) delta against zero.
+std::string PartitionsJson(const CounterSnapshot& cur, const char* prefix,
+                           const CounterSnapshot* base) {
+  static const Series kNone;
+  std::string out = "[";
+  for (const auto& [pid, series] : cur.partitions) {
+    const Series* b = nullptr;
+    if (base != nullptr) {
+      auto it = base->partitions.find(pid);
+      b = it == base->partitions.end() ? &kNone : &it->second;
+    }
+    JsonBuilder one;
+    one.AddUint("id", pid);
+    AddSeries(&one, prefix, series, b);
+    if (out.size() > 1) out += ',';
+    out += one.Finish();
+  }
+  out += ']';
+  return out;
+}
+
+}  // namespace
+
 void UniKVDB::StatsSamplerThread() {
   const auto interval =
       std::chrono::milliseconds(options_.stats_sample_interval_ms);
+  auto take = [this] {
+    return Sample{env_->NowMicros(), metrics_.registry.SnapshotCounters()};
+  };
   MutexLock lock(&mu_);
   // Baseline snapshot: the first logged interval reports deltas against
   // engine state at sampler start, not against zero.
-  StatsSample prev = TakeStatsSampleLocked();
+  Sample prev = take();
   while (!shutting_down_) {
     // Deadline loop: spurious wakeups re-wait for the remainder of the
     // interval, and a shutdown signal ends the wait early.
@@ -29,7 +75,9 @@ void UniKVDB::StatsSamplerThread() {
       sampler_cv_.TimedWaitUntil(deadline);
     }
     if (shutting_down_) break;
-    StatsSample cur = TakeStatsSampleLocked();
+    // Under mu_, so a sample never splits a background install's job and
+    // byte counts.
+    Sample cur = take();
     stats_history_.push_back(cur);
     while (stats_history_.size() > options_.stats_history_size) {
       stats_history_.pop_front();
@@ -41,60 +89,18 @@ void UniKVDB::StatsSamplerThread() {
   }
 }
 
-UniKVDB::StatsSample UniKVDB::TakeStatsSampleLocked() {
-  StatsSample s;
-  s.ts_micros = env_->NowMicros();
-  s.gets = metrics_.gets->Value();
-  s.writes = metrics_.writes->Value();
-  s.scans = metrics_.scans->Value();
-  // Stall accounting lives on the shards since the write path went
-  // sharded; the sample reports the fleet-wide sums.
-  for (const auto& shard : shards_) {
-    s.write_stalls += shard->write_stalls.load(std::memory_order_relaxed);
-    s.stall_micros += shard->stall_micros.load(std::memory_order_relaxed);
-  }
-  s.flush_bytes = stats_.flush_bytes;
-  s.merge_bytes_written = stats_.merge_bytes_written;
-  s.gc_bytes_written = stats_.gc_bytes_written;
-  s.block_cache_hits = metrics_.block_cache_hits->Value();
-  s.block_cache_misses = metrics_.block_cache_misses->Value();
-  s.partitions.reserve(partition_stats_.size());
-  for (const auto& [pid, pc] : partition_stats_) {
-    s.partitions.push_back({pid, pc.heat_reads, pc.heat_writes});
-  }
-  std::sort(s.partitions.begin(), s.partitions.end(),
-            [](const PartitionHeat& a, const PartitionHeat& b) {
-              return a.pid < b.pid;
-            });
-  return s;
-}
+void UniKVDB::LogStatsSample(const Sample& prev, const Sample& cur) {
+  const Series& c = cur.counters.engine;
+  const Series& p = prev.counters.engine;
+  auto delta = [&](const char* name) { return c.at(name) - p.at(name); };
 
-void UniKVDB::LogStatsSample(const StatsSample& prev, const StatsSample& cur) {
   JsonBuilder ev;
   ev.AddUint("interval_micros", cur.ts_micros - prev.ts_micros);
+  AddSeries(&ev, "d_", c, &p);
+  AddSeries(&ev, "cum_", c, nullptr);
 
-  ev.AddUint("d_gets", cur.gets - prev.gets);
-  ev.AddUint("d_writes", cur.writes - prev.writes);
-  ev.AddUint("d_scans", cur.scans - prev.scans);
-  ev.AddUint("d_write_stalls", cur.write_stalls - prev.write_stalls);
-  ev.AddUint("d_stall_micros", cur.stall_micros - prev.stall_micros);
-  ev.AddUint("d_flush_bytes", cur.flush_bytes - prev.flush_bytes);
-  ev.AddUint("d_merge_bytes_written",
-             cur.merge_bytes_written - prev.merge_bytes_written);
-  ev.AddUint("d_gc_bytes_written",
-             cur.gc_bytes_written - prev.gc_bytes_written);
-
-  ev.AddUint("cum_gets", cur.gets);
-  ev.AddUint("cum_writes", cur.writes);
-  ev.AddUint("cum_scans", cur.scans);
-  ev.AddUint("cum_write_stalls", cur.write_stalls);
-  ev.AddUint("cum_stall_micros", cur.stall_micros);
-  ev.AddUint("cum_flush_bytes", cur.flush_bytes);
-  ev.AddUint("cum_merge_bytes_written", cur.merge_bytes_written);
-  ev.AddUint("cum_gc_bytes_written", cur.gc_bytes_written);
-
-  const uint64_t d_hits = cur.block_cache_hits - prev.block_cache_hits;
-  const uint64_t d_misses = cur.block_cache_misses - prev.block_cache_misses;
+  const uint64_t d_hits = delta("block_cache_hits");
+  const uint64_t d_misses = delta("block_cache_misses");
   ev.AddDouble("cache_hit_ratio",
                d_hits + d_misses == 0
                    ? 0.0
@@ -104,68 +110,23 @@ void UniKVDB::LogStatsSample(const StatsSample& prev, const StatsSample& cur) {
   // single stall cause — writers waiting on the in-flight memtable flush
   // — so the breakdown has one entry; new causes get new keys here.
   JsonBuilder causes;
-  causes.AddUint("memtable_wait", cur.write_stalls - prev.write_stalls);
+  causes.AddUint("memtable_wait", delta("write_stalls"));
   ev.AddRaw("stall_causes", causes.Finish());
 
-  // Per-partition read/write heat moved this interval. Partitions absent
-  // from `prev` (created mid-interval) delta against zero.
-  std::string parts = "[";
-  bool first = true;
-  size_t pi = 0;
-  for (const PartitionHeat& h : cur.partitions) {
-    uint64_t prev_reads = 0, prev_writes = 0;
-    while (pi < prev.partitions.size() && prev.partitions[pi].pid < h.pid) {
-      pi++;
-    }
-    if (pi < prev.partitions.size() && prev.partitions[pi].pid == h.pid) {
-      prev_reads = prev.partitions[pi].reads;
-      prev_writes = prev.partitions[pi].writes;
-    }
-    JsonBuilder one;
-    one.AddUint("id", h.pid);
-    one.AddUint("d_reads", h.reads - prev_reads);
-    one.AddUint("d_writes", h.writes - prev_writes);
-    if (!first) parts += ',';
-    first = false;
-    parts += one.Finish();
-  }
-  parts += ']';
-  ev.AddRaw("partitions", parts);
+  // Every per-partition series (heat, jobs, bytes) moved this interval.
+  ev.AddRaw("partitions", PartitionsJson(cur.counters, "d_", &prev.counters));
 
   event_log_->Log("stats_sample", &ev);
 }
 
 std::string UniKVDB::StatsHistoryJsonLocked() const {
   std::string out = "[";
-  bool first = true;
-  for (const StatsSample& s : stats_history_) {
+  for (const Sample& s : stats_history_) {
     JsonBuilder one;
     one.AddUint("ts_micros", s.ts_micros);
-    one.AddUint("gets", s.gets);
-    one.AddUint("writes", s.writes);
-    one.AddUint("scans", s.scans);
-    one.AddUint("write_stalls", s.write_stalls);
-    one.AddUint("stall_micros", s.stall_micros);
-    one.AddUint("flush_bytes", s.flush_bytes);
-    one.AddUint("merge_bytes_written", s.merge_bytes_written);
-    one.AddUint("gc_bytes_written", s.gc_bytes_written);
-    one.AddUint("block_cache_hits", s.block_cache_hits);
-    one.AddUint("block_cache_misses", s.block_cache_misses);
-    std::string parts = "[";
-    bool pfirst = true;
-    for (const PartitionHeat& h : s.partitions) {
-      JsonBuilder pj;
-      pj.AddUint("id", h.pid);
-      pj.AddUint("heat_reads", h.reads);
-      pj.AddUint("heat_writes", h.writes);
-      if (!pfirst) parts += ',';
-      pfirst = false;
-      parts += pj.Finish();
-    }
-    parts += ']';
-    one.AddRaw("partitions", parts);
-    if (!first) out += ',';
-    first = false;
+    AddSeries(&one, "", s.counters.engine, nullptr);
+    one.AddRaw("partitions", PartitionsJson(s.counters, "", nullptr));
+    if (out.size() > 1) out += ',';
     out += one.Finish();
   }
   out += ']';

@@ -21,37 +21,43 @@ DB::~DB() = default;
 
 // --------------------------------------------------------- engine metrics
 
+namespace {
+
+// PerfContext fields whose registry series are fed at their source:
+// value-log reads by ValueLogCache on every thread, stall time at the
+// stall site (as stall_micros), and op time by the latency histograms.
+constexpr uint64_t PerfContext::*kNotFolded[] = {
+    &PerfContext::vlog_reads,         &PerfContext::vlog_span_reads,
+    &PerfContext::vlog_read_bytes,    &PerfContext::vlog_mmap_reads,
+    &PerfContext::write_stall_micros, &PerfContext::get_micros,
+    &PerfContext::write_micros,       &PerfContext::scan_micros,
+    &PerfContext::multiget_micros};
+
+// Job and byte series a background install adds through CountJob, in
+// the order db.metrics.json's `stats` section lists them. Every
+// partition carries them too, plus heat_reads, heat_writes and
+// user_bytes_flushed.
+constexpr const char* kJobSeries[] = {
+    "flushes",          "merges",
+    "scan_merges",      "gcs",
+    "splits",           "flush_bytes",
+    "merge_bytes_read", "merge_bytes_written",
+    "gc_bytes_read",    "gc_bytes_written"};
+
+}  // namespace
+
 EngineMetrics::EngineMetrics() {
-  gets = registry.GetCounter("gets");
-  memtable_hits = registry.GetCounter("memtable_hits");
-  hash_index_lookups = registry.GetCounter("hash_index_lookups");
-  hash_index_probes = registry.GetCounter("hash_index_probes");
-  hash_index_candidates = registry.GetCounter("hash_index_candidates");
-  bloom_checks = registry.GetCounter("bloom_checks");
-  bloom_negatives = registry.GetCounter("bloom_negatives");
-  bloom_false_positives = registry.GetCounter("bloom_false_positives");
-  unsorted_tables_probed = registry.GetCounter("unsorted_tables_probed");
-  sorted_seeks = registry.GetCounter("sorted_seeks");
-  table_cache_hits = registry.GetCounter("table_cache_hits");
-  table_cache_misses = registry.GetCounter("table_cache_misses");
-  block_cache_hits = registry.GetCounter("block_cache_hits");
-  block_cache_misses = registry.GetCounter("block_cache_misses");
-  block_reads = registry.GetCounter("block_reads");
-  vlog_reads = registry.GetCounter("vlog_reads");
-  vlog_span_reads = registry.GetCounter("vlog_span_reads");
-  vlog_read_bytes = registry.GetCounter("vlog_read_bytes");
-  vlog_mmap_reads = registry.GetCounter("vlog_mmap_reads");
-  multigets = registry.GetCounter("multigets");
-  multiget_keys = registry.GetCounter("multiget_keys");
-  multiget_coalesced_reads = registry.GetCounter("multiget_coalesced_reads");
-  multiget_io_bytes_saved = registry.GetCounter("multiget_io_bytes_saved");
-  writes = registry.GetCounter("writes");
+  PerfContext::ForEachField(
+      [this](const char* name, uint64_t PerfContext::*field) {
+        if (std::find(std::begin(kNotFolded), std::end(kNotFolded), field) ==
+            std::end(kNotFolded)) {
+          folded_.emplace_back(field, registry.GetCounter(name));
+        }
+      });
+  for (const char* name : kJobSeries) registry.GetCounter(name);
   write_bytes = registry.GetCounter("write_bytes");
   write_stalls = registry.GetCounter("write_stalls");
   stall_micros = registry.GetCounter("stall_micros");
-  wal_micros_total = registry.GetCounter("wal_micros_total");
-  memtable_micros_total = registry.GetCounter("memtable_micros_total");
-  scans = registry.GetCounter("scans");
   scan_entries = registry.GetCounter("scan_entries");
   anchor_view_builds = registry.GetCounter("anchor_view_builds");
   anchor_view_merges = registry.GetCounter("anchor_view_merges");
@@ -71,41 +77,24 @@ EngineMetrics::EngineMetrics() {
 }
 
 void EngineMetrics::FoldPerf(const PerfContext& d) {
-  if (d.gets) gets->Add(d.gets);
-  if (d.memtable_hits) memtable_hits->Add(d.memtable_hits);
-  if (d.hash_index_lookups) hash_index_lookups->Add(d.hash_index_lookups);
-  if (d.hash_index_probes) hash_index_probes->Add(d.hash_index_probes);
-  if (d.hash_index_candidates) {
-    hash_index_candidates->Add(d.hash_index_candidates);
+  for (const auto& [field, counter] : folded_) {
+    if (d.*field != 0) counter->Add(d.*field);
   }
-  if (d.bloom_checks) bloom_checks->Add(d.bloom_checks);
-  if (d.bloom_negatives) bloom_negatives->Add(d.bloom_negatives);
-  if (d.bloom_false_positives) {
-    bloom_false_positives->Add(d.bloom_false_positives);
-  }
-  if (d.unsorted_tables_probed) {
-    unsorted_tables_probed->Add(d.unsorted_tables_probed);
-  }
-  if (d.sorted_seeks) sorted_seeks->Add(d.sorted_seeks);
-  if (d.table_cache_hits) table_cache_hits->Add(d.table_cache_hits);
-  if (d.table_cache_misses) table_cache_misses->Add(d.table_cache_misses);
-  if (d.block_cache_hits) block_cache_hits->Add(d.block_cache_hits);
-  if (d.block_cache_misses) block_cache_misses->Add(d.block_cache_misses);
-  if (d.block_reads) block_reads->Add(d.block_reads);
-  if (d.writes) writes->Add(d.writes);
-  if (d.write_stall_micros) stall_micros->Add(d.write_stall_micros);
-  if (d.write_wal_micros) wal_micros_total->Add(d.write_wal_micros);
-  if (d.write_memtable_micros) {
-    memtable_micros_total->Add(d.write_memtable_micros);
-  }
-  if (d.scans) scans->Add(d.scans);
-  if (d.multigets) multigets->Add(d.multigets);
-  if (d.multiget_keys) multiget_keys->Add(d.multiget_keys);
-  if (d.multiget_coalesced_reads) {
-    multiget_coalesced_reads->Add(d.multiget_coalesced_reads);
-  }
-  if (d.multiget_io_bytes_saved) {
-    multiget_io_bytes_saved->Add(d.multiget_io_bytes_saved);
+}
+
+Counter* EngineMetrics::RegisterPartition(uint32_t pid) {
+  for (const char* name : kJobSeries) registry.GetCounter(name, pid);
+  registry.GetCounter("heat_writes", pid);
+  registry.GetCounter("user_bytes_flushed", pid);
+  return registry.GetCounter("heat_reads", pid);
+}
+
+void EngineMetrics::CountJob(
+    uint32_t pid,
+    std::initializer_list<std::pair<const char*, uint64_t>> counts) {
+  for (const auto& [name, n] : counts) {
+    registry.GetCounter(name)->Add(n);
+    registry.GetCounter(name, pid)->Add(n);
   }
 }
 
@@ -214,9 +203,10 @@ UniKVDB::UniKVDB(const Options& options, const std::string& dbname)
   table_cache_ = std::make_unique<TableCache>(
       env_, dbname_, options_.table_options, block_cache_.get());
   vlog_cache_ = std::make_unique<ValueLogCache>(env_, dbname_);
-  vlog_cache_->SetCounters(metrics_.vlog_reads, metrics_.vlog_span_reads,
-                           metrics_.vlog_read_bytes,
-                           metrics_.vlog_mmap_reads);
+  MetricsRegistry& reg = metrics_.registry;
+  vlog_cache_->SetCounters(
+      reg.GetCounter("vlog_reads"), reg.GetCounter("vlog_span_reads"),
+      reg.GetCounter("vlog_read_bytes"), reg.GetCounter("vlog_mmap_reads"));
   event_log_ = std::make_unique<EventLogger>(env_, dbname_,
                                              options_.max_event_log_bytes);
   fetch_pool_ = std::make_unique<ThreadPool>(options_.value_fetch_threads);
@@ -376,8 +366,7 @@ Status UniKVDB::Recover() {
       }
       out.meta.table_id = next_id;
       edit.AddUnsortedFile(out.pid, out.meta);
-      MutexLock lock(&mu_);
-      stats_.flush_bytes += out.meta.size;
+      metrics_.registry.GetCounter("flush_bytes")->Add(out.meta.size);
     }
   }
   recovered->Unref();
@@ -404,6 +393,9 @@ Status UniKVDB::Recover() {
     MutexLock lock(&mu_);
     s = versions_->LogAndApply(&edit);
     pending_outputs_.clear();
+    for (const auto& p : versions_->current()->partitions) {
+      heat_reads_[p->id] = metrics_.RegisterPartition(p->id);
+    }
   }
   if (!s.ok()) return s;
 
@@ -1039,9 +1031,10 @@ Status UniKVDB::MakeRoomForWrite(WriteShard* s, bool force) {
     }
     if (s->imm != nullptr) {
       // The previous memtable is still being flushed: wait. For normal
-      // writes the whole blocked span is one stall episode; stall_micros
-      // reaches the registry through the PerfContext fold in Write(). A
-      // forced rotation (manual flush) waiting here is not a write stall.
+      // writes the whole blocked span is one stall episode, counted here
+      // and only here (PerfContext's write_stall_micros is for tracing
+      // and is not folded). A forced rotation (manual flush) waiting here
+      // is not a write stall.
       const uint64_t stall_start = env_->NowMicros();
       bg_work_cv_.SignalAll();
       s->cv.TimedWaitFor(std::chrono::milliseconds(100));
@@ -1049,10 +1042,9 @@ Status UniKVDB::MakeRoomForWrite(WriteShard* s, bool force) {
         const uint64_t waited = env_->NowMicros() - stall_start;
         if (!counted_stall) {
           counted_stall = true;
-          s->write_stalls.fetch_add(1, std::memory_order_relaxed);
           metrics_.write_stalls->Inc();
         }
-        s->stall_micros.fetch_add(waited, std::memory_order_relaxed);
+        metrics_.stall_micros->Add(waited);
         GetPerfContext()->write_stall_micros += waited;
       }
       continue;
@@ -1074,7 +1066,14 @@ Status UniKVDB::MakeRoomForWrite(WriteShard* s, bool force) {
 
 // ------------------------------------------------------------- read path
 
-Status UniKVDB::Get(const ReadOptions& /*options*/, const Slice& key,
+SequenceNumber UniKVDB::ReadSequence(const ReadOptions& options) const {
+  const SequenceNumber visible = visible_seq_.load(std::memory_order_acquire);
+  return options.snapshot != 0 && options.snapshot < visible
+             ? options.snapshot
+             : visible;
+}
+
+Status UniKVDB::Get(const ReadOptions& options, const Slice& key,
                     std::string* value) {
   PerfContext* perf = GetPerfContext();
   // Point gets are fast enough (sub-microsecond on a negative lookup) that
@@ -1089,10 +1088,10 @@ Status UniKVDB::Get(const ReadOptions& /*options*/, const Slice& key,
   VersionPtr ver;
   std::vector<uint16_t> candidates;
   int pi;
-  // Snapshot at the published sequence: everything at or below it has
-  // completed its memtable insert, so acked writes are always readable.
-  const SequenceNumber snapshot =
-      visible_seq_.load(std::memory_order_acquire);
+  // Snapshot at the published sequence (everything at or below it has
+  // completed its memtable insert, so acked writes are always readable)
+  // or at the caller's older snapshot.
+  const SequenceNumber snapshot = ReadSequence(options);
   {
     // Pin the key's shard memtables *before* capturing the version: if a
     // flush installs between the two, the entry is in both the pinned imm
@@ -1112,8 +1111,8 @@ Status UniKVDB::Get(const ReadOptions& /*options*/, const Slice& key,
     ver = versions_->current();
     pi = ver->FindPartition(key);
     // Read-heat accounting: the partition is already resolved under mu_,
-    // so the bump is one hash-map increment on the lock we hold anyway.
-    partition_stats_[ver->partitions[pi]->id].heat_reads++;
+    // so the bump is one hash-map find on the lock we hold anyway.
+    heat_reads_.at(ver->partitions[pi]->id)->Inc();
     if (options_.enable_hash_index) {
       auto it = indexes_.find(ver->partitions[pi]->id);
       if (it != indexes_.end()) {
@@ -1195,10 +1194,9 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
   PerfContext* perf = GetPerfContext();
 
   // One snapshot for the whole batch: every key reads at or below the
-  // same published sequence, so a concurrent write batch is visible to
-  // all of the MultiGet or to none of it.
-  const SequenceNumber snapshot =
-      visible_seq_.load(std::memory_order_acquire);
+  // same sequence, so a concurrent write batch is visible to all of the
+  // MultiGet or to none of it.
+  const SequenceNumber snapshot = ReadSequence(options);
 
   // Pin every touched shard's memtables once, *before* capturing the
   // version (same order as Get: an entry flushed mid-capture is in a
@@ -1259,17 +1257,17 @@ Status UniKVDB::MultiGetImpl(const ReadOptions& options,
     MutexLock lock(&mu_);
     ver = versions_->current();
     // Keys arrive sorted, so partition routing repeats: memoize the last
-    // partition's stats slot instead of re-hashing per key.
+    // partition's heat counter instead of re-hashing per key.
     int last_pi = -1;
-    PartitionCounters* last_stats = nullptr;
+    Counter* last_heat = nullptr;
     for (size_t idx : uniq) {
       const int pi = ver->FindPartition(keys[idx]);
       part_of[idx] = pi;
       if (pi != last_pi) {
         last_pi = pi;
-        last_stats = &partition_stats_[ver->partitions[pi]->id];
+        last_heat = heat_reads_.at(ver->partitions[pi]->id);
       }
-      last_stats->heat_reads++;
+      last_heat->Inc();
       // No unsorted tables -> no candidates to find; skip the hash.
       if (options_.enable_hash_index && !ver->partitions[pi]->unsorted.empty()) {
         auto it = indexes_.find(ver->partitions[pi]->id);
@@ -1566,10 +1564,10 @@ Status UniKVDB::GetFromSorted(const PartitionState& p, const LookupKey& lkey,
 
 Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
                                        SequenceNumber* latest_seq) {
-  // Same capture order as Get: published snapshot, then every shard's
+  // Same capture order as Get: read sequence, then every shard's
   // memtables (one shard lock at a time), then the version — so an entry
   // flushed mid-capture is in a pinned imm or in the version's tables.
-  *latest_seq = visible_seq_.load(std::memory_order_acquire);
+  *latest_seq = ReadSequence(options);
 
   std::vector<Iterator*> children;
   for (auto& shard : shards_) {
@@ -1643,12 +1641,6 @@ Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
 Iterator* UniKVDB::NewIterator(const ReadOptions& options) {
   SequenceNumber seq;
   Iterator* internal = NewInternalIterator(options, &seq);
-  // A caller-pinned snapshot reads point-in-time; clamp to the visible
-  // ceiling so a stale or garbage snapshot can never surface unacked
-  // writes.
-  if (options.snapshot != 0 && options.snapshot < seq) {
-    seq = options.snapshot;
-  }
   return new DBIter(icmp_, internal, seq, vlog_cache_.get(),
                     options_.enable_scan_optimization);
 }
@@ -1691,9 +1683,6 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
   // the thread pool in parallel.
   SequenceNumber seq;
   Iterator* internal = NewInternalIterator(options, &seq);
-  if (options.snapshot != 0 && options.snapshot < seq) {
-    seq = options.snapshot;
-  }
   DBIter iter(icmp_, internal, seq, vlog_cache_.get(), true);
 
   struct PendingEntry {
@@ -1810,19 +1799,18 @@ bool UniKVDB::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
   if (property == Slice("db.stats")) {
-    uint64_t stalls = 0, stall_us = 0;
-    for (const auto& sh : shards_) {
-      stalls += sh->write_stalls.load(std::memory_order_relaxed);
-      stall_us += sh->stall_micros.load(std::memory_order_relaxed);
-    }
+    // Keys and order are a contract: parsers match `name=` substrings.
+    const CounterSnapshot snap = metrics_.registry.SnapshotCounters();
+    const auto& e = snap.engine;
     std::snprintf(
         buf, sizeof(buf),
         "flushes=%" PRIu64 " merges=%" PRIu64 " scan_merges=%" PRIu64
         " gcs=%" PRIu64 " splits=%" PRIu64 " merge_write_mb=%.1f"
         " gc_write_mb=%.1f write_stalls=%" PRIu64 " stall_micros=%" PRIu64,
-        stats_.flushes, stats_.merges, stats_.scan_merges, stats_.gcs,
-        stats_.splits, stats_.merge_bytes_written / 1048576.0,
-        stats_.gc_bytes_written / 1048576.0, stalls, stall_us);
+        e.at("flushes"), e.at("merges"), e.at("scan_merges"), e.at("gcs"),
+        e.at("splits"), e.at("merge_bytes_written") / 1048576.0,
+        e.at("gc_bytes_written") / 1048576.0, e.at("write_stalls"),
+        e.at("stall_micros"));
     *value = buf;
     return true;
   }
@@ -1884,42 +1872,37 @@ bool UniKVDB::GetProperty(const Slice& property, std::string* value) {
   return false;
 }
 
+namespace {
+
+// Physical bytes flush/merge/GC wrote on a partition's behalf per logical
+// user byte flushed into it.
+double PartitionWriteAmp(const std::map<std::string, uint64_t>& pc) {
+  const uint64_t user = pc.at("user_bytes_flushed");
+  const uint64_t physical = pc.at("flush_bytes") +
+                            pc.at("merge_bytes_written") +
+                            pc.at("gc_bytes_written");
+  return user == 0 ? 0.0 : static_cast<double>(physical) / user;
+}
+
+}  // namespace
+
 std::string UniKVDB::MetricsTextLocked(const VersionData& ver) {
+  // The registry dump already lists every engine-wide series (job counts,
+  // bytes, stalls); the partition lines add structure and heat.
   std::string result = metrics_.registry.ToString();
-  uint64_t stalls = 0, stall_us = 0;
-  for (const auto& sh : shards_) {
-    stalls += sh->write_stalls.load(std::memory_order_relaxed);
-    stall_us += sh->stall_micros.load(std::memory_order_relaxed);
-  }
+  const CounterSnapshot snap = metrics_.registry.SnapshotCounters();
   char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "-- background --\n"
-                "flushes=%" PRIu64 " merges=%" PRIu64 " scan_merges=%" PRIu64
-                " gcs=%" PRIu64 " splits=%" PRIu64 "\n"
-                "flush_mb=%.1f merge_read_mb=%.1f merge_write_mb=%.1f"
-                " gc_read_mb=%.1f gc_write_mb=%.1f\n"
-                "write_stalls=%" PRIu64 " stall_micros=%" PRIu64 "\n",
-                stats_.flushes, stats_.merges, stats_.scan_merges, stats_.gcs,
-                stats_.splits, stats_.flush_bytes / 1048576.0,
-                stats_.merge_bytes_read / 1048576.0,
-                stats_.merge_bytes_written / 1048576.0,
-                stats_.gc_bytes_read / 1048576.0,
-                stats_.gc_bytes_written / 1048576.0, stalls, stall_us);
-  result += buf;
   result += "-- partitions --\n";
   for (const auto& p : ver.partitions) {
     uint64_t garbage = 0;
     auto git = vlog_garbage_.find(p->id);
     if (git != vlog_garbage_.end()) garbage = git->second;
     const uint64_t vlog_bytes = p->VlogBytes();
+    // Registered at the partition's birth, under mu_ (see heat_reads_).
+    const auto& pc = snap.partitions.at(p->id);
+    const uint64_t logical = p->LogicalBytes();
     // The lower bound is an arbitrary user key and goes through string
     // appends; only the fixed-width numeric tail uses the snprintf buffer.
-    PartitionCounters pc;
-    auto cit = partition_stats_.find(p->id);
-    if (cit != partition_stats_.end()) pc = cit->second;
-    const uint64_t physical_written =
-        pc.flush_bytes + pc.merge_bytes_written + pc.gc_bytes_written;
-    const uint64_t logical = p->LogicalBytes();
     result += "partition ";
     result += std::to_string(p->id);
     result += " [";
@@ -1930,13 +1913,11 @@ std::string UniKVDB::MetricsTextLocked(const VersionData& ver) {
         " logical=%.1fMB vlogs=%zu/%.1fMB garbage=%.1fMB (%.0f%%)"
         " heat_r=%" PRIu64 " heat_w=%" PRIu64 " wamp=%.2f samp=%.2f\n",
         p->unsorted.size(), p->UnsortedBytes() / 1048576.0, p->sorted.size(),
-        p->SortedBytes() / 1048576.0, p->LogicalBytes() / 1048576.0,
-        p->vlogs.size(), vlog_bytes / 1048576.0, garbage / 1048576.0,
-        vlog_bytes == 0 ? 0.0 : 100.0 * garbage / vlog_bytes, pc.heat_reads,
-        pc.heat_writes,
-        pc.user_bytes_flushed == 0
-            ? 0.0
-            : static_cast<double>(physical_written) / pc.user_bytes_flushed,
+        p->SortedBytes() / 1048576.0, logical / 1048576.0, p->vlogs.size(),
+        vlog_bytes / 1048576.0, garbage / 1048576.0,
+        vlog_bytes == 0 ? 0.0 : 100.0 * garbage / vlog_bytes,
+        pc.at("heat_reads"), pc.at("heat_writes"),
+        PartitionWriteAmp(pc),
         logical == 0 ? 0.0
                      : static_cast<double>(p->TotalBytes()) / logical);
     result += buf;
@@ -1945,6 +1926,7 @@ std::string UniKVDB::MetricsTextLocked(const VersionData& ver) {
 }
 
 std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
+  const CounterSnapshot snap = metrics_.registry.SnapshotCounters();
   std::string partitions = "[";
   bool first = true;
   for (const auto& p : ver.partitions) {
@@ -1963,10 +1945,9 @@ std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
       index_bytes = iit->second->MemoryUsage();
     }
 
-    PartitionCounters pc;
-    auto cit = partition_stats_.find(p->id);
-    if (cit != partition_stats_.end()) pc = cit->second;
-
+    // Structure derived from the version at render time, then every
+    // registry series of the partition, then the amplification gauges
+    // hotness-aware GC ranks partitions by.
     JsonBuilder pj;
     pj.AddUint("id", p->id);
     pj.AddString("lower_bound", p->lower_bound);
@@ -1983,27 +1964,10 @@ std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
                                  : static_cast<double>(garbage) / vlog_bytes);
     pj.AddUint("index_entries", index_entries);
     pj.AddUint("index_bytes", index_bytes);
-    pj.AddUint("flushes", pc.flushes);
-    pj.AddUint("merges", pc.merges);
-    pj.AddUint("scan_merges", pc.scan_merges);
-    pj.AddUint("gcs", pc.gcs);
-    pj.AddUint("splits", pc.splits);
-    // Heat and amplification gauges: the inputs hotness-aware GC
-    // scheduling ranks partitions by.
-    const uint64_t physical_written =
-        pc.flush_bytes + pc.merge_bytes_written + pc.gc_bytes_written;
+    const auto& pc = snap.partitions.at(p->id);
+    for (const auto& [name, v] : pc) pj.AddUint(name, v);
     const uint64_t logical = p->LogicalBytes();
-    pj.AddUint("heat_reads", pc.heat_reads);
-    pj.AddUint("heat_writes", pc.heat_writes);
-    pj.AddUint("user_bytes_flushed", pc.user_bytes_flushed);
-    pj.AddUint("flush_bytes", pc.flush_bytes);
-    pj.AddUint("merge_bytes_written", pc.merge_bytes_written);
-    pj.AddUint("gc_bytes_written", pc.gc_bytes_written);
-    pj.AddDouble("write_amp",
-                 pc.user_bytes_flushed == 0
-                     ? 0.0
-                     : static_cast<double>(physical_written) /
-                           pc.user_bytes_flushed);
+    pj.AddDouble("write_amp", PartitionWriteAmp(pc));
     pj.AddDouble("space_amp",
                  logical == 0 ? 0.0
                               : static_cast<double>(p->TotalBytes()) /
@@ -2012,24 +1976,12 @@ std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
   }
   partitions += ']';
 
-  uint64_t stalls = 0, stall_us = 0;
-  for (const auto& sh : shards_) {
-    stalls += sh->write_stalls.load(std::memory_order_relaxed);
-    stall_us += sh->stall_micros.load(std::memory_order_relaxed);
-  }
+  // The background-work view of the engine series (same values as
+  // engine.counters, one registry underneath).
   JsonBuilder stats;
-  stats.AddUint("flushes", stats_.flushes);
-  stats.AddUint("merges", stats_.merges);
-  stats.AddUint("scan_merges", stats_.scan_merges);
-  stats.AddUint("gcs", stats_.gcs);
-  stats.AddUint("splits", stats_.splits);
-  stats.AddUint("flush_bytes", stats_.flush_bytes);
-  stats.AddUint("merge_bytes_read", stats_.merge_bytes_read);
-  stats.AddUint("merge_bytes_written", stats_.merge_bytes_written);
-  stats.AddUint("gc_bytes_read", stats_.gc_bytes_read);
-  stats.AddUint("gc_bytes_written", stats_.gc_bytes_written);
-  stats.AddUint("write_stalls", stalls);
-  stats.AddUint("stall_micros", stall_us);
+  for (const char* name : kJobSeries) stats.AddUint(name, snap.engine.at(name));
+  stats.AddUint("write_stalls", snap.engine.at("write_stalls"));
+  stats.AddUint("stall_micros", snap.engine.at("stall_micros"));
 
   JsonBuilder root;
   root.AddRaw("engine", metrics_.registry.ToJson());

@@ -3,11 +3,13 @@
 
 #include <atomic>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/anchor_view.h"
@@ -29,96 +31,36 @@ namespace unikv {
 
 class Cache;
 
-/// Counters describing the background work a UniKV instance has done.
-/// Exposed through GetProperty("db.stats").
-struct UniKVStats {
-  uint64_t flushes = 0;
-  uint64_t merges = 0;
-  uint64_t scan_merges = 0;
-  uint64_t gcs = 0;
-  uint64_t splits = 0;
-  uint64_t flush_bytes = 0;
-  uint64_t merge_bytes_written = 0;
-  uint64_t merge_bytes_read = 0;
-  uint64_t gc_bytes_written = 0;
-  uint64_t gc_bytes_read = 0;
-};
-
-/// Background work done on behalf of one partition (guarded by the DB
-/// mutex; reported per partition through db.metrics[.json]).
-struct PartitionCounters {
-  uint64_t flushes = 0;
-  uint64_t merges = 0;
-  uint64_t scan_merges = 0;
-  uint64_t gcs = 0;
-  uint64_t splits = 0;
-  /// Heat accounting — the substrate for hotness-aware GC scheduling.
-  /// Reads count Gets routed into the partition; writes count entries
-  /// flushed into it (update frequency is measured at flush routing
-  /// time, where keys first meet partition boundaries, not per Put).
-  uint64_t heat_reads = 0;
-  uint64_t heat_writes = 0;
-  /// Byte accounting for per-partition write amplification: logical user
-  /// bytes flushed in (the denominator) vs. physical bytes written by
-  /// flush/merge/GC on the partition's behalf (the numerator).
-  uint64_t user_bytes_flushed = 0;
-  uint64_t flush_bytes = 0;
-  uint64_t merge_bytes_written = 0;
-  uint64_t gc_bytes_written = 0;
-};
-
-/// The engine-wide metrics surface: a MetricsRegistry plus cached pointers
-/// to the hot-path counters/histograms, so instrumented paths never pay a
-/// map lookup. Counters are folded in from the thread-local PerfContext
-/// after each operation and after each background job; value-log reads are
-/// wired directly (they can run on thread-pool workers).
+/// The engine's one metrics registry (DESIGN.md §8) plus cached pointers
+/// to the series hot paths bump directly, so instrumented paths never pay
+/// a map lookup. Everything else reaches the registry one of two ways:
+/// threads fold their PerfContext deltas in (FoldPerf), and background
+/// job installs add their job and byte counts by name (CountJob).
 struct EngineMetrics {
   EngineMetrics();
 
-  /// Adds a PerfContext delta into the engine counters. Skips the vlog_*
-  /// fields (counted at source via ValueLogCache::SetCounters, which sees
-  /// all threads).
+  /// Adds a PerfContext delta into the engine-wide series of the same
+  /// names. Fields counted at their source are skipped: value-log reads
+  /// (ValueLogCache::SetCounters sees every thread), write_stall_micros
+  /// (counted at the stall site as stall_micros) and the per-op timers
+  /// (the latency histograms carry them).
   void FoldPerf(const PerfContext& d);
+
+  /// Registers every per-partition series of partition `pid`, so each
+  /// partition reports the same keys from birth; returns its heat_reads.
+  Counter* RegisterPartition(uint32_t pid);
+
+  /// Adds each (series, n) to the engine-wide series and to partition
+  /// `pid`'s series of the same name.
+  void CountJob(uint32_t pid,
+                std::initializer_list<std::pair<const char*, uint64_t>> counts);
 
   MetricsRegistry registry;
 
-  // Read path.
-  Counter* gets;
-  Counter* memtable_hits;
-  Counter* hash_index_lookups;
-  Counter* hash_index_probes;
-  Counter* hash_index_candidates;
-  Counter* bloom_checks;
-  Counter* bloom_negatives;
-  Counter* bloom_false_positives;
-  Counter* unsorted_tables_probed;
-  Counter* sorted_seeks;
-  Counter* table_cache_hits;
-  Counter* table_cache_misses;
-  Counter* block_cache_hits;
-  Counter* block_cache_misses;
-  Counter* block_reads;
-  Counter* vlog_reads;
-  Counter* vlog_span_reads;
-  Counter* vlog_read_bytes;
-  Counter* vlog_mmap_reads;
-
-  // Batched read path (DESIGN.md §11).
-  Counter* multigets;
-  Counter* multiget_keys;
-  Counter* multiget_coalesced_reads;
-  Counter* multiget_io_bytes_saved;
-
-  // Write path.
-  Counter* writes;
+  // Counted at their source, outside any PerfContext.
   Counter* write_bytes;
   Counter* write_stalls;
   Counter* stall_micros;
-  Counter* wal_micros_total;
-  Counter* memtable_micros_total;
-
-  // Scans.
-  Counter* scans;
   Counter* scan_entries;
 
   // Sorted anchor view (DESIGN.md §12).
@@ -138,6 +80,10 @@ struct EngineMetrics {
   ConcurrentHistogram* scan_merge_latency;
   ConcurrentHistogram* gc_latency;
   ConcurrentHistogram* split_latency;
+
+ private:
+  /// PerfContext field -> registry series, for FoldPerf.
+  std::vector<std::pair<uint64_t PerfContext::*, Counter*>> folded_;
 };
 
 /// The UniKV store: differentiated indexing (hash-indexed UnsortedStore +
@@ -168,6 +114,10 @@ class UniKVDB : public DB {
   Status GetBackgroundError() override;
   bool GetProperty(const Slice& property, std::string* value) override;
 
+  /// The registry every report renders from, for tests that check each
+  /// report against it.
+  const MetricsRegistry& TEST_metrics() const { return metrics_.registry; }
+
   /// Test-only: reintroduces the historical unsafe GC ordering (old value
   /// logs deleted before the manifest install is durable), so the crash
   /// harness can prove it catches ordering bugs. Never set in production.
@@ -179,10 +129,10 @@ class UniKVDB : public DB {
 
   /// One foreground write shard (DESIGN.md §10). Keys are striped across
   /// shards by user-key hash; each shard owns a memtable pair, a WAL
-  /// (.swal), a writer deque with LevelDB-style group commit, and its own
-  /// stall accounting — so concurrent writers to different shards never
-  /// contend. Lock order: mu_ (DB) -> mu (shard) -> log_mu (shard);
-  /// err_mu_ is a leaf taken after any of them.
+  /// (.swal) and a writer deque with LevelDB-style group commit — so
+  /// concurrent writers to different shards never contend. Lock order:
+  /// mu_ (DB) -> mu (shard) -> log_mu (shard); err_mu_ is a leaf taken
+  /// after any of them.
   struct WriteShard {
     WriteShard() : cv(&mu) {}
 
@@ -226,11 +176,6 @@ class UniKVDB : public DB {
     /// guarded by mu_, not by this shard's mu.
     std::atomic<bool> has_imm{false};
     bool flush_in_progress = false;
-
-    /// Per-shard write-stall accounting; aggregated into db.stats /
-    /// db.metrics[.json] / the stats sampler.
-    std::atomic<uint64_t> write_stalls{0};
-    std::atomic<uint64_t> stall_micros{0};
   };
 
   Status Recover() EXCLUDES(mu_);
@@ -398,41 +343,29 @@ class UniKVDB : public DB {
 
   // ---- StatsSampler (stats_sampler.cc) ----
 
-  /// Heat of one partition at sampling time.
-  struct PartitionHeat {
-    uint32_t pid = 0;
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-  };
-
-  /// One sampler snapshot: *cumulative* engine counters at ts_micros.
-  /// Deltas between consecutive samples are what the EVENTS
-  /// `stats_sample` lines and `db.stats.history` report.
-  struct StatsSample {
+  /// One sampler snapshot: every registry counter at ts_micros. Deltas
+  /// between consecutive samples are what the EVENTS `stats_sample`
+  /// lines report.
+  struct Sample {
     uint64_t ts_micros = 0;
-    uint64_t gets = 0;
-    uint64_t writes = 0;
-    uint64_t scans = 0;
-    uint64_t write_stalls = 0;
-    uint64_t stall_micros = 0;
-    uint64_t flush_bytes = 0;
-    uint64_t merge_bytes_written = 0;
-    uint64_t gc_bytes_written = 0;
-    uint64_t block_cache_hits = 0;
-    uint64_t block_cache_misses = 0;
-    std::vector<PartitionHeat> partitions;
+    CounterSnapshot counters;
   };
 
   /// Body of the sampler thread: every stats_sample_interval_ms, takes a
   /// snapshot under mu_, pushes it into the bounded history ring, and
   /// appends a `stats_sample` delta line to the EVENTS log.
   void StatsSamplerThread() EXCLUDES(mu_);
-  StatsSample TakeStatsSampleLocked() REQUIRES(mu_);
-  /// Emits one `stats_sample` EVENTS line carrying both the interval
-  /// deltas (d_*) and the cumulative values (cum_*) of `cur` vs `prev`.
-  void LogStatsSample(const StatsSample& prev, const StatsSample& cur);
+  /// Emits one `stats_sample` EVENTS line carrying, for every counter
+  /// series, the interval delta (d_*) and the cumulative value (cum_*).
+  void LogStatsSample(const Sample& prev, const Sample& cur);
   /// Renders the history ring as a JSON array (db.stats.history).
   std::string StatsHistoryJsonLocked() const REQUIRES(mu_);
+
+  /// The sequence a read runs at: the published visible sequence, or
+  /// ReadOptions::snapshot when that is older. Clamping to the visible
+  /// ceiling means a stale or garbage snapshot can never surface unacked
+  /// writes.
+  SequenceNumber ReadSequence(const ReadOptions& options) const;
 
   /// `candidates` (the hash-index hits for the key, owned by the caller)
   /// is sorted and deduplicated in place. When `pin` is non-null, table
@@ -464,11 +397,12 @@ class UniKVDB : public DB {
                       std::vector<Status>* statuses) EXCLUDES(mu_);
 
   /// Builds a merged internal iterator over memtables and all partitions;
-  /// *latest_seq receives the snapshot sequence. FileMeta lists and the
-  /// pinned version are captured under a short mu_ hold; the table
-  /// iterators themselves (which can do disk I/O) open after it is
-  /// released. Partitions with two or more unsorted tables contribute one
-  /// anchor-guided child instead of one child per table (DESIGN.md §12).
+  /// *latest_seq receives the read sequence (ReadSequence). FileMeta
+  /// lists and the pinned version are captured under a short mu_ hold;
+  /// the table iterators themselves (which can do disk I/O) open after it
+  /// is released. Partitions with two or more unsorted tables contribute
+  /// one anchor-guided child instead of one child per table (DESIGN.md
+  /// §12).
   Iterator* NewInternalIterator(const ReadOptions& options,
                                 SequenceNumber* latest_seq) EXCLUDES(mu_);
 
@@ -568,8 +502,13 @@ class UniKVDB : public DB {
   std::unordered_map<uint32_t, uint64_t> vlog_garbage_ GUARDED_BY(mu_);
   std::unordered_map<uint32_t, int> flushes_since_checkpoint_
       GUARDED_BY(mu_);
-  std::unordered_map<uint32_t, PartitionCounters> partition_stats_
-      GUARDED_BY(mu_);
+  /// Each partition's heat_reads series, cached so the per-key heat bump
+  /// in Get/MultiGet costs one map find under the mu_ hold they already
+  /// take — no registry lock, no name building. Filled at partition
+  /// birth (end of Recover, split install), in the same mu_ hold that
+  /// makes the partition visible, so every partition a reader can route
+  /// to has an entry.
+  std::unordered_map<uint32_t, Counter*> heat_reads_ GUARDED_BY(mu_);
 
   std::set<uint64_t> pending_outputs_ GUARDED_BY(mu_);
 
@@ -584,11 +523,10 @@ class UniKVDB : public DB {
   /// Count of CompactAll callers currently draining; while nonzero the
   /// scheduler compacts below the usual thresholds.
   int compact_all_ GUARDED_BY(mu_) = 0;
-  UniKVStats stats_ GUARDED_BY(mu_);
 
   /// Bounded ring of sampler snapshots (newest at the back), capped at
   /// options_.stats_history_size. Empty when the sampler is off.
-  std::deque<StatsSample> stats_history_ GUARDED_BY(mu_);
+  std::deque<Sample> stats_history_ GUARDED_BY(mu_);
   /// Wakes the sampler thread early on shutdown (waits on mu_).
   CondVar sampler_cv_;
 

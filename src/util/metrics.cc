@@ -210,6 +210,14 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
+Counter* MetricsRegistry::GetCounter(const std::string& name,
+                                     uint32_t partition) {
+  MutexLock lock(&mu_);
+  auto& slot = partition_counters_[partition][name];
+  if (slot == nullptr) slot = std::make_unique<Counter>();
+  return slot.get();
+}
+
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   MutexLock lock(&mu_);
   auto& slot = gauges_[name];
@@ -227,6 +235,17 @@ ConcurrentHistogram* MetricsRegistry::GetHistogram(const std::string& name) {
 size_t MetricsRegistry::NumCounters() const {
   MutexLock lock(&mu_);
   return counters_.size();
+}
+
+CounterSnapshot MetricsRegistry::SnapshotCounters() const {
+  MutexLock lock(&mu_);
+  CounterSnapshot snap;
+  for (const auto& [name, c] : counters_) snap.engine[name] = c->Value();
+  for (const auto& [partition, series] : partition_counters_) {
+    auto& out = snap.partitions[partition];
+    for (const auto& [name, c] : series) out[name] = c->Value();
+  }
+  return snap;
 }
 
 std::string MetricsRegistry::ToString() const {

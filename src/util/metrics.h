@@ -108,10 +108,21 @@ class JsonBuilder {
   bool first_ = true;
 };
 
+/// The value of every counter series at one instant: engine-wide series
+/// by name, per-partition series by partition id, then name.
+struct CounterSnapshot {
+  std::map<std::string, uint64_t> engine;
+  std::map<uint32_t, std::map<std::string, uint64_t>> partitions;
+};
+
 /// Named counters/gauges/histograms for one engine instance. Lookup by
 /// name happens once at registration; returned pointers are stable for
 /// the registry's lifetime, so hot paths hold raw pointers and never
 /// touch the map again.
+///
+/// A counter series is either engine-wide (`GetCounter(name)`) or
+/// belongs to one partition (`GetCounter(name, partition)`); the same
+/// name may exist at both levels (e.g. `merges`).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -119,14 +130,21 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* GetCounter(const std::string& name);
+  Counter* GetCounter(const std::string& name, uint32_t partition);
   Gauge* GetGauge(const std::string& name);
   ConcurrentHistogram* GetHistogram(const std::string& name);
 
+  /// Number of engine-wide counter series.
   size_t NumCounters() const;
 
-  /// Human-readable dump, one metric per line.
+  /// Every counter series, engine-wide and per-partition.
+  CounterSnapshot SnapshotCounters() const;
+
+  /// Human-readable dump of the engine-wide series, one per line.
   std::string ToString() const;
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}
+  /// {"counters":{...},"gauges":{...},"histograms":{...}} over the
+  /// engine-wide series; per-partition series are rendered by the owner
+  /// next to each partition's structure.
   std::string ToJson() const;
 
  private:
@@ -135,6 +153,8 @@ class MetricsRegistry {
   // are handed out as raw pointers that outlive the lock.
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mu_);
+  std::map<uint32_t, std::map<std::string, std::unique_ptr<Counter>>>
+      partition_counters_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<ConcurrentHistogram>> histograms_
       GUARDED_BY(mu_);

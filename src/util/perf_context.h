@@ -76,6 +76,45 @@ struct PerfContext {
     resets = generation;
   }
 
+  /// Applies `fn(name, member_pointer)` to every tracing field (not
+  /// `resets`), so code that walks the fields — delta, print, the
+  /// engine's registry fold — cannot drift from the field list.
+  template <typename Fn>
+  static void ForEachField(Fn fn) {
+    fn("gets", &PerfContext::gets);
+    fn("writes", &PerfContext::writes);
+    fn("scans", &PerfContext::scans);
+    fn("multigets", &PerfContext::multigets);
+    fn("multiget_keys", &PerfContext::multiget_keys);
+    fn("memtable_hits", &PerfContext::memtable_hits);
+    fn("hash_index_lookups", &PerfContext::hash_index_lookups);
+    fn("hash_index_probes", &PerfContext::hash_index_probes);
+    fn("hash_index_candidates", &PerfContext::hash_index_candidates);
+    fn("bloom_checks", &PerfContext::bloom_checks);
+    fn("bloom_negatives", &PerfContext::bloom_negatives);
+    fn("bloom_false_positives", &PerfContext::bloom_false_positives);
+    fn("unsorted_tables_probed", &PerfContext::unsorted_tables_probed);
+    fn("sorted_seeks", &PerfContext::sorted_seeks);
+    fn("table_cache_hits", &PerfContext::table_cache_hits);
+    fn("table_cache_misses", &PerfContext::table_cache_misses);
+    fn("block_cache_hits", &PerfContext::block_cache_hits);
+    fn("block_cache_misses", &PerfContext::block_cache_misses);
+    fn("block_reads", &PerfContext::block_reads);
+    fn("vlog_reads", &PerfContext::vlog_reads);
+    fn("vlog_span_reads", &PerfContext::vlog_span_reads);
+    fn("vlog_read_bytes", &PerfContext::vlog_read_bytes);
+    fn("vlog_mmap_reads", &PerfContext::vlog_mmap_reads);
+    fn("multiget_coalesced_reads", &PerfContext::multiget_coalesced_reads);
+    fn("multiget_io_bytes_saved", &PerfContext::multiget_io_bytes_saved);
+    fn("get_micros", &PerfContext::get_micros);
+    fn("write_micros", &PerfContext::write_micros);
+    fn("write_wal_micros", &PerfContext::write_wal_micros);
+    fn("write_memtable_micros", &PerfContext::write_memtable_micros);
+    fn("write_stall_micros", &PerfContext::write_stall_micros);
+    fn("scan_micros", &PerfContext::scan_micros);
+    fn("multiget_micros", &PerfContext::multiget_micros);
+  }
+
   /// Field-wise `*this - before`; both must come from the same thread's
   /// context (or copies of it).
   PerfContext DeltaSince(const PerfContext& before) const;

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/db.h"
 #include "test_util.h"
@@ -179,6 +182,65 @@ TEST_F(DbIteratorTest, SnapshotIsolationFromLaterWrites) {
     EXPECT_EQ("before", iter->value().ToString());
   }
   EXPECT_EQ(100, count);
+}
+
+// ReadOptions::snapshot pins Get, MultiGet and iterators alike to the
+// version written before an overwrite: while both versions sit in the
+// memtable, and after FlushMemTable moves them into the UnsortedStore
+// (keys 0..49 flush both versions into one table, keys 50..99 have their
+// old version in an earlier table than the overwrite).
+TEST_F(DbIteratorTest, ReadOptionsSnapshotPinsEveryReadApi) {
+  Open(SmallOptions(), "iter_read_snapshot");
+  auto old_value = [](int i) { return "old" + test::TestValue(i, 32); };
+  auto new_value = [](int i) { return "new" + test::TestValue(i, 32); };
+  for (int i = 50; i < 100; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), old_value(i)).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  for (int i = 0; i < 50; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), old_value(i)).ok());
+  }
+  std::string seq;
+  ASSERT_TRUE(db_->GetProperty("db.visible-sequence", &seq));
+  ReadOptions pinned;
+  pinned.snapshot = std::strtoull(seq.c_str(), nullptr, 10);
+  ASSERT_GT(pinned.snapshot, 0u);
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), new_value(i)).ok());
+  }
+
+  std::vector<std::string> key_bufs;
+  for (int i = 0; i < 100; i++) key_bufs.push_back(test::TestKey(i));
+  const std::vector<Slice> keys(key_bufs.begin(), key_bufs.end());
+  auto check = [&](const char* where) {
+    SCOPED_TRACE(where);
+    std::string v;
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db_->Get(pinned, keys[i], &v).ok());
+      EXPECT_EQ(old_value(i), v);
+      ASSERT_TRUE(db_->Get(ReadOptions(), keys[i], &v).ok());
+      EXPECT_EQ(new_value(i), v);
+    }
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    ASSERT_TRUE(db_->MultiGet(pinned, keys, &values, &statuses).ok());
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(statuses[i].ok());
+      EXPECT_EQ(old_value(i), values[i]);
+    }
+    std::unique_ptr<Iterator> iter(db_->NewIterator(pinned));
+    int i = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next(), i++) {
+      ASSERT_LT(i, 100);
+      EXPECT_EQ(key_bufs[i], iter->key().ToString());
+      EXPECT_EQ(old_value(i), iter->value().ToString());
+    }
+    EXPECT_TRUE(iter->status().ok());
+    EXPECT_EQ(100, i);
+  };
+  check("memtable");
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  check("unsorted store");
 }
 
 TEST_F(DbIteratorTest, IteratorSurvivesConcurrentCompaction) {

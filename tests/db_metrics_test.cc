@@ -1,16 +1,22 @@
 // End-to-end tests of the engine metrics surface: PerfContext tracing
-// through Get/Put/Scan, the db.metrics / db.metrics.json properties, and
+// through Get/Put/Scan, the db.metrics / db.metrics.json properties, the
+// stats sampler, every report agreeing with the one metrics registry, and
 // GetProperty's contract over known and unknown names.
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/db.h"
+#include "core/unikv_db.h"
 #include "test_util.h"
 #include "util/event_logger.h"
 #include "util/perf_context.h"
@@ -48,6 +54,77 @@ uint64_t JsonUint(const std::string& line, const std::string& field) {
   EXPECT_NE(pos, std::string::npos) << field << " missing from " << line;
   if (pos == std::string::npos) return 0;
   return std::strtoull(line.c_str() + pos + field.size() + 3, nullptr, 10);
+}
+
+// Index just past the JSON value starting at json[pos]: a string, a
+// nested object/array (brackets inside strings are skipped), or a scalar.
+size_t SkipValue(const std::string& json, size_t pos) {
+  int depth = 0;
+  bool in_string = false;
+  for (size_t i = pos; i < json.size(); i++) {
+    const char c = json[i];
+    if (in_string) {
+      if (c == '\\') {
+        i++;
+      } else if (c == '"') {
+        in_string = false;
+        if (depth == 0) return i + 1;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      depth++;
+    } else if (c == '}' || c == ']') {
+      if (depth == 0) return i;  // End of the enclosing container.
+      if (--depth == 0) return i + 1;
+    } else if (c == ',' && depth == 0) {
+      return i;
+    }
+  }
+  return json.size();
+}
+
+// Top-level members of the JSON object starting at json[pos] == '{', as
+// name -> raw value text. Keys are assumed unescaped (all engine keys are).
+std::map<std::string, std::string> Members(const std::string& json,
+                                           size_t pos) {
+  std::map<std::string, std::string> out;
+  EXPECT_EQ(json[pos], '{');
+  size_t i = pos + 1;
+  while (i < json.size() && json[i] == '"') {
+    const size_t key_end = json.find('"', i + 1);
+    const std::string key = json.substr(i + 1, key_end - i - 1);
+    const size_t value_start = key_end + 2;  // Past `":`.
+    const size_t value_end = SkipValue(json, value_start);
+    out[key] = json.substr(value_start, value_end - value_start);
+    i = value_end + (json[value_end] == ',' ? 1 : 0);
+  }
+  return out;
+}
+
+// Member `key` of the top-level object `json`, parsed as an object.
+std::map<std::string, std::string> Object(const std::string& json,
+                                          const std::string& key) {
+  std::map<std::string, std::string> top = Members(json, 0);
+  EXPECT_EQ(top.count(key), 1u) << key << " missing from " << json;
+  return Members(top[key], 0);
+}
+
+// The objects of the JSON array text `array` ("[{...},{...}]").
+std::vector<std::map<std::string, std::string>> ArrayObjects(
+    const std::string& array) {
+  std::vector<std::map<std::string, std::string>> out;
+  size_t i = 1;
+  while (i < array.size() && array[i] == '{') {
+    out.push_back(Members(array, i));
+    i = SkipValue(array, i);
+    if (array[i] == ',') i++;
+  }
+  return out;
+}
+
+uint64_t ToU64(const std::string& raw) {
+  return std::strtoull(raw.c_str(), nullptr, 10);
 }
 
 Options SmallOptions() {
@@ -333,12 +410,28 @@ TEST_F(DbMetricsTest, StatsSamplerProducesHistoryAndEvents) {
   EXPECT_LE(prev_writes, 1500u);
   EXPECT_GT(prev_writes, 0u);
 
+  // The sampler diffs the whole registry: every history entry carries
+  // every engine-wide counter series, and per-partition series.
+  const CounterSnapshot reg =
+      static_cast<UniKVDB*>(db_.get())->TEST_metrics().SnapshotCounters();
+  ASSERT_GT(reg.engine.count("gcs"), 0u);
+  ASSERT_GT(reg.engine.count("vlog_reads"), 0u);
+  for (size_t start : entry_starts) {
+    const std::map<std::string, std::string> entry = Members(history, start);
+    for (const auto& [name, v] : reg.engine) {
+      EXPECT_EQ(entry.count(name), 1u) << name << " missing from history";
+    }
+    const auto parts = ArrayObjects(entry.at("partitions"));
+    ASSERT_FALSE(parts.empty());
+    EXPECT_EQ(parts[0].count("heat_reads"), 1u);
+  }
+
   // EVENTS carries one stats_sample line per interval; each is valid JSON
-  // with the delta/cumulative/heat fields, and the deltas telescope
-  // exactly to the cumulative counters.
+  // with the delta/cumulative/heat fields, and for every counter series
+  // the deltas telescope exactly to the cumulative values.
   std::vector<std::string> lines = ReadEventLines(dir_, "stats_sample");
   ASSERT_GE(lines.size(), 2u);
-  uint64_t d_writes_sum = 0;
+  std::map<std::string, uint64_t> d_sum;
   for (const std::string& line : lines) {
     EXPECT_TRUE(test::IsValidJson(line)) << line;
     EXPECT_NE(line.find("\"interval_micros\":"), std::string::npos);
@@ -346,12 +439,21 @@ TEST_F(DbMetricsTest, StatsSamplerProducesHistoryAndEvents) {
               std::string::npos);
     EXPECT_NE(line.find("\"cache_hit_ratio\":"), std::string::npos);
     EXPECT_NE(line.find("\"partitions\":["), std::string::npos);
-    d_writes_sum += JsonUint(line, "d_writes");
+    const std::map<std::string, std::string> m = Members(line, 0);
+    for (const auto& [name, v] : reg.engine) {
+      ASSERT_EQ(m.count("d_" + name), 1u) << name << " missing from " << line;
+      ASSERT_EQ(m.count("cum_" + name), 1u) << name << " missing";
+      d_sum[name] += ToU64(m.at("d_" + name));
+    }
   }
-  const std::string& first = lines.front();
-  const std::string& last = lines.back();
-  uint64_t baseline = JsonUint(first, "cum_writes") - JsonUint(first, "d_writes");
-  EXPECT_EQ(d_writes_sum, JsonUint(last, "cum_writes") - baseline);
+  const std::map<std::string, std::string> first = Members(lines.front(), 0);
+  const std::map<std::string, std::string> last = Members(lines.back(), 0);
+  for (const auto& [name, v] : reg.engine) {
+    const uint64_t baseline =
+        ToU64(first.at("cum_" + name)) - ToU64(first.at("d_" + name));
+    EXPECT_EQ(d_sum[name], ToU64(last.at("cum_" + name)) - baseline) << name;
+  }
+  EXPECT_GT(d_sum["writes"], 0u);
 
   // Closing the DB joins the sampler thread without hanging; history
   // survives until then.
@@ -441,6 +543,166 @@ TEST_F(DbMetricsTest, HeatAndAmpGaugesInMetricsJson) {
   EXPECT_NE(text.find("heat_r="), std::string::npos) << text;
   EXPECT_NE(text.find("wamp="), std::string::npos) << text;
   EXPECT_NE(text.find("samp="), std::string::npos) << text;
+}
+
+TEST_F(DbMetricsTest, EveryReportRendersTheRegistry) {
+  // Several partitions, data in both stores, and every read API, so the
+  // job, byte, heat and read-path series are all non-trivial.
+  Options opt = SmallOptions();
+  opt.partition_size_limit = 256 * 1024;
+  OpenDb(opt, "_registry");
+  LoadBothStores();
+  std::string value;
+  for (int i = 0; i < 2000; i += 7) {
+    ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok());
+  }
+  std::vector<std::string> key_bufs;
+  for (int i = 0; i < 2000; i += 40) key_bufs.push_back(test::TestKey(i));
+  std::vector<Slice> keys(key_bufs.begin(), key_bufs.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(db_->MultiGet(ReadOptions(), keys, &values, &statuses).ok());
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), test::TestKey(0), 100, &out).ok());
+
+  // The property read folds this thread's pending PerfContext window;
+  // the store is quiescent afterwards, so the registry cannot move.
+  std::string json, stats_text;
+  ASSERT_TRUE(db_->GetProperty("db.metrics.json", &json));
+  ASSERT_TRUE(db_->GetProperty("db.stats", &stats_text));
+  ASSERT_TRUE(test::IsValidJson(json)) << json;
+  const CounterSnapshot reg =
+      static_cast<UniKVDB*>(db_.get())->TEST_metrics().SnapshotCounters();
+  ASSERT_GE(reg.partitions.size(), 2u) << "no split; test is vacuous";
+
+  // Every engine-wide series appears under engine.counters with the same
+  // value, and nothing else does.
+  const auto counters = Members(Object(json, "engine").at("counters"), 0);
+  EXPECT_EQ(counters.size(), reg.engine.size());
+  for (const auto& [name, v] : reg.engine) {
+    ASSERT_EQ(counters.count(name), 1u) << name;
+    EXPECT_EQ(ToU64(counters.at(name)), v) << name;
+  }
+  EXPECT_GT(reg.engine.at("gets"), 0u);
+  EXPECT_GT(reg.engine.at("merges"), 0u);
+  EXPECT_GT(reg.engine.at("splits"), 0u);
+
+  // Every key under `stats` names an engine-wide series, same value.
+  for (const auto& [name, raw] : Object(json, "stats")) {
+    ASSERT_EQ(reg.engine.count(name), 1u) << name;
+    EXPECT_EQ(ToU64(raw), reg.engine.at(name)) << name;
+  }
+
+  // Every per-partition series appears in its partitions[] entry with the
+  // same value; every other key there is structure derived from the
+  // version (or a ratio of series) at render time.
+  const std::set<std::string> structural = {
+      "id",           "lower_bound",        "unsorted_tables",
+      "unsorted_bytes", "sorted_tables",    "sorted_bytes",
+      "logical_bytes", "vlog_files",        "vlog_bytes",
+      "vlog_garbage_bytes", "garbage_ratio", "index_entries",
+      "index_bytes",  "write_amp",          "space_amp"};
+  const auto parts = ArrayObjects(Members(json, 0).at("partitions"));
+  ASSERT_EQ(parts.size(), reg.partitions.size());
+  uint64_t heat_reads = 0;
+  for (const auto& part : parts) {
+    const uint32_t pid = static_cast<uint32_t>(ToU64(part.at("id")));
+    ASSERT_EQ(reg.partitions.count(pid), 1u) << pid;
+    const auto& series = reg.partitions.at(pid);
+    for (const auto& [name, v] : series) {
+      ASSERT_EQ(part.count(name), 1u) << name << " of partition " << pid;
+      EXPECT_EQ(ToU64(part.at(name)), v) << name << " of partition " << pid;
+    }
+    for (const auto& [name, raw] : part) {
+      EXPECT_TRUE(structural.count(name) == 1 || series.count(name) == 1)
+          << name << " of partition " << pid << " is not a registry series";
+    }
+    heat_reads += series.at("heat_reads");
+  }
+  // Each Get and each distinct MultiGet key heats one partition.
+  EXPECT_EQ(heat_reads, reg.engine.at("gets") + reg.engine.at("multiget_keys"));
+
+  // db.stats renders the same series (sizes in MiB aside).
+  for (const char* name : {"flushes", "merges", "scan_merges", "gcs",
+                           "splits", "write_stalls", "stall_micros"}) {
+    const std::string field = std::string(" ") + name + "=";
+    const size_t pos = (" " + stats_text).find(field);
+    ASSERT_NE(pos, std::string::npos) << name << " in " << stats_text;
+    EXPECT_EQ(std::strtoull(stats_text.c_str() + pos + field.size() - 1,
+                            nullptr, 10),
+              reg.engine.at(name))
+        << name;
+  }
+}
+
+TEST_F(DbMetricsTest, HeatBumpsRaceReportsAndSampler) {
+  // Get and MultiGet threads bump per-partition heat (and a writer drives
+  // flushes, merges and splits, registering new partitions) while another
+  // thread renders every report and the sampler diffs the registry. Run
+  // under ThreadSanitizer by db_metrics_tsan_test.
+  Options opt = SmallOptions();
+  opt.partition_size_limit = 256 * 1024;
+  opt.stats_sample_interval_ms = 5;
+  OpenDb(opt, "_race");
+  for (int i = 0; i < 400; i++) {
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), test::TestKey(i), test::TestValue(i, 256))
+            .ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int i = 400; i < 1600; i++) {
+      ASSERT_TRUE(
+          db_->Put(WriteOptions(), test::TestKey(i), test::TestValue(i, 256))
+              .ok());
+    }
+    stop = true;
+  });
+  threads.emplace_back([&] {
+    std::string value;
+    for (uint64_t n = 0; !stop; n++) {
+      (void)db_->Get(ReadOptions(), test::TestKey(n * 13 % 400), &value);
+      reads++;
+    }
+  });
+  threads.emplace_back([&] {
+    std::vector<std::string> key_bufs;
+    for (int i = 0; i < 400; i += 25) key_bufs.push_back(test::TestKey(i));
+    std::vector<Slice> keys(key_bufs.begin(), key_bufs.end());
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    while (!stop) {
+      (void)db_->MultiGet(ReadOptions(), keys, &values, &statuses);
+      reads++;
+    }
+  });
+  threads.emplace_back([&] {
+    std::string v;
+    while (!stop) {
+      EXPECT_TRUE(db_->GetProperty("db.metrics.json", &v));
+      EXPECT_TRUE(test::IsValidJson(v));
+      EXPECT_TRUE(db_->GetProperty("db.metrics", &v));
+      EXPECT_TRUE(db_->GetProperty("db.stats", &v));
+      EXPECT_TRUE(db_->GetProperty("db.stats.history", &v));
+      EXPECT_TRUE(test::IsValidJson(v));
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_GT(reads.load(), 0u);
+  ASSERT_TRUE(db_->CompactAll().ok());
+
+  // Heat counted during the race is all there: quiescent, the registry
+  // holds at least one heat bump per completed Get.
+  std::string json;
+  ASSERT_TRUE(db_->GetProperty("db.metrics.json", &json));
+  uint64_t heat_reads = 0;
+  for (const auto& part : ArrayObjects(Members(json, 0).at("partitions"))) {
+    heat_reads += ToU64(part.at("heat_reads"));
+  }
+  EXPECT_GT(heat_reads, 0u);
+  db_.reset();  // Joins the sampler while history is live.
 }
 
 }  // namespace
