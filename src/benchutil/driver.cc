@@ -216,8 +216,6 @@ PhaseResult RunMultiGet(BenchDb* bdb, const MultiGetSpec& spec) {
   }
   PhaseTimer timer(bdb, &r);
   Env* env = Env::Default();
-  ReadOptions ro;
-  ro.multiget_parallelism = spec.parallelism;
   std::vector<Slice> keys(r.batch);
   std::vector<std::string> values;
   std::vector<Status> statuses;
@@ -227,7 +225,7 @@ PhaseResult RunMultiGet(BenchDb* bdb, const MultiGetSpec& spec) {
       keys[i] = Slice(key_bufs[b * r.batch + i]);
     }
     uint64_t t0 = env->NowMicros();
-    Status s = bdb->db()->MultiGet(ro, keys, &values, &statuses);
+    Status s = bdb->db()->MultiGet(ReadOptions(), keys, &values, &statuses);
     r.latency_us.Add(env->NowMicros() - t0);
     if (!s.ok()) {
       std::fprintf(stderr, "multiget failed: %s\n", s.ToString().c_str());

@@ -111,7 +111,6 @@ struct MultiGetSpec {
   uint64_t key_space = 100000;
   Distribution dist = Distribution::kUniform;
   uint32_t seed = 7;
-  int parallelism = 1;  // ReadOptions::multiget_parallelism.
 };
 
 /// Issues MultiGet batches of `batch` keys until num_keys keys have been

@@ -138,8 +138,9 @@ struct Options {
 
   // --- Ablation switches (F12 experiment). All default on. ---
 
-  /// Off: point lookups in the UnsortedStore scan tables newest-to-oldest
-  /// instead of consulting the hash index.
+  /// Off: point lookups in the UnsortedStore probe every table whose key
+  /// range covers the key, newest (largest table id) first, instead of
+  /// consulting the hash index.
   bool enable_hash_index = true;
   /// Off: merges write values inline into SortedStore tables (no value
   /// logs, no GC).
@@ -172,7 +173,9 @@ struct Options {
 
 struct ReadOptions {
   /// Insert data blocks read by this operation into the block cache.
-  /// Turn off for bulk scans that should not evict the hot working set.
+  /// Honoured by Get, MultiGet, iterators and scans. Turn off for bulk
+  /// reads that should not evict the hot working set; blocks already
+  /// cached are still served from the cache.
   bool fill_cache = true;
 
   /// Snapshot sequence for Get, MultiGet, iterators and scans: entries
@@ -186,12 +189,6 @@ struct ReadOptions {
   /// have seen. An iterator opened before the merge pins its version and
   /// is unaffected.
   uint64_t snapshot = 0;
-
-  /// MultiGet only: upper bound on reader tasks a batch may fan out
-  /// across the value-fetch pool when its keys span several partitions.
-  /// <= 1 (the default) resolves every partition group on the calling
-  /// thread. Clamped to the pool size (Options::value_fetch_threads).
-  int multiget_parallelism = 1;
 };
 
 struct WriteOptions {

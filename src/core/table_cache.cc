@@ -78,27 +78,48 @@ Status TableCache::Get(uint64_t file_number, uint64_t file_size,
 }
 
 TableCache::BatchPin::~BatchPin() {
-  for (const auto& [number, handle] : handles_) {
-    cache_->cache_->Release(reinterpret_cast<Cache::Handle*>(handle));
+  Cache* cache = cache_->cache_.get();
+  for (size_t i = 0; i < num_inline_; i++) {
+    cache->Release(reinterpret_cast<Cache::Handle*>(inline_[i].second));
+  }
+  for (const auto& [number, handle] : overflow_) {
+    cache->Release(reinterpret_cast<Cache::Handle*>(handle));
+  }
+}
+
+void* TableCache::BatchPin::Find(uint64_t file_number) const {
+  for (size_t i = 0; i < num_inline_; i++) {
+    if (inline_[i].first == file_number) return inline_[i].second;
+  }
+  for (const auto& [number, handle] : overflow_) {
+    if (number == file_number) return handle;
+  }
+  return nullptr;
+}
+
+void TableCache::BatchPin::Add(uint64_t file_number, void* handle) {
+  if (num_inline_ < kInline) {
+    inline_[num_inline_++] = Entry(file_number, handle);
+  } else {
+    overflow_.emplace_back(file_number, handle);
   }
 }
 
 Status TableCache::GetPinned(BatchPin* pin, uint64_t file_number,
                              uint64_t file_size, const Slice& internal_key,
-                             bool* found, std::string* key_out,
-                             std::string* value_out, Table::Probe* probe) {
-  void* handle = nullptr;
-  auto it = pin->handles_.find(file_number);
-  if (it != pin->handles_.end()) {
-    handle = it->second;
-  } else {
+                             bool fill_cache, bool* found,
+                             std::string* key_out, std::string* value_out,
+                             Table::Probe* probe) {
+  void* handle = pin->Find(file_number);
+  if (handle == nullptr) {
     Status s = FindTable(file_number, file_size, &handle);
     if (!s.ok()) return s;
-    pin->handles_.emplace(file_number, handle);
+    pin->Add(file_number, handle);
   }
   Cache::Handle* h = reinterpret_cast<Cache::Handle*>(handle);
   Table* table = reinterpret_cast<Table*>(cache_->Value(h));
-  return table->Get(internal_key, found, key_out, value_out, probe);
+  return table->Get(internal_key, found, key_out, value_out, probe,
+                    fill_cache);
 }
 
 bool TableCache::KeyMayMatch(uint64_t file_number, uint64_t file_size,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,9 +41,9 @@ class TableCache {
              const Slice& internal_key, bool* found, std::string* key_out,
              std::string* value_out);
 
-  /// Keeps the LRU handles of the tables one batched operation touches
-  /// pinned until destruction, so N lookups of the same table inside one
-  /// MultiGet batch cost one cache Lookup/Release pair instead of N
+  /// Keeps the LRU handles of the tables a point read touches in one
+  /// partition pinned until destruction, so N lookups of the same table
+  /// inside one MultiGet cost one cache Lookup/Release pair instead of N
   /// (per-key handle churn is pure shared-LRU contention). Single-caller;
   /// must not outlive the TableCache.
   class BatchPin {
@@ -57,17 +56,28 @@ class TableCache {
 
    private:
     friend class TableCache;
+    using Entry = std::pair<uint64_t, void*>;  // (file_number, handle)
+    /// Returns the pinned handle of `file_number`, or null.
+    void* Find(uint64_t file_number) const;
+    void Add(uint64_t file_number, void* handle);
+
     TableCache* const cache_;
-    /// file_number -> pinned handle (release deferred to ~BatchPin).
-    std::unordered_map<uint64_t, void*> handles_;
+    /// Pinned handles, released in ~BatchPin. A pin serves one partition's
+    /// tables, so the list stays short; its first kInline entries live in
+    /// the object, so a Get (one or a few tables) allocates nothing.
+    static constexpr size_t kInline = 4;
+    Entry inline_[kInline];
+    size_t num_inline_ = 0;
+    std::vector<Entry> overflow_;
   };
 
-  /// Get through `pin`: the table handle is resolved via the pin's local
-  /// map first and stays pinned for the pin's lifetime. `probe` (optional)
-  /// additionally carries the last resolved data block between calls; it
-  /// must be released before `pin` is destroyed.
+  /// Seeks `internal_key` in the named table through `pin`: the table
+  /// handle is resolved via the pin's list first and stays pinned for the
+  /// pin's lifetime. `probe` (optional) additionally carries the last
+  /// resolved data block between calls; it must be released before `pin`
+  /// is destroyed. See Table::Get for `fill_cache`.
   Status GetPinned(BatchPin* pin, uint64_t file_number, uint64_t file_size,
-                   const Slice& internal_key, bool* found,
+                   const Slice& internal_key, bool fill_cache, bool* found,
                    std::string* key_out, std::string* value_out,
                    Table::Probe* probe = nullptr);
 

@@ -1082,71 +1082,8 @@ Status UniKVDB::Get(const ReadOptions& options, const Slice& key,
   const bool timed = (tls_fold.sample_tick++ % kPerfSampleEvery) == 0;
   const uint64_t start_us = timed ? env_->NowMicros() : 0;
   perf->gets++;
-
-  MemTable* mem;
-  MemTable* imm = nullptr;
-  VersionPtr ver;
-  std::vector<uint16_t> candidates;
-  int pi;
-  // Snapshot at the published sequence (everything at or below it has
-  // completed its memtable insert, so acked writes are always readable)
-  // or at the caller's older snapshot.
-  const SequenceNumber snapshot = ReadSequence(options);
-  {
-    // Pin the key's shard memtables *before* capturing the version: if a
-    // flush installs between the two, the entry is in both the pinned imm
-    // and the newer version's tables — never in neither.
-    WriteShard* shard = shards_[ShardOf(key)].get();
-    MutexLock shard_lock(&shard->mu);
-    mem = shard->mem;
-    mem->Ref();
-    imm = shard->imm;
-    if (imm != nullptr) imm->Ref();
-  }
-  {
-    // Capture what must be mutually consistent — the version and the
-    // hash-index candidates — under one mutex hold. Index contents always
-    // correspond to the version installed under the same lock.
-    MutexLock lock(&mu_);
-    ver = versions_->current();
-    pi = ver->FindPartition(key);
-    // Read-heat accounting: the partition is already resolved under mu_,
-    // so the bump is one hash-map find on the lock we hold anyway.
-    heat_reads_.at(ver->partitions[pi]->id)->Inc();
-    if (options_.enable_hash_index) {
-      auto it = indexes_.find(ver->partitions[pi]->id);
-      if (it != indexes_.end()) {
-        it->second->Lookup(key, &candidates);
-      }
-    }
-  }
-
-  LookupKey lkey(key, snapshot);
   Status s;
-  bool done = false;
-  if (mem->Get(lkey, value, &s)) {
-    done = true;
-    perf->memtable_hits++;
-  } else if (imm != nullptr && imm->Get(lkey, value, &s)) {
-    done = true;
-    perf->memtable_hits++;
-  }
-
-  if (!done) {
-    const PartitionState& p = *ver->partitions[pi];
-    bool found = false;
-    s = GetFromUnsorted(p, &candidates, lkey, value, &found);
-    if (s.ok() && !found) {
-      s = GetFromSorted(p, lkey, value, &found);
-    }
-    if (s.ok() && !found) {
-      s = Status::NotFound(Slice());
-    }
-  }
-
-  mem->Unref();
-  if (imm != nullptr) imm->Unref();
-
+  MultiGetImpl(options, &key, 1, value, &s);
   if (timed) {
     const uint64_t dur = env_->NowMicros() - start_us;
     perf->get_micros += dur;
@@ -1158,8 +1095,6 @@ Status UniKVDB::Get(const ReadOptions& options, const Slice& key,
   return s;
 }
 
-// ----------------------------------------------- batched read (MultiGet)
-
 Status UniKVDB::MultiGet(const ReadOptions& options,
                          const std::vector<Slice>& keys,
                          std::vector<std::string>* values,
@@ -1170,328 +1105,277 @@ Status UniKVDB::MultiGet(const ReadOptions& options,
   const uint64_t start_us = env_->NowMicros();
   perf->multigets++;
   perf->multiget_keys += keys.size();
-  Status s = MultiGetImpl(options, keys, values, statuses);
+  // resize() (not clear+resize) so a caller reusing its vectors across
+  // batches keeps each slot's string capacity: values are assigned over,
+  // never appended. Slots whose status ends up non-OK are unspecified.
+  values->resize(keys.size());
+  statuses->resize(keys.size());
+  MultiGetImpl(options, keys.data(), keys.size(), values->data(),
+               statuses->data());
   const uint64_t dur = env_->NowMicros() - start_us;
   perf->multiget_micros += dur;
   metrics_.multiget_latency->Add(dur == 0 ? 1 : dur);
   metrics_.multiget_keys_per_batch->Add(keys.size());
   PerfEndOp(perf);
-  return s;
-}
-
-Status UniKVDB::MultiGetImpl(const ReadOptions& options,
-                             const std::vector<Slice>& keys,
-                             std::vector<std::string>* values,
-                             std::vector<Status>* statuses) {
-  const size_t n = keys.size();
-  // resize() (not clear+resize) so a caller reusing its vectors across
-  // batches keeps each slot's string capacity: values are assigned over,
-  // never appended. Slots whose status ends up non-OK are unspecified.
-  values->resize(n);
-  statuses->assign(n, Status::OK());
-  if (n == 0) return Status::OK();
-
-  PerfContext* perf = GetPerfContext();
-
-  // One snapshot for the whole batch: every key reads at or below the
-  // same sequence, so a concurrent write batch is visible to all of the
-  // MultiGet or to none of it.
-  const SequenceNumber snapshot = ReadSequence(options);
-
-  // Pin every touched shard's memtables once, *before* capturing the
-  // version (same order as Get: an entry flushed mid-capture is in a
-  // pinned imm or in the version's tables, never in neither).
-  struct ShardPin {
-    MemTable* mem = nullptr;
-    MemTable* imm = nullptr;
-  };
-  std::vector<uint32_t> shard_of(n);
-  std::vector<ShardPin> pins(shards_.size());
-  for (size_t i = 0; i < n; i++) shard_of[i] = ShardOf(keys[i]);
-  for (size_t i = 0; i < n; i++) {
-    ShardPin& pin = pins[shard_of[i]];
-    if (pin.mem != nullptr) continue;
-    WriteShard* shard = shards_[shard_of[i]].get();
-    MutexLock shard_lock(&shard->mu);
-    pin.mem = shard->mem;
-    pin.mem->Ref();
-    pin.imm = shard->imm;
-    if (pin.imm != nullptr) pin.imm->Ref();
-  }
-
-  // Probe order: key-sorted, so partition routing walks the boundary list
-  // monotonically and each partition group below probes its tables in
-  // ascending key order.
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; i++) order[i] = i;
-  std::sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
-    return keys[a].compare(keys[b]) < 0;
-  });
-
-  // Duplicate keys resolve once: the whole batch reads one snapshot, so
-  // every repeat of a key must produce the same answer. `rep[i]` is the
-  // index that does the work; duplicate slots copy its result at the end.
-  // (Skewed batches repeat their hot keys — a looped Get pays the full
-  // lookup for every repeat.)
-  std::vector<size_t> rep(n);
-  std::vector<size_t> uniq;
-  uniq.reserve(n);
-  for (size_t j = 0; j < n; j++) {
-    const size_t idx = order[j];
-    if (j > 0 && keys[idx] == keys[order[j - 1]]) {
-      rep[idx] = rep[order[j - 1]];
-      continue;
-    }
-    rep[idx] = idx;
-    uniq.push_back(idx);
-  }
-
-  // One mu_ hold for the whole batch captures what must be mutually
-  // consistent — the version and the hash-index candidates — and bumps
-  // the per-partition read-heat counters in bulk. A point Get pays this
-  // lock per key; the batch pays it once.
-  VersionPtr ver;
-  std::vector<int> part_of(n);
-  std::vector<std::vector<uint16_t>> candidates(n);
-  {
-    MutexLock lock(&mu_);
-    ver = versions_->current();
-    // Keys arrive sorted, so partition routing repeats: memoize the last
-    // partition's heat counter instead of re-hashing per key.
-    int last_pi = -1;
-    Counter* last_heat = nullptr;
-    for (size_t idx : uniq) {
-      const int pi = ver->FindPartition(keys[idx]);
-      part_of[idx] = pi;
-      if (pi != last_pi) {
-        last_pi = pi;
-        last_heat = heat_reads_.at(ver->partitions[pi]->id);
-      }
-      last_heat->Inc();
-      // No unsorted tables -> no candidates to find; skip the hash.
-      if (options_.enable_hash_index && !ver->partitions[pi]->unsorted.empty()) {
-        auto it = indexes_.find(ver->partitions[pi]->id);
-        if (it != indexes_.end()) {
-          it->second->Lookup(keys[idx], &candidates[idx]);
-        }
-      }
-    }
-  }
-
-
-  // Memtable probes run lock-free against the pinned tables (skipped
-  // entirely against empty memtables — the common read-mostly case).
-  std::vector<char> done(n, 0);
-  for (size_t idx : uniq) {
-    const ShardPin& pin = pins[shard_of[idx]];
-    const bool mem_live = pin.mem->NumEntries() != 0;
-    const bool imm_live = pin.imm != nullptr && pin.imm->NumEntries() != 0;
-    if (!mem_live && !imm_live) continue;
-    LookupKey lkey(keys[idx], snapshot);
-    Status s;
-    if ((mem_live && pin.mem->Get(lkey, &(*values)[idx], &s)) ||
-        (imm_live && pin.imm->Get(lkey, &(*values)[idx], &s))) {
-      perf->memtable_hits++;
-      (*statuses)[idx] = s;
-      done[idx] = 1;
-    }
-  }
-
-
-  // Group the unresolved keys by partition (members stay key-sorted).
-  std::vector<std::vector<size_t>> groups;
-  {
-    // Sorted keys visit partitions in runs, so almost every key joins the
-    // group just appended; the map only resolves the rare re-visit.
-    std::unordered_map<int, size_t> group_of;
-    int last_part = -1;
-    size_t last_group = 0;
-    for (size_t idx : uniq) {
-      if (done[idx]) continue;
-      if (part_of[idx] != last_part) {
-        auto [it, inserted] =
-            group_of.try_emplace(part_of[idx], groups.size());
-        if (inserted) groups.emplace_back();
-        last_part = part_of[idx];
-        last_group = it->second;
-      }
-      groups[last_group].push_back(idx);
-    }
-  }
-
-  // Probe each partition group's stores with one pinned table-handle set
-  // per group (N probes of the same table cost one cache lookup, not N).
-  // Separated values are not fetched here: their pointers are collected
-  // for the batched value fetch below.
-  std::vector<std::vector<ValueFetcher::Item>> deferred_per_group(
-      groups.size());
-
-  auto resolve_group = [this, &keys, &candidates, &part_of, &ver, snapshot,
-                        values, statuses](
-                           const std::vector<size_t>& members,
-                           std::vector<ValueFetcher::Item>* defer) {
-    TableCache::BatchPin pin(table_cache_.get());
-    // Declared after `pin` so the destructor order releases the probe's
-    // block before the table handles it borrows from. Members are probed
-    // in ascending key order, so consecutive keys usually resolve to the
-    // same sorted-store data block and skip its cache lookup entirely.
-    Table::Probe probe;
-    for (size_t idx : members) {
-      const PartitionState& p = *ver->partitions[part_of[idx]];
-      LookupKey lkey(keys[idx], snapshot);
-      bool found = false;
-      Status s = GetFromUnsorted(p, &candidates[idx], lkey, &(*values)[idx],
-                                 &found, &pin);
-      if (s.ok() && !found) {
-        ValuePointer dptr;
-        bool is_deferred = false;
-        s = GetFromSorted(p, lkey, &(*values)[idx], &found, &pin, &dptr,
-                          &is_deferred, &probe);
-        if (s.ok() && is_deferred) {
-          // Status resolves when the log fetch completes.
-          defer->push_back(ValueFetcher::Item{dptr, keys[idx],
-                                              &(*values)[idx],
-                                              &(*statuses)[idx]});
-          continue;
-        }
-      }
-      if (s.ok() && !found) s = Status::NotFound(Slice());
-      (*statuses)[idx] = s;
-    }
-  };
-
-  // Optionally fan partition groups across the reader pool. Tasks own
-  // disjoint key indices, so they never write the same output slot.
-  // PerfContext increments made on pool workers stay in those workers'
-  // thread-local contexts (same caveat as parallel scan fetches); the
-  // registry-wired vlog counters and the multiget_* counters below are
-  // unaffected.
-  const int parallelism =
-      std::min({options.multiget_parallelism, static_cast<int>(groups.size()),
-                fetch_pool_->num_threads()});
-  if (parallelism > 1) {
-    ThreadPool::TaskGroup tasks;
-    const size_t chunk = (groups.size() + parallelism - 1) / parallelism;
-    for (size_t begin = 0; begin < groups.size(); begin += chunk) {
-      const size_t end = std::min(begin + chunk, groups.size());
-      fetch_pool_->Schedule(&tasks, [&, begin, end] {
-        for (size_t g = begin; g < end; g++) {
-          resolve_group(groups[g], &deferred_per_group[g]);
-        }
-      });
-    }
-    tasks.Wait();
-  } else {
-    for (size_t g = 0; g < groups.size(); g++) {
-      resolve_group(groups[g], &deferred_per_group[g]);
-    }
-  }
-
-  // One sorted, coalesced fetch of every separated value the batch needs.
-  std::vector<ValueFetcher::Item> deferred;
-  for (auto& d : deferred_per_group) {
-    deferred.insert(deferred.end(), d.begin(), d.end());
-  }
-  if (!deferred.empty()) {
-    const ValueFetcher::Stats fetched =
-        ValueFetcher(vlog_cache_.get(), fetch_pool_.get())
-            .Fetch(&deferred, options.multiget_parallelism);
-    // Counted on the calling thread so the coalescing win reaches this
-    // DB's registry (pool-thread PerfContexts are never folded here).
-    perf->multiget_coalesced_reads += fetched.coalesced_spans;
-    perf->multiget_io_bytes_saved += fetched.bytes_saved;
-  }
-
-
-  for (ShardPin& pin : pins) {
-    if (pin.mem != nullptr) pin.mem->Unref();
-    if (pin.imm != nullptr) pin.imm->Unref();
-  }
-
-  // Duplicate slots copy their representative's answer.
-  for (size_t i = 0; i < n; i++) {
-    if (rep[i] != i) {
-      (*values)[i] = (*values)[rep[i]];
-      (*statuses)[i] = (*statuses)[rep[i]];
-    }
-  }
-
-  for (size_t i = 0; i < n; i++) {
-    const Status& s = (*statuses)[i];
+  // Absent keys are per-key NotFound; the batch fails only on a real error.
+  for (const Status& s : *statuses) {
     if (!s.ok() && !s.IsNotFound()) return s;
   }
   return Status::OK();
 }
 
-Status UniKVDB::GetFromUnsorted(const PartitionState& p,
-                                std::vector<uint16_t>* candidates,
-                                const LookupKey& lkey, std::string* value,
-                                bool* found, TableCache::BatchPin* pin) {
-  *found = false;
-  if (p.unsorted.empty()) return Status::OK();
+namespace {
 
-  const Slice user_key = lkey.user_key();
-  std::vector<const FileMeta*> probe_order;
-  if (options_.enable_hash_index) {
-    if (candidates->empty()) return Status::OK();
-    // Newer tables have larger table ids within an epoch: probing ids in
-    // descending order guarantees the newest version wins even under
-    // keyTag collisions.
-    std::sort(candidates->begin(), candidates->end(),
-              std::greater<uint16_t>());
-    candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                      candidates->end());
-    for (uint16_t id : *candidates) {
-      for (const FileMeta& f : p.unsorted) {
-        if (f.table_id == id) {
-          probe_order.push_back(&f);
-          break;
+// Per-call scratch of the point-read path: a one-key read (Get) keeps its
+// single element inline, so it allocates nothing; a batch allocates n.
+template <typename T>
+class OneOrMany {
+ public:
+  explicit OneOrMany(size_t n)
+      : heap_(n > 1 ? std::make_unique<T[]>(n) : nullptr),
+        data_(n > 1 ? heap_.get() : &one_) {}
+  OneOrMany(const OneOrMany&) = delete;
+  OneOrMany& operator=(const OneOrMany&) = delete;
+
+  T& operator[](size_t i) { return data_[i]; }
+  T* data() { return data_; }
+
+ private:
+  T one_{};
+  std::unique_ptr<T[]> heap_;
+  T* const data_;
+};
+
+struct ShardPin {
+  MemTable* mem = nullptr;
+  MemTable* imm = nullptr;
+};
+
+// One distinct key of a point read.
+struct KeyRead {
+  size_t slot = 0;  // Its first index in keys[] (by sorted order).
+  int partition = 0;
+  const ShardPin* pin = nullptr;
+  bool done = false;                 // Resolved by a memtable.
+  std::vector<uint16_t> candidates;  // Hash-index hits.
+};
+
+}  // namespace
+
+void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
+                           size_t n, std::string* values, Status* statuses) {
+  if (n == 0) return;
+  PerfContext* perf = GetPerfContext();
+
+  // One snapshot for the whole call, at the published sequence (everything
+  // at or below it has completed its memtable insert, so acked writes are
+  // always readable) or at the caller's older snapshot. Every key reads at
+  // or below it, so a concurrent write batch is visible to all of a
+  // MultiGet or to none of it.
+  const SequenceNumber snapshot = ReadSequence(options);
+
+  // Key-sorted order: FindPartition is a monotone search over range
+  // partitions, so each partition's keys form one contiguous run, probed
+  // in ascending key order. Duplicate keys resolve once: the call reads
+  // one snapshot, so every repeat of a key has the same answer, copied
+  // from its first occurrence at the end.
+  OneOrMany<size_t> order(n);
+  for (size_t i = 0; i < n; i++) order[i] = i;
+  std::sort(order.data(), order.data() + n, [keys](size_t a, size_t b) {
+    return keys[a].compare(keys[b]) < 0;
+  });
+  OneOrMany<KeyRead> reads(n);
+  size_t m = 0;
+  for (size_t j = 0; j < n; j++) {
+    if (j > 0 && keys[order[j]] == keys[order[j - 1]]) continue;
+    reads[m++].slot = order[j];
+  }
+
+  // Pin every touched shard's memtables once, *before* capturing the
+  // version: if a flush installs between the two, an entry is in a pinned
+  // imm or in the newer version's tables, never in neither.
+  const size_t num_pins = n == 1 ? 1 : shards_.size();
+  OneOrMany<ShardPin> pins(num_pins);
+  for (size_t r = 0; r < m; r++) {
+    const uint32_t shard = ShardOf(keys[reads[r].slot]);
+    ShardPin& pin = pins[n == 1 ? 0 : shard];
+    reads[r].pin = &pin;
+    if (pin.mem != nullptr) continue;
+    WriteShard* ws = shards_[shard].get();
+    MutexLock shard_lock(&ws->mu);
+    pin.mem = ws->mem;
+    pin.mem->Ref();
+    pin.imm = ws->imm;
+    if (pin.imm != nullptr) pin.imm->Ref();
+  }
+
+  // One mu_ hold captures what must be mutually consistent — the version
+  // and the hash-index candidates (index contents always correspond to
+  // the version installed under the same lock) — and bumps the
+  // per-partition read heat.
+  VersionPtr ver;
+  {
+    MutexLock lock(&mu_);
+    ver = versions_->current();
+    int last_pi = -1;
+    Counter* heat = nullptr;
+    for (size_t r = 0; r < m; r++) {
+      KeyRead& k = reads[r];
+      k.partition = ver->FindPartition(keys[k.slot]);
+      const PartitionState& p = *ver->partitions[k.partition];
+      if (k.partition != last_pi) {
+        last_pi = k.partition;
+        heat = heat_reads_.at(p.id);
+      }
+      heat->Inc();
+      // No unsorted tables -> no candidates to find; skip the hash.
+      if (options_.enable_hash_index && !p.unsorted.empty()) {
+        auto it = indexes_.find(p.id);
+        if (it != indexes_.end()) {
+          it->second->Lookup(keys[k.slot], &k.candidates);
         }
       }
     }
-  } else {
-    // Ablation mode: probe every table newest-to-oldest with range checks.
-    for (auto it = p.unsorted.rbegin(); it != p.unsorted.rend(); ++it) {
-      if (user_key.compare(Slice(it->smallest)) >= 0 &&
-          user_key.compare(Slice(it->largest)) <= 0) {
-        probe_order.push_back(&*it);
+  }
+
+  // Memtable probes run lock-free against the pinned tables (skipped
+  // entirely against empty memtables — the common read-mostly case).
+  for (size_t r = 0; r < m; r++) {
+    KeyRead& k = reads[r];
+    const ShardPin& pin = *k.pin;
+    const bool mem_live = pin.mem->NumEntries() != 0;
+    const bool imm_live = pin.imm != nullptr && pin.imm->NumEntries() != 0;
+    if (!mem_live && !imm_live) continue;
+    LookupKey lkey(keys[k.slot], snapshot);
+    Status s;
+    if ((mem_live && pin.mem->Get(lkey, &values[k.slot], &s)) ||
+        (imm_live && pin.imm->Get(lkey, &values[k.slot], &s))) {
+      perf->memtable_hits++;
+      statuses[k.slot] = s;
+      k.done = true;
+    }
+  }
+
+  // Store probes, one partition run at a time. A run pins its table
+  // handles once (N probes of one table cost one cache lookup) and carries
+  // its last data block across keys (Table::Probe; declared after the pin
+  // so it releases first). Separated values are not fetched here: their
+  // pointers are collected for the one fetch below.
+  OneOrMany<ValueFetcher::Item> items(m);
+  size_t num_items = 0;
+  for (size_t r = 0; r < m;) {
+    const int part = reads[r].partition;
+    const PartitionState& p = *ver->partitions[part];
+    TableCache::BatchPin table_pin(table_cache_.get());
+    Table::Probe probe;
+    for (; r < m && reads[r].partition == part; r++) {
+      KeyRead& k = reads[r];
+      if (k.done) continue;
+      LookupKey lkey(keys[k.slot], snapshot);
+      std::string* value = &values[k.slot];
+      ValuePointer ptr;
+      bool separated = false;
+      Status s = GetFromStores(p, &k.candidates, lkey, options.fill_cache,
+                               &table_pin, &probe, value, &ptr, &separated);
+      if (separated) {
+        // Status resolves when the log fetch completes.
+        items[num_items++] =
+            ValueFetcher::Item{ptr, keys[k.slot], value, &statuses[k.slot]};
+      } else {
+        statuses[k.slot] = std::move(s);
       }
     }
   }
 
-  std::string found_key, found_value;
-  for (const FileMeta* f : probe_order) {
-    GetPerfContext()->unsorted_tables_probed++;
-    bool hit = false;
-    Status s =
-        pin != nullptr
-            ? table_cache_->GetPinned(pin, f->number, f->size,
-                                      lkey.internal_key(), &hit, &found_key,
-                                      &found_value)
-            : table_cache_->Get(f->number, f->size, lkey.internal_key(),
-                                &hit, &found_key, &found_value);
-    if (!s.ok()) return s;
-    if (hit && ExtractUserKey(found_key) == user_key) {
-      ValueType type = ExtractValueType(found_key);
-      if (type == kTypeDeletion) {
-        *found = true;
-        return Status::NotFound(Slice());
-      }
-      *found = true;
-      *value = std::move(found_value);
-      return Status::OK();
+  // One fetch of every separated value, on the calling thread: a lone
+  // value (every Get) is a point pread, several are sorted and coalesced.
+  if (num_items > 0) {
+    const ValueFetcher::Stats fetched =
+        ValueFetcher(vlog_cache_.get(), nullptr)
+            .Fetch(items.data(), num_items, 1);
+    perf->multiget_coalesced_reads += fetched.coalesced_spans;
+    perf->multiget_io_bytes_saved += fetched.bytes_saved;
+  }
+
+  for (size_t i = 0; i < num_pins; i++) {
+    if (pins[i].mem != nullptr) pins[i].mem->Unref();
+    if (pins[i].imm != nullptr) pins[i].imm->Unref();
+  }
+
+  // Duplicate slots copy the answer of the slot sorted just before them.
+  for (size_t j = 1; j < n; j++) {
+    const size_t i = order[j], prev = order[j - 1];
+    if (keys[i] == keys[prev]) {
+      values[i] = values[prev];
+      statuses[i] = statuses[prev];
     }
   }
-  return Status::OK();
 }
 
-Status UniKVDB::GetFromSorted(const PartitionState& p, const LookupKey& lkey,
-                              std::string* value, bool* found,
-                              TableCache::BatchPin* pin, ValuePointer* dptr,
-                              bool* deferred, Table::Probe* probe) {
-  *found = false;
-  if (deferred != nullptr) *deferred = false;
+Status UniKVDB::GetFromStores(const PartitionState& p,
+                              std::vector<uint16_t>* candidates,
+                              const LookupKey& lkey, bool fill_cache,
+                              TableCache::BatchPin* pin, Table::Probe* probe,
+                              std::string* value, ValuePointer* ptr,
+                              bool* separated) {
+  *separated = false;
   const Slice user_key = lkey.user_key();
+  PerfContext* perf = GetPerfContext();
+  Status s;
+  // Probes one table; true when it settles the key with a value, a
+  // separated value's pointer, a tombstone (NotFound) or an error, in s.
+  // The probe's scratch strings are reused across the partition's keys;
+  // its block stash (`block`) serves only the SortedStore probe, whose
+  // consecutive keys usually share a data block.
+  auto settles = [&](const FileMeta& f, Table::Probe* block) {
+    bool hit = false;
+    std::string& found_key = probe->key_scratch;
+    std::string& found_value = probe->value_scratch;
+    s = table_cache_->GetPinned(pin, f.number, f.size, lkey.internal_key(),
+                                fill_cache, &hit, &found_key, &found_value,
+                                block);
+    if (!s.ok()) return true;
+    if (!hit || ExtractUserKey(found_key) != user_key) return false;
+    const ValueType type = ExtractValueType(found_key);
+    if (type == kTypeDeletion) {
+      s = Status::NotFound(Slice());
+    } else if (type == kTypeValue) {
+      *value = std::move(found_value);
+    } else {
+      Slice encoded(found_value);
+      *separated = ptr->DecodeFrom(&encoded);
+      if (!*separated) s = Status::Corruption("bad value pointer");
+    }
+    return true;
+  };
+
+  if (!options_.enable_hash_index) {
+    // Ablation mode: every table whose key range covers the key is a
+    // candidate.
+    for (const FileMeta& f : p.unsorted) {
+      if (user_key.compare(Slice(f.smallest)) >= 0 &&
+          user_key.compare(Slice(f.largest)) <= 0) {
+        candidates->push_back(f.table_id);
+      }
+    }
+  }
+  // Newer tables have larger table ids within an epoch, while the list's
+  // order does not follow age: a scan-merge output is appended after the
+  // tables flushed while it ran, but reuses the largest id it consumed.
+  // Probing ids in descending order makes the newest version win, even
+  // under keyTag collisions.
+  std::sort(candidates->begin(), candidates->end(), std::greater<uint16_t>());
+  candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                    candidates->end());
+  for (uint16_t id : *candidates) {
+    for (const FileMeta& f : p.unsorted) {
+      if (f.table_id != id) continue;
+      perf->unsorted_tables_probed++;
+      if (settles(f, nullptr)) return s;
+      break;
+    }
+  }
+
   // Binary search the sorted run by largest key (paper: compare boundary
   // keys kept in memory; at most one table can contain the key).
   const auto& files = p.sorted;
@@ -1506,67 +1390,21 @@ Status UniKVDB::GetFromSorted(const PartitionState& p, const LookupKey& lkey,
       hi = mid - 1;
     }
   }
-  if (target < 0 || user_key.compare(Slice(files[target].smallest)) < 0) {
-    return Status::OK();
+  if (target >= 0 && user_key.compare(Slice(files[target].smallest)) >= 0) {
+    perf->sorted_seeks++;
+    if (settles(files[target], probe)) return s;
   }
-
-  const FileMeta& f = files[target];
-  GetPerfContext()->sorted_seeks++;
-  bool hit = false;
-  // Batched callers pass a probe whose scratch strings are reused across
-  // the whole group, sparing two heap allocations per key.
-  std::string local_key, local_value;
-  std::string& found_key = probe != nullptr ? probe->key_scratch : local_key;
-  std::string& found_value =
-      probe != nullptr ? probe->value_scratch : local_value;
-  Status s =
-      pin != nullptr
-          ? table_cache_->GetPinned(pin, f.number, f.size,
-                                    lkey.internal_key(), &hit, &found_key,
-                                    &found_value, probe)
-          : table_cache_->Get(f.number, f.size, lkey.internal_key(), &hit,
-                              &found_key, &found_value);
-  if (!s.ok()) return s;
-  if (!hit || ExtractUserKey(found_key) != user_key) {
-    return Status::OK();
-  }
-  ValueType type = ExtractValueType(found_key);
-  if (type == kTypeDeletion) {
-    *found = true;
-    return Status::NotFound(Slice());
-  }
-  if (type == kTypeValue) {
-    *found = true;
-    *value = std::move(found_value);
-    return Status::OK();
-  }
-  // kTypeValuePointer: fetch from the value log and validate the key.
-  ValuePointer ptr;
-  Slice encoded(found_value);
-  if (!ptr.DecodeFrom(&encoded)) {
-    return Status::Corruption("bad value pointer in SortedStore");
-  }
-  if (deferred != nullptr) {
-    // Batched caller: hand the pointer back instead of issuing a point
-    // pread here, so the batch can sort and coalesce its log fetches.
-    *dptr = ptr;
-    *deferred = true;
-    *found = true;
-    return Status::OK();
-  }
-  s = vlog_cache_->Get(ptr, user_key, value);
-  if (!s.ok()) return s;
-  *found = true;
-  return Status::OK();
+  return Status::NotFound(Slice());
 }
 
 // ------------------------------------------------------------- iterators
 
 Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
                                        SequenceNumber* latest_seq) {
-  // Same capture order as Get: read sequence, then every shard's
-  // memtables (one shard lock at a time), then the version — so an entry
-  // flushed mid-capture is in a pinned imm or in the version's tables.
+  // Same capture order as the point reads (MultiGetImpl): read sequence,
+  // then every shard's memtables (one shard lock at a time), then the
+  // version — so an entry flushed mid-capture is in a pinned imm or in the
+  // version's tables.
   *latest_seq = ReadSequence(options);
 
   std::vector<Iterator*> children;
@@ -1728,7 +1566,7 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
     }
   }
   ValueFetcher(vlog_cache_.get(), fetch_pool_.get())
-      .Fetch(&items, fetch_pool_->num_threads());
+      .Fetch(items.data(), items.size(), fetch_pool_->num_threads());
 
   out->reserve(entries.size());
   for (PendingEntry& e : entries) {

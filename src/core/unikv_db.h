@@ -367,34 +367,28 @@ class UniKVDB : public DB {
   /// writes.
   SequenceNumber ReadSequence(const ReadOptions& options) const;
 
-  /// `candidates` (the hash-index hits for the key, owned by the caller)
-  /// is sorted and deduplicated in place. When `pin` is non-null, table
-  /// lookups go through it so repeated probes of the same table within
-  /// one batch reuse the pinned handle.
-  Status GetFromUnsorted(const PartitionState& p,
-                         std::vector<uint16_t>* candidates,
-                         const LookupKey& lkey, std::string* value,
-                         bool* found, TableCache::BatchPin* pin = nullptr);
-  /// When `dptr`/`deferred` are non-null, a hit on a separated value is
-  /// not fetched from its log: *found and *deferred are set and the
-  /// decoded pointer stored in *dptr, for the caller to resolve (MultiGet
-  /// sorts and coalesces those fetches). `value` then stays untouched.
-  /// `probe` (optional, batched callers) carries the last resolved data
-  /// block and reusable scratch strings across a run of sorted-order keys.
-  Status GetFromSorted(const PartitionState& p, const LookupKey& lkey,
-                       std::string* value, bool* found,
-                       TableCache::BatchPin* pin = nullptr,
-                       ValuePointer* dptr = nullptr, bool* deferred = nullptr,
-                       Table::Probe* probe = nullptr);
-
-  /// Body of the batched read path (DESIGN.md §11): one snapshot + shard
-  /// pin + version/index capture per batch, per-partition store probes
-  /// with table-handle reuse, and a sorted, gap-coalesced value-log fetch
-  /// of every separated value the batch touched.
-  Status MultiGetImpl(const ReadOptions& options,
-                      const std::vector<Slice>& keys,
-                      std::vector<std::string>* values,
-                      std::vector<Status>* statuses) EXCLUDES(mu_);
+  /// The one point-read path (DESIGN.md §11): Get is the n == 1 case,
+  /// MultiGet the batch. Reads keys[0..n) at one snapshot and fills
+  /// values[i]/statuses[i] for every i (absent keys: NotFound). One
+  /// shard-pin and mu_ capture per call, memtable probes, store probes
+  /// one partition at a time, then one ValueFetcher step for every
+  /// separated value found.
+  void MultiGetImpl(const ReadOptions& options, const Slice* keys, size_t n,
+                    std::string* values, Status* statuses) EXCLUDES(mu_);
+  /// Looks `lkey` up in one partition's stores: the UnsortedStore tables
+  /// named by the hash-index `candidates` (owned by the caller; sorted and
+  /// deduplicated in place), newest first, then the one SortedStore table
+  /// a binary search over boundary keys picks. Tables are read through
+  /// `pin`; `probe` carries the last SortedStore data block and scratch
+  /// strings across the partition's keys. Returns OK with the value, or
+  /// OK with *separated set and the value's log pointer in *ptr (the
+  /// caller fetches it); NotFound when absent or deleted; else the error.
+  Status GetFromStores(const PartitionState& p,
+                       std::vector<uint16_t>* candidates,
+                       const LookupKey& lkey, bool fill_cache,
+                       TableCache::BatchPin* pin, Table::Probe* probe,
+                       std::string* value, ValuePointer* ptr,
+                       bool* separated);
 
   /// Builds a merged internal iterator over memtables and all partitions;
   /// *latest_seq receives the read sequence (ReadSequence). FileMeta

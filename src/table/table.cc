@@ -313,7 +313,7 @@ void Table::Probe::Release() {
 }
 
 Status Table::Get(const Slice& internal_key, bool* found, std::string* key_out,
-                  std::string* value_out, Probe* probe) const {
+                  std::string* value_out, Probe* probe, bool fill_cache) const {
   *found = false;
   RecordAccess();
   // Iterator-free probe: both block searches run through Block::Find,
@@ -338,7 +338,7 @@ Status Table::Get(const Slice& internal_key, bool* found, std::string* key_out,
           GetPerfContext()->block_cache_hits++;
         }
       } else {
-        s = FindBlock(handle, true /*fill_cache*/, &block, &cache_handle);
+        s = FindBlock(handle, fill_cache, &block, &cache_handle);
       }
       if (s.ok()) {
         Slice value;

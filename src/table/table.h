@@ -45,7 +45,7 @@ class Table {
   Iterator* NewIndexIterator() const;
 
   /// Batch-local reuse state for a run of Get() calls with ascending keys
-  /// (one MultiGet partition group probes its keys in sorted order, so
+  /// (a point read probes each partition's keys in sorted order, so
   /// consecutive keys usually land in the same data block). Holds the last
   /// resolved block — pinned in the block cache or owned — plus reusable
   /// output buffers, so repeat hits skip the cache lookup and the per-call
@@ -68,8 +68,11 @@ class Table {
   /// Seeks to the first entry with internal key >= `internal_key`. If such
   /// an entry exists in this table, stores its key/value and sets *found.
   /// `probe` (optional) carries the last resolved data block between calls.
+  /// `fill_cache` false keeps a data block read from disk out of the block
+  /// cache (ReadOptions::fill_cache).
   Status Get(const Slice& internal_key, bool* found, std::string* key_out,
-             std::string* value_out, Probe* probe = nullptr) const;
+             std::string* value_out, Probe* probe = nullptr,
+             bool fill_cache = true) const;
 
   /// Bloom-filter check on a user key. Always true when the table was
   /// built without a filter.

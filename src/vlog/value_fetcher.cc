@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "util/thread_pool.h"
 
 namespace unikv {
 
-ValueFetcher::Stats ValueFetcher::Fetch(std::vector<Item>* items,
+ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n,
                                         int max_tasks) {
   Stats stats;
-  if (items->empty()) return stats;
-  std::sort(items->begin(), items->end(), [](const Item& a, const Item& b) {
+  if (n == 1) {
+    // A lone value is a point read. Reading it through the mapping would
+    // fault its pages into the process, and ru_maxrss counts them.
+    *items->status = cache_->Get(items->ptr, items->key, items->value);
+    return stats;
+  }
+  std::sort(items, items + n, [](const Item& a, const Item& b) {
     if (a.ptr.log_number != b.ptr.log_number) {
       return a.ptr.log_number < b.ptr.log_number;
     }
@@ -22,8 +28,8 @@ ValueFetcher::Stats ValueFetcher::Fetch(std::vector<Item>* items,
   // overlap (a batch can repeat a pointer), so a span grows to the max end
   // of its members rather than requiring disjoint ascending records.
   std::vector<Span> spans;
-  for (size_t i = 0; i < items->size(); i++) {
-    const ValuePointer& ptr = (*items)[i].ptr;
+  for (size_t i = 0; i < n; i++) {
+    const ValuePointer& ptr = items[i].ptr;
     const uint64_t end = ptr.offset + ptr.size;
     if (!spans.empty()) {
       Span& last = spans.back();
@@ -45,7 +51,7 @@ ValueFetcher::Stats ValueFetcher::Fetch(std::vector<Item>* items,
   const int tasks =
       pool_ == nullptr ? 1 : std::min(max_tasks, pool_->num_threads());
   if (spans.size() <= kMinSpansToFanOut || tasks <= 1) {
-    FetchSpans(items->data(), spans.data(), spans.size());
+    FetchSpans(items, spans.data(), spans.size());
     return stats;
   }
   // The pool is shared with other readers and background GC, so wait on
@@ -53,9 +59,9 @@ ValueFetcher::Stats ValueFetcher::Fetch(std::vector<Item>* items,
   ThreadPool::TaskGroup group;
   const size_t chunk = (spans.size() + tasks - 1) / tasks;
   for (size_t begin = 0; begin < spans.size(); begin += chunk) {
-    const size_t n = std::min(chunk, spans.size() - begin);
-    pool_->Schedule(&group, [this, items, &spans, begin, n] {
-      FetchSpans(items->data(), spans.data() + begin, n);
+    const size_t count = std::min(chunk, spans.size() - begin);
+    pool_->Schedule(&group, [this, items, &spans, begin, count] {
+      FetchSpans(items, spans.data() + begin, count);
     });
   }
   group.Wait();

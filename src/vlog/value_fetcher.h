@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/slice.h"
 #include "util/status.h"
@@ -14,15 +13,16 @@ namespace unikv {
 
 class ThreadPool;
 
-/// Batched value-log reads: the one path MultiGet and Scan use to fetch
-/// many separated values at once (DESIGN.md §11). Items are sorted by
-/// (log, offset); pointers into the same log whose records overlap or lie
-/// within kGapBytes of each other share one span read (capped at
-/// kMaxSpanBytes). Each log is pinned once and each span read zero-copy
-/// from the log's mapping when the Env offers one, else pread into a
-/// grow-only scratch buffer. Every record is checksum- and key-verified
-/// on its own, so a bad record — or a failed span or log — fails only the
-/// slots it serves.
+/// Value-log reads for point lookups and scans: the one path Get, MultiGet
+/// and Scan use to fetch separated values (DESIGN.md §11). One item is a
+/// point read (ValueLogCache::Get: a pread into a private buffer, never
+/// the log's mapping). Several items are sorted by (log, offset); pointers
+/// into the same log whose records overlap or lie within kGapBytes of each
+/// other share one span read (capped at kMaxSpanBytes). Each log is pinned
+/// once and each span read zero-copy from the log's mapping when the Env
+/// offers one, else pread into a grow-only scratch buffer. Every record is
+/// checksum- and key-verified on its own, so a bad record — or a failed
+/// span or log — fails only the slots it serves.
 class ValueFetcher {
  public:
   /// Pointers within this many bytes of the current span join it (the gap
@@ -54,12 +54,13 @@ class ValueFetcher {
   ValueFetcher(ValueLogCache* cache, ThreadPool* pool)
       : cache_(cache), pool_(pool) {}
 
-  /// Fetches every item, reordering *items. With more than
+  /// Fetches items[0..n), reordering them. A single item is a point read
+  /// (no span, no mapping). With more than
   /// kMinSpansToFanOut spans and `max_tasks` > 1, the spans are split into
   /// at most min(max_tasks, pool size) contiguous chunks that run on the
   /// pool; otherwise all of them run on the calling thread. Each item needs
   /// its own output slots.
-  Stats Fetch(std::vector<Item>* items, int max_tasks);
+  Stats Fetch(Item* items, size_t n, int max_tasks);
 
  private:
   struct Span {

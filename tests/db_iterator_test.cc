@@ -11,6 +11,7 @@
 
 #include "core/db.h"
 #include "test_util.h"
+#include "util/perf_context.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -241,6 +242,53 @@ TEST_F(DbIteratorTest, ReadOptionsSnapshotPinsEveryReadApi) {
   check("memtable");
   ASSERT_TRUE(db_->FlushMemTable().ok());
   check("unsorted store");
+}
+
+// fill_cache=false keeps point reads from caching the SortedStore data
+// blocks they read: a cold key read twice misses the block cache both
+// times, through Get and MultiGet alike. With the default the first read
+// caches the block and the second hits it.
+TEST_F(DbIteratorTest, ReadOptionsFillCacheHoldsForPointReads) {
+  Open(SmallOptions(), "iter_fill_cache");
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), test::TestKey(i), test::TestValue(i, 100))
+            .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());  // Every key lives in SortedStore.
+
+  ReadOptions no_fill;
+  no_fill.fill_cache = false;
+  PerfContext* perf = GetPerfContext();
+  // Reads key `i` once through Get or a one-key MultiGet and returns the
+  // block-cache delta as (misses, hits).
+  auto read = [&](const ReadOptions& ro, int i, bool multiget) {
+    const std::string key = test::TestKey(i);
+    const PerfContext before = *perf;
+    if (multiget) {
+      std::vector<std::string> values;
+      std::vector<Status> statuses;
+      EXPECT_TRUE(db_->MultiGet(ro, {Slice(key)}, &values, &statuses).ok());
+      EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+      EXPECT_EQ(test::TestValue(i, 100), values[0]);
+    } else {
+      std::string value;
+      EXPECT_TRUE(db_->Get(ro, key, &value).ok());
+      EXPECT_EQ(test::TestValue(i, 100), value);
+    }
+    const PerfContext d = perf->DeltaSince(before);
+    return std::make_pair(d.block_cache_misses, d.block_cache_hits);
+  };
+  using Delta = std::pair<uint64_t, uint64_t>;
+  for (bool multiget : {false, true}) {
+    SCOPED_TRACE(multiget ? "MultiGet" : "Get");
+    const int cold = multiget ? 1900 : 50;  // A block no read has touched.
+    EXPECT_EQ(Delta(1, 0), read(no_fill, cold, multiget));
+    EXPECT_EQ(Delta(1, 0), read(no_fill, cold, multiget));
+    EXPECT_EQ(Delta(1, 0), read(ReadOptions(), cold, multiget));
+    EXPECT_EQ(Delta(0, 1), read(ReadOptions(), cold, multiget));
+    EXPECT_EQ(Delta(0, 1), read(no_fill, cold, multiget));  // Cached stays.
+  }
 }
 
 TEST_F(DbIteratorTest, IteratorSurvivesConcurrentCompaction) {

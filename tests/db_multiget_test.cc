@@ -85,17 +85,15 @@ class DbMultiGetTest : public testing::Test {
 
   // MultiGet over `ids` must agree key-by-key with both looped Get and
   // the golden map (values for present keys, NotFound for absent ones).
-  void CheckBatch(const std::vector<int>& ids, int parallelism = 1) {
+  void CheckBatch(const std::vector<int>& ids) {
     std::vector<std::string> key_bufs;
     key_bufs.reserve(ids.size());
     for (int id : ids) key_bufs.push_back(test::TestKey(id));
     std::vector<Slice> keys(key_bufs.begin(), key_bufs.end());
 
-    ReadOptions ro;
-    ro.multiget_parallelism = parallelism;
     std::vector<std::string> values;
     std::vector<Status> statuses;
-    ASSERT_TRUE(db_->MultiGet(ro, keys, &values, &statuses).ok());
+    ASSERT_TRUE(db_->MultiGet(ReadOptions(), keys, &values, &statuses).ok());
     ASSERT_EQ(values.size(), keys.size());
     ASSERT_EQ(statuses.size(), keys.size());
 
@@ -175,9 +173,9 @@ TEST_F(DbMultiGetTest, PerKeyNotFoundAndEmptyBatch) {
   EXPECT_TRUE(statuses.empty());
 }
 
-TEST_F(DbMultiGetTest, ParallelPartitionGroupsStayCorrect) {
-  // Force several partitions so multiget_parallelism > 1 actually fans
-  // partition groups across the reader pool.
+TEST_F(DbMultiGetTest, MultiPartitionBatchesStayCorrect) {
+  // Force several partitions so each batch's keys fall into several
+  // partition runs, each probed with its own pinned table handles.
   Options opt = SmallOptions();
   opt.partition_size_limit = 256 * 1024;
   opt.write_shards = 4;
@@ -196,8 +194,7 @@ TEST_F(DbMultiGetTest, ParallelPartitionGroupsStayCorrect) {
   }
   for (size_t base = 0; base < ids.size(); base += 256) {
     const size_t end = std::min(base + 256, ids.size());
-    CheckBatch(std::vector<int>(ids.begin() + base, ids.begin() + end),
-               /*parallelism=*/4);
+    CheckBatch(std::vector<int>(ids.begin() + base, ids.begin() + end));
   }
 }
 

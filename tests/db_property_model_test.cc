@@ -1,12 +1,14 @@
 // Property-based testing: long randomized operation sequences
-// (put/delete/flush/compact/scan/reopen) validated against an in-memory
-// model, swept across seeds x engine configurations. Tiny limits force
-// many flush/merge/GC/split cycles per run.
+// (put/delete/flush/compact/get/multiget/scan/reopen) validated against an
+// in-memory model, swept across seeds x engine configurations. Tiny limits
+// force many flush/merge/GC/split cycles per run.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "baseline/baselines.h"
 #include "core/db.h"
@@ -84,6 +86,9 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
 
   std::map<std::string, std::string> model;
   Random rnd(Seed());
+  // MultiGet batches draw from their own stream, so the op sequence is
+  // the same as with point reads alone.
+  Random batch_rnd(Seed() * 7 + 1);
   const int kKeySpace = 200;
   const int kOps = 2500;
 
@@ -112,6 +117,33 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
       } else {
         ASSERT_TRUE(s.ok()) << key << " op " << op << " " << s.ToString();
         ASSERT_EQ(it->second, value) << key << " op " << op;
+      }
+      // And a batch of 1-16 keys: repeats of the key above and of each
+      // other, and keys beyond the key space that were never written.
+      std::vector<std::string> key_bufs;
+      const int batch = 1 + batch_rnd.Uniform(16);
+      for (int i = 0; i < batch; i++) {
+        if (batch_rnd.OneIn(4)) {
+          key_bufs.push_back(key_bufs.empty() ? key : key_bufs.back());
+        } else {
+          key_bufs.push_back(test::TestKey(batch_rnd.Uniform(kKeySpace + 20)));
+        }
+      }
+      const std::vector<Slice> keys(key_bufs.begin(), key_bufs.end());
+      std::vector<std::string> values;
+      std::vector<Status> statuses;
+      ASSERT_TRUE(db_->MultiGet(ReadOptions(), keys, &values, &statuses).ok())
+          << "op " << op;
+      ASSERT_EQ(keys.size(), statuses.size());
+      for (size_t i = 0; i < keys.size(); i++) {
+        auto mit = model.find(key_bufs[i]);
+        if (mit == model.end()) {
+          ASSERT_TRUE(statuses[i].IsNotFound()) << key_bufs[i] << " op " << op;
+        } else {
+          ASSERT_TRUE(statuses[i].ok())
+              << key_bufs[i] << " op " << op << " " << statuses[i].ToString();
+          ASSERT_EQ(mit->second, values[i]) << key_bufs[i] << " op " << op;
+        }
       }
     } else if (dice < 93) {
       // Short scan.

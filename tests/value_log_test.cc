@@ -120,7 +120,8 @@ class ValueLogTest : public testing::TestWithParam<bool> {
       items.push_back(ValueFetcher::Item{ptrs[i], keys[i], &(*values)[i],
                                          &(*statuses)[i]});
     }
-    return ValueFetcher(cache_.get(), pool).Fetch(&items, max_tasks);
+    return ValueFetcher(cache_.get(), pool)
+        .Fetch(items.data(), items.size(), max_tasks);
   }
 
   std::unique_ptr<MemEnv> mem_env_;
@@ -289,6 +290,41 @@ TEST_P(ValueLogTest, FetchDuplicateAndOverlappingPointers) {
   EXPECT_EQ(1u, stats.coalesced_spans);
   EXPECT_EQ(total - ptrs[0].size, stats.bytes_saved);  // All but the first.
   EXPECT_EQ(UsePosix() ? 1u : 0u, mmap_reads_.Value());
+}
+
+// One item is a point read: a pread, never the mapping (its pages would
+// count toward the process's peak RSS). Two items of the same log are a
+// span read, zero-copy from the mapping where the Env has one.
+TEST_P(ValueLogTest, FetchOfOneItemIsAPointRead) {
+  Records records = NumberedRecords(4, 300, "");
+  auto ptrs = WriteLog(3, records);
+
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ValueFetcher::Stats stats =
+      Fetch({ptrs[1]}, {records[1].first}, &values, &statuses);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_EQ(records[1].second, values[0]);
+  EXPECT_EQ(1u, reads_.Value());
+  EXPECT_EQ(0u, span_reads_.Value());
+  EXPECT_EQ(0u, mmap_reads_.Value());
+  EXPECT_EQ(0u, stats.coalesced_spans);
+
+  // The point read checks the stored key like a span read does.
+  Fetch({ptrs[1]}, {records[2].first}, &values, &statuses);
+  EXPECT_TRUE(statuses[0].IsCorruption()) << statuses[0].ToString();
+  EXPECT_EQ("untouched", values[0]);
+
+  stats = Fetch({ptrs[1], ptrs[2]}, {records[1].first, records[2].first},
+                &values, &statuses);
+  for (size_t i = 0; i < 2; i++) {
+    ASSERT_TRUE(statuses[i].ok()) << i << " " << statuses[i].ToString();
+    EXPECT_EQ(records[i + 1].second, values[i]) << i;
+  }
+  EXPECT_EQ(2u, reads_.Value());
+  EXPECT_EQ(1u, span_reads_.Value());
+  EXPECT_EQ(UsePosix() ? 1u : 0u, mmap_reads_.Value());
+  EXPECT_EQ(1u, stats.coalesced_spans);
 }
 
 // A gap up to kGapBytes is bridged (read and discarded, or never touched
