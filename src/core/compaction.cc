@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "core/filename.h"
 #include "core/merging_iterator.h"
-#include "core/sorted_run_writer.h"
+#include "core/table_output_writer.h"
 #include "core/unikv_db.h"
 #include "util/env.h"
 
@@ -17,29 +18,42 @@ namespace unikv {
 
 void UniKVDB::MaybeScheduleWork() { bg_work_cv_.SignalAll(); }
 
+UniKVDB::Wanted UniKVDB::WantedWork(const PartitionState& p) {
+  // Ranks: 0 merge at UnsortedLimit (largest backlog first); 1 a split,
+  // or the merge that must precede it (the paper runs a split as
+  // compaction + GC in sequence); 2 size-based scan-merge; 3 GC (most
+  // garbage first). Each requires input: a non-empty UnsortedStore, at
+  // least two unsorted tables, garbage > 0 in a partition with logs.
+  const uint64_t unsorted_bytes = p.UnsortedBytes();
+  if (!p.unsorted.empty() &&
+      (unsorted_bytes >= options_.unsorted_limit || compact_all_)) {
+    return {WorkKind::kMerge, 0, unsorted_bytes};
+  }
+  if (options_.enable_partitioning &&
+      p.LogicalBytes() >= options_.partition_size_limit) {
+    if (!p.unsorted.empty()) return {WorkKind::kMerge, 1, 0};
+    if (p.sorted.size() >= 2) return {WorkKind::kSplit, 1, 0};
+  }
+  if (options_.enable_scan_optimization &&
+      p.unsorted.size() >=
+          static_cast<size_t>(std::max(2, options_.scan_merge_limit))) {
+    return {WorkKind::kScanMerge, 2, 0};
+  }
+  const uint64_t garbage = runtime_.at(p.id).vlog_garbage;
+  if (!p.vlogs.empty() && garbage > 0 &&
+      (garbage >= options_.gc_garbage_threshold || compact_all_)) {
+    return {WorkKind::kGc, 3, garbage};
+  }
+  return {};
+}
+
 bool UniKVDB::HasWorkPending() {
   for (const auto& shard : shards_) {
     if (shard->has_imm.load(std::memory_order_acquire)) return true;
   }
   VersionPtr ver = versions_->current();
   for (const auto& p : ver->partitions) {
-    const uint64_t unsorted_bytes = p->UnsortedBytes();
-    if (unsorted_bytes >= options_.unsorted_limit) return true;
-    if (compact_all_ && !p->unsorted.empty()) return true;
-    if (options_.enable_partitioning && p->sorted.size() >= 2 &&
-        p->LogicalBytes() >= options_.partition_size_limit) {
-      return true;
-    }
-    if (options_.enable_scan_optimization &&
-        static_cast<int>(p->unsorted.size()) >= options_.scan_merge_limit) {
-      return true;
-    }
-    auto git = vlog_garbage_.find(p->id);
-    const uint64_t garbage = git == vlog_garbage_.end() ? 0 : git->second;
-    if (garbage >= options_.gc_garbage_threshold && !p->vlogs.empty()) {
-      return true;
-    }
-    if (compact_all_ && garbage > 0 && !p->vlogs.empty()) return true;
+    if (WantedWork(*p).kind != WorkKind::kNone) return true;
   }
   return false;
 }
@@ -58,66 +72,15 @@ UniKVDB::WorkItem UniKVDB::PickWork() {
     }
   }
   VersionPtr ver = versions_->current();
-
-  // 1. Merges (paper: UnsortedLimit reached), largest backlog first.
-  uint64_t best = 0;
+  Wanted best;
   for (const auto& p : ver->partitions) {
-    if (busy_partitions_.count(p->id)) continue;
-    const uint64_t unsorted_bytes = p->UnsortedBytes();
-    const bool want =
-        unsorted_bytes >= options_.unsorted_limit ||
-        (compact_all_ && !p->unsorted.empty());
-    if (want && unsorted_bytes >= best) {
-      best = unsorted_bytes;
-      item.kind = WorkKind::kMerge;
-      item.partition = p;
-    }
-  }
-  if (item.kind != WorkKind::kNone) return item;
-
-  // 2. Splits (dynamic range partitioning). A partition with unsorted data
-  //    is merged first (the paper treats a split as compaction + GC run
-  //    sequentially).
-  if (options_.enable_partitioning) {
-    for (const auto& p : ver->partitions) {
-      if (busy_partitions_.count(p->id)) continue;
-      if (p->LogicalBytes() >= options_.partition_size_limit) {
-        if (!p->unsorted.empty()) {
-          item.kind = WorkKind::kMerge;
-        } else if (p->sorted.size() >= 2) {
-          item.kind = WorkKind::kSplit;
-        } else {
-          continue;
-        }
-        item.partition = p;
-        return item;
-      }
-    }
-  }
-
-  // 3. Size-based scan merge (scanMergeLimit unsorted tables).
-  if (options_.enable_scan_optimization) {
-    for (const auto& p : ver->partitions) {
-      if (busy_partitions_.count(p->id)) continue;
-      if (static_cast<int>(p->unsorted.size()) >= options_.scan_merge_limit) {
-        item.kind = WorkKind::kScanMerge;
-        item.partition = p;
-        return item;
-      }
-    }
-  }
-
-  // 4. GC: greedy — the partition with the most reclaimable garbage.
-  best = 0;
-  for (const auto& p : ver->partitions) {
-    if (busy_partitions_.count(p->id)) continue;
-    auto git = vlog_garbage_.find(p->id);
-    const uint64_t garbage = git == vlog_garbage_.end() ? 0 : git->second;
-    const bool want = garbage >= options_.gc_garbage_threshold ||
-                      (compact_all_ && garbage > 0 && !p->vlogs.empty());
-    if (want && garbage >= best && !p->vlogs.empty()) {
-      best = garbage;
-      item.kind = WorkKind::kGc;
+    if (runtime_.at(p->id).busy) continue;
+    const Wanted w = WantedWork(*p);
+    if (w.kind == WorkKind::kNone) continue;
+    if (best.kind == WorkKind::kNone || w.rank < best.rank ||
+        (w.rank == best.rank && w.weight > best.weight)) {
+      best = w;
+      item.kind = w.kind;
       item.partition = p;
     }
   }
@@ -146,7 +109,7 @@ void UniKVDB::BackgroundWorker() {
     if (item.kind == WorkKind::kFlush) {
       shards_[item.shard]->flush_in_progress = true;
     } else {
-      busy_partitions_.insert(item.partition->id);
+      runtime_.at(item.partition->id).busy = true;
     }
     bg_jobs_running_++;
     lock.Unlock();
@@ -167,7 +130,7 @@ void UniKVDB::BackgroundWorker() {
     if (item.kind == WorkKind::kFlush) {
       shards_[item.shard]->flush_in_progress = false;
     } else {
-      busy_partitions_.erase(item.partition->id);
+      runtime_.at(item.partition->id).busy = false;
     }
     bg_jobs_running_--;
     bg_cv_.SignalAll();
@@ -260,83 +223,36 @@ Status UniKVDB::CompactAll() {
 
 Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
                                         std::vector<FlushOutput>* outputs) {
-  const VersionPtr& ver = base;
+  // Entries come out in internal-key order and partitions are contiguous
+  // key ranges, so each partition's entries form one run: one table per
+  // partition touched. table_id is assigned by the caller at install
+  // time, under mu_, from the then-current version: a concurrent merge
+  // may clear this partition's epoch, so an id computed from `base` here
+  // could collide or break newest-first probe order.
   std::unique_ptr<Iterator> iter(mem->NewIterator());
-  iter->SeekToFirst();
   Status s;
-
-  // Entries come out in internal-key order; route each run of keys to its
-  // partition, building one table per partition touched.
-  struct Builder {
-    FlushOutput out;
-    std::unique_ptr<WritableFile> file;
-    std::unique_ptr<TableBuilder> builder;
-    std::string first_key, last_key;
-  };
-  std::unordered_map<uint32_t, Builder> builders;
-
-  for (; iter->Valid(); iter->Next()) {
-    Slice internal_key = iter->key();
-    Slice user_key = ExtractUserKey(internal_key);
-    int pi = ver->FindPartition(user_key);
-    const PartitionState& p = *ver->partitions[pi];
-
-    Builder& b = builders[p.id];
-    if (b.builder == nullptr) {
-      uint64_t number;
-      {
-        MutexLock lock(&mu_);
-        number = versions_->NewFileNumber();
-        pending_outputs_.insert(number);
-      }
-      b.out.pid = p.id;
-      b.out.meta.number = number;
-      // table_id is assigned by the caller at install time, under mu_,
-      // from the then-current version: a concurrent merge may clear this
-      // partition's epoch (or a peer flush may not exist — there is only
-      // one flush at a time, but merges race with it), so an id computed
-      // from `base` here could collide or break newest-first probe order.
-      s = env_->NewWritableFile(TableFileName(dbname_, number), &b.file);
+  FlushOutput* out = nullptr;
+  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
+    const Slice user_key = ExtractUserKey(iter->key());
+    const uint32_t pid = base->partitions[base->FindPartition(user_key)]->id;
+    if (out == nullptr || out->pid != pid) {
+      if (out != nullptr) s = out->writer->Finish();
       if (!s.ok()) break;
-      b.builder =
-          std::make_unique<TableBuilder>(options_.table_options, b.file.get());
+      out = &outputs->emplace_back();
+      out->pid = pid;
+      out->writer = std::make_unique<TableOutputWriter>(
+          this, TableOutputWriter::Store::kUnsorted);
     }
-    b.builder->Add(internal_key, iter->value());
-    b.out.meta.logical += user_key.size() + iter->value().size();
-    if (b.first_key.empty()) {
-      b.first_key = user_key.ToString();
-    }
-    b.last_key = user_key.ToString();
-    if (b.out.keys.empty() || Slice(b.out.keys.back()) != user_key) {
-      b.out.keys.push_back(user_key.ToString());
+    s = out->writer->Add(iter->key(), iter->value(),
+                         user_key.size() + iter->value().size());
+    if (out->keys.empty() || Slice(out->keys.back()) != user_key) {
+      out->keys.push_back(user_key.ToString());
     }
   }
   if (s.ok()) s = iter->status();
-
-  for (auto& [pid, b] : builders) {
-    if (b.builder == nullptr) continue;  // Output file creation failed.
-    if (s.ok()) {
-      s = b.builder->Finish();
-    } else {
-      b.builder->Abandon();
-    }
-    if (s.ok()) s = b.file->Sync();
-    if (s.ok()) s = b.file->Close();
-    if (s.ok()) {
-      b.out.meta.size = b.builder->FileSize();
-      b.out.meta.smallest = b.first_key;
-      b.out.meta.largest = b.last_key;
-      outputs->push_back(std::move(b.out));
-    }
-  }
-  if (!s.ok()) {
-    // Nothing installs: release the output numbers so RemoveObsoleteFiles
-    // can sweep the partial files once the error state clears.
-    MutexLock lock(&mu_);
-    for (auto& [pid, b] : builders) {
-      (void)pid;
-      pending_outputs_.erase(b.out.meta.number);
-    }
+  if (s.ok() && out != nullptr) s = out->writer->Finish();
+  if (s.ok()) {
+    for (FlushOutput& o : *outputs) o.meta = o.writer->outputs()[0];
   }
   return s;
 }
@@ -415,6 +331,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   // on.
   struct Checkpoint {
     uint32_t pid = 0;
+    TableOutputWriter* writer = nullptr;  // The flush output's; owns number.
     uint64_t number = 0;
     std::vector<uint64_t> tables;  // File numbers of the covered tables.
     std::string image;
@@ -430,7 +347,8 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
       const uint64_t copy_start_us = env_->NowMicros();
       VersionPtr cur = versions_->current();
       for (const FlushOutput& out : outputs) {
-        if (flushes_since_checkpoint_[out.pid] + 1 <
+        const PartitionRuntime& rt = runtime_.at(out.pid);
+        if (rt.flushes_since_checkpoint + 1 <
             options_.index_checkpoint_interval) {
           continue;
         }
@@ -438,19 +356,19 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
         if (p == nullptr || p->unsorted.empty()) continue;
         Checkpoint cp;
         cp.pid = out.pid;
+        cp.writer = out.writer.get();
         std::vector<uint16_t> covered;
         for (const FileMeta& f : p->unsorted) {
           covered.push_back(f.table_id);
           cp.tables.push_back(f.number);
         }
-        cp.image = CheckpointImage(*GetOrCreateIndex(out.pid), covered);
-        cp.number = versions_->NewFileNumber();
-        pending_outputs_.insert(cp.number);
+        cp.image = CheckpointImage(*rt.index, covered);
         checkpoints.push_back(std::move(cp));
       }
       install_us += env_->NowMicros() - copy_start_us;
     }
     for (Checkpoint& cp : checkpoints) {
+      cp.number = cp.writer->NewFileNumber();
       cp.written = WriteCheckpointFile(
                        env_, IndexCheckpointFileName(dbname_, cp.number),
                        cp.image)
@@ -458,6 +376,9 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     }
   }
 
+  // Outputs a re-route below replaced; their writers also hold the
+  // checkpoint numbers, so they are released with the rest, after mu_.
+  std::vector<FlushOutput> rerouted;
   MutexLock lock(&mu_);
   uint64_t install_start_us = env_->NowMicros();
 
@@ -467,21 +388,14 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   // rebuild against the fresh version (splits are rare — in practice this
   // loop body never runs).
   while (!RoutingStillValid(*versions_->current(), outputs)) {
-    for (const FlushOutput& out : outputs) {
-      pending_outputs_.erase(out.meta.number);
-    }
+    std::move(outputs.begin(), outputs.end(), std::back_inserter(rerouted));
     outputs.clear();
     base = versions_->current();
     lock.Unlock();
     s = FlushMemTableToUnsorted(mem, base, &outputs);
     lock.Lock();
     install_start_us = env_->NowMicros();
-    if (!s.ok()) {
-      for (const Checkpoint& cp : checkpoints) {
-        pending_outputs_.erase(cp.number);
-      }
-      return s;
-    }
+    if (!s.ok()) return s;
   }
 
   VersionEdit edit;
@@ -531,9 +445,9 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   // visible (both are installed under this same mutex hold, so readers
   // always observe a consistent pair).
   for (const FlushOutput& out : outputs) {
-    auto index = GetOrCreateIndex(out.pid);
+    HashIndex& index = *runtime_.at(out.pid).index;
     for (const std::string& key : out.keys) {
-      index->Insert(key, out.meta.table_id);
+      index.Insert(key, out.meta.table_id);
     }
   }
 
@@ -545,7 +459,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   // sweep deletes the file.
   if (options_.index_checkpoint_interval > 0) {
     for (const FlushOutput& out : outputs) {
-      flushes_since_checkpoint_[out.pid]++;
+      runtime_.at(out.pid).flushes_since_checkpoint++;
     }
     VersionPtr cur = versions_->current();
     for (const Checkpoint& cp : checkpoints) {
@@ -558,7 +472,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
       if (cp.written && p != nullptr && p->index_checkpoint < cp.number &&
           std::all_of(cp.tables.begin(), cp.tables.end(), live)) {
         edit.SetIndexCheckpoint(cp.pid, cp.number);
-        flushes_since_checkpoint_[cp.pid] = 0;
+        runtime_.at(cp.pid).flushes_since_checkpoint = 0;
       }
     }
   }
@@ -571,10 +485,6 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   }
   s = versions_->LogAndApply(&edit);
   install_us += env_->NowMicros() - install_start_us;
-  for (const FlushOutput& out : outputs) {
-    pending_outputs_.erase(out.meta.number);
-  }
-  for (const Checkpoint& cp : checkpoints) pending_outputs_.erase(cp.number);
   if (s.ok()) {
     {
       MutexLock shard_lock(&shard->mu);
@@ -639,7 +549,7 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
   // Output value log (partial KV separation: only values arriving from
   // the UnsortedStore are appended; SortedStore values keep their existing
   // pointers).
-  SortedRunWriter writer(this);
+  TableOutputWriter writer(this, TableOutputWriter::Store::kSorted);
   std::unique_ptr<ValueLogWriter> vlog;
   uint64_t vlog_number = 0;
   if (separate) {
@@ -749,58 +659,14 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     v.size = vlog_size;
     edit.AddValueLog(pid, v);
   }
-  edit.SetIndexCheckpoint(pid, 0);
+  // Built off mu_; InstallUnsortedReplacement adds the survivors.
+  std::unique_ptr<HashIndex> index = NewHashIndex();
 
   MutexLock lock(&mu_);
-  const uint64_t install_start_us = env_->NowMicros();
-
-  // Re-validate the snapshot against the current version. The busy set
-  // excludes other merges/GCs/splits on this partition, but flushes are
-  // not partition-scoped: any unsorted table present now that was not in
-  // the snapshot is a survivor, and the hash index must be rebuilt to
-  // cover exactly the survivors (the snapshot tables' entries die with
-  // the epoch).
-  std::shared_ptr<const PartitionState> cur_p =
-      versions_->current()->FindById(pid);
-  if (cur_p == nullptr) {
-    // Partition vanished (unreachable today: nothing removes partitions).
-    return Status::OK();
-  }
-  std::set<uint64_t> consumed;
-  for (const FileMeta& f : p->unsorted) consumed.insert(f.number);
-  std::vector<FileMeta> survivors;
-  for (const FileMeta& f : cur_p->unsorted) {
-    if (!consumed.count(f.number)) survivors.push_back(f);
-  }
-
-  // Build the replacement index before installing the edit so a failed
-  // table scan leaves both the version and the old index untouched.
-  // Survivor scans do I/O under mu_, but survivors exist only when a
-  // flush landed during this merge and each is at most one memtable.
-  std::shared_ptr<HashIndex> new_index;
-  if (!survivors.empty()) {
-    new_index = std::make_shared<HashIndex>(IndexExpectedEntries(),
-                                            options_.index_num_hashes);
-    for (const FileMeta& f : survivors) {
-      s = InsertTableIntoIndex(new_index.get(), f);
-      if (!s.ok()) return s;
-    }
-  }
-
-  s = versions_->LogAndApply(&edit);
-  const uint64_t install_us = env_->NowMicros() - install_start_us;
+  UnsortedInstall installed;
+  s = InstallUnsortedReplacement(*p, &edit, std::move(index), &installed);
   if (s.ok()) {
-    // The cached anchor view dies with the consumed tables; the next
-    // iterator builds one over the survivors if two or more remain.
-    InstallAnchorViewLocked(pid, nullptr);
-    if (new_index != nullptr) {
-      indexes_[pid] = new_index;
-    } else {
-      auto it = indexes_.find(pid);
-      if (it != indexes_.end()) it->second->Clear();
-    }
-    flushes_since_checkpoint_[pid] = 0;
-    vlog_garbage_[pid] += garbage_added;
+    runtime_.at(pid).vlog_garbage += garbage_added;
     metrics_.CountJob(pid, {{"merges", 1},
                             {"merge_bytes_read", bytes_read},
                             {"merge_bytes_written", bytes_written}});
@@ -814,10 +680,10 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("bytes_written", bytes_written);
     ev.AddUint("input_tables", p->unsorted.size() + p->sorted.size());
     ev.AddUint("output_tables", writer.outputs().size());
-    ev.AddUint("surviving_tables", survivors.size());
+    ev.AddUint("surviving_tables", installed.survivors);
     ev.AddUint("vlog_bytes", vlog_size);
     ev.AddUint("garbage_added", garbage_added);
-    ev.AddUint("install_micros", install_us);
+    ev.AddUint("install_micros", installed.micros);
     event_log_->Log("merge", &ev);
   }
   bg_cv_.SignalAll();
@@ -829,7 +695,6 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
 Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
-  if (p->unsorted.size() < 2) return Status::OK();
 
   // The consolidated table reuses the *largest consumed* table_id (free
   // to reuse — every consumed id is removed in the same edit). Taking
@@ -838,110 +703,51 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   // and are strictly newer, so they must keep the higher probe priority.
   std::vector<Iterator*> children;
   uint16_t new_table_id = 0;
+  uint64_t bytes_read = 0;
   for (const FileMeta& f : p->unsorted) {
     children.push_back(table_cache_->NewIterator(f.number, f.size));
     if (f.table_id > new_table_id) new_table_id = f.table_id;
+    bytes_read += f.size;
   }
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
 
-  uint64_t number;
-  {
-    MutexLock lock(&mu_);
-    number = versions_->NewFileNumber();
-    pending_outputs_.insert(number);
-  }
-  std::unique_ptr<WritableFile> file;
-  Status s = env_->NewWritableFile(TableFileName(dbname_, number), &file);
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    pending_outputs_.erase(number);
-    return s;
-  }
-  TableBuilder builder(options_.table_options, file.get());
-
-  FileMeta meta;
-  meta.number = number;
-  meta.table_id = new_table_id;
-  std::vector<std::string> keys;
+  TableOutputWriter writer(this, TableOutputWriter::Store::kUnsorted);
+  std::unique_ptr<HashIndex> index = NewHashIndex();
+  Status s;
   std::string current_user_key;
   bool has_current = false;
-
-  for (merged->SeekToFirst(); merged->Valid(); merged->Next()) {
-    Slice internal_key = merged->key();
-    Slice user_key = ExtractUserKey(internal_key);
+  for (merged->SeekToFirst(); s.ok() && merged->Valid(); merged->Next()) {
+    const Slice user_key = ExtractUserKey(merged->key());
     if (has_current && user_key.compare(Slice(current_user_key)) == 0) {
       continue;  // Older version within the UnsortedStore: drop.
     }
     current_user_key.assign(user_key.data(), user_key.size());
     has_current = true;
     // Tombstones are preserved: they still shadow the SortedStore.
-    builder.Add(internal_key, merged->value());
-    keys.push_back(current_user_key);
-    if (meta.smallest.empty()) meta.smallest = current_user_key;
-    meta.largest = current_user_key;
+    s = writer.Add(merged->key(), merged->value(),
+                   user_key.size() + merged->value().size());
+    index->Insert(user_key, new_table_id);
   }
-  s = merged->status();
-  if (s.ok()) {
-    s = builder.Finish();
-  } else {
-    builder.Abandon();
-  }
-  if (s.ok()) s = file->Sync();
-  if (s.ok()) s = file->Close();
-  if (!s.ok()) {
-    MutexLock lock(&mu_);
-    pending_outputs_.erase(number);
-    return s;
-  }
-  meta.size = builder.FileSize();
+  if (s.ok()) s = merged->status();
+  if (s.ok()) s = writer.Finish();
+  if (!s.ok()) return s;
+  const uint64_t bytes_written = writer.bytes_written();
 
   VersionEdit edit;
   for (const FileMeta& f : p->unsorted) edit.RemoveUnsortedFile(pid, f.number);
-  edit.AddUnsortedFile(pid, meta);
-  edit.SetIndexCheckpoint(pid, 0);
+  for (FileMeta f : writer.outputs()) {
+    f.table_id = new_table_id;
+    edit.AddUnsortedFile(pid, f);
+  }
 
   MutexLock lock(&mu_);
-  const uint64_t install_start_us = env_->NowMicros();
-
-  // Tables flushed into this partition while the job ran survive the edit
-  // (removals are by number); the rebuilt index must cover them too.
-  std::shared_ptr<const PartitionState> cur_p =
-      versions_->current()->FindById(pid);
-  if (cur_p == nullptr) {
-    pending_outputs_.erase(number);
-    return Status::OK();
-  }
-  std::set<uint64_t> consumed;
-  for (const FileMeta& f : p->unsorted) consumed.insert(f.number);
-  std::vector<FileMeta> survivors;
-  for (const FileMeta& f : cur_p->unsorted) {
-    if (!consumed.count(f.number)) survivors.push_back(f);
-  }
-
-  // Build the replacement index before installing the edit (see
-  // MergePartition for the failure-ordering rationale).
-  auto new_index = std::make_shared<HashIndex>(IndexExpectedEntries(),
-                                               options_.index_num_hashes);
-  for (const std::string& key : keys) {
-    new_index->Insert(key, new_table_id);
-  }
-  for (const FileMeta& f : survivors) {
-    s = InsertTableIntoIndex(new_index.get(), f);
-    if (!s.ok()) {
-      pending_outputs_.erase(number);
-      return s;
-    }
-  }
-
-  s = versions_->LogAndApply(&edit);
-  const uint64_t install_us = env_->NowMicros() - install_start_us;
-  pending_outputs_.erase(number);
+  UnsortedInstall installed;
+  s = InstallUnsortedReplacement(*p, &edit, std::move(index), &installed);
   if (s.ok()) {
-    InstallAnchorViewLocked(pid, nullptr);  // Consumed with its tables.
-    indexes_[pid] = new_index;
-    flushes_since_checkpoint_[pid] = 0;
-    metrics_.CountJob(pid, {{"scan_merges", 1}});
+    metrics_.CountJob(pid, {{"scan_merges", 1},
+                            {"scan_merge_bytes_read", bytes_read},
+                            {"scan_merge_bytes_written", bytes_written}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
     metrics_.scan_merge_latency->Add(static_cast<double>(dur));
@@ -949,12 +755,52 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
     ev.AddUint("input_tables", p->unsorted.size());
-    ev.AddUint("output_tables", 1);
-    ev.AddUint("bytes_written", meta.size);
-    ev.AddUint("install_micros", install_us);
+    ev.AddUint("output_tables", writer.outputs().size());
+    ev.AddUint("bytes_read", bytes_read);
+    ev.AddUint("bytes_written", bytes_written);
+    ev.AddUint("install_micros", installed.micros);
     event_log_->Log("scan_merge", &ev);
   }
   bg_cv_.SignalAll();
+  return s;
+}
+
+Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
+                                           VersionEdit* edit,
+                                           std::unique_ptr<HashIndex> index,
+                                           UnsortedInstall* result) {
+  const uint64_t start_us = env_->NowMicros();
+  const uint32_t pid = snap.id;
+  edit->SetIndexCheckpoint(pid, 0);
+  // Nothing removes partitions, and the job's busy claim keeps other
+  // per-partition jobs off this one.
+  std::shared_ptr<const PartitionState> cur_p =
+      versions_->current()->FindById(pid);
+  assert(cur_p != nullptr);
+  std::set<uint64_t> consumed;
+  for (const FileMeta& f : snap.unsorted) consumed.insert(f.number);
+
+  // Complete the replacement index before installing the edit, so a
+  // failed table scan leaves both the version and the old index
+  // untouched. Survivor scans do I/O under mu_, but survivors exist only
+  // when a flush landed during the job and each is at most one memtable.
+  for (const FileMeta& f : cur_p->unsorted) {
+    if (consumed.count(f.number)) continue;
+    Status s = InsertTableIntoIndex(index.get(), f);
+    if (!s.ok()) return s;
+    result->survivors++;
+  }
+
+  Status s = versions_->LogAndApply(edit);
+  result->micros = env_->NowMicros() - start_us;
+  if (s.ok()) {
+    // The cached anchor view dies with the consumed tables; the next
+    // iterator builds one over what remains if two or more tables do.
+    InstallAnchorViewLocked(pid, nullptr);
+    PartitionRuntime& rt = runtime_.at(pid);
+    rt.index = std::move(index);
+    rt.flushes_since_checkpoint = 0;
+  }
   return s;
 }
 
@@ -963,14 +809,9 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
 Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
-  if (p->sorted.empty() || p->vlogs.empty()) {
-    MutexLock lock(&mu_);
-    vlog_garbage_[pid] = 0;
-    return Status::OK();
-  }
 
   // New value log for the rewritten live values.
-  SortedRunWriter writer(this);
+  TableOutputWriter writer(this, TableOutputWriter::Store::kSorted);
   const uint64_t vlog_number = writer.NewFileNumber();
   std::unique_ptr<WritableFile> vfile;
   Status s =
@@ -1143,7 +984,7 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   s = versions_->LogAndApply(&edit);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
-    vlog_garbage_[pid] = 0;
+    runtime_.at(pid).vlog_garbage = 0;
     metrics_.CountJob(pid, {{"gcs", 1},
                             {"gc_bytes_read", bytes_read},
                             {"gc_bytes_written", bytes_written}});
@@ -1223,13 +1064,12 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
     // view on either side; drop any stale cache entry.
     InstallAnchorViewLocked(p->id, nullptr);
     InstallAnchorViewLocked(npid, nullptr);
-    indexes_[npid] = std::make_shared<HashIndex>(IndexExpectedEntries(),
-                                                 options_.index_num_hashes);
-    uint64_t garbage = vlog_garbage_[p->id];
-    vlog_garbage_[p->id] = garbage / 2;
-    vlog_garbage_[npid] = garbage - garbage / 2;
-    flushes_since_checkpoint_[npid] = 0;
-    heat_reads_[npid] = metrics_.RegisterPartition(npid);
+    PartitionRuntime& old_rt = runtime_.at(p->id);
+    PartitionRuntime& new_rt = runtime_[npid];
+    new_rt.index = NewHashIndex();
+    new_rt.heat_reads = metrics_.RegisterPartition(npid);
+    new_rt.vlog_garbage = old_rt.vlog_garbage - old_rt.vlog_garbage / 2;
+    old_rt.vlog_garbage /= 2;
     metrics_.CountJob(p->id, {{"splits", 1}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
@@ -1245,80 +1085,6 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
   }
   bg_cv_.SignalAll();
   return s;
-}
-
-// --------------------------------------------------------- obsolete files
-
-void UniKVDB::RemoveObsoleteFiles() {
-  const uint64_t start_us = env_->NowMicros();
-  std::set<uint64_t> live;
-  uint64_t log_number, manifest_number;
-  std::vector<std::string> children;
-  {
-    MutexLock lock(&mu_);
-    if (has_bg_error_.load(std::memory_order_acquire)) {
-      return;  // Unsure about state: keep everything.
-    }
-    versions_->AddLiveFiles(&live);
-    live.insert(pending_outputs_.begin(), pending_outputs_.end());
-    log_number = versions_->LogNumber();
-    manifest_number = versions_->ManifestFileNumber();
-    // The directory listing must happen while the live set is
-    // authoritative. Peer workers register a pending output (under mu_)
-    // *before* creating the file, so any file this listing can observe is
-    // covered by the snapshot above; with the mutex dropped between the
-    // two, a peer could register and create a fresh output in the window
-    // and this sweep would delete it.
-    if (!env_->GetChildren(dbname_, &children).ok()) return;
-  }
-
-  std::string removed;
-  for (const std::string& child : children) {
-    uint64_t number;
-    FileType type;
-    if (!ParseFileName(child, &number, &type)) continue;
-    bool keep = true;
-    switch (type) {
-      case FileType::kWalFile:
-      case FileType::kShardWalFile:
-        keep = number >= log_number;
-        break;
-      case FileType::kManifestFile:
-        keep = number == manifest_number;
-        break;
-      case FileType::kTableFile:
-      case FileType::kValueLogFile:
-      case FileType::kIndexCheckpoint:
-        keep = live.count(number) > 0;
-        break;
-      case FileType::kAnchorsFile:  // Anchor views are no longer persisted.
-      case FileType::kTempFile:
-        keep = false;
-        break;
-      case FileType::kCurrentFile:
-      case FileType::kUnknown:
-        keep = true;
-        break;
-    }
-    if (!keep) {
-      if (type == FileType::kTableFile) {
-        table_cache_->Evict(number);
-      } else if (type == FileType::kValueLogFile) {
-        vlog_cache_->Evict(number);
-      }
-      // Best-effort sweep; re-attempted on every pass.
-      (void)env_->RemoveFile(dbname_ + "/" + child);
-      if (!removed.empty()) removed += ' ';
-      removed += child;
-    }
-  }
-  if (!removed.empty()) {
-    JsonBuilder ev;
-    ev.AddUint("duration_micros", env_->NowMicros() - start_us);
-    ev.AddUint("live", live.size());
-    ev.AddString("files", removed);
-    event_log_->Log("sweep", &ev);
-  }
 }
 
 }  // namespace unikv

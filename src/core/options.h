@@ -31,7 +31,8 @@ struct Options {
   // --- UniKV-specific knobs (ignored by baselines) ---
 
   /// UnsortedStore size that triggers a merge into the SortedStore
-  /// (paper: UnsortedLimit, configured by available memory).
+  /// (paper: UnsortedLimit, configured by available memory). A merge
+  /// needs at least one unsorted table, so 0 merges every flush.
   size_t unsorted_limit = 16 * 1024 * 1024;
 
   /// Partition size (sorted keys + live log data) that triggers a range
@@ -45,10 +46,12 @@ struct Options {
   /// 8 to 16. The rewrite now pays off on point reads instead: it drops
   /// the shadowed versions of hot keys, keeping the hash-index candidate
   /// chain short (turning it off cost mixed_zipf 18% of its throughput;
-  /// see EXPERIMENTS.md).
+  /// see EXPERIMENTS.md). A scan-merge needs at least two tables, so
+  /// values below 2 act as 2.
   int scan_merge_limit = 16;
 
-  /// Stale value-log bytes in a partition that trigger GC.
+  /// Stale value-log bytes in a partition that trigger GC. GC needs some
+  /// garbage, so 0 collects a partition once any of its values is stale.
   size_t gc_garbage_threshold = 16 * 1024 * 1024;
 
   /// Target size of each SortedStore SSTable produced by merges/GC.

@@ -9,6 +9,7 @@
 #include "core/db_iter.h"
 #include "core/filename.h"
 #include "core/merging_iterator.h"
+#include "core/table_output_writer.h"
 #include "table/cache.h"
 #include "util/coding.h"
 #include "util/env.h"
@@ -38,11 +39,12 @@ constexpr uint64_t PerfContext::*kNotFolded[] = {
 // partition carries them too, plus heat_reads, heat_writes and
 // user_bytes_flushed.
 constexpr const char* kJobSeries[] = {
-    "flushes",          "merges",
-    "scan_merges",      "gcs",
-    "splits",           "flush_bytes",
-    "merge_bytes_read", "merge_bytes_written",
-    "gc_bytes_read",    "gc_bytes_written"};
+    "flushes",               "merges",
+    "scan_merges",           "gcs",
+    "splits",                "flush_bytes",
+    "merge_bytes_read",      "merge_bytes_written",
+    "scan_merge_bytes_read", "scan_merge_bytes_written",
+    "gc_bytes_read",         "gc_bytes_written"};
 
 }  // namespace
 
@@ -346,9 +348,10 @@ Status UniKVDB::Recover() {
   // Flush recovered entries so the old WALs can be retired, then start a
   // fresh WAL per shard.
   VersionEdit edit;
+  // Their writers keep the new tables pending until Recover returns.
+  std::vector<FlushOutput> new_tables;
   if (recovered->NumEntries() > 0) {
     VersionPtr base = versions_->current();
-    std::vector<FlushOutput> new_tables;
     s = FlushMemTableToUnsorted(recovered, base, &new_tables);
     if (!s.ok()) {
       recovered->Unref();
@@ -392,15 +395,23 @@ Status UniKVDB::Recover() {
   {
     MutexLock lock(&mu_);
     s = versions_->LogAndApply(&edit);
-    pending_outputs_.clear();
-    for (const auto& p : versions_->current()->partitions) {
-      heat_reads_[p->id] = metrics_.RegisterPartition(p->id);
-    }
   }
   if (!s.ok()) return s;
 
-  s = RebuildHashIndexes();
-  if (!s.ok()) return s;
+  // Every partition's side state is born here (split installs add the
+  // rest). Recovery is single-threaded, so the index I/O runs before the
+  // records are published under mu_.
+  std::unordered_map<uint32_t, PartitionRuntime> runtime;
+  for (const auto& p : versions_->current()->partitions) {
+    PartitionRuntime& rt = runtime[p->id];
+    s = LoadHashIndex(*p, &rt.index);
+    if (!s.ok()) return s;
+    rt.heat_reads = metrics_.RegisterPartition(p->id);
+  }
+  {
+    MutexLock lock(&mu_);
+    runtime_ = std::move(runtime);
+  }
 
   RemoveObsoleteFiles();
   return Status::OK();
@@ -443,13 +454,11 @@ Status UniKVDB::CollectWalBatches(const std::string& fname,
   return read_status;
 }
 
-std::shared_ptr<HashIndex> UniKVDB::GetOrCreateIndex(uint32_t pid) {
-  auto it = indexes_.find(pid);
-  if (it != indexes_.end()) return it->second;
-  auto index = std::make_shared<HashIndex>(IndexExpectedEntries(),
-                                           options_.index_num_hashes);
-  indexes_[pid] = index;
-  return index;
+std::unique_ptr<HashIndex> UniKVDB::NewHashIndex() const {
+  const size_t n =
+      options_.unsorted_limit / options_.index_expected_entry_size;
+  return std::make_unique<HashIndex>(std::max<size_t>(n, 1024),
+                                     options_.index_num_hashes);
 }
 
 Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f) {
@@ -467,58 +476,127 @@ Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f) {
   return iter->status();
 }
 
-Status UniKVDB::RebuildHashIndexes() {
-  VersionPtr ver = versions_->current();
-  for (const auto& p : ver->partitions) {
-    auto index = std::make_shared<HashIndex>(IndexExpectedEntries(),
-                                             options_.index_num_hashes);
-    std::set<uint16_t> covered;
-    if (p->index_checkpoint != 0) {
-      // Load the checkpoint image: [count varint32][table ids varint32...]
-      // [HashIndex image].
-      std::string fname = IndexCheckpointFileName(dbname_, p->index_checkpoint);
-      uint64_t size;
-      Status s = env_->GetFileSize(fname, &size);
+Status UniKVDB::LoadHashIndex(const PartitionState& p,
+                              std::unique_ptr<HashIndex>* out) {
+  std::unique_ptr<HashIndex> index = NewHashIndex();
+  std::set<uint16_t> covered;
+  if (p.index_checkpoint != 0) {
+    // Load the checkpoint image: [count varint32][table ids varint32...]
+    // [HashIndex image].
+    std::string fname = IndexCheckpointFileName(dbname_, p.index_checkpoint);
+    uint64_t size;
+    Status s = env_->GetFileSize(fname, &size);
+    if (s.ok()) {
+      std::unique_ptr<SequentialFile> file;
+      s = env_->NewSequentialFile(fname, &file);
       if (s.ok()) {
-        std::unique_ptr<SequentialFile> file;
-        s = env_->NewSequentialFile(fname, &file);
+        std::string buf;
+        buf.resize(size);
+        Slice contents;
+        s = file->Read(size, &contents, buf.data());
         if (s.ok()) {
-          std::string buf;
-          buf.resize(size);
-          Slice contents;
-          s = file->Read(size, &contents, buf.data());
-          if (s.ok()) {
-            Slice input = contents;
-            uint32_t count = 0;
-            if (GetVarint32(&input, &count)) {
-              bool ok = true;
-              for (uint32_t i = 0; i < count && ok; i++) {
-                uint32_t id;
-                ok = GetVarint32(&input, &id);
-                if (ok) covered.insert(static_cast<uint16_t>(id));
-              }
-              if (ok && index->DecodeFrom(input).ok()) {
-                // Loaded; fall through to replay uncovered tables.
-              } else {
-                covered.clear();
-                index->Clear();
-              }
+          Slice input = contents;
+          uint32_t count = 0;
+          if (GetVarint32(&input, &count)) {
+            bool ok = true;
+            for (uint32_t i = 0; i < count && ok; i++) {
+              uint32_t id;
+              ok = GetVarint32(&input, &id);
+              if (ok) covered.insert(static_cast<uint16_t>(id));
+            }
+            if (ok && index->DecodeFrom(input).ok()) {
+              // Loaded; fall through to replay uncovered tables.
+            } else {
+              covered.clear();
+              index->Clear();
             }
           }
         }
       }
-      // On any checkpoint trouble fall back to a full rebuild.
     }
-    for (const FileMeta& f : p->unsorted) {
-      if (covered.count(f.table_id)) continue;
-      Status s = InsertTableIntoIndex(index.get(), f);
-      if (!s.ok()) return s;
-    }
-    indexes_[p->id] = index;
-    vlog_garbage_[p->id] = 0;
-    flushes_since_checkpoint_[p->id] = 0;
+    // On any checkpoint trouble fall back to a full rebuild.
   }
+  for (const FileMeta& f : p.unsorted) {
+    if (covered.count(f.table_id)) continue;
+    Status s = InsertTableIntoIndex(index.get(), f);
+    if (!s.ok()) return s;
+  }
+  *out = std::move(index);
   return Status::OK();
+}
+
+// --------------------------------------------------------- obsolete files
+
+void UniKVDB::RemoveObsoleteFiles() {
+  const uint64_t start_us = env_->NowMicros();
+  std::set<uint64_t> live;
+  uint64_t log_number, manifest_number;
+  std::vector<std::string> children;
+  {
+    MutexLock lock(&mu_);
+    if (has_bg_error_.load(std::memory_order_acquire)) {
+      return;  // Unsure about state: keep everything.
+    }
+    versions_->AddLiveFiles(&live);
+    live.insert(pending_outputs_.begin(), pending_outputs_.end());
+    log_number = versions_->LogNumber();
+    manifest_number = versions_->ManifestFileNumber();
+    // The directory listing must happen while the live set is
+    // authoritative. Peer workers register a pending output (under mu_)
+    // *before* creating the file, so any file this listing can observe is
+    // covered by the snapshot above; with the mutex dropped between the
+    // two, a peer could register and create a fresh output in the window
+    // and this sweep would delete it.
+    if (!env_->GetChildren(dbname_, &children).ok()) return;
+  }
+
+  std::string removed;
+  for (const std::string& child : children) {
+    uint64_t number;
+    FileType type;
+    if (!ParseFileName(child, &number, &type)) continue;
+    bool keep = true;
+    switch (type) {
+      case FileType::kWalFile:
+      case FileType::kShardWalFile:
+        keep = number >= log_number;
+        break;
+      case FileType::kManifestFile:
+        keep = number == manifest_number;
+        break;
+      case FileType::kTableFile:
+      case FileType::kValueLogFile:
+      case FileType::kIndexCheckpoint:
+        keep = live.count(number) > 0;
+        break;
+      case FileType::kAnchorsFile:  // Anchor views are no longer persisted.
+      case FileType::kTempFile:
+        keep = false;
+        break;
+      case FileType::kCurrentFile:
+      case FileType::kUnknown:
+        keep = true;
+        break;
+    }
+    if (!keep) {
+      if (type == FileType::kTableFile) {
+        table_cache_->Evict(number);
+      } else if (type == FileType::kValueLogFile) {
+        vlog_cache_->Evict(number);
+      }
+      // Best-effort sweep; re-attempted on every pass.
+      (void)env_->RemoveFile(dbname_ + "/" + child);
+      if (!removed.empty()) removed += ' ';
+      removed += child;
+    }
+  }
+  if (!removed.empty()) {
+    JsonBuilder ev;
+    ev.AddUint("duration_micros", env_->NowMicros() - start_us);
+    ev.AddUint("live", live.size());
+    ev.AddString("files", removed);
+    event_log_->Log("sweep", &ev);
+  }
 }
 
 // ---------------------------------------------------- anchor views (§12)
@@ -1218,22 +1296,19 @@ void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
     MutexLock lock(&mu_);
     ver = versions_->current();
     int last_pi = -1;
-    Counter* heat = nullptr;
+    const PartitionRuntime* rt = nullptr;
     for (size_t r = 0; r < m; r++) {
       KeyRead& k = reads[r];
       k.partition = ver->FindPartition(keys[k.slot]);
       const PartitionState& p = *ver->partitions[k.partition];
       if (k.partition != last_pi) {
         last_pi = k.partition;
-        heat = heat_reads_.at(p.id);
+        rt = &runtime_.at(p.id);
       }
-      heat->Inc();
+      rt->heat_reads->Inc();
       // No unsorted tables -> no candidates to find; skip the hash.
       if (options_.enable_hash_index && !p.unsorted.empty()) {
-        auto it = indexes_.find(p.id);
-        if (it != indexes_.end()) {
-          it->second->Lookup(keys[k.slot], &k.candidates);
-        }
+        rt->index->Lookup(keys[k.slot], &k.candidates);
       }
     }
   }
@@ -1600,14 +1675,14 @@ bool UniKVDB::GetProperty(const Slice& property, std::string* value) {
   }
   if (property == Slice("db.hash-index-bytes")) {
     size_t total = 0;
-    for (const auto& [pid, index] : indexes_) total += index->MemoryUsage();
+    for (const auto& [pid, rt] : runtime_) total += rt.index->MemoryUsage();
     std::snprintf(buf, sizeof(buf), "%zu", total);
     *value = buf;
     return true;
   }
   if (property == Slice("db.hash-index-entries")) {
     uint64_t total = 0;
-    for (const auto& [pid, index] : indexes_) total += index->NumEntries();
+    for (const auto& [pid, rt] : runtime_) total += rt.index->NumEntries();
     std::snprintf(buf, sizeof(buf), "%" PRIu64, total);
     *value = buf;
     return true;
@@ -1712,13 +1787,13 @@ bool UniKVDB::GetProperty(const Slice& property, std::string* value) {
 
 namespace {
 
-// Physical bytes flush/merge/GC wrote on a partition's behalf per logical
-// user byte flushed into it.
+// Physical bytes flush/merge/scan-merge/GC wrote on a partition's behalf
+// per logical user byte flushed into it.
 double PartitionWriteAmp(const std::map<std::string, uint64_t>& pc) {
   const uint64_t user = pc.at("user_bytes_flushed");
-  const uint64_t physical = pc.at("flush_bytes") +
-                            pc.at("merge_bytes_written") +
-                            pc.at("gc_bytes_written");
+  const uint64_t physical =
+      pc.at("flush_bytes") + pc.at("merge_bytes_written") +
+      pc.at("scan_merge_bytes_written") + pc.at("gc_bytes_written");
   return user == 0 ? 0.0 : static_cast<double>(physical) / user;
 }
 
@@ -1732,11 +1807,9 @@ std::string UniKVDB::MetricsTextLocked(const VersionData& ver) {
   char buf[256];
   result += "-- partitions --\n";
   for (const auto& p : ver.partitions) {
-    uint64_t garbage = 0;
-    auto git = vlog_garbage_.find(p->id);
-    if (git != vlog_garbage_.end()) garbage = git->second;
+    const uint64_t garbage = runtime_.at(p->id).vlog_garbage;
     const uint64_t vlog_bytes = p->VlogBytes();
-    // Registered at the partition's birth, under mu_ (see heat_reads_).
+    // Registered at the partition's birth (see PartitionRuntime).
     const auto& pc = snap.partitions.at(p->id);
     const uint64_t logical = p->LogicalBytes();
     // The lower bound is an arbitrary user key and goes through string
@@ -1771,17 +1844,9 @@ std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
     if (!first) partitions += ',';
     first = false;
 
-    uint64_t garbage = 0;
-    auto git = vlog_garbage_.find(p->id);
-    if (git != vlog_garbage_.end()) garbage = git->second;
+    const PartitionRuntime& rt = runtime_.at(p->id);
+    const uint64_t garbage = rt.vlog_garbage;
     const uint64_t vlog_bytes = p->VlogBytes();
-
-    uint64_t index_entries = 0, index_bytes = 0;
-    auto iit = indexes_.find(p->id);
-    if (iit != indexes_.end()) {
-      index_entries = iit->second->NumEntries();
-      index_bytes = iit->second->MemoryUsage();
-    }
 
     // Structure derived from the version at render time, then every
     // registry series of the partition, then the amplification gauges
@@ -1800,8 +1865,8 @@ std::string UniKVDB::MetricsJsonLocked(const VersionData& ver) {
     pj.AddDouble("garbage_ratio",
                  vlog_bytes == 0 ? 0.0
                                  : static_cast<double>(garbage) / vlog_bytes);
-    pj.AddUint("index_entries", index_entries);
-    pj.AddUint("index_bytes", index_bytes);
+    pj.AddUint("index_entries", rt.index->NumEntries());
+    pj.AddUint("index_bytes", rt.index->MemoryUsage());
     const auto& pc = snap.partitions.at(p->id);
     for (const auto& [name, v] : pc) pj.AddUint(name, v);
     const uint64_t logical = p->LogicalBytes();

@@ -190,8 +190,12 @@ class UniKVDB : public DB {
   /// from all shard WALs by sequence number before replaying.
   Status CollectWalBatches(const std::string& fname,
                            std::vector<WalBatch>* out);
-  Status RebuildHashIndexes();
+  /// Partition `p`'s hash index as of recovery: its checkpoint image,
+  /// if any loads, plus every unsorted table the image does not cover.
+  Status LoadHashIndex(const PartitionState& p,
+                       std::unique_ptr<HashIndex>* index);
   Status InsertTableIntoIndex(HashIndex* index, const FileMeta& f);
+  std::unique_ptr<HashIndex> NewHashIndex() const;
 
   /// The shard responsible for `user_key` (stable hash stripe; not
   /// persisted, so write_shards may change across restarts).
@@ -288,28 +292,45 @@ class UniKVDB : public DB {
   /// mutually exclusive.
   void BackgroundWorker() EXCLUDES(mu_);
 
-  /// Next schedulable job: skips partitions in busy_partitions_ and the
-  /// flush when one is already in flight.
+  /// The one trigger rule (DESIGN.md §5): the job partition `p` wants,
+  /// with its rank (lower runs first) and, within a rank, its weight
+  /// (larger runs first). kNone when it wants nothing. Every kind it
+  /// returns has input to consume, so a job always makes progress.
+  struct Wanted {
+    WorkKind kind = WorkKind::kNone;
+    int rank = 0;
+    uint64_t weight = 0;
+  };
+  Wanted WantedWork(const PartitionState& p) REQUIRES(mu_);
+
+  /// Next schedulable job: a pending flush whose shard has none in flight,
+  /// else the best job WantedWork names in a partition that is not busy.
   WorkItem PickWork() REQUIRES(mu_);
 
-  /// Whether *any* work remains (pending or currently running elsewhere's
-  /// preconditions still hold) — the raw threshold check, ignoring the
-  /// busy set. CompactAll drains on this.
+  /// Whether any work remains: some shard has an imm, or WantedWork wants
+  /// a job in some partition, busy or not. CompactAll drains on this.
   bool HasWorkPending() REQUIRES(mu_);
   /// Runs one job start to finish; all I/O, so never under mu_.
   Status DispatchWork(const WorkItem& item) EXCLUDES(mu_);
 
+  /// Table output of every background job (core/table_output_writer.h).
+  class TableOutputWriter;
+
   struct FlushOutput {
     uint32_t pid = 0;
+    /// Wrote the table and holds it (and the partition's index checkpoint,
+    /// if this flush writes one) as a pending output until destroyed.
+    std::unique_ptr<TableOutputWriter> writer;
     FileMeta meta;
     std::vector<std::string> keys;  // Deduplicated user keys, table order.
   };
 
   /// Flushes `mem` contents to per-partition UnsortedStore tables routed
-  /// by `base`'s partition boundaries and fills *outputs. Called without
-  /// holding mu_ (takes it briefly for file-number allocation). Does not
-  /// assign table_ids, build an edit, or touch the hash indexes — the
-  /// caller does that under mu_ after re-validating the routing against
+  /// by `base`'s partition boundaries and fills *outputs, also on failure
+  /// (their writers release the files). Called without holding mu_
+  /// (writers take it briefly for file numbers). Does not assign
+  /// table_ids, build an edit, or touch the hash indexes — the caller
+  /// does that under mu_ after re-validating the routing against
   /// the then-current version (a concurrent split may have moved
   /// boundaries while the tables were being built).
   Status FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
@@ -323,8 +344,23 @@ class UniKVDB : public DB {
       REQUIRES(mu_);
   Status CompactMemTable(size_t shard_idx) EXCLUDES(mu_);
 
-  /// Table output of merge and GC (core/sorted_run_writer.h).
-  class SortedRunWriter;
+  /// Installs `edit`, a merge or scan-merge that consumed every unsorted
+  /// table of `snap` (partition `snap.id` as the job saw it). Tables
+  /// flushed into the partition while the job ran survive the edit
+  /// (removals are by number): their keys are added to `index`, which the
+  /// caller seeds with the keys of the job's own unsorted output, and
+  /// `index` becomes the partition's hash index once the edit is applied.
+  /// Also drops the partition's cached anchor view and restarts its
+  /// checkpoint count. Call it as soon as mu_ is taken: the EVENTS
+  /// install_micros it reports runs from its entry to LogAndApply's return.
+  struct UnsortedInstall {
+    size_t survivors = 0;  // Tables flushed in while the job ran.
+    uint64_t micros = 0;   // EVENTS install_micros.
+  };
+  Status InstallUnsortedReplacement(const PartitionState& snap,
+                                    VersionEdit* edit,
+                                    std::unique_ptr<HashIndex> index,
+                                    UnsortedInstall* result) REQUIRES(mu_);
 
   Status MergePartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);
@@ -484,34 +520,38 @@ class UniKVDB : public DB {
   /// construction (every LogAndApply site sits in a REQUIRES(mu_) region).
   std::unique_ptr<VersionSet> versions_;
 
-  // Mutable per-partition side state (not versioned).
-  std::unordered_map<uint32_t, std::shared_ptr<HashIndex>> indexes_
-      GUARDED_BY(mu_);
+  /// A partition's mutable side state (not versioned). Created with the
+  /// partition, at the end of Recover or at split install, in the mu_
+  /// hold that makes it visible, so every partition a reader or job can
+  /// route to has one; never erased (nothing removes partitions).
+  struct PartitionRuntime {
+    /// Maps the keys of the partition's unsorted tables to table ids;
+    /// replaced wholesale by merge and scan-merge installs.
+    std::unique_ptr<HashIndex> index;
+    /// Stale value-log bytes (GC trigger); counted from open, not stored.
+    uint64_t vlog_garbage = 0;
+    int flushes_since_checkpoint = 0;
+    /// The partition's heat_reads series, cached so the per-key heat bump
+    /// in Get/MultiGet costs no registry lock or name building.
+    Counter* heat_reads = nullptr;
+    /// A merge/scan-merge/GC/split is in flight; PickWork skips the
+    /// partition so same-partition jobs never overlap.
+    bool busy = false;
+  };
+  std::unordered_map<uint32_t, PartitionRuntime> runtime_ GUARDED_BY(mu_);
+
   /// Cache of immutable per-partition anchor views (DESIGN.md §12),
   /// filled by iterators and erased by merge, scan-merge and split
   /// installs. The map is guarded by mu_; the views themselves are
   /// immutable, so readers snapshot the shared_ptr under mu_ and use it
   /// lock-free.
   std::unordered_map<uint32_t, AnchorViewPtr> anchor_views_ GUARDED_BY(mu_);
-  std::unordered_map<uint32_t, uint64_t> vlog_garbage_ GUARDED_BY(mu_);
-  std::unordered_map<uint32_t, int> flushes_since_checkpoint_
-      GUARDED_BY(mu_);
-  /// Each partition's heat_reads series, cached so the per-key heat bump
-  /// in Get/MultiGet costs one map find under the mu_ hold they already
-  /// take — no registry lock, no name building. Filled at partition
-  /// birth (end of Recover, split install), in the same mu_ hold that
-  /// makes the partition visible, so every partition a reader can route
-  /// to has an entry.
-  std::unordered_map<uint32_t, Counter*> heat_reads_ GUARDED_BY(mu_);
 
   std::set<uint64_t> pending_outputs_ GUARDED_BY(mu_);
 
   /// Background jobs currently executing across all workers. CompactAll,
   /// FlushMemTable, and the destructor drain on this reaching zero.
   int bg_jobs_running_ GUARDED_BY(mu_) = 0;
-  /// Partitions with a merge/scan-merge/GC/split in flight; PickWork
-  /// skips them so same-partition jobs never overlap.
-  std::set<uint32_t> busy_partitions_ GUARDED_BY(mu_);
 
   bool shutting_down_ GUARDED_BY(mu_) = false;
   /// Count of CompactAll callers currently draining; while nonzero the
@@ -527,12 +567,6 @@ class UniKVDB : public DB {
   std::vector<std::thread> bg_threads_;
   /// Running only when options_.stats_sample_interval_ms > 0.
   std::thread sampler_thread_;
-
-  size_t IndexExpectedEntries() const {
-    size_t n = options_.unsorted_limit / options_.index_expected_entry_size;
-    return n < 1024 ? 1024 : n;
-  }
-  std::shared_ptr<HashIndex> GetOrCreateIndex(uint32_t pid);
 };
 
 }  // namespace unikv

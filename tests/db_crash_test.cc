@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
+#include "core/filename.h"
 #include "core/unikv_db.h"
 #include "crash_harness.h"
 #include "test_util.h"
@@ -279,6 +283,149 @@ TEST(DbCrashTest, FailedWalSyncLatchesBackgroundError) {
 
   std::string value;
   EXPECT_TRUE(db->Get(ReadOptions(), test::TestKey(1), &value).ok());
+}
+
+// Files of `type` in `dir`.
+size_t CountFiles(Env* env, const std::string& dir, FileType type) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(env->GetChildren(dir, &children).ok());
+  size_t n = 0;
+  for (const std::string& child : children) {
+    uint64_t number;
+    FileType t;
+    if (ParseFileName(child, &number, &t) && t == type) n++;
+  }
+  return n;
+}
+
+// A job that fails to sync one of its outputs latches a background error
+// and leaves no trace a reopen cannot clean: every acknowledged write
+// reads back, and the directory holds exactly the tables and logs the
+// version names.
+TEST(DbCrashTest, FailedJobOutputSyncLatchesErrorAndReopensClean) {
+  struct Case {
+    const char* job;      // Its db.stats counter must not move.
+    const char* pattern;  // Output file kind whose Sync fails once.
+    int arm_after_wave;   // Armed once this many waves are written.
+    uint64_t nth;         // Matching Syncs let through after arming.
+  };
+  // merge and GC jobs run in CompactAll after the last wave; scan-merge
+  // runs on its own after wave 2 flushes (the second table), whose own
+  // table sync is let through. A merge writes one log and GC one more.
+  const Case cases[] = {
+      {"flushes", ".sst", 0, 0},
+      {"scan_merges", ".sst", 1, 1},
+      {"merges", ".sst", 2, 0},
+      {"gcs", ".vlog", 2, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.job);
+    std::unique_ptr<MemEnv> base(NewMemEnv());
+    FaultInjectionEnv fenv(base.get());
+    Options opts;
+    opts.env = &fenv;
+    opts.unsorted_limit = 64 << 20;  // Only CompactAll merges.
+    if (std::strcmp(c.job, "scan_merges") == 0) opts.scan_merge_limit = 2;
+    const std::string dbname = "/outputfaultdb";
+
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(opts, dbname, &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    std::map<std::string, std::string> acked;
+    auto stat = [&db, &c] {
+      std::string stats;
+      db->GetProperty("db.stats", &stats);
+      return ParseStat(stats, c.job);
+    };
+    uint64_t jobs_before = 0;
+    for (int wave = 0; wave < 2; wave++) {
+      if (wave == c.arm_after_wave) {
+        jobs_before = stat();
+        fenv.FailAt(FaultOp::kSync, c.pattern, c.nth);
+      }
+      for (int i = 0; i < 200; i++) {
+        const std::string key = test::TestKey(i);
+        const std::string value = test::TestValue(wave * 1000 + i, 200);
+        if (db->Put(WriteOptions(), key, value).ok()) acked[key] = value;
+      }
+      (void)db->FlushMemTable();
+      // The first wave reaches the SortedStore, so the second one's
+      // merge turns its log values into garbage for GC.
+      if (wave == 0 && c.arm_after_wave == 2) {
+        ASSERT_TRUE(db->CompactAll().ok());
+      }
+    }
+    if (c.arm_after_wave == 2) {
+      jobs_before = stat();
+      fenv.FailAt(FaultOp::kSync, c.pattern, c.nth);
+      EXPECT_FALSE(db->CompactAll().ok());
+    }
+    // The scan-merge runs in the background; wait for its error.
+    for (int i = 0; i < 1000 && db->GetBackgroundError().ok(); i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_FALSE(db->GetBackgroundError().ok());
+    EXPECT_EQ(jobs_before, stat());
+    db.reset();
+
+    // Reopen on the healthy env with no trigger that could start a job,
+    // so the directory is read right after recovery's sweep.
+    fenv.ClearFaults();
+    opts.scan_merge_limit = 1 << 20;
+    opts.gc_garbage_threshold = size_t{1} << 40;
+    ASSERT_TRUE(DB::Open(opts, dbname, &raw).ok());
+    db.reset(raw);
+    EXPECT_TRUE(db->GetBackgroundError().ok());
+    for (const auto& [key, value] : acked) {
+      std::string got;
+      ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+      EXPECT_EQ(value, got) << key;
+    }
+    std::string num_files;
+    ASSERT_TRUE(db->GetProperty("db.num-files", &num_files));
+    EXPECT_EQ(std::stoull(num_files),
+              CountFiles(&fenv, dbname, FileType::kTableFile) +
+                  CountFiles(&fenv, dbname, FileType::kValueLogFile));
+    db.reset();
+  }
+}
+
+// A failed hash-index checkpoint write only costs recovery time: no
+// error latches, and the partial file is swept after the job, with no
+// reopen.
+TEST(DbCrashTest, FailedCheckpointWriteIsSweptWithoutError) {
+  std::unique_ptr<MemEnv> base(NewMemEnv());
+  FaultInjectionEnv fenv(base.get());
+  Options opts;
+  opts.env = &fenv;
+  opts.index_checkpoint_interval = 2;  // The second flush checkpoints.
+  const std::string dbname = "/checkpointfaultdb";
+
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opts, dbname, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  fenv.EnableTrace(true);
+  for (int wave = 0; wave < 2; wave++) {
+    if (wave == 1) fenv.FailAt(FaultOp::kSync, ".hidx", 0);
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), test::TestKey(wave * 100 + i),
+                          test::TestValue(i, 200))
+                      .ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+  EXPECT_TRUE(TraceHas(fenv.Trace(), FaultOp::kSync, ".hidx"));
+  // The sweep follows the flush install on the same worker.
+  for (int i = 0; i < 1000 &&
+                  CountFiles(&fenv, dbname, FileType::kIndexCheckpoint) > 0;
+       i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(0u, CountFiles(&fenv, dbname, FileType::kIndexCheckpoint));
+  EXPECT_TRUE(db->GetBackgroundError().ok());
+  std::string value;
+  ASSERT_TRUE(db->Get(ReadOptions(), test::TestKey(150), &value).ok());
+  EXPECT_EQ(test::TestValue(50, 200), value);
 }
 
 }  // namespace

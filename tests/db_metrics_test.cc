@@ -4,6 +4,7 @@
 // GetProperty's contract over known and unknown names.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -565,14 +566,26 @@ TEST_F(DbMetricsTest, EveryReportRendersTheRegistry) {
   std::vector<std::pair<std::string, std::string>> out;
   ASSERT_TRUE(db_->Scan(ReadOptions(), test::TestKey(0), 100, &out).ok());
 
-  // The property read folds this thread's pending PerfContext window;
-  // the store is quiescent afterwards, so the registry cannot move.
+  // The property read folds this thread's pending PerfContext window. A
+  // job the last flush triggered may still install, so the reports are
+  // compared with a snapshot only when an equal snapshot was also taken
+  // before they rendered: no job moved the registry in between.
+  const MetricsRegistry& metrics =
+      static_cast<UniKVDB*>(db_.get())->TEST_metrics();
   std::string json, stats_text;
-  ASSERT_TRUE(db_->GetProperty("db.metrics.json", &json));
-  ASSERT_TRUE(db_->GetProperty("db.stats", &stats_text));
+  CounterSnapshot reg;
+  for (int attempt = 0;; attempt++) {
+    ASSERT_LT(attempt, 1000) << "the registry never held still";
+    const CounterSnapshot before = metrics.SnapshotCounters();
+    ASSERT_TRUE(db_->GetProperty("db.metrics.json", &json));
+    ASSERT_TRUE(db_->GetProperty("db.stats", &stats_text));
+    reg = metrics.SnapshotCounters();
+    if (before.engine == reg.engine && before.partitions == reg.partitions) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   ASSERT_TRUE(test::IsValidJson(json)) << json;
-  const CounterSnapshot reg =
-      static_cast<UniKVDB*>(db_.get())->TEST_metrics().SnapshotCounters();
   ASSERT_GE(reg.partitions.size(), 2u) << "no split; test is vacuous";
 
   // Every engine-wide series appears under engine.counters with the same
