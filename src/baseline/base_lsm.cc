@@ -587,7 +587,7 @@ Iterator* BaseLsmDB::NewIterator(const ReadOptions& /*options*/) {
     }
   }
   Iterator* merged = NewMergingIterator(icmp_, std::move(children));
-  return new DBIter(icmp_, merged, last_sequence_, nullptr, false);
+  return new DBIter(icmp_, merged, last_sequence_, nullptr);
 }
 
 // -------------------------------------------------------------- properties

@@ -850,9 +850,8 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     if (batch.empty()) return Status::OK();
     if (options_.enable_scan_optimization && batch.size() > 1) {
       // Wait on this batch's own completion group, not the whole pool:
-      // the pool is shared with foreground scans, and a global WaitIdle
-      // would block GC behind an unrelated scan's fetches (and vice
-      // versa) for as long as the other caller keeps the pool busy.
+      // GCs of different partitions share the pool, and a global WaitIdle
+      // would block one behind the other's fetches.
       ThreadPool::TaskGroup group;
       for (Entry& e : batch) {
         if (!e.is_pointer) continue;
@@ -1060,10 +1059,8 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
   Status s = versions_->LogAndApply(&edit);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
-    // Split preconditions guarantee no unsorted tables, hence no useful
-    // view on either side; drop any stale cache entry.
-    InstallAnchorViewLocked(p->id, nullptr);
-    InstallAnchorViewLocked(npid, nullptr);
+    // Split preconditions guarantee no unsorted tables, so neither side
+    // has an anchor view: the merge that emptied the store retired it.
     PartitionRuntime& old_rt = runtime_.at(p->id);
     PartitionRuntime& new_rt = runtime_[npid];
     new_rt.index = NewHashIndex();

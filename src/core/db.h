@@ -58,8 +58,9 @@ class DB {
   virtual Iterator* NewIterator(const ReadOptions& options) = 0;
 
   /// Range scan convenience: up to `count` pairs with key >= start.
-  /// UniKV's implementation applies the paper's scan optimizations
-  /// (readahead + parallel value fetch); the default wraps NewIterator.
+  /// UniKV's implementation collects the rows first and then fetches
+  /// their separated values in one batched step, as MultiGet does; the
+  /// default wraps NewIterator.
   virtual Status Scan(const ReadOptions& options, const Slice& start,
                       int count,
                       std::vector<std::pair<std::string, std::string>>* out);

@@ -5,12 +5,8 @@
 namespace unikv {
 
 DBIter::DBIter(const InternalKeyComparator& icmp, Iterator* internal,
-               SequenceNumber sequence, ValueLogCache* vlog, bool readahead)
-    : icmp_(icmp),
-      iter_(internal),
-      sequence_(sequence),
-      vlog_(vlog),
-      readahead_(readahead) {}
+               SequenceNumber sequence, ValueLogCache* vlog)
+    : icmp_(icmp), iter_(internal), sequence_(sequence), vlog_(vlog) {}
 
 DBIter::~DBIter() { delete iter_; }
 
@@ -69,18 +65,6 @@ Status DBIter::status() const {
   return iter_->status();
 }
 
-void DBIter::MaybeReadahead() const {
-  if (!readahead_ || vlog_ == nullptr || !valid_) return;
-  if (raw_type() != kTypeValuePointer) return;
-  ValuePointer ptr;
-  Slice encoded = raw_value();
-  if (ptr.DecodeFrom(&encoded)) {
-    // Hint a window past this value; sorted-order scans read values from
-    // the logs in (mostly) increasing offsets within a merge epoch.
-    vlog_->Readahead(ptr, 256 * 1024);
-  }
-}
-
 void DBIter::Next() {
   assert(valid_);
   value_resolved_ = false;
@@ -136,7 +120,6 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
           } else {
             valid_ = true;
             saved_key_.clear();
-            MaybeReadahead();
             return;
           }
           break;
@@ -215,7 +198,6 @@ void DBIter::FindPrevUserEntry() {
     direction_ = kForward;
   } else {
     valid_ = true;
-    MaybeReadahead();
   }
 }
 

@@ -15,10 +15,9 @@ class ValueLogCache;
 class DBIter : public Iterator {
  public:
   /// Takes ownership of `internal`. `vlog` may be null when KV separation
-  /// is disabled. If `readahead`, issues OS readahead hints for pointer
-  /// values as the iterator advances (paper scan optimization).
+  /// is disabled.
   DBIter(const InternalKeyComparator& icmp, Iterator* internal,
-         SequenceNumber sequence, ValueLogCache* vlog, bool readahead);
+         SequenceNumber sequence, ValueLogCache* vlog);
   ~DBIter() override;
 
   bool Valid() const override { return valid_; }
@@ -60,13 +59,10 @@ class DBIter : public Iterator {
     }
   }
 
-  void MaybeReadahead() const;
-
   const InternalKeyComparator icmp_;
   Iterator* const iter_;
   const SequenceNumber sequence_;
   ValueLogCache* const vlog_;
-  const bool readahead_;
 
   Status status_;
   std::string saved_key_;    // == current key when direction_ == kReverse

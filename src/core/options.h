@@ -92,8 +92,8 @@ struct Options {
   /// Average KV size estimate used to size each partition's hash index.
   size_t index_expected_entry_size = 1024;
 
-  /// Thread-pool size for parallel value fetches during scans and GC
-  /// (the paper uses 32; scale to the machine).
+  /// Thread-pool size for GC's parallel live-value reads. Scans read their
+  /// values on the calling thread (DESIGN.md §11).
   int value_fetch_threads = 8;
 
   /// Background maintenance workers. Each worker picks one job at a time
@@ -150,7 +150,8 @@ struct Options {
   bool enable_kv_separation = true;
   /// Off: never split; a single partition grows without bound.
   bool enable_partitioning = true;
-  /// Off: no size-based merge, no readahead, no parallel value fetch.
+  /// Off: no size-based merge, Scan is the plain iterator loop, and GC
+  /// reads live values serially.
   bool enable_scan_optimization = true;
   /// Off: scans always k-way-merge the overlapping unsorted tables. On:
   /// iterators over a partition with >= 2 unsorted tables use a sorted

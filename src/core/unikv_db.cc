@@ -602,60 +602,56 @@ void UniKVDB::RemoveObsoleteFiles() {
 // ---------------------------------------------------- anchor views (§12)
 
 void UniKVDB::InstallAnchorViewLocked(uint32_t pid, AnchorViewPtr view) {
-  auto it = anchor_views_.find(pid);
-  if (it != anchor_views_.end()) {
-    metrics_.anchor_view_bytes->Add(
-        -static_cast<int64_t>(it->second->byte_size));
-    anchor_views_.erase(it);
+  AnchorViewPtr& slot = runtime_.at(pid).anchor_view;
+  if (slot != nullptr) {
+    metrics_.anchor_view_bytes->Add(-static_cast<int64_t>(slot->byte_size));
   }
-  if (view != nullptr) {
-    metrics_.anchor_view_bytes->Add(static_cast<int64_t>(view->byte_size));
-    anchor_views_.emplace(pid, std::move(view));
+  slot = std::move(view);
+  if (slot != nullptr) {
+    metrics_.anchor_view_bytes->Add(static_cast<int64_t>(slot->byte_size));
   }
 }
 
-void UniKVDB::RefreshAnchorViews(
-    const VersionData& ver,
-    std::unordered_map<uint32_t, AnchorViewPtr>* views) {
+void UniKVDB::RefreshAnchorViews(const VersionData& ver,
+                                 std::vector<AnchorViewPtr>* views) {
   const int restart_interval = options_.table_options.block_restart_interval;
   std::vector<std::pair<uint32_t, AnchorViewPtr>> built;
-  for (const auto& p : ver.partitions) {
-    if (p->unsorted.size() < 2) continue;  // One table is already sorted.
-    auto it = views->find(p->id);
-    AnchorViewPtr cached = it != views->end() ? it->second : nullptr;
-    if (cached != nullptr && cached->Covers(p->unsorted)) continue;
+  for (size_t i = 0; i < ver.partitions.size(); i++) {
+    const PartitionState& p = *ver.partitions[i];
+    if (p.unsorted.size() < 2) continue;  // One table is already sorted.
+    AnchorViewPtr& cached = (*views)[i];
+    if (cached != nullptr && cached->Covers(p.unsorted)) continue;
 
     AnchorView view;
     Status s;
     const size_t have = cached != nullptr ? cached->covered.size() : 0;
-    const bool extend = have > 0 && cached->CoversPrefix(p->unsorted, have);
+    const bool extend = have > 0 && cached->CoversPrefix(p.unsorted, have);
     if (extend) {
       // Flushes appended tables since the view was built: fold just those
       // in with one merge pass instead of re-reading every covered table.
       s = MergeAnchorView(icmp_, table_cache_.get(), *cached,
-                          std::span(p->unsorted).subspan(have),
+                          std::span(p.unsorted).subspan(have),
                           restart_interval, &view);
     } else {
-      s = BuildAnchorView(icmp_, table_cache_.get(), p->unsorted,
+      s = BuildAnchorView(icmp_, table_cache_.get(), p.unsorted,
                           restart_interval, &view);
     }
     if (!s.ok()) {
       // Never fatal: the partition falls back to per-table children.
-      views->erase(p->id);
+      cached = nullptr;
       continue;
     }
     metrics_.anchor_view_builds->Inc();
     if (extend) metrics_.anchor_view_merges->Inc();
-    auto ptr = std::make_shared<const AnchorView>(std::move(view));
-    (*views)[p->id] = ptr;
-    built.emplace_back(p->id, std::move(ptr));
+    cached = std::make_shared<const AnchorView>(std::move(view));
+    built.emplace_back(p.id, cached);
   }
   if (built.empty()) return;
 
   // Publish. A racing iterator may have published a view for the current
   // version already, and an install may have moved on since `ver`: keep
-  // an entry that covers the current tables, and cache a new view only
-  // while it still describes a prefix of them (a later iterator can
+  // a cached view that covers the current tables, and cache a new view
+  // only while it still describes a prefix of them (a later iterator can
   // extend it), never one over tables a merge consumed.
   MutexLock lock(&mu_);
   VersionPtr cur = versions_->current();
@@ -665,10 +661,8 @@ void UniKVDB::RefreshAnchorViews(
                                              view->covered.size())) {
       continue;
     }
-    auto it = anchor_views_.find(pid);
-    if (it != anchor_views_.end() && it->second->Covers(cp->unsorted)) {
-      continue;
-    }
+    const AnchorViewPtr& cached = runtime_.at(pid).anchor_view;
+    if (cached != nullptr && cached->Covers(cp->unsorted)) continue;
     InstallAnchorViewLocked(pid, std::move(view));
   }
 }
@@ -1366,8 +1360,7 @@ void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
   // value (every Get) is a point pread, several are sorted and coalesced.
   if (num_items > 0) {
     const ValueFetcher::Stats fetched =
-        ValueFetcher(vlog_cache_.get(), nullptr)
-            .Fetch(items.data(), num_items, 1);
+        ValueFetcher(vlog_cache_.get()).Fetch(items.data(), num_items);
     perf->multiget_coalesced_reads += fetched.coalesced_spans;
     perf->multiget_io_bytes_saved += fetched.bytes_saved;
   }
@@ -1503,25 +1496,33 @@ Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
     }
   }
 
-  // Capture the version and the cached anchor views under a short mu_
-  // hold — no I/O. Missing or stale views are built, and table iterators
-  // (which can open files and read blocks on a cache miss) created, only
-  // after mu_ is released; the pinned version keeps every captured file
-  // live against RemoveObsoleteFiles, exactly as the Get path relies on.
+  // Capture the version and the cached anchor views of the partitions
+  // that can use one (views[i] belongs to ver->partitions[i]) under a
+  // short mu_ hold — no I/O. Missing or stale views are built, and table
+  // iterators (which can open files and read blocks on a cache miss)
+  // created, only after mu_ is released; the pinned version keeps every
+  // captured file live against RemoveObsoleteFiles, exactly as the Get
+  // path relies on.
   VersionPtr ver;
-  std::unordered_map<uint32_t, AnchorViewPtr> views;
+  std::vector<AnchorViewPtr> views;
   {
     MutexLock lock(&mu_);
     ver = versions_->current();
-    if (options_.enable_anchor_view) views = anchor_views_;
+    views.resize(ver->partitions.size());
+    if (options_.enable_anchor_view) {
+      for (size_t i = 0; i < views.size(); i++) {
+        const PartitionState& p = *ver->partitions[i];
+        if (p.unsorted.size() >= 2) views[i] = runtime_.at(p.id).anchor_view;
+      }
+    }
   }
   if (options_.enable_anchor_view) RefreshAnchorViews(*ver, &views);
 
   const bool fill = options.fill_cache;
-  for (const auto& p : ver->partitions) {
-    AnchorViewPtr view;
-    if (auto it = views.find(p->id); it != views.end()) view = it->second;
-    if (view != nullptr && p->unsorted.size() >= 2) {
+  for (size_t i = 0; i < views.size(); i++) {
+    const auto& p = ver->partitions[i];
+    const AnchorViewPtr& view = views[i];
+    if (view != nullptr) {
       // One anchor-guided child replaces one child per unsorted table:
       // Next() costs a view step + one cursor step instead of a k-way
       // heap pop (DESIGN.md §12).
@@ -1554,8 +1555,7 @@ Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
 Iterator* UniKVDB::NewIterator(const ReadOptions& options) {
   SequenceNumber seq;
   Iterator* internal = NewInternalIterator(options, &seq);
-  return new DBIter(icmp_, internal, seq, vlog_cache_.get(),
-                    options_.enable_scan_optimization);
+  return new DBIter(icmp_, internal, seq, vlog_cache_.get());
 }
 
 Status UniKVDB::Scan(const ReadOptions& options, const Slice& start,
@@ -1591,12 +1591,11 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
     return DB::Scan(options, start, count, out);
   }
 
-  // Paper scan workflow: (1) collect keys + pointers from the stores,
-  // (2) issue readahead from the first value, (3) fetch values through
-  // the thread pool in parallel.
+  // Collect keys and value pointers from the stores, then fetch every
+  // separated value in one ValueFetcher step, as MultiGet does.
   SequenceNumber seq;
   Iterator* internal = NewInternalIterator(options, &seq);
-  DBIter iter(icmp_, internal, seq, vlog_cache_.get(), true);
+  DBIter iter(icmp_, internal, seq, vlog_cache_.get());
 
   struct PendingEntry {
     std::string key;
@@ -1619,9 +1618,6 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
         return Status::Corruption("bad value pointer in scan");
       }
       e.is_pointer = true;
-      if (entries.empty()) {
-        vlog_cache_->Readahead(e.ptr, 1 << 20);
-      }
     } else {
       e.value = iter.raw_value().ToString();
     }
@@ -1632,7 +1628,7 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
 
   // Merges and GC write values in key order, so a sorted scan mostly
   // dereferences ascending offsets within each log: the fetcher turns the
-  // scan's pointers into a few span reads and spreads them over the pool.
+  // scan's pointers into a few span reads on this thread.
   std::vector<ValueFetcher::Item> items;
   for (PendingEntry& e : entries) {
     if (e.is_pointer) {
@@ -1640,8 +1636,7 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
           ValueFetcher::Item{e.ptr, e.key, &e.value, &e.status});
     }
   }
-  ValueFetcher(vlog_cache_.get(), fetch_pool_.get())
-      .Fetch(items.data(), items.size(), fetch_pool_->num_threads());
+  ValueFetcher(vlog_cache_.get()).Fetch(items.data(), items.size());
 
   out->reserve(entries.size());
   for (PendingEntry& e : entries) {

@@ -437,16 +437,16 @@ class UniKVDB : public DB {
                                 SequenceNumber* latest_seq) EXCLUDES(mu_);
 
   /// On-demand anchor views (DESIGN.md §12), run without mu_. `views`
-  /// holds the cached views captured with `ver`; on return it maps each
-  /// partition of `ver` with >= 2 unsorted tables to a view covering
-  /// exactly those tables: the cached one when it already does, the
-  /// cached one extended by MergeAnchorView when it covers a prefix of
-  /// them (flushes appended the rest), else a fresh BuildAnchorView.
-  /// Partitions whose build fails are left out (per-table children). New
-  /// views are published to anchor_views_ under one short mu_ hold.
+  /// is aligned with ver.partitions and holds the cached views captured
+  /// with `ver`; on return views[i] covers exactly the unsorted tables of
+  /// a partition with >= 2 of them: the cached view when it already does,
+  /// the cached one extended by MergeAnchorView when it covers a prefix of
+  /// them (flushes appended the rest), else a fresh BuildAnchorView. It is
+  /// null for other partitions and those whose build fails (per-table
+  /// children). New views are published to the partitions' records under
+  /// one short mu_ hold.
   void RefreshAnchorViews(const VersionData& ver,
-                          std::unordered_map<uint32_t, AnchorViewPtr>* views)
-      EXCLUDES(mu_);
+                          std::vector<AnchorViewPtr>* views) EXCLUDES(mu_);
 
   /// Replaces (or retires, view == nullptr) a partition's cached anchor
   /// view and keeps the anchor_view_bytes gauge in sync.
@@ -466,6 +466,7 @@ class UniKVDB : public DB {
   std::unique_ptr<Cache> block_cache_;
   std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<ValueLogCache> vlog_cache_;
+  /// GC's parallel live-value reads (Options::value_fetch_threads).
   std::unique_ptr<ThreadPool> fetch_pool_;
 
   // ---- Sharded foreground write path (DESIGN.md §10) ----
@@ -537,15 +538,13 @@ class UniKVDB : public DB {
     /// A merge/scan-merge/GC/split is in flight; PickWork skips the
     /// partition so same-partition jobs never overlap.
     bool busy = false;
+    /// Cached anchor view over the unsorted tables (DESIGN.md §12), set
+    /// by iterators and retired by merge and scan-merge installs. The
+    /// view is immutable: readers copy the pointer under mu_ and use it
+    /// lock-free.
+    AnchorViewPtr anchor_view;
   };
   std::unordered_map<uint32_t, PartitionRuntime> runtime_ GUARDED_BY(mu_);
-
-  /// Cache of immutable per-partition anchor views (DESIGN.md §12),
-  /// filled by iterators and erased by merge, scan-merge and split
-  /// installs. The map is guarded by mu_; the views themselves are
-  /// immutable, so readers snapshot the shared_ptr under mu_ and use it
-  /// lock-free.
-  std::unordered_map<uint32_t, AnchorViewPtr> anchor_views_ GUARDED_BY(mu_);
 
   std::set<uint64_t> pending_outputs_ GUARDED_BY(mu_);
 

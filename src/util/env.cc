@@ -88,9 +88,6 @@ class CountingRandomAccessFile : public RandomAccessFile {
     }
     return s;
   }
-  void ReadaheadHint(uint64_t offset, size_t n) const override {
-    base_->ReadaheadHint(offset, n);
-  }
   bool ReadZeroCopy(uint64_t offset, size_t n, Slice* result) const override {
     // Still a logical read: count it so read-amplification metrics keep
     // their meaning whether the bytes came via pread or a mapping.

@@ -44,8 +44,8 @@ class RandomAccessFile {
     return false;
   }
 
-  /// Advises the OS that [offset, offset+n) will be read soon (readahead).
-  /// Default is a no-op.
+  /// Advises that [offset, offset+n) will be read soon. A no-op here, and
+  /// no engine path calls it; kept as an override point for Env wrappers.
   virtual void ReadaheadHint(uint64_t offset, size_t n) const {
     (void)offset;
     (void)n;

@@ -103,16 +103,6 @@ class PosixRandomAccessFile final : public RandomAccessFile {
     return true;
   }
 
-  void ReadaheadHint(uint64_t offset, size_t n) const override {
-#ifdef POSIX_FADV_WILLNEED
-    ::posix_fadvise(fd_, static_cast<off_t>(offset), static_cast<off_t>(n),
-                    POSIX_FADV_WILLNEED);
-#else
-    (void)offset;
-    (void)n;
-#endif
-  }
-
  private:
   const int fd_;
   const std::string filename_;

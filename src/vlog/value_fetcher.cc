@@ -4,12 +4,20 @@
 #include <memory>
 #include <vector>
 
-#include "util/thread_pool.h"
-
 namespace unikv {
 
-ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n,
-                                        int max_tasks) {
+namespace {
+
+// One read serving the consecutive sorted items [first, last).
+struct Span {
+  size_t first = 0, last = 0;
+  uint64_t log_number = 0;
+  uint64_t begin = 0, end = 0;  // Byte range in the log.
+};
+
+}  // namespace
+
+ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n) {
   Stats stats;
   if (n == 1) {
     // A lone value is a point read. Reading it through the mapping would
@@ -48,29 +56,7 @@ ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n,
     if (sp.last - sp.first > 1) stats.coalesced_spans++;
   }
 
-  const int tasks =
-      pool_ == nullptr ? 1 : std::min(max_tasks, pool_->num_threads());
-  if (spans.size() <= kMinSpansToFanOut || tasks <= 1) {
-    FetchSpans(items, spans.data(), spans.size());
-    return stats;
-  }
-  // The pool is shared with other readers and background GC, so wait on
-  // this call's own completion group, never on the whole pool.
-  ThreadPool::TaskGroup group;
-  const size_t chunk = (spans.size() + tasks - 1) / tasks;
-  for (size_t begin = 0; begin < spans.size(); begin += chunk) {
-    const size_t count = std::min(chunk, spans.size() - begin);
-    pool_->Schedule(&group, [this, items, &spans, begin, count] {
-      FetchSpans(items, spans.data() + begin, count);
-    });
-  }
-  group.Wait();
-  return stats;
-}
-
-void ValueFetcher::FetchSpans(const Item* items, const Span* spans,
-                              size_t n) {
-  // Spans arrive log-sorted, so each log is pinned once per call; a log
+  // Spans are log-sorted, so each log is pinned once per call; a log
   // that fails to open fails every span it owns without being retried.
   std::shared_ptr<RandomAccessFile> file;
   uint64_t pinned_log = 0;
@@ -79,7 +65,7 @@ void ValueFetcher::FetchSpans(const Item* items, const Span* spans,
   // zero-fill on every resize.
   std::unique_ptr<char[]> scratch;
   size_t scratch_cap = 0;
-  for (size_t si = 0; si < n; si++) {
+  for (size_t si = 0; si < spans.size(); si++) {
     const Span& sp = spans[si];
     if (si == 0 || sp.log_number != pinned_log) {
       pinned_log = sp.log_number;
@@ -109,6 +95,7 @@ void ValueFetcher::FetchSpans(const Item* items, const Span* spans,
       *item.status = rs;
     }
   }
+  return stats;
 }
 
 }  // namespace unikv

@@ -152,13 +152,6 @@ Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
   return Status::OK();
 }
 
-void ValueLogCache::Readahead(const ValuePointer& ptr, size_t bytes) {
-  std::shared_ptr<RandomAccessFile> file;
-  if (PinLog(ptr.log_number, &file).ok()) {
-    file->ReadaheadHint(ptr.offset, bytes);
-  }
-}
-
 void ValueLogCache::Evict(uint64_t log_number) {
   MutexLock l(&mu_);
   files_.erase(log_number);

@@ -79,8 +79,8 @@ class ValueLogCache {
 
   /// Wires engine-wide read counters (owned by the DB's MetricsRegistry).
   /// Unlike the thread-local PerfContext — which only sees the calling
-  /// thread — these capture fetches issued from thread-pool workers during
-  /// scans and GC. Any of the four may be null (not counted).
+  /// thread — these also capture GC's fetches on its pool workers. Any of
+  /// the four may be null (not counted).
   void SetCounters(Counter* reads, Counter* span_reads, Counter* read_bytes,
                    Counter* mmap_reads = nullptr) {
     reads_counter_ = reads;
@@ -94,9 +94,6 @@ class ValueLogCache {
   /// the value into *value. Never touches the log's mapping, so point
   /// reads do not grow the process's resident mapped pages.
   Status Get(const ValuePointer& ptr, const Slice& key, std::string* value);
-
-  /// Issues a readahead hint on the log for a scan starting at `ptr`.
-  void Readahead(const ValuePointer& ptr, size_t bytes);
 
   /// Pins the shared read handle of one log (opening the file if needed)
   /// so a batched caller can issue several span reads against it without

@@ -334,10 +334,10 @@ TEST_F(DbAnchorViewTest, ScanRacesConcurrentFlush) {
 }
 
 // Values written in ten merge epochs live in ten value logs, so a scan
-// across the interleaved keys needs one span read per log: more than the
-// fan-out threshold, so the fetch runs on the shared pool. Two scanners
-// share that pool at once (the TSan twin checks the slot hand-off).
-TEST_F(DbAnchorViewTest, ScanFansOutValueFetchAcrossEpochs) {
+// across the interleaved keys needs one span read per log. Two scanners
+// then fetch from those logs at once (the TSan twin checks the shared
+// log handles).
+TEST_F(DbAnchorViewTest, ScanFetchesValuesAcrossEpochs) {
   Open(AnchorOptions(), "anchor_fanout");
   const int kEpochs = 10, kKeys = 400;
   std::map<std::string, std::string> model;

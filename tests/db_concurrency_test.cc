@@ -39,6 +39,9 @@ class DbConcurrencyTest : public testing::Test {
   }
 
   std::string dir_;
+  // A test that opens db_ on its own Env hands the Env to env_. Declared
+  // before db_, so the DB closes before its Env dies on every exit path.
+  std::unique_ptr<Env> env_;
   std::unique_ptr<DB> db_;
 };
 
@@ -391,9 +394,10 @@ bool FindUintField(const std::string& line, const std::string& key,
 // work spanned at least two distinct partitions. With a single-thread
 // background loop the rendezvous never pairs and this fails.
 TEST_F(DbConcurrencyTest, BackgroundJobsOverlapAcrossPartitions) {
-  RendezvousEnv env(Env::Default());
+  auto* env = new RendezvousEnv(Env::Default());
+  env_.reset(env);
   Options opt = BusyOptions();
-  opt.env = &env;
+  opt.env = env;
   opt.partition_size_limit = 192 * 1024;
   opt.background_threads = 3;
   dir_ = test::NewTestDir("conc_overlap");
@@ -430,12 +434,12 @@ TEST_F(DbConcurrencyTest, BackgroundJobsOverlapAcrossPartitions) {
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
   const uint64_t phase2_start = Env::Default()->NowMicros();
-  env.armed.store(true, std::memory_order_release);
+  env->armed.store(true, std::memory_order_release);
   ASSERT_TRUE(db_->CompactAll().ok());
-  env.armed.store(false, std::memory_order_release);
+  env->armed.store(false, std::memory_order_release);
   db_.reset();  // Close so EVENTS is complete.
 
-  EXPECT_GE(env.max_in_flight.load(), 2)
+  EXPECT_GE(env->max_in_flight.load(), 2)
       << "no two background jobs were ever inside table/vlog appends "
          "simultaneously; the scheduler is serializing independent work";
 

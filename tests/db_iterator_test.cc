@@ -3,16 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/db.h"
 #include "test_util.h"
+#include "util/env.h"
 #include "util/perf_context.h"
 #include "util/random.h"
+#include "util/sync.h"
 
 namespace unikv {
 namespace {
@@ -70,7 +75,83 @@ class DbIteratorTest : public testing::Test {
   }
 
   std::string dir_;
+  // Declared before db_, so a DB opened on a test's own Env closes first.
+  std::unique_ptr<Env> env_;
   std::unique_ptr<DB> db_;
+};
+
+// Counts readahead hints on every file and records which threads read
+// which value logs, between two Reset() calls.
+class ScanProbeEnv : public InstrumentedEnv {
+ public:
+  explicit ScanProbeEnv(Env* base) : InstrumentedEnv(base) {}
+
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    Status s = InstrumentedEnv::NewRandomAccessFile(fname, result);
+    if (s.ok()) {
+      *result = std::make_unique<ProbeFile>(this, fname, std::move(*result));
+    }
+    return s;
+  }
+
+  void Reset() {
+    hints.store(0);
+    MutexLock l(&mu_);
+    log_readers_.clear();
+    logs_read_.clear();
+  }
+
+  std::set<std::thread::id> LogReaders() {
+    MutexLock l(&mu_);
+    return log_readers_;
+  }
+  size_t LogsRead() {
+    MutexLock l(&mu_);
+    return logs_read_.size();
+  }
+
+  std::atomic<int> hints{0};
+
+ private:
+  Mutex mu_;
+  std::set<std::thread::id> log_readers_ GUARDED_BY(mu_);
+  std::set<std::string> logs_read_ GUARDED_BY(mu_);
+
+  class ProbeFile : public RandomAccessFile {
+   public:
+    ProbeFile(ScanProbeEnv* env, std::string fname,
+              std::unique_ptr<RandomAccessFile> base)
+        : env_(env), fname_(std::move(fname)), base_(std::move(base)) {}
+
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      Note();
+      return base_->Read(offset, n, result, scratch);
+    }
+    bool ReadZeroCopy(uint64_t offset, size_t n,
+                      Slice* result) const override {
+      Note();
+      return base_->ReadZeroCopy(offset, n, result);
+    }
+    void ReadaheadHint(uint64_t offset, size_t n) const override {
+      env_->hints.fetch_add(1);
+      base_->ReadaheadHint(offset, n);
+    }
+
+   private:
+    void Note() const {
+      if (!fname_.ends_with(".vlog")) return;
+      MutexLock l(&env_->mu_);
+      env_->log_readers_.insert(std::this_thread::get_id());
+      env_->logs_read_.insert(fname_);
+    }
+
+    ScanProbeEnv* const env_;
+    const std::string fname_;
+    const std::unique_ptr<RandomAccessFile> base_;
+  };
 };
 
 TEST_F(DbIteratorTest, EmptyDbIterator) {
@@ -351,6 +432,59 @@ TEST_F(DbIteratorTest, ScanWithOptimizationsOffMatches) {
   for (size_t i = 0; i < result.size(); i++, ++mit) {
     EXPECT_EQ(mit->first, result[i].first);
     EXPECT_EQ(mit->second, result[i].second);
+  }
+}
+
+// A Scan reads its values the way MultiGet does: on the calling thread,
+// with no readahead hints, however many logs they span; so does an
+// iterator walk. Keys written in ten interleaved rounds, each merged on its
+// own, leave the values of any 100 consecutive keys in ten value logs.
+TEST_F(DbIteratorTest, ScanReadsValuesOnCallingThreadWithoutHints) {
+  auto* env = new ScanProbeEnv(Env::Default());
+  env_.reset(env);
+  Options opt = SmallOptions();
+  opt.env = env;
+  Open(opt, "iter_scan_thread");
+  const int kRounds = 10, kKeys = 400, kRows = 100;
+  std::map<std::string, std::string> model;
+  for (int round = 0; round < kRounds; round++) {
+    for (int i = round; i < kKeys; i += kRounds) {
+      std::string value = test::TestValue(i, 200);
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), value).ok());
+      model[test::TestKey(i)] = value;
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+  }
+  const std::string start = test::TestKey(100);
+
+  env->Reset();
+  std::vector<std::pair<std::string, std::string>> scanned;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), start, kRows, &scanned).ok());
+  EXPECT_EQ(0, env->hints.load());
+  EXPECT_GE(env->LogsRead(), static_cast<size_t>(kRounds));
+  EXPECT_EQ(std::set<std::thread::id>{std::this_thread::get_id()},
+            env->LogReaders());
+
+  env->Reset();
+  std::vector<std::pair<std::string, std::string>> walked;
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  for (iter->Seek(start);
+       iter->Valid() && static_cast<int>(walked.size()) < kRows;
+       iter->Next()) {
+    walked.emplace_back(iter->key().ToString(), iter->value().ToString());
+  }
+  ASSERT_TRUE(iter->status().ok());
+  EXPECT_EQ(0, env->hints.load());
+  EXPECT_EQ(std::set<std::thread::id>{std::this_thread::get_id()},
+            env->LogReaders());
+
+  ASSERT_EQ(static_cast<size_t>(kRows), scanned.size());
+  EXPECT_EQ(scanned, walked);
+  auto mit = model.find(start);
+  for (const auto& [key, value] : scanned) {
+    ASSERT_EQ(mit->first, key);
+    ASSERT_EQ(mit->second, value);
+    ++mit;
   }
 }
 

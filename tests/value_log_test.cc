@@ -1,6 +1,6 @@
 // Value-log tests: pointer codec, record round trips via the cache,
 // sequential scans, torn-tail handling, and the batched ValueFetcher
-// (coalescing, span cap, per-slot failures, pool fan-out). The fixture
+// (coalescing, span cap, per-slot failures). The fixture
 // runs over MemEnv, whose files have no mapping (the pread fallback), and
 // over PosixEnv, whose span reads are served zero-copy from mmap.
 
@@ -17,7 +17,6 @@
 #include "test_util.h"
 #include "util/env.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "vlog/value_fetcher.h"
 
 namespace unikv {
@@ -111,8 +110,7 @@ class ValueLogTest : public testing::TestWithParam<bool> {
   ValueFetcher::Stats Fetch(const std::vector<ValuePointer>& ptrs,
                             const std::vector<std::string>& keys,
                             std::vector<std::string>* values,
-                            std::vector<Status>* statuses,
-                            ThreadPool* pool = nullptr, int max_tasks = 1) {
+                            std::vector<Status>* statuses) {
     values->assign(ptrs.size(), "untouched");
     statuses->assign(ptrs.size(), Status::OK());
     std::vector<ValueFetcher::Item> items;
@@ -120,8 +118,7 @@ class ValueLogTest : public testing::TestWithParam<bool> {
       items.push_back(ValueFetcher::Item{ptrs[i], keys[i], &(*values)[i],
                                          &(*statuses)[i]});
     }
-    return ValueFetcher(cache_.get(), pool)
-        .Fetch(items.data(), items.size(), max_tasks);
+    return ValueFetcher(cache_.get()).Fetch(items.data(), items.size());
   }
 
   std::unique_ptr<MemEnv> mem_env_;
@@ -458,51 +455,6 @@ TEST_P(ValueLogTest, FetchBadRecordsFailOnlyTheirSlots) {
   }
   EXPECT_NE(statuses[2].ToString().find("checksum"), std::string::npos);
   EXPECT_NE(statuses[4].ToString().find("key mismatch"), std::string::npos);
-}
-
-// More than kMinSpansToFanOut spans over a pool give exactly the serial
-// answer, failures included.
-TEST_P(ValueLogTest, FetchFanOutMatchesSerial) {
-  const std::string filler(70 * 1024, 'f');  // Wider than the gap.
-  std::vector<ValuePointer> ptrs;
-  std::vector<std::string> keys;
-  for (uint64_t log = 3; log <= 5; log++) {
-    Records records;
-    for (int i = 0; i < 6; i++) {
-      records.emplace_back("k" + std::to_string(log * 100 + i),
-                           test::TestValue(log * 100 + i, 500));
-      records.emplace_back("filler", filler);
-    }
-    auto p = WriteLog(log, records);
-    for (size_t i = 0; i < records.size(); i += 2) {
-      ptrs.push_back(p[i]);
-      keys.push_back(records[i].first);
-    }
-  }
-  keys[7] = "wrong-key";
-  ValuePointer missing = ptrs[0];
-  missing.log_number = 9;
-  ptrs.push_back(missing);
-  keys.push_back(keys[0]);
-
-  std::vector<std::string> serial_values, pooled_values;
-  std::vector<Status> serial_statuses, pooled_statuses;
-  ValueFetcher::Stats serial =
-      Fetch(ptrs, keys, &serial_values, &serial_statuses);
-  const uint64_t spans = span_reads_.Value();
-  ASSERT_GT(spans, ValueFetcher::kMinSpansToFanOut);
-  ThreadPool pool(4);
-  ValueFetcher::Stats pooled =
-      Fetch(ptrs, keys, &pooled_values, &pooled_statuses, &pool, 4);
-  EXPECT_EQ(2 * spans, span_reads_.Value());
-  EXPECT_EQ(serial.coalesced_spans, pooled.coalesced_spans);
-  EXPECT_EQ(serial.bytes_saved, pooled.bytes_saved);
-  EXPECT_EQ(serial_values, pooled_values);
-  for (size_t i = 0; i < ptrs.size(); i++) {
-    EXPECT_EQ(serial_statuses[i].ToString(), pooled_statuses[i].ToString())
-        << i;
-    EXPECT_EQ(i != 7 && i + 1 != ptrs.size(), pooled_statuses[i].ok()) << i;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MemAndPosix, ValueLogTest, testing::Bool(),
