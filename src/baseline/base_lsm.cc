@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 
 #include "baseline/baselines.h"
 #include "core/db_iter.h"
@@ -355,12 +356,8 @@ Status BaseLsmDB::MergeRuns(const std::vector<const Run*>& runs,
                             bool to_last_level, Run* result) {
   std::vector<Iterator*> children;
   for (const Run* run : runs) {
-    std::vector<Iterator*> iters;
-    for (const FileMeta& f : *run) {
-      iters.push_back(table_cache_->NewIterator(f.number, f.size));
-      compact_bytes_read_ += f.size;
-    }
-    children.push_back(NewConcatenatingIterator(icmp_, std::move(iters)));
+    for (const FileMeta& f : *run) compact_bytes_read_ += f.size;
+    children.push_back(NewSortedRunIterator(table_cache_.get(), *run));
   }
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
@@ -577,16 +574,29 @@ Iterator* BaseLsmDB::NewIterator(const ReadOptions& /*options*/) {
   MemTable* mem = mem_;
   mem_iter->RegisterCleanup([mem] { mem->Unref(); });
   children.push_back(mem_iter);
-  for (const auto& runs : levels_) {
-    for (const Run& run : runs) {
-      std::vector<Iterator*> iters;
-      for (const FileMeta& f : run) {
-        iters.push_back(table_cache_->NewIterator(f.number, f.size));
-      }
-      children.push_back(NewConcatenatingIterator(icmp_, std::move(iters)));
+  // Each run opens its tables only when the cursor reaches them, after mu_
+  // is released and compactions may have replaced the run: the iterator
+  // walks its own copy of the runs and pins their files against
+  // RemoveObsoleteFiles until it is destroyed.
+  auto runs = std::make_shared<std::vector<Run>>();
+  for (const auto& level : levels_) {
+    for (const Run& run : level) {
+      runs->push_back(run);
+      for (const FileMeta& f : run) iterator_pins_[f.number]++;
     }
   }
+  for (const Run& run : *runs) {
+    children.push_back(NewSortedRunIterator(table_cache_.get(), run));
+  }
   Iterator* merged = NewMergingIterator(icmp_, std::move(children));
+  merged->RegisterCleanup([this, runs] {
+    MutexLock unpin(&mu_);
+    for (const Run& run : *runs) {
+      for (const FileMeta& f : run) {
+        if (--iterator_pins_[f.number] == 0) iterator_pins_.erase(f.number);
+      }
+    }
+  });
   return new DBIter(icmp_, merged, last_sequence_, nullptr);
 }
 
@@ -652,6 +662,7 @@ void BaseLsmDB::RemoveObsoleteFiles() {
       for (const FileMeta& f : run) live.insert(f.number);
     }
   }
+  for (const auto& [number, pins] : iterator_pins_) live.insert(number);
   std::vector<std::string> children;
   if (!env_->GetChildren(dbname_, &children).ok()) return;
   for (const std::string& child : children) {

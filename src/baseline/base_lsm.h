@@ -1,6 +1,7 @@
 #ifndef UNIKV_BASELINE_BASE_LSM_H_
 #define UNIKV_BASELINE_BASE_LSM_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,6 +107,9 @@ class BaseLsmDB : public DB {
 
   // levels_[i] = runs at level i, newest first.
   std::vector<std::vector<Run>> levels_ GUARDED_BY(mu_);
+  /// Table files of the runs live iterators walk, with pin counts. An
+  /// iterator opens its tables lazily, so RemoveObsoleteFiles keeps these.
+  std::map<uint64_t, int> iterator_pins_ GUARDED_BY(mu_);
 
   std::unique_ptr<WritableFile> manifest_file_ GUARDED_BY(mu_);
   std::unique_ptr<log::Writer> manifest_log_ GUARDED_BY(mu_);

@@ -11,6 +11,7 @@
 #include "table/format.h"
 #include "table/table.h"
 #include "util/coding.h"
+#include "util/metrics.h"
 
 namespace unikv {
 
@@ -294,11 +295,13 @@ namespace {
 class AnchorViewIterator : public Iterator {
  public:
   AnchorViewIterator(const InternalKeyComparator& icmp, AnchorViewPtr view,
-                     TableCache* cache, bool fill_cache)
+                     TableCache* cache, bool fill_cache,
+                     Counter* cursors_opened)
       : icmp_(icmp),
         view_(std::move(view)),
         cache_(cache),
         fill_cache_(fill_cache),
+        cursors_opened_(cursors_opened),
         view_iter_(view_->block->NewIterator(icmp)),
         cursors_(view_->covered.size()) {}
 
@@ -384,6 +387,7 @@ class AnchorViewIterator : public Iterator {
     const Slice target = view_iter_->key();
     if (c.iter == nullptr) {
       const AnchorView::CoveredTable& t = view_->covered[a.ordinal];
+      cursors_opened_->Inc();
       c.iter.reset(cache_->NewIterator(t.number, t.size, nullptr,
                                        fill_cache_));
       c.iter->Seek(target);
@@ -406,6 +410,7 @@ class AnchorViewIterator : public Iterator {
   const AnchorViewPtr view_;
   TableCache* const cache_;
   const bool fill_cache_;
+  Counter* const cursors_opened_;
   const std::unique_ptr<Iterator> view_iter_;
   mutable std::vector<Cursor> cursors_;
   mutable Status status_;
@@ -415,8 +420,9 @@ class AnchorViewIterator : public Iterator {
 
 Iterator* NewAnchorViewIterator(const InternalKeyComparator& icmp,
                                 AnchorViewPtr view, TableCache* cache,
-                                bool fill_cache) {
-  return new AnchorViewIterator(icmp, std::move(view), cache, fill_cache);
+                                bool fill_cache, Counter* cursors_opened) {
+  return new AnchorViewIterator(icmp, std::move(view), cache, fill_cache,
+                                cursors_opened);
 }
 
 }  // namespace unikv

@@ -15,6 +15,7 @@
 namespace unikv {
 
 class Block;
+class Counter;
 class TableCache;
 
 /// A REMIX-style sorted view over one partition's UnsortedStore
@@ -92,10 +93,11 @@ Status MergeAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
 /// the covered tables in global sorted order, resolving values through
 /// one lazily opened cursor per table. Seek/Next/Prev/SeekToFirst/
 /// SeekToLast all work; Next()/Prev() cost one view-block step plus one
-/// cursor step (no heap). The iterator shares ownership of `view`.
+/// cursor step (no heap). The iterator shares ownership of `view`. Each
+/// cursor opened is counted in `cursors_opened`.
 Iterator* NewAnchorViewIterator(const InternalKeyComparator& icmp,
                                 AnchorViewPtr view, TableCache* cache,
-                                bool fill_cache);
+                                bool fill_cache, Counter* cursors_opened);
 
 }  // namespace unikv
 

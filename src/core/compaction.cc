@@ -536,12 +536,8 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     bytes_read += f.size;
   }
   if (!p->sorted.empty()) {
-    std::vector<Iterator*> run;
-    for (const FileMeta& f : p->sorted) {
-      run.push_back(table_cache_->NewIterator(f.number, f.size));
-      bytes_read += f.size;
-    }
-    children.push_back(NewConcatenatingIterator(icmp_, std::move(run)));
+    bytes_read += p->SortedBytes();
+    children.push_back(NewSortedRunIterator(table_cache_.get(), p->sorted));
   }
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
@@ -821,14 +817,9 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
 
   // Scan the SortedStore (the authority on liveness), fetch every live
   // value, append it to the new log, and write back keys + new pointers.
-  std::vector<Iterator*> run;
-  uint64_t bytes_read = 0;
-  for (const FileMeta& f : p->sorted) {
-    run.push_back(table_cache_->NewIterator(f.number, f.size));
-    bytes_read += f.size;
-  }
+  uint64_t bytes_read = p->SortedBytes();
   std::unique_ptr<Iterator> iter(
-      NewConcatenatingIterator(icmp_, std::move(run)));
+      NewSortedRunIterator(table_cache_.get(), p->sorted));
 
   // Batched parallel fetch of live values through the thread pool. Each
   // is a point pread checked against its entry's user key.

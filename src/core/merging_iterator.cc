@@ -1,6 +1,11 @@
 #include "core/merging_iterator.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
+
+#include "core/table_cache.h"
+#include "util/metrics.h"
 
 namespace unikv {
 
@@ -147,96 +152,103 @@ class MergingIterator : public Iterator {
   Direction direction_;
 };
 
-class ConcatenatingIterator : public Iterator {
+class LazyConcatIterator : public Iterator {
  public:
-  ConcatenatingIterator(const InternalKeyComparator& comparator,
-                        std::vector<Iterator*> children)
-      : comparator_(comparator), children_(std::move(children)) {}
+  LazyConcatIterator(size_t n, SourceLocator locate, SourceOpener open)
+      : n_(n), locate_(std::move(locate)), open_(std::move(open)) {}
 
-  ~ConcatenatingIterator() override {
-    for (Iterator* child : children_) {
-      delete child;
-    }
-  }
-
-  bool Valid() const override {
-    return cur_ < children_.size() && children_[cur_]->Valid();
-  }
+  bool Valid() const override { return cur_ != nullptr && cur_->Valid(); }
 
   void SeekToFirst() override {
-    cur_ = 0;
-    if (!children_.empty()) {
-      children_[cur_]->SeekToFirst();
-      SkipEmptyForward();
-    }
+    OpenSource(0);
+    if (cur_ != nullptr) cur_->SeekToFirst();
+    SkipEmptyForward();
   }
 
   void SeekToLast() override {
-    cur_ = children_.empty() ? 0 : children_.size() - 1;
-    if (!children_.empty()) {
-      children_[cur_]->SeekToLast();
-      SkipEmptyBackward();
-    }
+    OpenSource(n_ == 0 ? 0 : n_ - 1);
+    if (cur_ != nullptr) cur_->SeekToLast();
+    SkipEmptyBackward();
   }
 
   void Seek(const Slice& target) override {
-    // Children are ordered and disjoint: find the first child whose
-    // entries may include keys >= target by probing sequentially.
-    for (cur_ = 0; cur_ < children_.size(); cur_++) {
-      children_[cur_]->Seek(target);
-      if (children_[cur_]->Valid()) {
-        return;
-      }
-    }
+    OpenSource(locate_(target));
+    if (cur_ != nullptr) cur_->Seek(target);
+    SkipEmptyForward();
   }
 
   void Next() override {
     assert(Valid());
-    children_[cur_]->Next();
+    cur_->Next();
     SkipEmptyForward();
   }
 
   void Prev() override {
     assert(Valid());
-    children_[cur_]->Prev();
+    cur_->Prev();
     SkipEmptyBackward();
   }
 
-  Slice key() const override { return children_[cur_]->key(); }
-  Slice value() const override { return children_[cur_]->value(); }
+  Slice key() const override {
+    assert(Valid());
+    return cur_->key();
+  }
+
+  Slice value() const override {
+    assert(Valid());
+    return cur_->value();
+  }
 
   Status status() const override {
-    for (Iterator* child : children_) {
-      Status s = child->status();
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
+    if (!status_.ok()) return status_;
+    return cur_ != nullptr ? cur_->status() : Status::OK();
   }
 
  private:
+  /// Makes source i the open one (kept if it already is); i >= n_ leaves
+  /// none open.
+  void OpenSource(size_t i) {
+    if (cur_ != nullptr && i == index_) return;
+    CloseSource();
+    index_ = i;
+    if (i < n_) cur_.reset(open_(i));
+  }
+
+  /// Closes the open source, keeping the first error any source showed.
+  void CloseSource() {
+    if (cur_ == nullptr) return;
+    if (status_.ok()) status_ = cur_->status();
+    cur_.reset();
+  }
+
   void SkipEmptyForward() {
-    while (cur_ < children_.size() && !children_[cur_]->Valid()) {
-      cur_++;
-      if (cur_ < children_.size()) {
-        children_[cur_]->SeekToFirst();
+    while (cur_ != nullptr && !cur_->Valid()) {
+      if (!cur_->status().ok()) {
+        CloseSource();
+        return;
       }
+      OpenSource(index_ + 1);
+      if (cur_ != nullptr) cur_->SeekToFirst();
     }
   }
 
   void SkipEmptyBackward() {
-    while (cur_ < children_.size() && !children_[cur_]->Valid()) {
-      if (cur_ == 0) {
-        cur_ = children_.size();  // Invalid.
+    while (cur_ != nullptr && !cur_->Valid()) {
+      if (!cur_->status().ok() || index_ == 0) {
+        CloseSource();
         return;
       }
-      cur_--;
-      children_[cur_]->SeekToLast();
+      OpenSource(index_ - 1);
+      cur_->SeekToLast();
     }
   }
 
-  const InternalKeyComparator comparator_;
-  std::vector<Iterator*> children_;
-  size_t cur_ = 0;
+  const size_t n_;
+  const SourceLocator locate_;
+  const SourceOpener open_;
+  std::unique_ptr<Iterator> cur_;
+  size_t index_ = 0;  // Source cur_ belongs to.
+  Status status_;
 };
 
 }  // namespace
@@ -252,12 +264,30 @@ Iterator* NewMergingIterator(const InternalKeyComparator& comparator,
   return new MergingIterator(comparator, std::move(children));
 }
 
-Iterator* NewConcatenatingIterator(const InternalKeyComparator& comparator,
-                                   std::vector<Iterator*> children) {
-  if (children.empty()) {
-    return NewEmptyIterator();
-  }
-  return new ConcatenatingIterator(comparator, std::move(children));
+Iterator* NewLazyConcatIterator(size_t n, SourceLocator locate,
+                                SourceOpener open) {
+  return new LazyConcatIterator(n, std::move(locate), std::move(open));
+}
+
+Iterator* NewSortedRunIterator(TableCache* cache,
+                               std::span<const FileMeta> files,
+                               bool fill_cache, Counter* tables_opened) {
+  auto locate = [files](const Slice& target) -> size_t {
+    // First file whose largest user key is >= the target's user key.
+    const Slice user_key = ExtractUserKey(target);
+    auto it = std::partition_point(
+        files.begin(), files.end(), [&user_key](const FileMeta& f) {
+          return Slice(f.largest).compare(user_key) < 0;
+        });
+    return static_cast<size_t>(it - files.begin());
+  };
+  auto open = [cache, files, fill_cache, tables_opened](size_t i) {
+    if (tables_opened != nullptr) tables_opened->Inc();
+    return cache->NewIterator(files[i].number, files[i].size, nullptr,
+                              fill_cache);
+  };
+  return new LazyConcatIterator(files.size(), std::move(locate),
+                                std::move(open));
 }
 
 }  // namespace unikv

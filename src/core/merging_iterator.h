@@ -1,12 +1,19 @@
 #ifndef UNIKV_CORE_MERGING_ITERATOR_H_
 #define UNIKV_CORE_MERGING_ITERATOR_H_
 
+#include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/dbformat.h"
 #include "core/iterator.h"
+#include "core/version.h"
 
 namespace unikv {
+
+class Counter;
+class TableCache;
 
 /// Returns an iterator yielding the union of children in internal-key
 /// order. Takes ownership of the children. On ties (same internal key,
@@ -14,10 +21,32 @@ namespace unikv {
 Iterator* NewMergingIterator(const InternalKeyComparator& comparator,
                              std::vector<Iterator*> children);
 
-/// Returns an iterator that concatenates non-overlapping children in
-/// order (a "sorted run" iterator). `children` must be key-ordered.
-Iterator* NewConcatenatingIterator(const InternalKeyComparator& comparator,
-                                   std::vector<Iterator*> children);
+/// Maps a seek target (an internal key) to the first source that can hold
+/// keys >= target; the source count when none can.
+using SourceLocator = std::function<size_t(const Slice& target)>;
+/// Builds source i's iterator (never null; an empty or error iterator
+/// stands for a source with nothing to give).
+using SourceOpener = std::function<Iterator*(size_t i)>;
+
+/// Returns an iterator over `n` disjoint, key-ordered sources that builds
+/// each source only when the cursor enters it (LevelDB's two-level
+/// iterator). At most one source is open at a time: Seek opens the one
+/// `locate` names, and walking past a source's end closes it and opens
+/// the next (SeekToFirst) or previous (SeekToLast) one. A source that ends
+/// with a non-OK status stops the walk, and its error stays in status()
+/// after the source is closed.
+Iterator* NewLazyConcatIterator(size_t n, SourceLocator locate,
+                                SourceOpener open);
+
+/// A sorted run over `files` (disjoint, ordered by key, as FileMeta lists
+/// of a SortedStore or an LSM run are): Seek binary-searches the files'
+/// largest keys and opens only the table it lands in. `files` must outlive
+/// the iterator. Each table opened is counted in `tables_opened` (may be
+/// null).
+Iterator* NewSortedRunIterator(TableCache* cache,
+                               std::span<const FileMeta> files,
+                               bool fill_cache = true,
+                               Counter* tables_opened = nullptr);
 
 }  // namespace unikv
 

@@ -65,6 +65,9 @@ EngineMetrics::EngineMetrics() {
   anchor_view_merges = registry.GetCounter("anchor_view_merges");
   scan_anchor_hits = registry.GetCounter("scan_anchor_hits");
   anchor_view_bytes = registry.GetGauge("anchor_view_bytes");
+  iterator_partitions_opened =
+      registry.GetCounter("iterator_partitions_opened");
+  iterator_tables_opened = registry.GetCounter("iterator_tables_opened");
 
   get_latency = registry.GetHistogram("get_latency_us");
   write_latency = registry.GetHistogram("write_latency_us");
@@ -612,59 +615,51 @@ void UniKVDB::InstallAnchorViewLocked(uint32_t pid, AnchorViewPtr view) {
   }
 }
 
-void UniKVDB::RefreshAnchorViews(const VersionData& ver,
-                                 std::vector<AnchorViewPtr>* views) {
-  const int restart_interval = options_.table_options.block_restart_interval;
-  std::vector<std::pair<uint32_t, AnchorViewPtr>> built;
-  for (size_t i = 0; i < ver.partitions.size(); i++) {
-    const PartitionState& p = *ver.partitions[i];
-    if (p.unsorted.size() < 2) continue;  // One table is already sorted.
-    AnchorViewPtr& cached = (*views)[i];
-    if (cached != nullptr && cached->Covers(p.unsorted)) continue;
-
-    AnchorView view;
-    Status s;
-    const size_t have = cached != nullptr ? cached->covered.size() : 0;
-    const bool extend = have > 0 && cached->CoversPrefix(p.unsorted, have);
-    if (extend) {
-      // Flushes appended tables since the view was built: fold just those
-      // in with one merge pass instead of re-reading every covered table.
-      s = MergeAnchorView(icmp_, table_cache_.get(), *cached,
-                          std::span(p.unsorted).subspan(have),
-                          restart_interval, &view);
-    } else {
-      s = BuildAnchorView(icmp_, table_cache_.get(), p.unsorted,
-                          restart_interval, &view);
-    }
-    if (!s.ok()) {
-      // Never fatal: the partition falls back to per-table children.
-      cached = nullptr;
-      continue;
-    }
-    metrics_.anchor_view_builds->Inc();
-    if (extend) metrics_.anchor_view_merges->Inc();
-    cached = std::make_shared<const AnchorView>(std::move(view));
-    built.emplace_back(p.id, cached);
+AnchorViewPtr UniKVDB::RefreshAnchorView(const PartitionState& p) {
+  AnchorViewPtr cached;
+  {
+    MutexLock lock(&mu_);
+    auto rt = runtime_.find(p.id);  // A split may have retired p's record.
+    if (rt != runtime_.end()) cached = rt->second.anchor_view;
   }
-  if (built.empty()) return;
+  if (cached != nullptr && cached->Covers(p.unsorted)) return cached;
+
+  AnchorView view;
+  Status s;
+  const int restart_interval = options_.table_options.block_restart_interval;
+  const size_t have = cached != nullptr ? cached->covered.size() : 0;
+  const bool extend = have > 0 && cached->CoversPrefix(p.unsorted, have);
+  if (extend) {
+    // Flushes appended tables since the view was built: fold just those
+    // in with one merge pass instead of re-reading every covered table.
+    s = MergeAnchorView(icmp_, table_cache_.get(), *cached,
+                        std::span(p.unsorted).subspan(have),
+                        restart_interval, &view);
+  } else {
+    s = BuildAnchorView(icmp_, table_cache_.get(), p.unsorted,
+                        restart_interval, &view);
+  }
+  if (!s.ok()) return nullptr;  // Never fatal: per-table children.
+  metrics_.anchor_view_builds->Inc();
+  if (extend) metrics_.anchor_view_merges->Inc();
+  AnchorViewPtr built = std::make_shared<const AnchorView>(std::move(view));
 
   // Publish. A racing iterator may have published a view for the current
-  // version already, and an install may have moved on since `ver`: keep
-  // a cached view that covers the current tables, and cache a new view
-  // only while it still describes a prefix of them (a later iterator can
-  // extend it), never one over tables a merge consumed.
+  // version already, and an install may have moved on since p was
+  // captured: keep a cached view that covers the current tables, and
+  // cache the new view only while it still describes a prefix of them (a
+  // later iterator can extend it), never one over tables a merge consumed.
   MutexLock lock(&mu_);
-  VersionPtr cur = versions_->current();
-  for (auto& [pid, view] : built) {
-    auto cp = cur->FindById(pid);
-    if (cp == nullptr || !view->CoversPrefix(cp->unsorted,
-                                             view->covered.size())) {
-      continue;
-    }
-    const AnchorViewPtr& cached = runtime_.at(pid).anchor_view;
-    if (cached != nullptr && cached->Covers(cp->unsorted)) continue;
-    InstallAnchorViewLocked(pid, std::move(view));
+  auto cp = versions_->current()->FindById(p.id);
+  if (cp == nullptr ||
+      !built->CoversPrefix(cp->unsorted, built->covered.size())) {
+    return built;
   }
+  const AnchorViewPtr& current = runtime_.at(p.id).anchor_view;
+  if (current == nullptr || !current->Covers(cp->unsorted)) {
+    InstallAnchorViewLocked(p.id, built);
+  }
+  return built;
 }
 
 // ------------------------------------------------------------ write path
@@ -1496,60 +1491,61 @@ Iterator* UniKVDB::NewInternalIterator(const ReadOptions& options,
     }
   }
 
-  // Capture the version and the cached anchor views of the partitions
-  // that can use one (views[i] belongs to ver->partitions[i]) under a
-  // short mu_ hold — no I/O. Missing or stale views are built, and table
-  // iterators (which can open files and read blocks on a cache miss)
-  // created, only after mu_ is released; the pinned version keeps every
-  // captured file live against RemoveObsoleteFiles, exactly as the Get
-  // path relies on.
+  // Capture the version under a short mu_ hold — no I/O. Partition
+  // children, their views and their table iterators (which can open files
+  // and read blocks on a cache miss) are built only when the cursor
+  // enters a partition, with mu_ released; the version the lambdas hold
+  // keeps every file they may open live against RemoveObsoleteFiles,
+  // exactly as the Get path relies on.
   VersionPtr ver;
-  std::vector<AnchorViewPtr> views;
   {
     MutexLock lock(&mu_);
     ver = versions_->current();
-    views.resize(ver->partitions.size());
-    if (options_.enable_anchor_view) {
-      for (size_t i = 0; i < views.size(); i++) {
-        const PartitionState& p = *ver->partitions[i];
-        if (p.unsorted.size() >= 2) views[i] = runtime_.at(p.id).anchor_view;
-      }
-    }
   }
-  if (options_.enable_anchor_view) RefreshAnchorViews(*ver, &views);
-
   const bool fill = options.fill_cache;
-  for (size_t i = 0; i < views.size(); i++) {
-    const auto& p = ver->partitions[i];
-    const AnchorViewPtr& view = views[i];
-    if (view != nullptr) {
-      // One anchor-guided child replaces one child per unsorted table:
-      // Next() costs a view step + one cursor step instead of a k-way
-      // heap pop (DESIGN.md §12).
+  // Partitions cover disjoint, ordered key ranges, and FindPartition names
+  // the one that holds a key, so the partitions form one lazy
+  // concatenation: a Scan that stays in one partition builds one child.
+  children.push_back(NewLazyConcatIterator(
+      ver->partitions.size(),
+      [ver](const Slice& target) -> size_t {
+        return ver->FindPartition(ExtractUserKey(target));
+      },
+      [this, ver, fill](size_t i) {
+        return NewPartitionIterator(*ver->partitions[i], fill);
+      }));
+  return NewMergingIterator(icmp_, std::move(children));
+}
+
+Iterator* UniKVDB::NewPartitionIterator(const PartitionState& p,
+                                        bool fill_cache) {
+  metrics_.iterator_partitions_opened->Inc();
+  Counter* const tables_opened = metrics_.iterator_tables_opened;
+  std::vector<Iterator*> children;
+  AnchorViewPtr view;
+  if (options_.enable_anchor_view && p.unsorted.size() >= 2) {
+    view = RefreshAnchorView(p);
+  }
+  if (view != nullptr) {
+    // One anchor-guided child replaces one child per unsorted table:
+    // Next() costs a view step + one cursor step instead of a k-way heap
+    // pop (DESIGN.md §12).
+    children.push_back(NewAnchorViewIterator(
+        icmp_, std::move(view), table_cache_.get(), fill_cache,
+        tables_opened));
+    metrics_.scan_anchor_hits->Inc();
+  } else {
+    for (const FileMeta& f : p.unsorted) {
+      tables_opened->Inc();
       children.push_back(
-          NewAnchorViewIterator(icmp_, view, table_cache_.get(), fill));
-      metrics_.scan_anchor_hits->Inc();
-    } else {
-      for (const FileMeta& f : p->unsorted) {
-        children.push_back(
-            table_cache_->NewIterator(f.number, f.size, nullptr, fill));
-      }
-    }
-    if (!p->sorted.empty()) {
-      std::vector<Iterator*> run;
-      run.reserve(p->sorted.size());
-      for (const FileMeta& f : p->sorted) {
-        run.push_back(table_cache_->NewIterator(f.number, f.size, nullptr,
-                                                fill));
-      }
-      children.push_back(NewConcatenatingIterator(icmp_, std::move(run)));
+          table_cache_->NewIterator(f.number, f.size, nullptr, fill_cache));
     }
   }
-
-  Iterator* merged = NewMergingIterator(icmp_, std::move(children));
-  // Pin the version for the iterator's lifetime.
-  merged->RegisterCleanup([ver] { (void)ver; });
-  return merged;
+  if (!p.sorted.empty()) {
+    children.push_back(NewSortedRunIterator(table_cache_.get(), p.sorted,
+                                            fill_cache, tables_opened));
+  }
+  return NewMergingIterator(icmp_, std::move(children));
 }
 
 Iterator* UniKVDB::NewIterator(const ReadOptions& options) {

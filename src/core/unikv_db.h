@@ -66,8 +66,12 @@ struct EngineMetrics {
   // Sorted anchor view (DESIGN.md §12).
   Counter* anchor_view_builds;  // Views built or extended by iterators.
   Counter* anchor_view_merges;  // Of those, extended by one merge pass.
-  Counter* scan_anchor_hits;    // Iterator trees that used a view.
+  Counter* scan_anchor_hits;    // Partition children built on a view.
   Gauge* anchor_view_bytes;     // Current total view bytes across partitions.
+
+  // Work done by user iterators, which open partitions and tables lazily.
+  Counter* iterator_partitions_opened;  // Partition children built.
+  Counter* iterator_tables_opened;  // Sorted-run, unsorted, anchor cursors.
 
   // Operation and background-job latencies (microseconds).
   ConcurrentHistogram* get_latency;
@@ -426,27 +430,28 @@ class UniKVDB : public DB {
                        std::string* value, ValuePointer* ptr,
                        bool* separated);
 
-  /// Builds a merged internal iterator over memtables and all partitions;
-  /// *latest_seq receives the read sequence (ReadSequence). FileMeta
-  /// lists and the pinned version are captured under a short mu_ hold;
-  /// the table iterators themselves (which can do disk I/O) open after it
-  /// is released. Partitions with two or more unsorted tables contribute
-  /// one anchor-guided child instead of one child per table (DESIGN.md
-  /// §12).
+  /// Builds the internal iterator: the memtables merged with one lazy
+  /// concatenation over the version's partitions (DESIGN.md §12);
+  /// *latest_seq receives the read sequence (ReadSequence). The version is
+  /// captured under a short mu_ hold; a partition's child is built, by
+  /// NewPartitionIterator, only when the cursor enters its key range.
   Iterator* NewInternalIterator(const ReadOptions& options,
                                 SequenceNumber* latest_seq) EXCLUDES(mu_);
 
-  /// On-demand anchor views (DESIGN.md §12), run without mu_. `views`
-  /// is aligned with ver.partitions and holds the cached views captured
-  /// with `ver`; on return views[i] covers exactly the unsorted tables of
-  /// a partition with >= 2 of them: the cached view when it already does,
-  /// the cached one extended by MergeAnchorView when it covers a prefix of
-  /// them (flushes appended the rest), else a fresh BuildAnchorView. It is
-  /// null for other partitions and those whose build fails (per-table
-  /// children). New views are published to the partitions' records under
-  /// one short mu_ hold.
-  void RefreshAnchorViews(const VersionData& ver,
-                          std::vector<AnchorViewPtr>* views) EXCLUDES(mu_);
+  /// One partition's child of an iterator: its anchor-view child (or one
+  /// child per unsorted table) merged with its lazy sorted run. Runs
+  /// without mu_; the caller pins the version that owns `p`.
+  Iterator* NewPartitionIterator(const PartitionState& p, bool fill_cache)
+      EXCLUDES(mu_);
+
+  /// On-demand anchor view of one partition (DESIGN.md §12), run without
+  /// mu_ for a partition with >= 2 unsorted tables. Returns a view covering
+  /// exactly p.unsorted: the cached view when it already does, the cached
+  /// one extended by MergeAnchorView when it covers a prefix of them
+  /// (flushes appended the rest), else a fresh BuildAnchorView; null when
+  /// the build fails (the caller falls back to per-table children). A new
+  /// view is published to the partition's record under a short mu_ hold.
+  AnchorViewPtr RefreshAnchorView(const PartitionState& p) EXCLUDES(mu_);
 
   /// Replaces (or retires, view == nullptr) a partition's cached anchor
   /// view and keeps the anchor_view_bytes gauge in sync.

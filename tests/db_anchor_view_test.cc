@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <thread>
@@ -169,6 +170,59 @@ class DbAnchorViewTest : public testing::Test {
       }
       ASSERT_EQ(i, out.size());
     }
+  }
+
+  // A store split into several partitions whose unsorted tables stay
+  // stacked (three flushed batches over a merged base), with no view
+  // built yet; *model is filled from Get and *stacked counts the
+  // partitions with >= 2 unsorted tables.
+  void OpenStackedPartitions(const std::string& name,
+                             std::map<std::string, std::string>* model,
+                             int* stacked) {
+    // Split the key space into several partitions first, then reopen with
+    // stacking options so every partition keeps its unsorted tables.
+    Options split = AnchorOptions();
+    split.unsorted_limit = 128 * 1024;
+    split.partition_size_limit = 256 * 1024;
+    split.sorted_table_size = 32 * 1024;
+    Open(split, name);
+    for (int i = 0; i < 2000; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i, 512))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+    // Dozens of flushes (and merges) without a scan build nothing.
+    EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
+    EXPECT_TRUE(AnchorsFiles().empty());
+    opt_ = AnchorOptions();
+    Reopen(/*enable_anchor_view=*/true);
+
+    for (int b = 0; b < 3; b++) {
+      for (int i = b; i < 2000; i += 7) {
+        std::string value = test::TestValue(b * 10000 + i, 100);
+        ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), value).ok());
+      }
+      ASSERT_TRUE(db_->FlushMemTable().ok());
+    }
+    for (int i = 0; i < 2000; i++) {
+      std::string value;
+      ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok());
+      (*model)[test::TestKey(i)] = value;
+    }
+
+    std::string sstables;
+    ASSERT_TRUE(db_->GetProperty("db.sstables", &sstables));
+    *stacked = 0;
+    for (size_t pos = 0;
+         (pos = sstables.find("unsorted=", pos)) != std::string::npos;
+         pos += 9) {
+      if (std::atoi(sstables.c_str() + pos + 9) >= 2) (*stacked)++;
+    }
+    ASSERT_GE(*stacked, 2) << sstables;
+
+    EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
+    EXPECT_TRUE(AnchorsFiles().empty());
   }
 
   std::vector<std::string> AnchorsFiles() {
@@ -388,51 +442,10 @@ TEST_F(DbAnchorViewTest, ScanFetchesValuesAcrossEpochs) {
 // a repeat scan reuses the cache, and after one more flush only the
 // partition that flush touched is extended, by one merge pass.
 TEST_F(DbAnchorViewTest, ViewLifecycleIsDrivenByIterators) {
-  // Split the key space into several partitions first, then reopen with
-  // stacking options so every partition keeps its unsorted tables.
-  Options split = AnchorOptions();
-  split.unsorted_limit = 128 * 1024;
-  split.partition_size_limit = 256 * 1024;
-  split.sorted_table_size = 32 * 1024;
-  Open(split, "anchor_lifecycle");
-  for (int i = 0; i < 2000; i++) {
-    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
-                         test::TestValue(i, 512))
-                    .ok());
-  }
-  ASSERT_TRUE(db_->CompactAll().ok());
-  // Dozens of flushes (and merges) without a scan build nothing.
-  EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
-  EXPECT_TRUE(AnchorsFiles().empty());
-  opt_ = AnchorOptions();
-  Reopen(/*enable_anchor_view=*/true);
-
   std::map<std::string, std::string> model;
-  for (int b = 0; b < 3; b++) {
-    for (int i = b; i < 2000; i += 7) {
-      std::string value = test::TestValue(b * 10000 + i, 100);
-      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), value).ok());
-    }
-    ASSERT_TRUE(db_->FlushMemTable().ok());
-  }
-  for (int i = 0; i < 2000; i++) {
-    std::string value;
-    ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok());
-    model[test::TestKey(i)] = value;
-  }
-
-  std::string sstables;
-  ASSERT_TRUE(db_->GetProperty("db.sstables", &sstables));
   int stacked = 0;
-  for (size_t pos = 0;
-       (pos = sstables.find("unsorted=", pos)) != std::string::npos;
-       pos += 9) {
-    if (std::atoi(sstables.c_str() + pos + 9) >= 2) stacked++;
-  }
-  ASSERT_GE(stacked, 2) << sstables;
-
-  EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
-  EXPECT_TRUE(AnchorsFiles().empty());
+  OpenStackedPartitions("anchor_lifecycle", &model, &stacked);
+  if (HasFatalFailure()) return;
 
   const double views = stacked;
   ExpectMatchesModel(model);
@@ -451,6 +464,97 @@ TEST_F(DbAnchorViewTest, ViewLifecycleIsDrivenByIterators) {
   EXPECT_EQ(views + 1, MetricValue(db_.get(), "anchor_view_builds"));
   EXPECT_EQ(1.0, MetricValue(db_.get(), "anchor_view_merges"));
   EXPECT_TRUE(AnchorsFiles().empty());
+}
+
+// Partition pruning: a Scan that stays inside one partition builds only
+// that partition's child and view, however many other partitions hold
+// stacked tables; an iterator that walks across one partition boundary,
+// forward or backward, opens exactly the two partitions it touches.
+TEST_F(DbAnchorViewTest, ScanConfinedToOnePartitionOpensOnlyIt) {
+  std::map<std::string, std::string> model;
+  int stacked = 0;
+  OpenStackedPartitions("anchor_confined", &model, &stacked);
+  if (HasFatalFailure()) return;
+
+  // Each partition's lower bound and unsorted table count.
+  struct Part {
+    std::string lower;
+    int unsorted;
+  };
+  std::vector<Part> parts;
+  std::string sstables;
+  ASSERT_TRUE(db_->GetProperty("db.sstables", &sstables));
+  for (size_t pos = 0; (pos = sstables.find('[', pos)) != std::string::npos;
+       pos++) {
+    const size_t end = sstables.find("..)", pos);
+    const size_t count = sstables.find("unsorted=", end);
+    ASSERT_NE(count, std::string::npos) << sstables;
+    std::string lower = sstables.substr(pos + 1, end - pos - 1);
+    if (lower == "-inf") lower.clear();
+    parts.push_back({lower, std::atoi(sstables.c_str() + count + 9)});
+  }
+  // A stacked partition with a successor and plenty of keys of its own.
+  size_t k = 0;
+  auto keys_in = [&](size_t i) {
+    auto end = i + 1 < parts.size() ? model.lower_bound(parts[i + 1].lower)
+                                    : model.end();
+    return std::distance(model.lower_bound(parts[i].lower), end);
+  };
+  while (k + 1 < parts.size() && (parts[k].unsorted < 2 || keys_in(k) < 10)) {
+    k++;
+  }
+  ASSERT_LT(k + 1, parts.size()) << sstables;
+
+  // A 5-row Scan inside partition k.
+  auto first = model.lower_bound(parts[k].lower);
+  const double builds = MetricValue(db_.get(), "anchor_view_builds");
+  const double opened = MetricValue(db_.get(), "iterator_partitions_opened");
+  const double tables = MetricValue(db_.get(), "iterator_tables_opened");
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), first->first, 5, &out).ok());
+  ASSERT_EQ(5u, out.size());
+  for (const auto& [key, value] : out) {
+    ASSERT_EQ(first->first, key);
+    ASSERT_EQ(first->second, value);
+    ++first;
+  }
+  EXPECT_EQ(builds + 1, MetricValue(db_.get(), "anchor_view_builds"));
+  EXPECT_EQ(opened + 1, MetricValue(db_.get(), "iterator_partitions_opened"));
+  EXPECT_GT(MetricValue(db_.get(), "iterator_tables_opened"), tables);
+
+  // Forward across the boundary between partitions k and k + 1.
+  auto boundary = model.lower_bound(parts[k + 1].lower);
+  ASSERT_NE(boundary, model.end());
+  auto last = std::prev(boundary);
+  double before = MetricValue(db_.get(), "iterator_partitions_opened");
+  {
+    std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+    iter->Seek(last->first);
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_EQ(last->first, iter->key().ToString());
+    EXPECT_EQ(last->second, iter->value().ToString());
+    iter->Next();
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_EQ(boundary->first, iter->key().ToString());
+    EXPECT_EQ(boundary->second, iter->value().ToString());
+    EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  }
+  EXPECT_EQ(before + 2, MetricValue(db_.get(), "iterator_partitions_opened"));
+
+  // And backward across it.
+  before = MetricValue(db_.get(), "iterator_partitions_opened");
+  {
+    std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+    iter->Seek(boundary->first);
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_EQ(boundary->first, iter->key().ToString());
+    iter->Prev();
+    ASSERT_TRUE(iter->Valid());
+    EXPECT_EQ(last->first, iter->key().ToString());
+    EXPECT_EQ(last->second, iter->value().ToString());
+    EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  }
+  EXPECT_EQ(before + 2, MetricValue(db_.get(), "iterator_partitions_opened"));
 }
 
 // Earlier versions persisted views as <n>.anchors files. A store that

@@ -599,6 +599,8 @@ TEST_F(DbMetricsTest, EveryReportRendersTheRegistry) {
   EXPECT_GT(reg.engine.at("gets"), 0u);
   EXPECT_GT(reg.engine.at("merges"), 0u);
   EXPECT_GT(reg.engine.at("splits"), 0u);
+  EXPECT_GT(reg.engine.at("iterator_partitions_opened"), 0u);
+  EXPECT_GT(reg.engine.at("iterator_tables_opened"), 0u);
 
   // Every key under `stats` names an engine-wide series, same value.
   for (const auto& [name, raw] : Object(json, "stats")) {

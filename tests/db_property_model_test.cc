@@ -1,10 +1,12 @@
 // Property-based testing: long randomized operation sequences
-// (put/delete/flush/compact/get/multiget/scan/reopen) validated against an
-// in-memory model, swept across seeds x engine configurations. Tiny limits
-// force many flush/merge/GC/split cycles per run.
+// (put/delete/flush/compact/get/multiget/scan/iterator walk/reopen)
+// validated against an in-memory model, swept across seeds x engine
+// configurations. Tiny limits force many flush/merge/GC/split cycles per
+// run.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -89,6 +91,8 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
   // MultiGet batches draw from their own stream, so the op sequence is
   // the same as with point reads alone.
   Random batch_rnd(Seed() * 7 + 1);
+  // So do the iterator walks that ride along with scans.
+  Random walk_rnd(Seed() * 11 + 5);
   const int kKeySpace = 200;
   const int kOps = 2500;
 
@@ -159,6 +163,35 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
       }
       ASSERT_TRUE(out.size() == static_cast<size_t>(count) ||
                   it == model.end());
+
+      // And an iterator walk: a Seek (or SeekToLast), then up to 20 mixed
+      // Next/Prev steps, which cross partition boundaries both ways.
+      std::unique_ptr<Iterator> walk(db_->NewIterator(ReadOptions()));
+      auto wit = model.end();  // model.end() == invalid.
+      if (walk_rnd.OneIn(4)) {
+        walk->SeekToLast();
+        if (!model.empty()) wit = std::prev(model.end());
+      } else {
+        std::string target = test::TestKey(walk_rnd.Uniform(kKeySpace + 10));
+        walk->Seek(target);
+        wit = model.lower_bound(target);
+      }
+      const int steps = walk_rnd.Uniform(21);
+      for (int step = 0;; step++) {
+        ASSERT_EQ(wit != model.end(), walk->Valid())
+            << "walk step " << step << " op " << op;
+        if (wit == model.end() || step == steps) break;
+        ASSERT_EQ(wit->first, walk->key().ToString()) << "op " << op;
+        ASSERT_EQ(wit->second, walk->value().ToString()) << "op " << op;
+        if (walk_rnd.OneIn(2)) {
+          walk->Next();
+          ++wit;
+        } else {
+          walk->Prev();
+          wit = wit == model.begin() ? model.end() : std::prev(wit);
+        }
+      }
+      ASSERT_TRUE(walk->status().ok()) << walk->status().ToString();
     } else if (dice < 97) {
       ASSERT_TRUE(db_->FlushMemTable().ok());
     } else {
@@ -175,6 +208,14 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
     ASSERT_EQ(mit->second, iter->value().ToString());
   }
   ASSERT_EQ(mit, model.end());
+  auto rit = model.rbegin();
+  for (iter->SeekToLast(); iter->Valid(); iter->Prev(), ++rit) {
+    ASSERT_NE(rit, model.rend());
+    ASSERT_EQ(rit->first, iter->key().ToString());
+    ASSERT_EQ(rit->second, iter->value().ToString());
+  }
+  ASSERT_EQ(rit, model.rend());
+  ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
   iter.reset();
 
   // Reopen and recheck a sample.
