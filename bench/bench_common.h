@@ -1,25 +1,33 @@
 #ifndef UNIKV_BENCH_BENCH_COMMON_H_
 #define UNIKV_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "benchutil/driver.h"
 
 namespace unikv {
 namespace bench {
 
-/// Root scratch directory for a bench binary.
+/// Root scratch directory for a bench binary: `$UNIKV_BENCH_DIR` (default
+/// /tmp) + "/unikv_bench/" + name, emptied and created with any missing
+/// parents. Exits with a message naming the directory if it cannot be
+/// created.
 inline std::string BenchRoot(const std::string& name) {
   const char* base = std::getenv("UNIKV_BENCH_DIR");
-  std::string root =
-      std::string(base != nullptr ? base : "/tmp") + "/unikv_bench";
-  // Best-effort scratch setup: survivors of a failed cleanup only skew
-  // disk accounting, and a failed create surfaces on the first file open.
-  (void)Env::Default()->CreateDir(root);
-  root += "/" + name;
+  const std::string root = std::string(base != nullptr ? base : "/tmp") +
+                           "/unikv_bench/" + name;
+  // Survivors of a failed cleanup only skew disk accounting.
   (void)RemoveDirRecursively(Env::Default(), root);
-  (void)Env::Default()->CreateDir(root);
+  std::error_code ec;
+  std::filesystem::create_directories(root, ec);
+  if (!std::filesystem::is_directory(root, ec)) {
+    std::fprintf(stderr, "cannot create bench directory %s\n", root.c_str());
+    std::exit(1);
+  }
   return root;
 }
 
@@ -40,7 +48,6 @@ inline Options BenchOptions() {
   opt.max_bytes_for_level_base = 8 * 1024 * 1024;
   opt.l0_compaction_trigger = 4;
   opt.tiered_runs_per_level = 4;
-  opt.value_fetch_threads = 4;
   return opt;
 }
 

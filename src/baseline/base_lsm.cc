@@ -509,7 +509,8 @@ Status BaseLsmDB::FlushLocked() {
 // -------------------------------------------------------------- read path
 
 Status BaseLsmDB::SearchRun(const Run& run, const LookupKey& lkey,
-                            std::string* value, bool* found, Status* result) {
+                            bool fill_cache, std::string* value, bool* found,
+                            Status* result) {
   const Slice user_key = lkey.user_key();
   // Binary search for the file that may contain user_key.
   int lo = 0, hi = static_cast<int>(run.size()) - 1, target = -1;
@@ -532,7 +533,7 @@ Status BaseLsmDB::SearchRun(const Run& run, const LookupKey& lkey,
   bool hit = false;
   std::string found_key, found_value;
   Status s = table_cache_->Get(f.number, f.size, lkey.internal_key(), &hit,
-                               &found_key, &found_value);
+                               &found_key, &found_value, fill_cache);
   if (!s.ok()) return s;
   if (hit && ExtractUserKey(found_key) == user_key) {
     *found = true;
@@ -546,10 +547,16 @@ Status BaseLsmDB::SearchRun(const Run& run, const LookupKey& lkey,
   return Status::OK();
 }
 
-Status BaseLsmDB::Get(const ReadOptions& /*options*/, const Slice& key,
+SequenceNumber BaseLsmDB::ReadSequence(const ReadOptions& options) const {
+  return options.snapshot != 0 && options.snapshot < last_sequence_
+             ? options.snapshot
+             : last_sequence_;
+}
+
+Status BaseLsmDB::Get(const ReadOptions& options, const Slice& key,
                       std::string* value) {
   MutexLock lock(&mu_);
-  LookupKey lkey(key, last_sequence_);
+  LookupKey lkey(key, ReadSequence(options));
   Status s;
   if (mem_->Get(lkey, value, &s)) {
     return s;
@@ -558,7 +565,7 @@ Status BaseLsmDB::Get(const ReadOptions& /*options*/, const Slice& key,
     for (const Run& run : runs) {
       bool found = false;
       Status result;
-      s = SearchRun(run, lkey, value, &found, &result);
+      s = SearchRun(run, lkey, options.fill_cache, value, &found, &result);
       if (!s.ok()) return s;
       if (found) return result;
     }
@@ -566,7 +573,7 @@ Status BaseLsmDB::Get(const ReadOptions& /*options*/, const Slice& key,
   return Status::NotFound(Slice());
 }
 
-Iterator* BaseLsmDB::NewIterator(const ReadOptions& /*options*/) {
+Iterator* BaseLsmDB::NewIterator(const ReadOptions& options) {
   MutexLock lock(&mu_);
   std::vector<Iterator*> children;
   mem_->Ref();
@@ -586,7 +593,8 @@ Iterator* BaseLsmDB::NewIterator(const ReadOptions& /*options*/) {
     }
   }
   for (const Run& run : *runs) {
-    children.push_back(NewSortedRunIterator(table_cache_.get(), run));
+    children.push_back(
+        NewSortedRunIterator(table_cache_.get(), run, options.fill_cache));
   }
   Iterator* merged = NewMergingIterator(icmp_, std::move(children));
   merged->RegisterCleanup([this, runs] {
@@ -597,7 +605,7 @@ Iterator* BaseLsmDB::NewIterator(const ReadOptions& /*options*/) {
       }
     }
   });
-  return new DBIter(icmp_, merged, last_sequence_, nullptr);
+  return new DBIter(icmp_, merged, ReadSequence(options), nullptr);
 }
 
 // -------------------------------------------------------------- properties
@@ -611,6 +619,12 @@ bool BaseLsmDB::GetProperty(const Slice& property, std::string* value) {
                   " compact_write_mb=%.1f",
                   compactions_, compact_bytes_read_ / 1048576.0,
                   compact_bytes_written_ / 1048576.0);
+    *value = buf;
+    return true;
+  }
+  if (property == Slice("db.visible-sequence")) {
+    // Writes apply under mu_, so every sequence up to the last is visible.
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, last_sequence_);
     *value = buf;
     return true;
   }

@@ -82,8 +82,13 @@ class BaseLsmDB : public DB {
   uint64_t LevelBytes(int level) const REQUIRES(mu_);
   uint64_t LevelTarget(int level) const;
 
-  Status SearchRun(const Run& run, const LookupKey& lkey, std::string* value,
-                   bool* found, Status* result) REQUIRES(mu_);
+  /// ReadOptions::snapshot clamped to the last sequence; 0 reads the last.
+  SequenceNumber ReadSequence(const ReadOptions& options) const
+      REQUIRES(mu_);
+
+  Status SearchRun(const Run& run, const LookupKey& lkey, bool fill_cache,
+                   std::string* value, bool* found, Status* result)
+      REQUIRES(mu_);
 
   void RemoveObsoleteFiles() REQUIRES(mu_);
 

@@ -10,7 +10,9 @@ namespace baseline {
 
 /// Opens a LevelDB-style LSM-tree: leveled compaction (L0..L6), per-table
 /// bloom filters, values inline. Stands in for LevelDB/RocksDB in the
-/// paper's comparisons.
+/// paper's comparisons. Like every LSM baseline here, it honours
+/// ReadOptions::snapshot (clamped as the engine clamps it; obtain one
+/// from GetProperty("db.visible-sequence")) and ReadOptions::fill_cache.
 Status OpenLeveledDB(const Options& options, const std::string& name,
                      DB** dbptr);
 
@@ -24,7 +26,9 @@ Status OpenTieredDB(const Options& options, const std::string& name,
 /// Opens a SkimpyStash-style hash store: an in-memory bucket directory
 /// over an append-only on-disk log with per-bucket chains. O(1)-ish point
 /// ops, no range scans, memory fixed by the bucket count — used by the
-/// motivation experiment (paper Fig. 1).
+/// motivation experiment (paper Fig. 1). It keeps one version per key and
+/// has no block cache, so it honours neither ReadOptions::snapshot nor
+/// ReadOptions::fill_cache.
 Status OpenHashLogDB(const Options& options, const std::string& name,
                      DB** dbptr);
 

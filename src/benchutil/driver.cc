@@ -613,7 +613,6 @@ std::string BenchTrajectoryJson(const std::string& workload, BenchDb* bdb,
   params.AddUint("gc_garbage_threshold", opt.gc_garbage_threshold);
   params.AddUint("value_separation_threshold",
                  opt.value_separation_threshold);
-  params.AddInt("value_fetch_threads", opt.value_fetch_threads);
   params.AddInt("background_threads", opt.background_threads);
   params.AddInt("write_shards", opt.write_shards);
   params.AddInt("scan_merge_limit", opt.scan_merge_limit);

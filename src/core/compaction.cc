@@ -11,6 +11,7 @@
 #include "core/table_output_writer.h"
 #include "core/unikv_db.h"
 #include "util/env.h"
+#include "vlog/value_fetcher.h"
 
 namespace unikv {
 
@@ -325,20 +326,21 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   // Periodic hash-index checkpointing (paper: every UnsortedLimit/2 of
   // flushed tables) for the partitions this flush makes due. Each image
   // is the index as it stands before this flush's keys land, copied under
-  // a short mu_ hold; the file is written with mu_ released, and the
-  // install below records it in the flush's own edit. Writing the files
-  // under the install hold made their I/O dominate a hold every Get waits
-  // on.
+  // a short mu_ hold; the copy is encoded (with its checksum) and written
+  // with mu_ released, and the install below records it in the flush's
+  // own edit. Writing the files under the install hold made their I/O
+  // dominate a hold every Get waits on.
   struct Checkpoint {
     uint32_t pid = 0;
     TableOutputWriter* writer = nullptr;  // The flush output's; owns number.
     uint64_t number = 0;
     std::vector<uint64_t> tables;  // File numbers of the covered tables.
-    std::string image;
+    std::vector<uint16_t> covered;  // Their table ids.
+    std::unique_ptr<HashIndex> index;  // Copied under mu_, encoded after.
     bool written = false;
   };
   std::vector<Checkpoint> checkpoints;
-  // Time under mu_ for this install (EVENTS install_micros): the image
+  // Time under mu_ for this install (EVENTS install_micros): the index
   // copy hold plus the install hold below.
   uint64_t install_us = 0;
   if (options_.index_checkpoint_interval > 0) {
@@ -357,12 +359,11 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
         Checkpoint cp;
         cp.pid = out.pid;
         cp.writer = out.writer.get();
-        std::vector<uint16_t> covered;
         for (const FileMeta& f : p->unsorted) {
-          covered.push_back(f.table_id);
+          cp.covered.push_back(f.table_id);
           cp.tables.push_back(f.number);
         }
-        cp.image = CheckpointImage(*rt.index, covered);
+        cp.index = rt.index->Clone();
         checkpoints.push_back(std::move(cp));
       }
       install_us += env_->NowMicros() - copy_start_us;
@@ -371,8 +372,9 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
       cp.number = cp.writer->NewFileNumber();
       cp.written = WriteCheckpointFile(
                        env_, IndexCheckpointFileName(dbname_, cp.number),
-                       cp.image)
+                       CheckpointImage(*cp.index, cp.covered))
                        .ok();
+      cp.index.reset();
     }
   }
 
@@ -821,8 +823,12 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
   std::unique_ptr<Iterator> iter(
       NewSortedRunIterator(table_cache_.get(), p->sorted));
 
-  // Batched parallel fetch of live values through the thread pool. Each
-  // is a point pread checked against its entry's user key.
+  // Live values are fetched a batch at a time with one ValueFetcher call
+  // on this worker: pointers into the same log coalesce into span reads,
+  // each record is checked against its entry's user key, and the spans
+  // are copied, never mapped (GC sweeps whole logs, and ru_maxrss would
+  // count every mapped page). Fetch reorders its items, not the entries,
+  // so the new table and log are still written in key order.
   struct Entry {
     std::string internal_key;
     std::string value;  // Inline value, or the fetched one.
@@ -831,29 +837,20 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     Status status;
   };
   std::vector<Entry> batch;
+  std::vector<ValueFetcher::Item> items;
   const size_t kBatchSize = 256;
-  auto fetch = [this](Entry* e) {
-    e->status = vlog_cache_->Get(e->ptr, ExtractUserKey(e->internal_key),
-                                 &e->value);
-  };
+  ValueFetcher fetcher(vlog_cache_.get(), ValueFetcher::Spans::kCopied);
 
   auto flush_batch = [&]() -> Status {
     if (batch.empty()) return Status::OK();
-    if (options_.enable_scan_optimization && batch.size() > 1) {
-      // Wait on this batch's own completion group, not the whole pool:
-      // GCs of different partitions share the pool, and a global WaitIdle
-      // would block one behind the other's fetches.
-      ThreadPool::TaskGroup group;
-      for (Entry& e : batch) {
-        if (!e.is_pointer) continue;
-        fetch_pool_->Schedule(&group, [&fetch, &e] { fetch(&e); });
-      }
-      group.Wait();
-    } else {
-      for (Entry& e : batch) {
-        if (e.is_pointer) fetch(&e);
+    items.clear();
+    for (Entry& e : batch) {
+      if (e.is_pointer) {
+        items.push_back(ValueFetcher::Item{
+            e.ptr, ExtractUserKey(e.internal_key), &e.value, &e.status});
       }
     }
+    if (!items.empty()) fetcher.Fetch(items.data(), items.size());
     std::string encoded;
     for (Entry& e : batch) {
       if (!e.status.ok()) return e.status;

@@ -92,8 +92,9 @@ struct Options {
   /// Average KV size estimate used to size each partition's hash index.
   size_t index_expected_entry_size = 1024;
 
-  /// Thread-pool size for GC's parallel live-value reads. Scans read their
-  /// values on the calling thread (DESIGN.md §11).
+  /// Has no effect: every value-log read (Get, MultiGet, Scan and GC) runs
+  /// on its caller's thread through one ValueFetcher (DESIGN.md §11). Kept
+  /// only until the benchmark harness stops assigning it.
   int value_fetch_threads = 8;
 
   /// Background maintenance workers. Each worker picks one job at a time
@@ -150,8 +151,7 @@ struct Options {
   bool enable_kv_separation = true;
   /// Off: never split; a single partition grows without bound.
   bool enable_partitioning = true;
-  /// Off: no size-based merge, Scan is the plain iterator loop, and GC
-  /// reads live values serially.
+  /// Off: no size-based merge, and Scan is the plain iterator loop.
   bool enable_scan_optimization = true;
   /// Off: scans always k-way-merge the overlapping unsorted tables. On:
   /// iterators over a partition with >= 2 unsorted tables use a sorted

@@ -66,13 +66,15 @@ Iterator* TableCache::NewIterator(uint64_t file_number, uint64_t file_size,
 
 Status TableCache::Get(uint64_t file_number, uint64_t file_size,
                        const Slice& internal_key, bool* found,
-                       std::string* key_out, std::string* value_out) {
+                       std::string* key_out, std::string* value_out,
+                       bool fill_cache) {
   void* handle = nullptr;
   Status s = FindTable(file_number, file_size, &handle);
   if (!s.ok()) return s;
   Cache::Handle* h = reinterpret_cast<Cache::Handle*>(handle);
   Table* table = reinterpret_cast<Table*>(cache_->Value(h));
-  s = table->Get(internal_key, found, key_out, value_out);
+  s = table->Get(internal_key, found, key_out, value_out, nullptr,
+                 fill_cache);
   cache_->Release(h);
   return s;
 }

@@ -36,10 +36,11 @@ class TableCache {
                         const Table** tableptr = nullptr,
                         bool fill_cache = true);
 
-  /// Seeks `internal_key` in the named table; see Table::Get.
+  /// Seeks `internal_key` in the named table; see Table::Get for
+  /// `fill_cache`.
   Status Get(uint64_t file_number, uint64_t file_size,
              const Slice& internal_key, bool* found, std::string* key_out,
-             std::string* value_out);
+             std::string* value_out, bool fill_cache = true);
 
   /// Keeps the LRU handles of the tables a point read touches in one
   /// partition pinned until destruction, so N lookups of the same table

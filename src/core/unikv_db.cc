@@ -214,7 +214,6 @@ UniKVDB::UniKVDB(const Options& options, const std::string& dbname)
       reg.GetCounter("vlog_read_bytes"), reg.GetCounter("vlog_mmap_reads"));
   event_log_ = std::make_unique<EventLogger>(env_, dbname_,
                                              options_.max_event_log_bytes);
-  fetch_pool_ = std::make_unique<ThreadPool>(options_.value_fetch_threads);
   versions_ = std::make_unique<VersionSet>(env_, dbname_);
 }
 
@@ -1355,7 +1354,8 @@ void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
   // value (every Get) is a point pread, several are sorted and coalesced.
   if (num_items > 0) {
     const ValueFetcher::Stats fetched =
-        ValueFetcher(vlog_cache_.get()).Fetch(items.data(), num_items);
+        ValueFetcher(vlog_cache_.get(), ValueFetcher::Spans::kMapped)
+            .Fetch(items.data(), num_items);
     perf->multiget_coalesced_reads += fetched.coalesced_spans;
     perf->multiget_io_bytes_saved += fetched.bytes_saved;
   }
@@ -1632,7 +1632,8 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
           ValueFetcher::Item{e.ptr, e.key, &e.value, &e.status});
     }
   }
-  ValueFetcher(vlog_cache_.get()).Fetch(items.data(), items.size());
+  ValueFetcher(vlog_cache_.get(), ValueFetcher::Spans::kMapped)
+      .Fetch(items.data(), items.size());
 
   out->reserve(entries.size());
   for (PendingEntry& e : entries) {

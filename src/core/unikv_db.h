@@ -23,7 +23,6 @@
 #include "util/metrics.h"
 #include "util/perf_context.h"
 #include "util/sync.h"
-#include "util/thread_pool.h"
 #include "vlog/value_log.h"
 #include "wal/log_writer.h"
 
@@ -471,8 +470,6 @@ class UniKVDB : public DB {
   std::unique_ptr<Cache> block_cache_;
   std::unique_ptr<TableCache> table_cache_;
   std::unique_ptr<ValueLogCache> vlog_cache_;
-  /// GC's parallel live-value reads (Options::value_fetch_threads).
-  std::unique_ptr<ThreadPool> fetch_pool_;
 
   // ---- Sharded foreground write path (DESIGN.md §10) ----
 

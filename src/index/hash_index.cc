@@ -1,6 +1,9 @@
 #include "index/hash_index.h"
 
+#include <limits>
+
 #include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/hash.h"
 #include "util/perf_context.h"
 
@@ -106,17 +109,26 @@ double HashIndex::InlineUtilization() const {
                           : static_cast<double>(used) / buckets_.size();
 }
 
+std::unique_ptr<HashIndex> HashIndex::Clone() const {
+  auto copy = std::make_unique<HashIndex>(0, num_hashes_);
+  copy->num_entries_ = num_entries_;
+  copy->buckets_ = buckets_;
+  copy->overflow_ = overflow_;
+  return copy;
+}
+
 // Checkpoint image:
 //   magic(4B) num_hashes(varint) num_buckets(varint) num_overflow(varint)
 //   num_entries(varint)
 //   buckets: key_tag(2B) table_id(2B) overflow_head(4B) each
 //   overflow: key_tag(2B) table_id(2B) next(4B) each
-//   crc32c(4B) over everything before it
+//   crc32c(4B, masked) over everything before it
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x48494458;  // "HIDX"
 }
 
 void HashIndex::EncodeTo(std::string* dst) const {
+  const size_t start = dst->size();
   PutFixed32(dst, kCheckpointMagic);
   PutVarint32(dst, static_cast<uint32_t>(num_hashes_));
   PutVarint64(dst, buckets_.size());
@@ -130,9 +142,17 @@ void HashIndex::EncodeTo(std::string* dst) const {
     PutFixed32(dst, (static_cast<uint32_t>(e.key_tag) << 16) | e.table_id);
     PutFixed32(dst, e.next);
   }
+  PutFixed32(dst, crc32c::Mask(crc32c::Value(dst->data() + start,
+                                             dst->size() - start)));
 }
 
 Status HashIndex::DecodeFrom(Slice input) {
+  if (input.size() < 4 ||
+      crc32c::Unmask(DecodeFixed32(input.data() + input.size() - 4)) !=
+          crc32c::Value(input.data(), input.size() - 4)) {
+    return Status::Corruption("hash index checkpoint checksum mismatch");
+  }
+  input = Slice(input.data(), input.size() - 4);
   uint32_t magic;
   if (!GetFixed32(&input, &magic) || magic != kCheckpointMagic) {
     return Status::Corruption("bad hash index checkpoint magic");
@@ -145,29 +165,44 @@ Status HashIndex::DecodeFrom(Slice input) {
       !GetVarint64(&input, &num_entries)) {
     return Status::Corruption("bad hash index checkpoint header");
   }
-  if (input.size() < (num_buckets + num_overflow) * 8) {
+  if (num_buckets > input.size() || num_overflow > input.size() ||
+      input.size() != (num_buckets + num_overflow) * 8) {
     return Status::Corruption("truncated hash index checkpoint");
+  }
+  if (num_hashes < 1 ||
+      num_hashes > static_cast<uint32_t>(std::numeric_limits<int>::max()) ||
+      num_buckets == 0) {
+    return Status::Corruption("bad hash index checkpoint shape");
+  }
+  std::vector<Bucket> buckets(num_buckets);
+  std::vector<OverflowEntry> overflow(num_overflow);
+  for (Bucket& b : buckets) {
+    uint32_t packed;
+    GetFixed32(&input, &packed);
+    GetFixed32(&input, &b.overflow_head);
+    b.key_tag = static_cast<uint16_t>(packed >> 16);
+    b.table_id = static_cast<uint16_t>(packed & 0xFFFF);
+    if (b.overflow_head != kNoOverflow && b.overflow_head >= num_overflow) {
+      return Status::Corruption("bad hash index checkpoint overflow head");
+    }
+  }
+  for (uint64_t i = 0; i < num_overflow; i++) {
+    OverflowEntry& e = overflow[i];
+    uint32_t packed;
+    GetFixed32(&input, &packed);
+    GetFixed32(&input, &e.next);
+    e.key_tag = static_cast<uint16_t>(packed >> 16);
+    e.table_id = static_cast<uint16_t>(packed & 0xFFFF);
+    // Insertion prepends, so every link points at an older (lower) entry:
+    // anything else is out of range or could close a cycle.
+    if (e.next != kNoOverflow && e.next >= i) {
+      return Status::Corruption("bad hash index checkpoint overflow link");
+    }
   }
   num_hashes_ = static_cast<int>(num_hashes);
   num_entries_ = num_entries;
-  buckets_.assign(num_buckets, Bucket());
-  overflow_.assign(num_overflow, OverflowEntry());
-  for (uint64_t i = 0; i < num_buckets; i++) {
-    uint32_t packed, head;
-    GetFixed32(&input, &packed);
-    GetFixed32(&input, &head);
-    buckets_[i].key_tag = static_cast<uint16_t>(packed >> 16);
-    buckets_[i].table_id = static_cast<uint16_t>(packed & 0xFFFF);
-    buckets_[i].overflow_head = head;
-  }
-  for (uint64_t i = 0; i < num_overflow; i++) {
-    uint32_t packed, next;
-    GetFixed32(&input, &packed);
-    GetFixed32(&input, &next);
-    overflow_[i].key_tag = static_cast<uint16_t>(packed >> 16);
-    overflow_[i].table_id = static_cast<uint16_t>(packed & 0xFFFF);
-    overflow_[i].next = next;
-  }
+  buckets_ = std::move(buckets);
+  overflow_ = std::move(overflow);
   return Status::OK();
 }
 

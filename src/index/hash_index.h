@@ -2,6 +2,7 @@
 #define UNIKV_INDEX_HASH_INDEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,16 @@ class HashIndex {
 
   // --- Checkpointing (crash consistency, paper §Crash Consistency) ---
 
-  /// Serializes the whole index (buckets + overflow pool) to *dst.
+  /// A copy of the whole index, so a caller holding the lock that guards
+  /// this one can encode the copy after releasing it.
+  std::unique_ptr<HashIndex> Clone() const;
+
+  /// Serializes the whole index (buckets + overflow pool) to *dst,
+  /// followed by a crc32c of the image.
   void EncodeTo(std::string* dst) const;
-  /// Restores the index from an EncodeTo() image.
+  /// Restores the index from an EncodeTo() image. Corruption, with the
+  /// index left as it was, when the checksum does not match or the image
+  /// would make Insert or Lookup index out of range or loop.
   Status DecodeFrom(Slice input);
 
  private:

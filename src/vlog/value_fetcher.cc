@@ -79,7 +79,8 @@ ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n) {
         scratch_cap = std::max(len, scratch_cap * 2);
         scratch.reset(new char[scratch_cap]);
       }
-      s = cache_->GetSpanPinned(file.get(), sp.begin, len, &data,
+      s = cache_->GetSpanPinned(file.get(), sp.begin, len,
+                                spans_ == Spans::kMapped, &data,
                                 scratch.get());
     }
     for (size_t i = sp.first; i < sp.last; i++) {

@@ -11,19 +11,24 @@
 
 namespace unikv {
 
-/// Value-log reads for point lookups and scans: the one path Get, MultiGet
-/// and Scan use to fetch separated values (DESIGN.md §11), always on the
-/// calling thread. One item is a point read (ValueLogCache::Get: a pread
-/// into a private buffer, never the log's mapping). Several items are
-/// sorted by (log, offset); pointers into the same log whose records
-/// overlap or lie within kGapBytes of each other share one span read
-/// (capped at kMaxSpanBytes). Each log is pinned once and each span read
-/// zero-copy from the log's mapping when the Env offers one, else pread
-/// into a grow-only scratch buffer. Every record is checksum- and
-/// key-verified on its own, so a bad record — or a failed span or log —
-/// fails only the slots it serves.
+/// Value-log reads: the one path Get, MultiGet, Scan and GC use to fetch
+/// separated values (DESIGN.md §11), always on the calling thread. One
+/// item is a point read (ValueLogCache::Get: a pread into a private
+/// buffer, never the log's mapping). Several items are sorted by (log,
+/// offset); pointers into the same log whose records overlap or lie within
+/// kGapBytes of each other share one span read (capped at kMaxSpanBytes).
+/// Each log is pinned once and each span read as its Spans mode says.
+/// Every record is checksum- and key-verified on its own, so a bad record
+/// — or a failed span or log — fails only the slots it serves.
 class ValueFetcher {
  public:
+  /// How span reads reach the log. kMapped reads zero-copy from the log's
+  /// mapping when the Env offers one (foreground reads); kCopied always
+  /// preads into a grow-only scratch buffer, so a caller that sweeps whole
+  /// logs (GC) never faults their pages into the process, where ru_maxrss
+  /// would count them.
+  enum class Spans { kMapped, kCopied };
+
   /// Pointers within this many bytes of the current span join it (the gap
   /// bytes are read and discarded, or never touched when zero-copy).
   static constexpr uint64_t kGapBytes = 64 * 1024;
@@ -47,7 +52,8 @@ class ValueFetcher {
                                  // have re-read as separate point reads.
   };
 
-  explicit ValueFetcher(ValueLogCache* cache) : cache_(cache) {}
+  ValueFetcher(ValueLogCache* cache, Spans spans)
+      : cache_(cache), spans_(spans) {}
 
   /// Fetches items[0..n), reordering them. A single item is a point read
   /// (no span, no mapping). Each item needs its own output slots.
@@ -55,6 +61,7 @@ class ValueFetcher {
 
  private:
   ValueLogCache* const cache_;
+  const Spans spans_;
 };
 
 }  // namespace unikv

@@ -128,18 +128,18 @@ Status ValueLogCache::Get(const ValuePointer& ptr, const Slice& key,
 }
 
 Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
-                                    size_t size, Slice* result,
-                                    char* scratch) {
+                                    size_t size, bool zero_copy,
+                                    Slice* result, char* scratch) {
   PerfContext* perf = GetPerfContext();
   perf->vlog_span_reads++;
   perf->vlog_read_bytes += size;
   if (span_reads_counter_ != nullptr) span_reads_counter_->Inc();
   if (read_bytes_counter_ != nullptr) read_bytes_counter_->Add(size);
-  // Batched span fetches prefer the file's mapping when one is available:
-  // no syscall, and the gap bytes a coalesced span covers are never
-  // copied — members are sliced straight out of the page cache. The
-  // pointed-at bytes stay valid while the caller's log pin is held.
-  if (file->ReadZeroCopy(offset, size, result)) {
+  // A zero-copy span uses the file's mapping when one is available: no
+  // syscall, and the gap bytes a coalesced span covers are never copied —
+  // members are sliced straight out of the page cache. The pointed-at
+  // bytes stay valid while the caller's log pin is held.
+  if (zero_copy && file->ReadZeroCopy(offset, size, result)) {
     perf->vlog_mmap_reads++;
     if (mmap_reads_counter_ != nullptr) mmap_reads_counter_->Inc();
     return Status::OK();

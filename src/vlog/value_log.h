@@ -78,9 +78,9 @@ class ValueLogCache {
   ValueLogCache(Env* env, std::string dbname);
 
   /// Wires engine-wide read counters (owned by the DB's MetricsRegistry).
-  /// Unlike the thread-local PerfContext — which only sees the calling
-  /// thread — these also capture GC's fetches on its pool workers. Any of
-  /// the four may be null (not counted).
+  /// The thread-local PerfContext of a background worker is never folded
+  /// into the registry, so these are the only count of GC's fetches. Any
+  /// of the four may be null (not counted).
   void SetCounters(Counter* reads, Counter* span_reads, Counter* read_bytes,
                    Counter* mmap_reads = nullptr) {
     reads_counter_ = reads;
@@ -103,11 +103,11 @@ class ValueLogCache {
                 std::shared_ptr<RandomAccessFile>* file);
 
   /// Reads the byte span [offset, offset+size) of a pinned log in one I/O
-  /// and points *result at it: at the file's own mapping when the Env
-  /// offers one (zero-copy), else at caller-owned `scratch`, which must
-  /// hold `size` bytes. No cache-mutex acquisition.
+  /// and points *result at it: at the file's own mapping when `zero_copy`
+  /// is set and the Env offers one, else at caller-owned `scratch`, which
+  /// must hold `size` bytes. No cache-mutex acquisition.
   Status GetSpanPinned(RandomAccessFile* file, uint64_t offset, size_t size,
-                       Slice* result, char* scratch);
+                       bool zero_copy, Slice* result, char* scratch);
 
   /// Drops the cached handle for a deleted log file.
   void Evict(uint64_t log_number);

@@ -11,10 +11,12 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
 #include "util/env.h"
+#include "util/perf_context.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -142,6 +144,78 @@ TEST_P(LsmBaselineTest, StatsExposed) {
   EXPECT_NE(v.find("compactions="), std::string::npos);
   EXPECT_TRUE(db->GetProperty("db.num-files", &v));
   EXPECT_GT(std::stoi(v), 0);
+}
+
+// ReadOptions::snapshot hides later writes from Get and iterators alike
+// (every version still sits in the memtable here); a snapshot above the
+// last sequence is clamped to it.
+TEST_P(LsmBaselineTest, SnapshotReadsSeeTheOlderVersion) {
+  DB* raw = nullptr;
+  ASSERT_TRUE(Opener()(SmallOptions(),
+                       test::NewTestDir("baseline_snapshot_" + Name()), &raw)
+                  .ok());
+  std::unique_ptr<DB> db(raw);
+  ASSERT_TRUE(db->Put(WriteOptions(), "a", "old").ok());
+  std::string seq, value;
+  ASSERT_TRUE(db->GetProperty("db.visible-sequence", &seq));
+  ReadOptions snap, future;
+  snap.snapshot = std::stoull(seq);
+  future.snapshot = snap.snapshot + 1000;
+  ASSERT_TRUE(db->Put(WriteOptions(), "a", "new").ok());
+  ASSERT_TRUE(db->Put(WriteOptions(), "b", "later").ok());
+
+  ASSERT_TRUE(db->Get(snap, "a", &value).ok());
+  EXPECT_EQ("old", value);
+  EXPECT_TRUE(db->Get(snap, "b", &value).IsNotFound());
+  std::unique_ptr<Iterator> it(db->NewIterator(snap));
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ("old", it->value().ToString());
+  it->Next();
+  EXPECT_FALSE(it->Valid());
+  ASSERT_TRUE(db->Get(future, "a", &value).ok());
+  EXPECT_EQ("new", value);
+}
+
+// ReadOptions::fill_cache = false keeps the data blocks a scan or Get
+// reads out of the block cache, so repeating it misses again; a default
+// read caches them, and later reads of either kind hit.
+TEST_P(LsmBaselineTest, FillCacheFalseLeavesTheBlockCacheAlone) {
+  DB* raw = nullptr;
+  ASSERT_TRUE(Opener()(SmallOptions(),
+                       test::NewTestDir("baseline_fill_cache_" + Name()),
+                       &raw)
+                  .ok());
+  std::unique_ptr<DB> db(raw);
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), test::TestKey(i), test::TestValue(i)).ok());
+  }
+  ASSERT_TRUE(db->CompactAll().ok());
+  ReadOptions no_fill;
+  no_fill.fill_cache = false;
+  using Delta = std::pair<uint64_t, uint64_t>;  // Block cache misses, hits.
+  auto read = [&](const ReadOptions& ro, bool scan) {
+    const PerfContext before = *GetPerfContext();
+    std::string value;
+    if (scan) {
+      std::unique_ptr<Iterator> it(db->NewIterator(ro));
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      }
+    } else {
+      EXPECT_TRUE(db->Get(ro, test::TestKey(7), &value).ok());
+    }
+    const PerfContext d = GetPerfContext()->DeltaSince(before);
+    return Delta(d.block_cache_misses, d.block_cache_hits);
+  };
+  const Delta cold = read(no_fill, true);
+  EXPECT_GT(cold.first, 0u);
+  EXPECT_EQ(0u, cold.second);
+  EXPECT_EQ(cold, read(no_fill, true));
+  EXPECT_EQ(Delta(1, 0), read(no_fill, false));
+  EXPECT_EQ(cold, read(ReadOptions(), true));
+  EXPECT_EQ(Delta(0, cold.first), read(no_fill, true));
+  EXPECT_EQ(Delta(0, 1), read(no_fill, false));
 }
 
 // An Env whose directory listing fails, as a flaky disk's would.

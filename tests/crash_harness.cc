@@ -85,7 +85,6 @@ Options CrashHarness::MakeOptions(Env* env) const {
   o.partition_size_limit = 6 * 1024;  // Phase-3 merge output exceeds this.
   o.sorted_table_size = 2 * 1024;     // Several sorted tables per merge.
   o.index_checkpoint_interval = 2;
-  o.value_fetch_threads = 2;
   o.write_shards = write_shards_;
   // One worker keeps the Env-call trace deterministic: with several, the
   // interleaving of per-partition jobs varies run to run and the counted

@@ -9,6 +9,7 @@
 
 #include "core/db.h"
 #include "core/filename.h"
+#include "core/unikv_db.h"
 #include "test_util.h"
 #include "util/fault_injection_env.h"
 #include "util/random.h"
@@ -213,6 +214,44 @@ TEST_F(DbGcTest, ObsoleteFilesAreDeleted) {
 // checksums, so only the stored-key check tells them apart. Every read
 // path, and the GC that rewrites them, must report Corruption rather than
 // hand one key the other's value.
+// GC reads its live values as coalesced span reads copied into a buffer:
+// not one point read per value, and never through the log's mapping
+// (the POSIX Env maps logs, and ru_maxrss would count every page GC
+// touched). No Get or Scan runs between the snapshots, so every value-log
+// read counted is GC's.
+TEST_F(DbGcTest, GcReadsCoalescedSpansNeverTheMapping) {
+  Open(GcOptions(), "gc_spans");
+  const int kKeys = 300;
+  auto put_all = [&](int step, int version) {
+    for (int i = 0; i < kKeys; i += step) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i + version, 1024))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+  };
+  put_all(1, 0);
+  const MetricsRegistry& reg =
+      static_cast<UniKVDB*>(db_.get())->TEST_metrics();
+  const CounterSnapshot before = reg.SnapshotCounters();
+  // Half the old records become garbage past gc_garbage_threshold, so the
+  // merge is followed by a GC that rewrites every live value.
+  put_all(2, kKeys);
+  const CounterSnapshot after = reg.SnapshotCounters();
+  auto delta = [&](const char* name) {
+    return after.engine.at(name) - before.engine.at(name);
+  };
+  ASSERT_GT(delta("gcs"), 0u);
+  EXPECT_GT(delta("vlog_span_reads"), 0u);
+  EXPECT_LT(delta("vlog_reads"), static_cast<uint64_t>(kKeys));
+  EXPECT_EQ(0u, delta("vlog_mmap_reads"));
+  for (int i = 0; i < kKeys; i++) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(i), &value).ok()) << i;
+    EXPECT_EQ(test::TestValue(i % 2 == 0 ? i + kKeys : i, 1024), value) << i;
+  }
+}
+
 TEST_F(DbGcTest, SwappedValueRecordsAreCorruptionOnEveryPath) {
   Options opt = GcOptions();
   Open(opt, "gc_swapped_records");

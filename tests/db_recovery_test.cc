@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "core/db.h"
 #include "test_util.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -241,6 +243,79 @@ TEST_F(DbRecoveryTest, IndexCheckpointIsRecordedInManifest) {
   for (int i = 0; i < 100; i++) {
     EXPECT_EQ("v1", Get(test::TestKey(i))) << i;
   }
+}
+
+// A checkpoint whose entries were rewritten on disk fails its checksum,
+// and recovery rebuilds the index from the tables. Loaded, this one would
+// send every key of the newest covered table to the oldest.
+TEST_F(DbRecoveryTest, CorruptedIndexCheckpointIsRebuilt) {
+  Open();
+  // With index_checkpoint_interval 2 the fourth flush checkpoints the
+  // three tables before it; keys 0..99 are newest in the third.
+  for (int round = 0; round < 4; round++) {
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(),
+                           test::TestKey(round < 3 ? i : 100 + i),
+                           "v" + std::to_string(round))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  }
+  db_.reset();
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  std::string fname, contents;
+  for (const std::string& c : children) {
+    if (c.size() > 5 && c.compare(c.size() - 5, 5, ".hidx") == 0) {
+      fname = "/db/" + c;
+    }
+  }
+  uint64_t size = 0;
+  ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
+  std::unique_ptr<SequentialFile> in;
+  ASSERT_TRUE(env_->NewSequentialFile(fname, &in).ok());
+  contents.resize(size);
+  Slice data;
+  ASSERT_TRUE(in->Read(size, &data, contents.data()).ok());
+  contents.assign(data.data(), data.size());
+
+  // [count][covered ids], then the index: magic, num_hashes, num_buckets,
+  // num_overflow, num_entries, and 8-byte entries led by a fixed32
+  // key_tag << 16 | table_id.
+  Slice input(contents);
+  uint32_t count = 0, id = 0, magic = 0, hashes = 0;
+  uint64_t buckets = 0, overflow = 0, entries = 0;
+  ASSERT_TRUE(GetVarint32(&input, &count));
+  ASSERT_EQ(3u, count);
+  uint32_t oldest = 0xFFFF, newest = 0;
+  for (uint32_t i = 0; i < count && GetVarint32(&input, &id); i++) {
+    oldest = std::min(oldest, id);
+    newest = std::max(newest, id);
+  }
+  ASSERT_TRUE(GetFixed32(&input, &magic) && GetVarint32(&input, &hashes) &&
+              GetVarint64(&input, &buckets) &&
+              GetVarint64(&input, &overflow) && GetVarint64(&input, &entries));
+  ASSERT_GE(input.size(), (buckets + overflow) * 8);
+  char* entry = contents.data() + (input.data() - contents.data());
+  int redirected = 0;
+  for (uint64_t i = 0; i < buckets + overflow; i++, entry += 8) {
+    if ((DecodeFixed32(entry) & 0xFFFF) == newest) {
+      EncodeFixed32(entry, (DecodeFixed32(entry) & 0xFFFF0000u) | oldest);
+      redirected++;
+    }
+  }
+  ASSERT_GE(redirected, 100);
+  std::unique_ptr<WritableFile> out;
+  ASSERT_TRUE(env_->NewWritableFile(fname, &out).ok());
+  ASSERT_TRUE(out->Append(contents).ok() && out->Close().ok());
+
+  Open();
+  int stale = 0;
+  for (int i = 0; i < 100; i++) {
+    if (Get(test::TestKey(i)) != "v2") stale++;
+    EXPECT_EQ("v3", Get(test::TestKey(100 + i))) << i;
+  }
+  EXPECT_EQ(0, stale);
 }
 
 }  // namespace

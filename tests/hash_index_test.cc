@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -144,6 +146,27 @@ TEST(HashIndex, CheckpointCorruptionRejected) {
   std::string bad_magic = image;
   bad_magic[0] ^= 0xff;
   EXPECT_FALSE(restored.DecodeFrom(Slice(bad_magic)).ok());
+
+  // The header is magic(4) and four one-byte varints here (2, 28, 0, 1),
+  // so bucket 0 starts at byte 8: tag|table(4B) then overflow_head(4B).
+  ASSERT_EQ(index.NumBuckets(), 28u);
+  std::string bad_bucket = image;
+  bad_bucket[8] ^= 0x01;  // A table id the checksum no longer covers.
+  EXPECT_TRUE(restored.DecodeFrom(Slice(bad_bucket)).IsCorruption());
+
+  // An overflow head past the (empty) overflow pool, under a valid
+  // checksum: Lookup would index out of range.
+  std::string bad_head = image.substr(0, image.size() - 4);
+  EncodeFixed32(&bad_head[12], 7);
+  PutFixed32(&bad_head, crc32c::Mask(crc32c::Value(bad_head.data(),
+                                                   bad_head.size())));
+  EXPECT_TRUE(restored.DecodeFrom(Slice(bad_head)).IsCorruption());
+
+  // The intact image still loads into the same object.
+  ASSERT_TRUE(restored.DecodeFrom(Slice(image)).ok());
+  std::vector<uint16_t> candidates;
+  restored.Lookup("k", &candidates);
+  EXPECT_EQ(std::vector<uint16_t>{1}, candidates);
 }
 
 // Property sweep: random workloads across hash-function counts must keep

@@ -107,10 +107,11 @@ class ValueLogTest : public testing::TestWithParam<bool> {
 
   // Fetches ptrs[i] expecting keys[i] through the ValueFetcher; slot i of
   // the outputs belongs to ptrs[i] whatever order the fetcher reads in.
-  ValueFetcher::Stats Fetch(const std::vector<ValuePointer>& ptrs,
-                            const std::vector<std::string>& keys,
-                            std::vector<std::string>* values,
-                            std::vector<Status>* statuses) {
+  ValueFetcher::Stats Fetch(
+      const std::vector<ValuePointer>& ptrs,
+      const std::vector<std::string>& keys, std::vector<std::string>* values,
+      std::vector<Status>* statuses,
+      ValueFetcher::Spans spans = ValueFetcher::Spans::kMapped) {
     values->assign(ptrs.size(), "untouched");
     statuses->assign(ptrs.size(), Status::OK());
     std::vector<ValueFetcher::Item> items;
@@ -118,7 +119,7 @@ class ValueLogTest : public testing::TestWithParam<bool> {
       items.push_back(ValueFetcher::Item{ptrs[i], keys[i], &(*values)[i],
                                          &(*statuses)[i]});
     }
-    return ValueFetcher(cache_.get()).Fetch(items.data(), items.size());
+    return ValueFetcher(cache_.get(), spans).Fetch(items.data(), items.size());
   }
 
   std::unique_ptr<MemEnv> mem_env_;
@@ -291,7 +292,8 @@ TEST_P(ValueLogTest, FetchDuplicateAndOverlappingPointers) {
 
 // One item is a point read: a pread, never the mapping (its pages would
 // count toward the process's peak RSS). Two items of the same log are a
-// span read, zero-copy from the mapping where the Env has one.
+// span read, zero-copy from the mapping where the Env has one, unless
+// the fetcher copies its spans.
 TEST_P(ValueLogTest, FetchOfOneItemIsAPointRead) {
   Records records = NumberedRecords(4, 300, "");
   auto ptrs = WriteLog(3, records);
@@ -320,6 +322,15 @@ TEST_P(ValueLogTest, FetchOfOneItemIsAPointRead) {
   }
   EXPECT_EQ(2u, reads_.Value());
   EXPECT_EQ(1u, span_reads_.Value());
+  EXPECT_EQ(UsePosix() ? 1u : 0u, mmap_reads_.Value());
+  EXPECT_EQ(1u, stats.coalesced_spans);
+
+  // A copied span coalesces the same way but is always a pread.
+  stats = Fetch({ptrs[2], ptrs[1]}, {records[2].first, records[1].first},
+                &values, &statuses, ValueFetcher::Spans::kCopied);
+  EXPECT_TRUE(statuses[0].ok() && statuses[1].ok());
+  EXPECT_EQ(records[1].second, values[1]);
+  EXPECT_EQ(2u, span_reads_.Value());
   EXPECT_EQ(UsePosix() ? 1u : 0u, mmap_reads_.Value());
   EXPECT_EQ(1u, stats.coalesced_spans);
 }
