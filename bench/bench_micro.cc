@@ -114,7 +114,8 @@ void BM_HashIndexInsert(benchmark::State& state) {
     HashIndex index(n);
     state.ResumeTiming();
     for (int i = 0; i < n; i++) {
-      index.Insert(Key(i), static_cast<uint16_t>(i & 0xff));
+      index.Insert(HashIndex::KeyHash(Key(i)),
+                   static_cast<uint16_t>(i & 0xff));
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -125,13 +126,14 @@ void BM_HashIndexLookup(benchmark::State& state) {
   const int n = 100000;
   HashIndex index(n);
   for (int i = 0; i < n; i++) {
-    index.Insert(Key(i), static_cast<uint16_t>(i & 0xff));
+    index.Insert(HashIndex::KeyHash(Key(i)),
+                 static_cast<uint16_t>(i & 0xff));
   }
   Random rnd(9);
   std::vector<uint16_t> candidates;
   for (auto _ : state) {
     candidates.clear();
-    index.Lookup(Key(rnd.Next() % n), &candidates);
+    index.Lookup(HashIndex::KeyHash(Key(rnd.Next() % n)), &candidates);
     benchmark::DoNotOptimize(candidates.data());
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,10 +1,11 @@
 // Experiment T3 — Crash-recovery time.
 //
 // Paper: recovery replays the WAL, reloads partition metadata from the
-// MANIFEST, and restores the hash indexes from the latest checkpoints
-// (scanning only the tables flushed after the checkpoint). Expected
-// shape: recovery time grows mildly with DB size; checkpointing cuts the
-// index-rebuild component versus full rescans of the UnsortedStore.
+// MANIFEST, and restores the hash indexes from the latest checkpoints.
+// Here every unsorted table carries its keys' hashes (its key-hash
+// block), and recovery rebuilds each partition's index from those blocks
+// in table-id order, reading no data block (DESIGN.md §2). Expected
+// shape: recovery time grows mildly with DB size.
 
 #include "bench_common.h"
 
@@ -16,44 +17,34 @@ int main() {
   const size_t kValueSize = 1024;
 
   PrintTableHeader("T3 recovery time vs dataset size",
-                   {"keys", "checkpointed_ms", "rescan_ms"});
+                   {"keys", "recovery_ms"});
   for (uint64_t keys : {Scaled(10000), Scaled(20000), Scaled(40000)}) {
-    std::vector<std::string> row;
-    row.push_back(std::to_string(keys));
-    for (bool checkpoint : {true, false}) {
-      Options opt = BenchOptions();
-      opt.index_checkpoint_interval = checkpoint ? 2 : 0;
-      // Keep data in the UnsortedStore so index recovery has work to do.
-      opt.unsorted_limit = 256 * 1024 * 1024;
-      opt.partition_size_limit = 1024ull * 1024 * 1024;
-      BenchDb bdb(Engine::kUniKV, opt, root);
+    Options opt = BenchOptions();
+    // Keep data in the UnsortedStore so index recovery has work to do.
+    opt.unsorted_limit = 256 * 1024 * 1024;
+    opt.partition_size_limit = 1024ull * 1024 * 1024;
+    BenchDb bdb(Engine::kUniKV, opt, root);
 
-      LoadSpec load;
-      load.num_keys = keys;
-      load.value_size = kValueSize;
-      // Load WITHOUT CompactAll-driven merges: write directly.
-      WriteOptions wo;
-      for (uint64_t i = 0; i < keys; i++) {
-        OrDie(bdb.db()->Put(wo, KeyGenerator::Key(i),
-                            MakeValue(i, kValueSize)),
-              "Put");
-      }
-      OrDie(bdb.db()->FlushMemTable(), "FlushMemTable");
-
-      double secs = bdb.Reopen();
-      row.push_back(Fmt(secs * 1000.0, 1));
-
-      // Sanity: data survives.
-      std::string value;
-      Status s = bdb.db()->Get(ReadOptions(), KeyGenerator::Key(keys / 2),
-                               &value);
-      if (!s.ok()) {
-        std::fprintf(stderr, "recovery check failed: %s\n",
-                     s.ToString().c_str());
-        return 1;
-      }
+    // Load WITHOUT CompactAll-driven merges: write directly.
+    WriteOptions wo;
+    for (uint64_t i = 0; i < keys; i++) {
+      OrDie(bdb.db()->Put(wo, KeyGenerator::Key(i), MakeValue(i, kValueSize)),
+            "Put");
     }
-    PrintTableRow(row);
+    OrDie(bdb.db()->FlushMemTable(), "FlushMemTable");
+
+    const double secs = bdb.Reopen();
+
+    // Sanity: data survives.
+    std::string value;
+    Status s =
+        bdb.db()->Get(ReadOptions(), KeyGenerator::Key(keys / 2), &value);
+    if (!s.ok()) {
+      std::fprintf(stderr, "recovery check failed: %s\n",
+                   s.ToString().c_str());
+      return 1;
+    }
+    PrintTableRow({std::to_string(keys), Fmt(secs * 1000.0, 1)});
   }
 
   // WAL-replay component: crash with a populated memtable (no flush).

@@ -246,9 +246,6 @@ Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
     }
     s = out->writer->Add(iter->key(), iter->value(),
                          user_key.size() + iter->value().size());
-    if (out->keys.empty() || Slice(out->keys.back()) != user_key) {
-      out->keys.push_back(user_key.ToString());
-    }
   }
   if (s.ok()) s = iter->status();
   if (s.ok() && out != nullptr) s = out->writer->Finish();
@@ -257,33 +254,6 @@ Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
   }
   return s;
 }
-
-// ---------------------------------------------------------------- helpers
-
-namespace {
-
-// A hash-index checkpoint image: the covered-id list, then the index.
-std::string CheckpointImage(const HashIndex& index,
-                            const std::vector<uint16_t>& covered_ids) {
-  std::string image;
-  PutVarint32(&image, static_cast<uint32_t>(covered_ids.size()));
-  for (uint16_t id : covered_ids) PutVarint32(&image, id);
-  index.EncodeTo(&image);
-  return image;
-}
-
-Status WriteCheckpointFile(Env* env, const std::string& fname,
-                           const std::string& image) {
-  std::unique_ptr<WritableFile> file;
-  Status s = env->NewWritableFile(fname, &file);
-  if (!s.ok()) return s;
-  s = file->Append(image);
-  if (s.ok()) s = file->Sync();
-  if (s.ok()) s = file->Close();
-  return s;
-}
-
-}  // namespace
 
 bool UniKVDB::RoutingStillValid(const VersionData& ver,
                                 const std::vector<FlushOutput>& outputs) {
@@ -323,63 +293,8 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   s = FlushMemTableToUnsorted(mem, base, &outputs);
   if (!s.ok()) return s;
 
-  // Periodic hash-index checkpointing (paper: every UnsortedLimit/2 of
-  // flushed tables) for the partitions this flush makes due. Each image
-  // is the index as it stands before this flush's keys land, copied under
-  // a short mu_ hold; the copy is encoded (with its checksum) and written
-  // with mu_ released, and the install below records it in the flush's
-  // own edit. Writing the files under the install hold made their I/O
-  // dominate a hold every Get waits on.
-  struct Checkpoint {
-    uint32_t pid = 0;
-    TableOutputWriter* writer = nullptr;  // The flush output's; owns number.
-    uint64_t number = 0;
-    std::vector<uint64_t> tables;  // File numbers of the covered tables.
-    std::vector<uint16_t> covered;  // Their table ids.
-    std::unique_ptr<HashIndex> index;  // Copied under mu_, encoded after.
-    bool written = false;
-  };
-  std::vector<Checkpoint> checkpoints;
-  // Time under mu_ for this install (EVENTS install_micros): the index
-  // copy hold plus the install hold below.
-  uint64_t install_us = 0;
-  if (options_.index_checkpoint_interval > 0) {
-    {
-      MutexLock lock(&mu_);
-      const uint64_t copy_start_us = env_->NowMicros();
-      VersionPtr cur = versions_->current();
-      for (const FlushOutput& out : outputs) {
-        const PartitionRuntime& rt = runtime_.at(out.pid);
-        if (rt.flushes_since_checkpoint + 1 <
-            options_.index_checkpoint_interval) {
-          continue;
-        }
-        auto p = cur->FindById(out.pid);
-        if (p == nullptr || p->unsorted.empty()) continue;
-        Checkpoint cp;
-        cp.pid = out.pid;
-        cp.writer = out.writer.get();
-        for (const FileMeta& f : p->unsorted) {
-          cp.covered.push_back(f.table_id);
-          cp.tables.push_back(f.number);
-        }
-        cp.index = rt.index->Clone();
-        checkpoints.push_back(std::move(cp));
-      }
-      install_us += env_->NowMicros() - copy_start_us;
-    }
-    for (Checkpoint& cp : checkpoints) {
-      cp.number = cp.writer->NewFileNumber();
-      cp.written = WriteCheckpointFile(
-                       env_, IndexCheckpointFileName(dbname_, cp.number),
-                       CheckpointImage(*cp.index, cp.covered))
-                       .ok();
-      cp.index.reset();
-    }
-  }
-
-  // Outputs a re-route below replaced; their writers also hold the
-  // checkpoint numbers, so they are released with the rest, after mu_.
+  // Outputs a re-route below replaced; their writers are released with
+  // the rest, after mu_.
   std::vector<FlushOutput> rerouted;
   MutexLock lock(&mu_);
   uint64_t install_start_us = env_->NowMicros();
@@ -448,34 +363,8 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   // always observe a consistent pair).
   for (const FlushOutput& out : outputs) {
     HashIndex& index = *runtime_.at(out.pid).index;
-    for (const std::string& key : out.keys) {
-      index.Insert(key, out.meta.table_id);
-    }
-  }
-
-  // Record each checkpoint written above that is still valid. A merge or
-  // scan-merge installed meanwhile consumed covered tables (and restarts
-  // table ids, so the covered-id list would name other tables); a newer
-  // checkpoint makes this one redundant. A skipped one is only an
-  // optimization lost: recovery replays the uncovered tables, and the
-  // sweep deletes the file.
-  if (options_.index_checkpoint_interval > 0) {
-    for (const FlushOutput& out : outputs) {
-      runtime_.at(out.pid).flushes_since_checkpoint++;
-    }
-    VersionPtr cur = versions_->current();
-    for (const Checkpoint& cp : checkpoints) {
-      auto p = cur->FindById(cp.pid);
-      auto live = [&p](uint64_t number) {
-        return std::any_of(
-            p->unsorted.begin(), p->unsorted.end(),
-            [number](const FileMeta& f) { return f.number == number; });
-      };
-      if (cp.written && p != nullptr && p->index_checkpoint < cp.number &&
-          std::all_of(cp.tables.begin(), cp.tables.end(), live)) {
-        edit.SetIndexCheckpoint(cp.pid, cp.number);
-        runtime_.at(cp.pid).flushes_since_checkpoint = 0;
-      }
+    for (uint64_t h : out.writer->key_hashes()) {
+      index.Insert(h, out.meta.table_id);
     }
   }
 
@@ -486,7 +375,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     versions_->SetLastSequence(flush_ceiling);
   }
   s = versions_->LogAndApply(&edit);
-  install_us += env_->NowMicros() - install_start_us;
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
     {
       MutexLock shard_lock(&shard->mu);
@@ -508,7 +397,8 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
       // Heat + write-amp inputs: entries and logical user bytes landing
       // in the partition. Flush routing is where keys first meet
       // partition boundaries, so update frequency is measured here.
-      reg.GetCounter("heat_writes", out.pid)->Add(out.keys.size());
+      reg.GetCounter("heat_writes", out.pid)
+          ->Add(out.writer->key_hashes().size());
       reg.GetCounter("user_bytes_flushed", out.pid)->Add(out.meta.logical);
       bytes_written += out.meta.size;
     }
@@ -711,7 +601,6 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
       NewMergingIterator(icmp_, std::move(children)));
 
   TableOutputWriter writer(this, TableOutputWriter::Store::kUnsorted);
-  std::unique_ptr<HashIndex> index = NewHashIndex();
   Status s;
   std::string current_user_key;
   bool has_current = false;
@@ -725,12 +614,14 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     // Tombstones are preserved: they still shadow the SortedStore.
     s = writer.Add(merged->key(), merged->value(),
                    user_key.size() + merged->value().size());
-    index->Insert(user_key, new_table_id);
   }
   if (s.ok()) s = merged->status();
   if (s.ok()) s = writer.Finish();
   if (!s.ok()) return s;
   const uint64_t bytes_written = writer.bytes_written();
+  // The output's own hashes seed the replacement index, off mu_.
+  std::unique_ptr<HashIndex> index = NewHashIndex();
+  for (uint64_t h : writer.key_hashes()) index->Insert(h, new_table_id);
 
   VersionEdit edit;
   for (const FileMeta& f : p->unsorted) edit.RemoveUnsortedFile(pid, f.number);
@@ -769,7 +660,6 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
                                            UnsortedInstall* result) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = snap.id;
-  edit->SetIndexCheckpoint(pid, 0);
   // Nothing removes partitions, and the job's busy claim keeps other
   // per-partition jobs off this one.
   std::shared_ptr<const PartitionState> cur_p =
@@ -779,9 +669,10 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
   for (const FileMeta& f : snap.unsorted) consumed.insert(f.number);
 
   // Complete the replacement index before installing the edit, so a
-  // failed table scan leaves both the version and the old index
-  // untouched. Survivor scans do I/O under mu_, but survivors exist only
-  // when a flush landed during the job and each is at most one memtable.
+  // failed read leaves both the version and the old index untouched.
+  // Each survivor costs one key-hash block read under mu_; survivors
+  // exist only when a flush landed during the job, and they are in
+  // table-id order, as a rebuild inserts them.
   for (const FileMeta& f : cur_p->unsorted) {
     if (consumed.count(f.number)) continue;
     Status s = InsertTableIntoIndex(index.get(), f);
@@ -795,9 +686,7 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
     // The cached anchor view dies with the consumed tables; the next
     // iterator builds one over what remains if two or more tables do.
     InstallAnchorViewLocked(pid, nullptr);
-    PartitionRuntime& rt = runtime_.at(pid);
-    rt.index = std::move(index);
-    rt.flushes_since_checkpoint = 0;
+    runtime_.at(pid).index = std::move(index);
   }
   return s;
 }

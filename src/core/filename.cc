@@ -28,11 +28,6 @@ std::string ValueLogFileName(const std::string& dbname, uint64_t number) {
   return MakeFileName(dbname, number, "vlog");
 }
 
-std::string IndexCheckpointFileName(const std::string& dbname,
-                                    uint64_t number) {
-  return MakeFileName(dbname, number, "hidx");
-}
-
 std::string ManifestFileName(const std::string& dbname, uint64_t number) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "/MANIFEST-%06llu",
@@ -90,8 +85,6 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
     *type = FileType::kTableFile;
   } else if (suffix == "vlog") {
     *type = FileType::kValueLogFile;
-  } else if (suffix == "hidx") {
-    *type = FileType::kIndexCheckpoint;
   } else if (suffix == "anchors") {
     *type = FileType::kAnchorsFile;
   } else if (suffix == "tmp") {

@@ -12,7 +12,6 @@ enum class FileType {
   kShardWalFile,   // %06llu.swal (per-shard WAL, written since write_shards)
   kTableFile,      // %06llu.sst
   kValueLogFile,   // %06llu.vlog
-  kIndexCheckpoint,  // %06llu.hidx
   kAnchorsFile,    // %06llu.anchors (retired persisted anchor view; swept)
   kManifestFile,   // MANIFEST-%06llu
   kCurrentFile,    // CURRENT
@@ -24,8 +23,6 @@ std::string WalFileName(const std::string& dbname, uint64_t number);
 std::string ShardWalFileName(const std::string& dbname, uint64_t number);
 std::string TableFileName(const std::string& dbname, uint64_t number);
 std::string ValueLogFileName(const std::string& dbname, uint64_t number);
-std::string IndexCheckpointFileName(const std::string& dbname,
-                                    uint64_t number);
 std::string ManifestFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
 std::string LockFileName(const std::string& dbname);

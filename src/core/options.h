@@ -86,7 +86,10 @@ struct Options {
   /// everything.
   size_t value_separation_threshold = 64;
 
-  /// Hash functions used for cuckoo-style candidate buckets (paper: n).
+  /// Candidate buckets per key in the hash index (paper: n), derived from
+  /// the key's one stored hash by double hashing. The index is rebuilt at
+  /// open from the key-hash block every unsorted table carries, so this
+  /// may change across restarts.
   int index_num_hashes = 2;
 
   /// Average KV size estimate used to size each partition's hash index.
@@ -109,17 +112,16 @@ struct Options {
   /// hash; each shard owns its own memtable, WAL (.swal), writer queue and
   /// group commit, so concurrent writers to different shards never
   /// contend. Sequence numbers stay globally ordered and sync writes are
-  /// durable across all shards, so crash recovery (which merges all shard
-  /// WALs by sequence number) keeps the same prefix-cut guarantee as the
-  /// single-queue path. 1 (the default) restores the single-queue write
-  /// path. Not persisted: the shard count may change across restarts.
-  /// Clamped to [1, 64] at Open.
+  /// durable across all shards, and recovery merges all shard WALs by
+  /// sequence number. A batch whose keys span several shards is not one
+  /// unit, though: each shard's sub-batch commits as its own group with
+  /// its own sequence range, so a crash may keep some sub-batches and
+  /// lose others, and a concurrent reader may see some before the rest
+  /// (ROADMAP item 7). Single-shard batches stay atomic. 1 (the default)
+  /// restores the single-queue write path, where every batch is atomic.
+  /// Not persisted: the shard count may change across restarts. Clamped
+  /// to [1, 64] at Open.
   int write_shards = 1;
-
-  /// Persist a hash-index checkpoint every this many UnsortedStore
-  /// flushes (paper: every UnsortedLimit/2 of flushed tables). 0 disables
-  /// checkpointing (recovery then rebuilds the index by scanning tables).
-  int index_checkpoint_interval = 2;
 
   // --- Observability knobs ---
 
@@ -144,7 +146,8 @@ struct Options {
 
   /// Off: point lookups in the UnsortedStore probe every table whose key
   /// range covers the key, newest (largest table id) first, instead of
-  /// consulting the hash index.
+  /// consulting the hash index. Unsorted tables still carry their
+  /// key-hash block, so the table format does not depend on this switch.
   bool enable_hash_index = true;
   /// Off: merges write values inline into SortedStore tables (no value
   /// logs, no GC).

@@ -64,6 +64,17 @@ Iterator* TableCache::NewIterator(uint64_t file_number, uint64_t file_size,
   return result;
 }
 
+Status TableCache::ReadKeyHashes(uint64_t file_number, uint64_t file_size,
+                                 std::vector<uint64_t>* hashes) {
+  void* handle = nullptr;
+  Status s = FindTable(file_number, file_size, &handle);
+  if (!s.ok()) return s;
+  Cache::Handle* h = reinterpret_cast<Cache::Handle*>(handle);
+  s = reinterpret_cast<Table*>(cache_->Value(h))->ReadKeyHashes(hashes);
+  cache_->Release(h);
+  return s;
+}
+
 Status TableCache::Get(uint64_t file_number, uint64_t file_size,
                        const Slice& internal_key, bool* found,
                        std::string* key_out, std::string* value_out,

@@ -82,6 +82,10 @@ class TableCache {
                    std::string* key_out, std::string* value_out,
                    Table::Probe* probe = nullptr);
 
+  /// Reads the named table's key-hash block; see Table::ReadKeyHashes.
+  Status ReadKeyHashes(uint64_t file_number, uint64_t file_size,
+                       std::vector<uint64_t>* hashes);
+
   /// Bloom pre-check for a user key (always true if no filter).
   bool KeyMayMatch(uint64_t file_number, uint64_t file_size,
                    const Slice& user_key);

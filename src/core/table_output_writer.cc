@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/filename.h"
+#include "index/hash_index.h"
 
 namespace unikv {
 
@@ -29,6 +30,7 @@ TableOptions SortedTableOptions(const Options& options) {
 
 UniKVDB::TableOutputWriter::TableOutputWriter(UniKVDB* db, Store store)
     : db_(db),
+      unsorted_(store == Store::kUnsorted),
       table_options_(store == Store::kSorted
                          ? SortedTableOptions(db->options_)
                          : db->options_.table_options),
@@ -72,6 +74,9 @@ Status UniKVDB::TableOutputWriter::Add(const Slice& internal_key,
   builder_->Add(internal_key, value);
   FileMeta& meta = outputs_.back();
   meta.logical += governed;
+  if (unsorted_ && (key_hashes_.empty() || Slice(meta.largest) != user_key)) {
+    key_hashes_.push_back(HashIndex::KeyHash(user_key));
+  }
   meta.largest.assign(user_key.data(), user_key.size());
   if (builder_->FileSize() >= rotation_size_ ||
       meta.logical >= rotation_logical_) {
@@ -82,7 +87,7 @@ Status UniKVDB::TableOutputWriter::Add(const Slice& internal_key,
 
 Status UniKVDB::TableOutputWriter::Finish() {
   if (builder_ == nullptr) return Status::OK();
-  Status s = builder_->Finish();
+  Status s = builder_->Finish(unsorted_ ? &key_hashes_ : nullptr);
   if (s.ok()) s = file_->Sync();
   if (s.ok()) s = file_->Close();
   if (s.ok()) {

@@ -16,6 +16,8 @@ namespace unikv {
 /// layout of the store it writes for:
 ///  - kUnsorted (flush, scan-merge): table_options and exactly one table
 ///    per writer; anchor views rely on that layout's restart interval.
+///    The writer hashes each distinct user key as it is added and writes
+///    the list as the table's key-hash block (DESIGN.md §2).
 ///  - kSorted (merge, GC): the sorted layout, a table rotated once it
 ///    reaches `sorted_table_size` on disk or max(sorted_table_size,
 ///    partition_size_limit / 8) governed logical bytes, so a partition
@@ -23,7 +25,7 @@ namespace unikv {
 ///    (split points).
 ///
 /// Every file number the writer hands out (its tables, plus any value log
-/// or index checkpoint the job allocates through NewFileNumber) stays in
+/// the job allocates through NewFileNumber) stays in
 /// the DB's pending outputs, safe from the obsolete-file sweep, until the
 /// writer is destroyed; destroy it only after the job's edit has been
 /// applied or abandoned, and never while holding the DB mutex.
@@ -53,9 +55,14 @@ class UniKVDB::TableOutputWriter {
   const std::vector<FileMeta>& outputs() const { return outputs_; }
   /// Bytes of the finished tables.
   uint64_t bytes_written() const { return bytes_written_; }
+  /// kUnsorted: HashIndex::KeyHash of each distinct user key added, in
+  /// key order (the table's key-hash block once finished). Empty for
+  /// kSorted.
+  const std::vector<uint64_t>& key_hashes() const { return key_hashes_; }
 
  private:
   UniKVDB* const db_;
+  const bool unsorted_;
   const TableOptions table_options_;
   // Rotation thresholds; never reached for the UnsortedStore.
   const uint64_t rotation_size_;
@@ -65,6 +72,7 @@ class UniKVDB::TableOutputWriter {
   std::unique_ptr<WritableFile> file_;
   std::unique_ptr<TableBuilder> builder_;
   uint64_t bytes_written_ = 0;
+  std::vector<uint64_t> key_hashes_;
 };
 
 }  // namespace unikv

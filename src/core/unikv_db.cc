@@ -464,63 +464,30 @@ std::unique_ptr<HashIndex> UniKVDB::NewHashIndex() const {
 }
 
 Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f) {
-  std::unique_ptr<Iterator> iter(table_cache_->NewIterator(f.number, f.size));
-  std::string prev_user_key;
-  bool has_prev = false;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    Slice user_key = ExtractUserKey(iter->key());
-    if (!has_prev || Slice(prev_user_key) != user_key) {
-      index->Insert(user_key, f.table_id);
-      prev_user_key.assign(user_key.data(), user_key.size());
-      has_prev = true;
-    }
+  std::vector<uint64_t> hashes;
+  Status s = table_cache_->ReadKeyHashes(f.number, f.size, &hashes);
+  if (s.IsCorruption()) {
+    return Status::Corruption(TableFileName(dbname_, f.number),
+                              s.ToString());
   }
-  return iter->status();
+  if (!s.ok()) return s;
+  for (uint64_t h : hashes) index->Insert(h, f.table_id);
+  return Status::OK();
 }
 
 Status UniKVDB::LoadHashIndex(const PartitionState& p,
                               std::unique_ptr<HashIndex>* out) {
+  // A scan-merge output keeps its largest consumed id but is appended
+  // after tables flushed in meanwhile, so list order is not id order.
+  std::vector<const FileMeta*> tables;
+  for (const FileMeta& f : p.unsorted) tables.push_back(&f);
+  std::sort(tables.begin(), tables.end(),
+            [](const FileMeta* a, const FileMeta* b) {
+              return a->table_id < b->table_id;
+            });
   std::unique_ptr<HashIndex> index = NewHashIndex();
-  std::set<uint16_t> covered;
-  if (p.index_checkpoint != 0) {
-    // Load the checkpoint image: [count varint32][table ids varint32...]
-    // [HashIndex image].
-    std::string fname = IndexCheckpointFileName(dbname_, p.index_checkpoint);
-    uint64_t size;
-    Status s = env_->GetFileSize(fname, &size);
-    if (s.ok()) {
-      std::unique_ptr<SequentialFile> file;
-      s = env_->NewSequentialFile(fname, &file);
-      if (s.ok()) {
-        std::string buf;
-        buf.resize(size);
-        Slice contents;
-        s = file->Read(size, &contents, buf.data());
-        if (s.ok()) {
-          Slice input = contents;
-          uint32_t count = 0;
-          if (GetVarint32(&input, &count)) {
-            bool ok = true;
-            for (uint32_t i = 0; i < count && ok; i++) {
-              uint32_t id;
-              ok = GetVarint32(&input, &id);
-              if (ok) covered.insert(static_cast<uint16_t>(id));
-            }
-            if (ok && index->DecodeFrom(input).ok()) {
-              // Loaded; fall through to replay uncovered tables.
-            } else {
-              covered.clear();
-              index->Clear();
-            }
-          }
-        }
-      }
-    }
-    // On any checkpoint trouble fall back to a full rebuild.
-  }
-  for (const FileMeta& f : p.unsorted) {
-    if (covered.count(f.table_id)) continue;
-    Status s = InsertTableIntoIndex(index.get(), f);
+  for (const FileMeta* f : tables) {
+    Status s = InsertTableIntoIndex(index.get(), *f);
     if (!s.ok()) return s;
   }
   *out = std::move(index);
@@ -568,7 +535,6 @@ void UniKVDB::RemoveObsoleteFiles() {
         break;
       case FileType::kTableFile:
       case FileType::kValueLogFile:
-      case FileType::kIndexCheckpoint:
         keep = live.count(number) > 0;
         break;
       case FileType::kAnchorsFile:  // Anchor views are no longer persisted.
@@ -1220,6 +1186,7 @@ struct ShardPin {
 // One distinct key of a point read.
 struct KeyRead {
   size_t slot = 0;  // Its first index in keys[] (by sorted order).
+  uint64_t hash = 0;  // HashIndex::KeyHash, computed before mu_.
   int partition = 0;
   const ShardPin* pin = nullptr;
   bool done = false;                 // Resolved by a memtable.
@@ -1254,7 +1221,11 @@ void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
   size_t m = 0;
   for (size_t j = 0; j < n; j++) {
     if (j > 0 && keys[order[j]] == keys[order[j - 1]]) continue;
-    reads[m++].slot = order[j];
+    reads[m].slot = order[j];
+    if (options_.enable_hash_index) {
+      reads[m].hash = HashIndex::KeyHash(keys[order[j]]);
+    }
+    m++;
   }
 
   // Pin every touched shard's memtables once, *before* capturing the
@@ -1296,7 +1267,7 @@ void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
       rt->heat_reads->Inc();
       // No unsorted tables -> no candidates to find; skip the hash.
       if (options_.enable_hash_index && !p.unsorted.empty()) {
-        rt->index->Lookup(keys[k.slot], &k.candidates);
+        rt->index->Lookup(k.hash, &k.candidates);
       }
     }
   }

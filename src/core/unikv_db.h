@@ -193,10 +193,12 @@ class UniKVDB : public DB {
   /// from all shard WALs by sequence number before replaying.
   Status CollectWalBatches(const std::string& fname,
                            std::vector<WalBatch>* out);
-  /// Partition `p`'s hash index as of recovery: its checkpoint image,
-  /// if any loads, plus every unsorted table the image does not cover.
+  /// Partition `p`'s hash index as of recovery: every unsorted table's
+  /// key hashes, inserted in table-id order (as the live index got them).
   Status LoadHashIndex(const PartitionState& p,
                        std::unique_ptr<HashIndex>* index);
+  /// Inserts table `f`'s key-hash block under its table id. Reads no data
+  /// block; a missing or corrupt block is Corruption naming the table.
   Status InsertTableIntoIndex(HashIndex* index, const FileMeta& f);
   std::unique_ptr<HashIndex> NewHashIndex() const;
 
@@ -321,11 +323,10 @@ class UniKVDB : public DB {
 
   struct FlushOutput {
     uint32_t pid = 0;
-    /// Wrote the table and holds it (and the partition's index checkpoint,
-    /// if this flush writes one) as a pending output until destroyed.
+    /// Wrote the table and holds it as a pending output until destroyed;
+    /// its key_hashes() are what the install inserts into the index.
     std::unique_ptr<TableOutputWriter> writer;
     FileMeta meta;
-    std::vector<std::string> keys;  // Deduplicated user keys, table order.
   };
 
   /// Flushes `mem` contents to per-partition UnsortedStore tables routed
@@ -350,11 +351,11 @@ class UniKVDB : public DB {
   /// Installs `edit`, a merge or scan-merge that consumed every unsorted
   /// table of `snap` (partition `snap.id` as the job saw it). Tables
   /// flushed into the partition while the job ran survive the edit
-  /// (removals are by number): their keys are added to `index`, which the
-  /// caller seeds with the keys of the job's own unsorted output, and
-  /// `index` becomes the partition's hash index once the edit is applied.
-  /// Also drops the partition's cached anchor view and restarts its
-  /// checkpoint count. Call it as soon as mu_ is taken: the EVENTS
+  /// (removals are by number): their key-hash blocks are added to
+  /// `index`, which the caller seeds with the hashes of the job's own
+  /// unsorted output, and `index` becomes the partition's hash index once
+  /// the edit is applied. Also drops the partition's cached anchor view.
+  /// Call it as soon as mu_ is taken: the EVENTS
   /// install_micros it reports runs from its entry to LogAndApply's return.
   struct UnsortedInstall {
     size_t survivors = 0;  // Tables flushed in while the job ran.
@@ -533,7 +534,6 @@ class UniKVDB : public DB {
     std::unique_ptr<HashIndex> index;
     /// Stale value-log bytes (GC trigger); counted from open, not stored.
     uint64_t vlog_garbage = 0;
-    int flushes_since_checkpoint = 0;
     /// The partition's heat_reads series, cached so the per-key heat bump
     /// in Get/MultiGet costs no registry lock or name building.
     Counter* heat_reads = nullptr;

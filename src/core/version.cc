@@ -40,7 +40,6 @@ void VersionData::AddLiveFiles(std::set<uint64_t>* live) const {
     for (const auto& f : p->unsorted) live->insert(f.number);
     for (const auto& f : p->sorted) live->insert(f.number);
     for (const auto& v : p->vlogs) live->insert(v.number);
-    if (p->index_checkpoint != 0) live->insert(p->index_checkpoint);
   }
 }
 
@@ -60,7 +59,8 @@ enum EditTag : uint32_t {
   kRemoveSorted = 9,
   kAddVlog = 10,
   kRemoveVlog = 11,
-  kIndexCheckpoint = 12,
+  // 12 is retired (it named a hash-index checkpoint file). Not reused, so
+  // a MANIFEST of a store from before key-hash blocks fails to decode.
   // Retired: pointed a partition at its persisted <n>.anchors file.
   // Decoded and dropped so older MANIFESTs still open; never encoded.
   kRetiredAnchorView = 13,
@@ -142,11 +142,6 @@ void VersionEdit::EncodeTo(std::string* dst) const {
   }
   for (const auto& [pid, number] : removed_vlogs_) {
     PutVarint32(dst, kRemoveVlog);
-    PutVarint32(dst, pid);
-    PutVarint64(dst, number);
-  }
-  for (const auto& [pid, number] : index_checkpoints_) {
-    PutVarint32(dst, kIndexCheckpoint);
     PutVarint32(dst, pid);
     PutVarint64(dst, number);
   }
@@ -232,12 +227,6 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
           return Status::Corruption("bad edit: remove vlog");
         }
         removed_vlogs_.emplace_back(pid, number);
-        break;
-      case kIndexCheckpoint:
-        if (!GetVarint32(&input, &pid) || !GetVarint64(&input, &number)) {
-          return Status::Corruption("bad edit: index checkpoint");
-        }
-        index_checkpoints_.emplace_back(pid, number);
         break;
       case kRetiredAnchorView:
         if (!GetVarint32(&input, &pid) || !GetVarint64(&input, &number)) {
@@ -331,11 +320,6 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
     std::erase_if(p->vlogs,
                   [number](const VlogMeta& v) { return v.number == number; });
   }
-  for (const auto& [pid, number] : edit.index_checkpoints_) {
-    PartitionState* p = find(pid);
-    if (p == nullptr) return Status::Corruption("edit: unknown partition");
-    p->index_checkpoint = number;
-  }
 
   auto next = std::make_shared<VersionData>();
   for (auto& [pid, p] : parts) {
@@ -366,9 +350,6 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
     for (const auto& f : p->unsorted) edit.AddUnsortedFile(p->id, f);
     for (const auto& f : p->sorted) edit.AddSortedFile(p->id, f);
     for (const auto& v : p->vlogs) edit.AddValueLog(p->id, v);
-    if (p->index_checkpoint != 0) {
-      edit.SetIndexCheckpoint(p->id, p->index_checkpoint);
-    }
   }
   std::string record;
   edit.EncodeTo(&record);

@@ -50,16 +50,15 @@ struct PartitionState {
   uint32_t id = 0;
   /// Inclusive lower boundary user key; empty for the first partition.
   std::string lower_bound;
-  /// UnsortedStore tables, oldest first (table_id ascending).
+  /// UnsortedStore tables in install order. table_id orders them by age:
+  /// a scan-merge output reuses the largest id it consumed but is appended
+  /// after tables flushed while it ran.
   std::vector<FileMeta> unsorted;
   /// SortedStore tables: one sorted run, disjoint, key order.
   std::vector<FileMeta> sorted;
   /// Value logs referenced by this partition's pointers (a log may be
   /// shared with a sibling partition after a split, until lazy GC).
   std::vector<VlogMeta> vlogs;
-  /// File number of the newest hash-index checkpoint (0 = none). The
-  /// checkpoint covers unsorted tables with table_id < covered_upto.
-  uint64_t index_checkpoint = 0;
 
   uint64_t UnsortedBytes() const {
     uint64_t n = 0;
@@ -150,9 +149,6 @@ class VersionEdit {
   void RemoveValueLog(uint32_t pid, uint64_t number) {
     removed_vlogs_.emplace_back(pid, number);
   }
-  void SetIndexCheckpoint(uint32_t pid, uint64_t file_number) {
-    index_checkpoints_.emplace_back(pid, file_number);
-  }
 
   void EncodeTo(std::string* dst) const;
   Status DecodeFrom(const Slice& src);
@@ -175,7 +171,6 @@ class VersionEdit {
   std::vector<std::pair<uint32_t, uint64_t>> removed_sorted_;
   std::vector<std::pair<uint32_t, VlogMeta>> new_vlogs_;
   std::vector<std::pair<uint32_t, uint64_t>> removed_vlogs_;
-  std::vector<std::pair<uint32_t, uint64_t>> index_checkpoints_;
 };
 
 /// Owns the MANIFEST and the chain of immutable versions. Mutating

@@ -2,12 +2,9 @@
 #define UNIKV_INDEX_HASH_INDEX_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "util/slice.h"
-#include "util/status.h"
 
 namespace unikv {
 
@@ -15,15 +12,19 @@ namespace unikv {
 ///
 /// Placement combines cuckoo-style multi-bucket candidates with chained
 /// overflow (paper §Hash indexing):
-///  * `num_hashes` hash functions h_1..h_n give each key n candidate
-///    buckets; insertion fills the first empty inline slot probing
+///  * Every key is hashed once (KeyHash); the index derives everything
+///    from that 64-bit value, so a table can store it and recovery can
+///    rebuild the index without reading any key (DESIGN.md §2).
+///  * `num_hashes` bucket functions h_1..h_n are derived by double
+///    hashing, h_i = (lo + (i-1)·hi) mod N over the hash's two 32-bit
+///    halves; insertion fills the first empty inline slot probing
 ///    h_1 .. h_n.
 ///  * If all candidates are occupied, an overflow entry is prepended to
-///    the chain of bucket h_n(key) % N (newest first).
+///    the chain of bucket h_n(key) (newest first).
 ///  * Every entry is 8 bytes: <keyTag(2B), tableId(2B), next(4B)>, where
-///    keyTag is the top 16 bits of an independent hash h_{n+1}(key) used
-///    to filter entries during lookup, and tableId identifies the
-///    UnsortedStore table holding the key.
+///    keyTag is 16 bits of a remix of the key hash, used to filter
+///    entries during lookup, and tableId identifies the UnsortedStore
+///    table holding the key.
 ///
 /// Lookup scans buckets h_n .. h_1, each bucket's overflow chain (newest
 /// first) before its inline slot, returning candidate table ids in
@@ -44,11 +45,18 @@ class HashIndex {
   HashIndex(const HashIndex&) = delete;
   HashIndex& operator=(const HashIndex&) = delete;
 
-  /// Records that `user_key`'s newest version lives in table `table_id`.
-  void Insert(const Slice& user_key, uint16_t table_id);
+  /// The one hash of a user key that Insert and Lookup take. Unsorted
+  /// tables store it per key (their key-hash block), so its value is part
+  /// of the on-disk format.
+  static uint64_t KeyHash(const Slice& user_key);
 
-  /// Appends candidate table ids (newest first) that may hold `user_key`.
-  void Lookup(const Slice& user_key, std::vector<uint16_t>* candidates) const;
+  /// Records that the key hashing to `key_hash` has its newest version in
+  /// table `table_id`.
+  void Insert(uint64_t key_hash, uint16_t table_id);
+
+  /// Appends candidate table ids (newest first) that may hold the key
+  /// hashing to `key_hash`.
+  void Lookup(uint64_t key_hash, std::vector<uint16_t>* candidates) const;
 
   /// Drops all entries (after an UnsortedStore -> SortedStore merge).
   void Clear();
@@ -60,20 +68,6 @@ class HashIndex {
   /// Fraction of inline bucket slots occupied.
   double InlineUtilization() const;
   uint64_t NumOverflowEntries() const { return overflow_.size(); }
-
-  // --- Checkpointing (crash consistency, paper §Crash Consistency) ---
-
-  /// A copy of the whole index, so a caller holding the lock that guards
-  /// this one can encode the copy after releasing it.
-  std::unique_ptr<HashIndex> Clone() const;
-
-  /// Serializes the whole index (buckets + overflow pool) to *dst,
-  /// followed by a crc32c of the image.
-  void EncodeTo(std::string* dst) const;
-  /// Restores the index from an EncodeTo() image. Corruption, with the
-  /// index left as it was, when the checksum does not match or the image
-  /// would make Insert or Lookup index out of range or loop.
-  Status DecodeFrom(Slice input);
 
  private:
   static constexpr uint32_t kNoOverflow = 0xFFFFFFFFu;
@@ -91,8 +85,8 @@ class HashIndex {
     uint32_t next = kNoOverflow;
   };
 
-  size_t BucketFor(const Slice& key, int hash_idx) const;
-  uint16_t KeyTag(const Slice& key) const;
+  size_t BucketFor(uint64_t key_hash, int hash_idx) const;
+  static uint16_t KeyTag(uint64_t key_hash);
 
   int num_hashes_;
   uint64_t num_entries_ = 0;

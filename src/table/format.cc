@@ -8,8 +8,9 @@ namespace unikv {
 void Footer::EncodeTo(std::string* dst) const {
   const size_t original_size = dst->size();
   filter_handle_.EncodeTo(dst);
+  key_hash_handle_.EncodeTo(dst);
   index_handle_.EncodeTo(dst);
-  dst->resize(original_size + 2 * BlockHandle::kMaxEncodedLength);  // Padding
+  dst->resize(original_size + 3 * BlockHandle::kMaxEncodedLength);  // Padding
   PutFixed32(dst, static_cast<uint32_t>(kTableMagicNumber & 0xffffffffu));
   PutFixed32(dst, static_cast<uint32_t>(kTableMagicNumber >> 32));
   assert(dst->size() == original_size + kEncodedLength);
@@ -29,6 +30,9 @@ Status Footer::DecodeFrom(Slice* input) {
   }
 
   Status result = filter_handle_.DecodeFrom(input);
+  if (result.ok()) {
+    result = key_hash_handle_.DecodeFrom(input);
+  }
   if (result.ok()) {
     result = index_handle_.DecodeFrom(input);
   }

@@ -46,15 +46,19 @@ class BlockHandle {
 };
 
 /// Footer encapsulates the fixed information stored at the tail of every
-/// table file: filter-block handle, index-block handle, magic.
+/// table file: filter-block, key-hash-block and index-block handles, then
+/// the magic. An absent block has an empty handle.
 class Footer {
  public:
-  enum { kEncodedLength = 2 * BlockHandle::kMaxEncodedLength + 8 };
+  enum { kEncodedLength = 3 * BlockHandle::kMaxEncodedLength + 8 };
 
   Footer() = default;
 
   const BlockHandle& filter_handle() const { return filter_handle_; }
   void set_filter_handle(const BlockHandle& h) { filter_handle_ = h; }
+
+  const BlockHandle& key_hash_handle() const { return key_hash_handle_; }
+  void set_key_hash_handle(const BlockHandle& h) { key_hash_handle_ = h; }
 
   const BlockHandle& index_handle() const { return index_handle_; }
   void set_index_handle(const BlockHandle& h) { index_handle_ = h; }
@@ -64,6 +68,7 @@ class Footer {
 
  private:
   BlockHandle filter_handle_;
+  BlockHandle key_hash_handle_;
   BlockHandle index_handle_;
 };
 

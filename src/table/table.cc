@@ -22,6 +22,7 @@ struct Table::Rep {
   Cache* block_cache = nullptr;
 
   std::string filter_data;  // Whole-table bloom filter (may be empty).
+  BlockHandle key_hash_handle;  // Empty when the table has no such block.
   Block* index_block = nullptr;
   InternalKeyComparator icmp;
 };
@@ -53,6 +54,7 @@ Status Table::Open(const TableOptions& options,
   rep->options = options;
   rep->file = std::move(file);
   rep->index_block = new Block(index_block_contents);
+  rep->key_hash_handle = footer.key_hash_handle();
   rep->block_cache = block_cache;
   rep->cache_id = (block_cache != nullptr) ? block_cache->NewId() : 0;
 
@@ -74,6 +76,27 @@ Status Table::Open(const TableOptions& options,
 }
 
 Table::~Table() { delete rep_; }
+
+Status Table::ReadKeyHashes(std::vector<uint64_t>* hashes) const {
+  hashes->clear();
+  if (rep_->key_hash_handle.size() == 0) {
+    return Status::Corruption("table has no key-hash block");
+  }
+  BlockContents contents;
+  Status s = ReadBlock(rep_->file.get(), rep_->key_hash_handle, &contents);
+  if (!s.ok()) return s;
+  const Slice data = contents.data;
+  if (data.size() % 8 == 0) {
+    hashes->reserve(data.size() / 8);
+    for (size_t off = 0; off < data.size(); off += 8) {
+      hashes->push_back(DecodeFixed64(data.data() + off));
+    }
+  } else {
+    s = Status::Corruption("key-hash block size is not a multiple of 8");
+  }
+  if (contents.heap_allocated) delete[] contents.data.data();
+  return s;
+}
 
 bool Table::KeyMayMatch(const Slice& user_key) const {
   if (rep_->filter_data.empty()) return true;

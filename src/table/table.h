@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/iterator.h"
 #include "table/cache.h"
@@ -73,6 +74,11 @@ class Table {
   Status Get(const Slice& internal_key, bool* found, std::string* key_out,
              std::string* value_out, Probe* probe = nullptr,
              bool fill_cache = true) const;
+
+  /// Reads the key-hash block (one hash per distinct user key, key order;
+  /// see TableBuilder::Finish) into *hashes. No data block is read.
+  /// Corruption when the table has no such block or it fails its checksum.
+  Status ReadKeyHashes(std::vector<uint64_t>* hashes) const;
 
   /// Bloom-filter check on a user key. Always true when the table was
   /// built without a filter.

@@ -91,56 +91,54 @@ void TableBuilder::Flush() {
 
 void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
   assert(ok());
-  Rep* r = rep_;
-  Slice raw = block->Finish();
+  WriteRawBlock(block->Finish(), handle);
+  block->Reset();
+}
 
+void TableBuilder::WriteRawBlock(const Slice& contents, BlockHandle* handle) {
+  Rep* r = rep_;
   handle->set_offset(offset_);
-  handle->set_size(raw.size());
-  status_ = r->file->Append(raw);
+  handle->set_size(contents.size());
+  status_ = r->file->Append(contents);
   if (status_.ok()) {
     char trailer[kBlockTrailerSize];
     trailer[0] = 0;  // No compression.
-    uint32_t crc = crc32c::Value(raw.data(), raw.size());
+    uint32_t crc = crc32c::Value(contents.data(), contents.size());
     crc = crc32c::Extend(crc, trailer, 1);  // Extend to cover the type.
     EncodeFixed32(trailer + 1, crc32c::Mask(crc));
     status_ = r->file->Append(Slice(trailer, kBlockTrailerSize));
     if (status_.ok()) {
-      offset_ += raw.size() + kBlockTrailerSize;
+      offset_ += contents.size() + kBlockTrailerSize;
     }
   }
-  block->Reset();
 }
 
-Status TableBuilder::Finish() {
+Status TableBuilder::Finish(const std::vector<uint64_t>* key_hashes) {
   Rep* r = rep_;
   Flush();
   assert(!r->closed);
   r->closed = true;
 
-  BlockHandle filter_block_handle, index_block_handle;
+  // Absent blocks keep an empty handle (offset 0, size 0).
+  BlockHandle filter_block_handle, key_hash_handle, index_block_handle;
+  filter_block_handle.set_offset(0);
+  filter_block_handle.set_size(0);
+  key_hash_handle.set_offset(0);
+  key_hash_handle.set_size(0);
 
   // Filter block (raw, no prefix compression needed).
   if (ok() && r->bloom != nullptr) {
     std::string filter_contents;
     r->bloom->Finish(&filter_contents);
-    filter_block_handle.set_offset(offset_);
-    filter_block_handle.set_size(filter_contents.size());
-    status_ = r->file->Append(filter_contents);
-    if (status_.ok()) {
-      char trailer[kBlockTrailerSize];
-      trailer[0] = 0;
-      uint32_t crc = crc32c::Value(filter_contents.data(),
-                                   filter_contents.size());
-      crc = crc32c::Extend(crc, trailer, 1);
-      EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-      status_ = r->file->Append(Slice(trailer, kBlockTrailerSize));
-      if (status_.ok()) {
-        offset_ += filter_contents.size() + kBlockTrailerSize;
-      }
-    }
-  } else {
-    filter_block_handle.set_offset(0);
-    filter_block_handle.set_size(0);
+    WriteRawBlock(filter_contents, &filter_block_handle);
+  }
+
+  // Key-hash block: fixed64 hashes, as handed in.
+  if (ok() && key_hashes != nullptr) {
+    std::string contents;
+    contents.reserve(key_hashes->size() * 8);
+    for (uint64_t h : *key_hashes) PutFixed64(&contents, h);
+    WriteRawBlock(contents, &key_hash_handle);
   }
 
   // Index block.
@@ -158,6 +156,7 @@ Status TableBuilder::Finish() {
   if (ok()) {
     Footer footer;
     footer.set_filter_handle(filter_block_handle);
+    footer.set_key_hash_handle(key_hash_handle);
     footer.set_index_handle(index_block_handle);
     std::string footer_encoding;
     footer.EncodeTo(&footer_encoding);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/dbformat.h"
 #include "util/slice.h"
@@ -28,6 +29,8 @@ struct TableOptions {
 /// File layout:
 ///   [data block]*
 ///   [filter block]   (optional whole-table bloom over user keys)
+///   [key-hash block] (optional fixed64 per distinct user key, key order;
+///                     UnsortedStore tables carry it, DESIGN.md §2)
 ///   [index block]    (last key of each data block -> BlockHandle)
 ///   [footer]
 class TableBuilder {
@@ -49,7 +52,8 @@ class TableBuilder {
   Status status() const { return status_; }
 
   /// Finishes building the table; stops using the file afterwards.
-  Status Finish();
+  /// `key_hashes`, when given, is written as the key-hash block.
+  Status Finish(const std::vector<uint64_t>* key_hashes = nullptr);
 
   /// Abandons the buffered content (call instead of Finish on error paths).
   void Abandon();
@@ -61,6 +65,8 @@ class TableBuilder {
 
  private:
   void WriteBlock(class BlockBuilder* block, class BlockHandle* handle);
+  /// Appends `contents` and its type/crc trailer at offset_.
+  void WriteRawBlock(const Slice& contents, class BlockHandle* handle);
   bool ok() const { return status_.ok(); }
 
   struct Rep;

@@ -61,10 +61,6 @@ ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n) {
   std::shared_ptr<RandomAccessFile> file;
   uint64_t pinned_log = 0;
   Status pin_status;
-  // Grow-only scratch for the pread fallback: a std::string would
-  // zero-fill on every resize.
-  std::unique_ptr<char[]> scratch;
-  size_t scratch_cap = 0;
   for (size_t si = 0; si < spans.size(); si++) {
     const Span& sp = spans[si];
     if (si == 0 || sp.log_number != pinned_log) {
@@ -74,14 +70,9 @@ ValueFetcher::Stats ValueFetcher::Fetch(Item* items, size_t n) {
     Status s = pin_status;
     Slice data;
     if (s.ok()) {
-      const size_t len = static_cast<size_t>(sp.end - sp.begin);
-      if (len > scratch_cap) {
-        scratch_cap = std::max(len, scratch_cap * 2);
-        scratch.reset(new char[scratch_cap]);
-      }
-      s = cache_->GetSpanPinned(file.get(), sp.begin, len,
-                                spans_ == Spans::kMapped, &data,
-                                scratch.get());
+      s = cache_->GetSpanPinned(file.get(), sp.begin,
+                                static_cast<size_t>(sp.end - sp.begin),
+                                spans_ == Spans::kMapped, &data, &scratch_);
     }
     for (size_t i = sp.first; i < sp.last; i++) {
       const Item& item = items[i];

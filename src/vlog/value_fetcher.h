@@ -24,7 +24,8 @@ class ValueFetcher {
  public:
   /// How span reads reach the log. kMapped reads zero-copy from the log's
   /// mapping when the Env offers one (foreground reads); kCopied always
-  /// preads into a grow-only scratch buffer, so a caller that sweeps whole
+  /// preads into the fetcher's grow-only scratch buffer (allocated on the
+  /// first copied span, kept across calls), so a caller that sweeps whole
   /// logs (GC) never faults their pages into the process, where ru_maxrss
   /// would count them.
   enum class Spans { kMapped, kCopied };
@@ -62,6 +63,8 @@ class ValueFetcher {
  private:
   ValueLogCache* const cache_;
   const Spans spans_;
+  // Backs copied spans; reused across Fetch calls on one fetcher.
+  SpanScratch scratch_;
 };
 
 }  // namespace unikv

@@ -129,7 +129,7 @@ Status ValueLogCache::Get(const ValuePointer& ptr, const Slice& key,
 
 Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
                                     size_t size, bool zero_copy,
-                                    Slice* result, char* scratch) {
+                                    Slice* result, SpanScratch* scratch) {
   PerfContext* perf = GetPerfContext();
   perf->vlog_span_reads++;
   perf->vlog_read_bytes += size;
@@ -144,7 +144,7 @@ Status ValueLogCache::GetSpanPinned(RandomAccessFile* file, uint64_t offset,
     if (mmap_reads_counter_ != nullptr) mmap_reads_counter_->Inc();
     return Status::OK();
   }
-  Status s = file->Read(offset, size, result, scratch);
+  Status s = file->Read(offset, size, result, scratch->Reserve(size));
   if (!s.ok()) return s;
   if (result->size() != size) {
     return Status::Corruption("short value log span read");

@@ -1,6 +1,8 @@
 #ifndef UNIKV_VLOG_VALUE_LOG_H_
 #define UNIKV_VLOG_VALUE_LOG_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -71,6 +73,26 @@ class ValueLogWriter {
 /// moved within the file) is Corruption, never the other key's value.
 Status DecodeValueRecord(const Slice& record, const Slice& key, Slice* value);
 
+/// Grow-only buffer for span reads that are copied rather than mapped. It
+/// allocates on the first copy, so a caller whose spans are all served
+/// from the mapping never allocates; a long-lived owner (GC's fetcher)
+/// reuses one buffer across calls.
+class SpanScratch {
+ public:
+  /// A buffer of at least n bytes; earlier contents are not kept.
+  char* Reserve(size_t n) {
+    if (n > cap_) {
+      cap_ = std::max(n, cap_ * 2);
+      buf_.reset(new char[cap_]);
+    }
+    return buf_.get();
+  }
+
+ private:
+  std::unique_ptr<char[]> buf_;
+  size_t cap_ = 0;
+};
+
 /// Caches open read handles for value log files (one directory, keyed by
 /// log number) and serves point fetches by ValuePointer. Thread-safe.
 class ValueLogCache {
@@ -104,10 +126,10 @@ class ValueLogCache {
 
   /// Reads the byte span [offset, offset+size) of a pinned log in one I/O
   /// and points *result at it: at the file's own mapping when `zero_copy`
-  /// is set and the Env offers one, else at caller-owned `scratch`, which
-  /// must hold `size` bytes. No cache-mutex acquisition.
+  /// is set and the Env offers one, else at caller-owned `scratch`, grown
+  /// only then. No cache-mutex acquisition.
   Status GetSpanPinned(RandomAccessFile* file, uint64_t offset, size_t size,
-                       bool zero_copy, Slice* result, char* scratch);
+                       bool zero_copy, Slice* result, SpanScratch* scratch);
 
   /// Drops the cached handle for a deleted log file.
   void Evict(uint64_t log_number);

@@ -393,8 +393,9 @@ TEST(HashLogDbTest, ConcurrentGetsAndStatsSnapshot) {
       }
     });
   }
+  // Sample at least once: the writer may finish before the first sample.
   uint64_t last_records = 0;
-  while (!done.load(std::memory_order_acquire)) {
+  do {
     std::string stats;
     ASSERT_TRUE(db->GetProperty("db.stats", &stats));
     const size_t pos = stats.find("records=");
@@ -403,7 +404,7 @@ TEST(HashLogDbTest, ConcurrentGetsAndStatsSnapshot) {
         std::strtoull(stats.c_str() + pos + 8, nullptr, 10);
     EXPECT_GE(records, last_records) << stats;
     last_records = records;
-  }
+  } while (!done.load(std::memory_order_acquire));
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(0, failures.load());

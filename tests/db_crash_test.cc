@@ -73,7 +73,6 @@ TEST(DbCrashTest, FaultPointCoverage) {
   EXPECT_TRUE(TraceHas(profile.trace, FaultOp::kRenameFile, "CURRENT"));
   EXPECT_TRUE(TraceHas(profile.trace, FaultOp::kSyncDir, "/"));
   EXPECT_TRUE(TraceHas(profile.trace, FaultOp::kRemoveFile, ".vlog"));
-  EXPECT_TRUE(TraceHas(profile.trace, FaultOp::kNewWritableFile, ".hidx"));
 
   // The stats prove each background op actually ran (not just that some
   // file of the right name was touched).
@@ -388,44 +387,6 @@ TEST(DbCrashTest, FailedJobOutputSyncLatchesErrorAndReopensClean) {
                   CountFiles(&fenv, dbname, FileType::kValueLogFile));
     db.reset();
   }
-}
-
-// A failed hash-index checkpoint write only costs recovery time: no
-// error latches, and the partial file is swept after the job, with no
-// reopen.
-TEST(DbCrashTest, FailedCheckpointWriteIsSweptWithoutError) {
-  std::unique_ptr<MemEnv> base(NewMemEnv());
-  FaultInjectionEnv fenv(base.get());
-  Options opts;
-  opts.env = &fenv;
-  opts.index_checkpoint_interval = 2;  // The second flush checkpoints.
-  const std::string dbname = "/checkpointfaultdb";
-
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(opts, dbname, &raw).ok());
-  std::unique_ptr<DB> db(raw);
-  fenv.EnableTrace(true);
-  for (int wave = 0; wave < 2; wave++) {
-    if (wave == 1) fenv.FailAt(FaultOp::kSync, ".hidx", 0);
-    for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(db->Put(WriteOptions(), test::TestKey(wave * 100 + i),
-                          test::TestValue(i, 200))
-                      .ok());
-    }
-    ASSERT_TRUE(db->FlushMemTable().ok());
-  }
-  EXPECT_TRUE(TraceHas(fenv.Trace(), FaultOp::kSync, ".hidx"));
-  // The sweep follows the flush install on the same worker.
-  for (int i = 0; i < 1000 &&
-                  CountFiles(&fenv, dbname, FileType::kIndexCheckpoint) > 0;
-       i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(0u, CountFiles(&fenv, dbname, FileType::kIndexCheckpoint));
-  EXPECT_TRUE(db->GetBackgroundError().ok());
-  std::string value;
-  ASSERT_TRUE(db->Get(ReadOptions(), test::TestKey(150), &value).ok());
-  EXPECT_EQ(test::TestValue(50, 200), value);
 }
 
 }  // namespace

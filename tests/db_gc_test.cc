@@ -377,6 +377,18 @@ int CountVlogs(Env* env, const std::string& dir) {
   return n;
 }
 
+// GcOptions with a memtable that holds a whole 300 KiB phase: the puts
+// start no background job, so each CompactAll runs its flush, merge and
+// GC in one fixed order. With auto-flushes racing the puts, a GC started
+// mid-phase could take the armed crash point first, and the async puts
+// not yet flushed were then lawfully lost.
+Options GcCrashOptions(Env* env) {
+  Options opt = GcOptions();
+  opt.env = env;
+  opt.write_buffer_size = 1 << 20;
+  return opt;
+}
+
 }  // namespace
 
 // Crash in the window between the GC install (pointer-rewrite merge +
@@ -385,8 +397,7 @@ int CountVlogs(Env* env, const std::string& dir) {
 TEST_F(DbGcTest, CrashBetweenGcInstallAndOldLogDeletion) {
   std::unique_ptr<MemEnv> base(NewMemEnv());
   FaultInjectionEnv fenv(base.get());
-  Options opt = GcOptions();
-  opt.env = &fenv;
+  Options opt = GcCrashOptions(&fenv);
   const std::string name = "/gc_crash";
   const int kKeys = 300;
 
@@ -443,10 +454,8 @@ TEST_F(DbGcTest, CrashBeforeGcInstallKeepsOldLogs) {
   const std::string name = "/gc_crash2";
   const int kKeys = 300;
   auto workload = [&](FaultInjectionEnv* fenv, std::unique_ptr<DB>* out) {
-    Options opt = GcOptions();
-    opt.env = fenv;
     DB* raw = nullptr;
-    Status s = DB::Open(opt, name, &raw);
+    Status s = DB::Open(GcCrashOptions(fenv), name, &raw);
     out->reset(raw);
     if (!s.ok()) return s;
     DB* db = out->get();
@@ -468,7 +477,7 @@ TEST_F(DbGcTest, CrashBeforeGcInstallKeepsOldLogs) {
   // syncs; the last one is the GC install. The count is keyed to the
   // MANIFEST file, not the global call index: how background-job env
   // calls interleave with foreground ones varies with scheduling, but
-  // the number of installs is data-driven and stable.
+  // with no job started by the puts the number of installs is stable.
   uint64_t manifest_syncs = 0;
   {
     std::unique_ptr<MemEnv> base(NewMemEnv());
@@ -500,10 +509,8 @@ TEST_F(DbGcTest, CrashBeforeGcInstallKeepsOldLogs) {
   int vlogs_after_crash = CountVlogs(&fenv, name);
   EXPECT_GE(vlogs_after_crash, 2) << "old value logs were lost";
 
-  Options opt = GcOptions();
-  opt.env = &fenv;
   DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(opt, name, &raw).ok());
+  ASSERT_TRUE(DB::Open(GcCrashOptions(&fenv), name, &raw).ok());
   db.reset(raw);
   for (int i = 0; i < kKeys; i++) {
     std::string value;

@@ -1,18 +1,22 @@
 // Crash-consistency tests using the in-memory Env's power-failure
 // simulation: WAL replay, torn tails, manifest atomicity across
-// merge/GC/split, hash-index checkpoint recovery, orphan sweeping.
+// merge/GC/split, hash-index rebuild from key-hash blocks, orphan
+// sweeping.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/db.h"
+#include "table/format.h"
 #include "test_util.h"
-#include "util/coding.h"
+#include "util/env.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -192,9 +196,11 @@ TEST_F(DbRecoveryTest, RepeatedCrashesWithRandomWorkload) {
   }
 }
 
-TEST_F(DbRecoveryTest, CheckpointedIndexRecoversConsistently) {
-  // Load with checkpointing enabled; crash; recovered reads must be
-  // identical to a full-rescan recovery.
+TEST_F(DbRecoveryTest, IndexRebuiltFromKeyHashesServesNewestVersions) {
+  // Two flushed tables, the second overwriting a third of the first's
+  // keys. Reopen rebuilds the hash index from the tables' key-hash blocks
+  // alone: it must hold the same entries as the live index did and serve
+  // the newest version of every key.
   Open();
   for (int i = 0; i < 600; i++) {
     ASSERT_TRUE(
@@ -206,7 +212,12 @@ TEST_F(DbRecoveryTest, CheckpointedIndexRecoversConsistently) {
     ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), "newest").ok());
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
+  std::string live_entries, rebuilt_entries;
+  ASSERT_TRUE(db_->GetProperty("db.hash-index-entries", &live_entries));
   Crash();
+  ASSERT_TRUE(db_->GetProperty("db.hash-index-entries", &rebuilt_entries));
+  EXPECT_EQ(live_entries, rebuilt_entries);
+  EXPECT_EQ("800", rebuilt_entries);  // 600 + 200 overwrites.
   for (int i = 0; i < 600; i++) {
     if (i % 3 == 0) {
       EXPECT_EQ("newest", Get(test::TestKey(i))) << i;
@@ -216,13 +227,12 @@ TEST_F(DbRecoveryTest, CheckpointedIndexRecoversConsistently) {
   }
 }
 
-// The periodic hash-index checkpoint file is written with the DB mutex
-// released, before the flush install that records it in the manifest.
-// Recorded, it is live: a crash-reopen keeps the file (the sweep deletes
-// unrecorded ones) and recovery loads it.
-TEST_F(DbRecoveryTest, IndexCheckpointIsRecordedInManifest) {
+// A flipped byte in one unsorted table's key-hash block fails the reopen
+// with Corruption naming the table: the index is never rebuilt without
+// that table's keys (which would send reads to older versions).
+TEST_F(DbRecoveryTest, CorruptKeyHashBlockFailsReopen) {
   Open();
-  for (int round = 0; round < 2; round++) {  // index_checkpoint_interval
+  for (int round = 0; round < 2; round++) {
     for (int i = 0; i < 100; i++) {
       ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
                            "v" + std::to_string(round))
@@ -230,92 +240,129 @@ TEST_F(DbRecoveryTest, IndexCheckpointIsRecordedInManifest) {
     }
     ASSERT_TRUE(db_->FlushMemTable().ok());
   }
-  Crash();
-  std::vector<std::string> children;
-  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
-  int checkpoints = 0;
-  for (const std::string& c : children) {
-    if (c.size() > 5 && c.compare(c.size() - 5, 5, ".hidx") == 0) {
-      checkpoints++;
-    }
-  }
-  EXPECT_EQ(1, checkpoints);
-  for (int i = 0; i < 100; i++) {
-    EXPECT_EQ("v1", Get(test::TestKey(i))) << i;
-  }
-}
-
-// A checkpoint whose entries were rewritten on disk fails its checksum,
-// and recovery rebuilds the index from the tables. Loaded, this one would
-// send every key of the newest covered table to the oldest.
-TEST_F(DbRecoveryTest, CorruptedIndexCheckpointIsRebuilt) {
-  Open();
-  // With index_checkpoint_interval 2 the fourth flush checkpoints the
-  // three tables before it; keys 0..99 are newest in the third.
-  for (int round = 0; round < 4; round++) {
-    for (int i = 0; i < 100; i++) {
-      ASSERT_TRUE(db_->Put(WriteOptions(),
-                           test::TestKey(round < 3 ? i : 100 + i),
-                           "v" + std::to_string(round))
-                      .ok());
-    }
-    ASSERT_TRUE(db_->FlushMemTable().ok());
-  }
   db_.reset();
+
   std::vector<std::string> children;
   ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
-  std::string fname, contents;
+  std::string fname;
   for (const std::string& c : children) {
-    if (c.size() > 5 && c.compare(c.size() - 5, 5, ".hidx") == 0) {
-      fname = "/db/" + c;
-    }
+    if (c.ends_with(".sst")) fname = "/db/" + c;  // The newest table.
   }
+  ASSERT_FALSE(fname.empty());
   uint64_t size = 0;
   ASSERT_TRUE(env_->GetFileSize(fname, &size).ok());
   std::unique_ptr<SequentialFile> in;
   ASSERT_TRUE(env_->NewSequentialFile(fname, &in).ok());
-  contents.resize(size);
+  std::string contents(size, '\0');
   Slice data;
   ASSERT_TRUE(in->Read(size, &data, contents.data()).ok());
   contents.assign(data.data(), data.size());
-
-  // [count][covered ids], then the index: magic, num_hashes, num_buckets,
-  // num_overflow, num_entries, and 8-byte entries led by a fixed32
-  // key_tag << 16 | table_id.
-  Slice input(contents);
-  uint32_t count = 0, id = 0, magic = 0, hashes = 0;
-  uint64_t buckets = 0, overflow = 0, entries = 0;
-  ASSERT_TRUE(GetVarint32(&input, &count));
-  ASSERT_EQ(3u, count);
-  uint32_t oldest = 0xFFFF, newest = 0;
-  for (uint32_t i = 0; i < count && GetVarint32(&input, &id); i++) {
-    oldest = std::min(oldest, id);
-    newest = std::max(newest, id);
-  }
-  ASSERT_TRUE(GetFixed32(&input, &magic) && GetVarint32(&input, &hashes) &&
-              GetVarint64(&input, &buckets) &&
-              GetVarint64(&input, &overflow) && GetVarint64(&input, &entries));
-  ASSERT_GE(input.size(), (buckets + overflow) * 8);
-  char* entry = contents.data() + (input.data() - contents.data());
-  int redirected = 0;
-  for (uint64_t i = 0; i < buckets + overflow; i++, entry += 8) {
-    if ((DecodeFixed32(entry) & 0xFFFF) == newest) {
-      EncodeFixed32(entry, (DecodeFixed32(entry) & 0xFFFF0000u) | oldest);
-      redirected++;
-    }
-  }
-  ASSERT_GE(redirected, 100);
+  Footer footer;
+  Slice footer_input(contents.data() + size - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  ASSERT_EQ(100u * 8, footer.key_hash_handle().size());
+  contents[footer.key_hash_handle().offset() + 8 * 42] ^= 0x01;
   std::unique_ptr<WritableFile> out;
   ASSERT_TRUE(env_->NewWritableFile(fname, &out).ok());
-  ASSERT_TRUE(out->Append(contents).ok() && out->Close().ok());
+  ASSERT_TRUE(out->Append(contents).ok() && out->Sync().ok() &&
+              out->Close().ok());
 
-  Open();
-  int stale = 0;
-  for (int i = 0; i < 100; i++) {
-    if (Get(test::TestKey(i)) != "v2") stale++;
-    EXPECT_EQ("v3", Get(test::TestKey(100 + i))) << i;
+  DB* raw = nullptr;
+  Status s = DB::Open(CrashOptions(env_.get()), "/db", &raw);
+  db_.reset(raw);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find(fname)) << s.ToString();
+  EXPECT_EQ(nullptr, raw);
+}
+
+// Parks the first value-log creation (a merge's, once armed) until
+// released, so a test can flush while the merge runs.
+class MergeGateEnv : public InstrumentedEnv {
+ public:
+  using InstrumentedEnv::InstrumentedEnv;
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (fname.ends_with(".vlog") && armed.exchange(false)) {
+      parked.store(true);
+      while (!released.load()) SleepForMicroseconds(1000);
+    }
+    return InstrumentedEnv::NewWritableFile(fname, result);
   }
-  EXPECT_EQ(0, stale);
+
+  std::atomic<bool> armed{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> released{false};
+};
+
+uint64_t StatOf(DB* db, const std::string& name) {
+  std::string stats;
+  EXPECT_TRUE(db->GetProperty("db.stats", &stats));
+  const size_t pos = (" " + stats).find(" " + name + "=");
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(stats.c_str() + pos + name.size() + 1, nullptr, 10);
+}
+
+// A table flushed into a partition while its merge runs survives the
+// merge install, which adds the survivor's key-hash block to the new
+// index (InstallUnsortedReplacement). Every survivor key — new keys and
+// overwrites of merged ones — reads its newest value before and after a
+// reopen, and the rebuilt index matches the live one.
+TEST_F(DbRecoveryTest, MergeInstallKeepsTablesFlushedDuringIt) {
+  MergeGateEnv gate(env_.get());
+  gate.armed = true;
+  Options opt = CrashOptions(&gate);
+  opt.write_buffer_size = 1 << 20;  // Each phase flushes one table.
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, "/db", &raw).ok());
+  db_.reset(raw);
+
+  // A 200 KiB table passes unsorted_limit (128 KiB): the merge it
+  // triggers parks at its value-log creation.
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         test::TestValue(i, 1000))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  for (int i = 0; i < 5000 && !gate.parked.load(); i++) {
+    env_->SleepForMicroseconds(1000);
+  }
+  ASSERT_TRUE(gate.parked.load());
+
+  // The survivor: new keys plus overwrites of keys the merge consumes.
+  for (int i = 150; i < 250; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                         "s" + std::to_string(i))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(0u, StatOf(db_.get(), "merges"));
+  gate.released = true;
+  for (int i = 0; i < 5000 && StatOf(db_.get(), "merges") == 0; i++) {
+    env_->SleepForMicroseconds(1000);
+  }
+  ASSERT_EQ(1u, StatOf(db_.get(), "merges"));
+  std::string sstables;
+  ASSERT_TRUE(db_->GetProperty("db.sstables", &sstables));
+  EXPECT_NE(std::string::npos, sstables.find("unsorted=1 ")) << sstables;
+
+  auto check = [&](const char* when) {
+    for (int i = 0; i < 250; i++) {
+      EXPECT_EQ(i < 150 ? test::TestValue(i, 1000) : "s" + std::to_string(i),
+                Get(test::TestKey(i)))
+          << i << " " << when;
+    }
+  };
+  check("before reopen");
+  std::string live_entries, rebuilt_entries;
+  ASSERT_TRUE(db_->GetProperty("db.hash-index-entries", &live_entries));
+  EXPECT_EQ("100", live_entries);
+  Crash();
+  check("after reopen");
+  ASSERT_TRUE(db_->GetProperty("db.hash-index-entries", &rebuilt_entries));
+  EXPECT_EQ(live_entries, rebuilt_entries);
 }
 
 }  // namespace

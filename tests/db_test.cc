@@ -236,8 +236,7 @@ TEST_P(DbAblationTest, CorrectUnderFeatureToggles) {
     case 1: opt.enable_kv_separation = false; break;
     case 2: opt.enable_partitioning = false; break;
     case 3: opt.enable_scan_optimization = false; break;
-    case 4: opt.index_checkpoint_interval = 0; break;
-    case 5: opt.index_num_hashes = 4; break;
+    case 4: opt.index_num_hashes = 4; break;
   }
   OpenDb(opt, "_ablation" + std::to_string(GetParam()));
 
@@ -279,7 +278,7 @@ TEST_P(DbAblationTest, CorrectUnderFeatureToggles) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllToggles, DbAblationTest, testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(AllToggles, DbAblationTest, testing::Range(0, 5));
 
 TEST_F(DbTest, DestroyDb) {
   Options opt = SmallOptions();

@@ -10,7 +10,6 @@ TEST(FileName, Construction) {
   EXPECT_EQ("/db/000008.swal", ShardWalFileName("/db", 8));
   EXPECT_EQ("/db/000123.sst", TableFileName("/db", 123));
   EXPECT_EQ("/db/000045.vlog", ValueLogFileName("/db", 45));
-  EXPECT_EQ("/db/000001.hidx", IndexCheckpointFileName("/db", 1));
   EXPECT_EQ("/db/MANIFEST-000009", ManifestFileName("/db", 9));
   EXPECT_EQ("/db/CURRENT", CurrentFileName("/db"));
   EXPECT_EQ("/db/000002.tmp", TempFileName("/db", 2));
@@ -27,7 +26,6 @@ TEST(FileName, ParseRoundTrip) {
       {"000011.swal", 11, FileType::kShardWalFile},
       {"000123.sst", 123, FileType::kTableFile},
       {"000045.vlog", 45, FileType::kValueLogFile},
-      {"000001.hidx", 1, FileType::kIndexCheckpoint},
       {"MANIFEST-000009", 9, FileType::kManifestFile},
       {"CURRENT", 0, FileType::kCurrentFile},
       {"000002.tmp", 2, FileType::kTempFile},

@@ -1,5 +1,6 @@
 // SSTable round-trip tests: builder + reader, iterators, point gets,
-// bloom filters, block cache integration, corruption detection.
+// bloom filters, key-hash blocks, block cache integration, corruption
+// detection.
 
 #include "table/table.h"
 #include "table/table_builder.h"
@@ -10,6 +11,7 @@
 #include <memory>
 
 #include "table/cache.h"
+#include "table/format.h"
 #include "util/env.h"
 #include "util/random.h"
 
@@ -29,14 +31,15 @@ class TableTest : public testing::Test {
 
   // Builds a table from sorted user-key kvs; returns its size.
   uint64_t BuildTable(const std::map<std::string, std::string>& kvs,
-                      const TableOptions& opt, const std::string& fname) {
+                      const TableOptions& opt, const std::string& fname,
+                      const std::vector<uint64_t>* key_hashes = nullptr) {
     std::unique_ptr<WritableFile> file;
     EXPECT_TRUE(env_->NewWritableFile(fname, &file).ok());
     TableBuilder builder(opt, file.get());
     for (const auto& [key, value] : kvs) {
       builder.Add(IKey(key), value);
     }
-    EXPECT_TRUE(builder.Finish().ok());
+    EXPECT_TRUE(builder.Finish(key_hashes).ok());
     EXPECT_TRUE(file->Close().ok());
     EXPECT_EQ(kvs.size(), builder.NumEntries());
     return builder.FileSize();
@@ -237,6 +240,59 @@ TEST_F(TableTest, CorruptFooterRejected) {
   ASSERT_TRUE(env_->NewRandomAccessFile("/t/8c", &file2).ok());
   s = Table::Open(opt, std::move(file2), size, nullptr, &table);
   EXPECT_TRUE(s.IsCorruption());
+}
+
+// The key-hash block round-trips without reading a data block; a table
+// written without one, or whose block has a flipped byte, is Corruption.
+TEST_F(TableTest, KeyHashBlockRoundTripAndFlippedByteRejected) {
+  std::map<std::string, std::string> kvs;
+  std::vector<uint64_t> hashes;
+  for (int i = 0; i < 300; i++) {
+    kvs["key" + std::to_string(1000 + i)] = std::string(40, 'v');
+    hashes.push_back(0x9E3779B97F4A7C15ull * (i + 1));
+  }
+  TableOptions opt;
+  const uint64_t size = BuildTable(kvs, opt, "/t/10", &hashes);
+  {
+    std::unique_ptr<Table> table(OpenTable(opt, "/t/10", size));
+    std::vector<uint64_t> read;
+    ASSERT_TRUE(table->ReadKeyHashes(&read).ok());
+    EXPECT_EQ(hashes, read);
+  }
+  const uint64_t plain_size = BuildTable(kvs, opt, "/t/10p");
+  EXPECT_EQ(size, plain_size + hashes.size() * 8 + kBlockTrailerSize);
+  {
+    std::unique_ptr<Table> plain(OpenTable(opt, "/t/10p", plain_size));
+    std::vector<uint64_t> read;
+    EXPECT_TRUE(plain->ReadKeyHashes(&read).IsCorruption());
+  }
+
+  std::string contents(size, 0);
+  {
+    std::unique_ptr<RandomAccessFile> reader;
+    ASSERT_TRUE(env_->NewRandomAccessFile("/t/10", &reader).ok());
+    Slice data;
+    ASSERT_TRUE(reader->Read(0, size, &data, contents.data()).ok());
+    contents.assign(data.data(), data.size());
+  }
+  Footer footer;
+  Slice footer_input(contents.data() + size - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  ASSERT_EQ(hashes.size() * 8, footer.key_hash_handle().size());
+  contents[footer.key_hash_handle().offset() + 100] ^= 0x01;
+  std::unique_ptr<WritableFile> w;
+  ASSERT_TRUE(env_->NewWritableFile("/t/10c", &w).ok());
+  ASSERT_TRUE(w->Append(contents).ok() && w->Close().ok());
+  std::unique_ptr<Table> table(OpenTable(opt, "/t/10c", size));
+  std::vector<uint64_t> read;
+  EXPECT_TRUE(table->ReadKeyHashes(&read).IsCorruption());
+  // The data blocks are untouched and still read.
+  bool found = false;
+  std::string key_out, value_out;
+  ASSERT_TRUE(
+      table->Get(IKey("key1100"), &found, &key_out, &value_out).ok());
+  EXPECT_TRUE(found);
 }
 
 TEST_F(TableTest, CorruptDataBlockDetectedByCrc) {

@@ -39,7 +39,6 @@ TEST(VersionEdit, EncodeDecodeRoundTrip) {
   v.size = 777;
   edit.AddValueLog(3, v);
   edit.RemoveValueLog(0, 54);
-  edit.SetIndexCheckpoint(0, 77);
 
   std::string encoded;
   edit.EncodeTo(&encoded);
