@@ -22,9 +22,10 @@ void UniKVDB::MaybeScheduleWork() { bg_work_cv_.SignalAll(); }
 UniKVDB::Wanted UniKVDB::WantedWork(const PartitionState& p) {
   // Ranks: 0 merge at UnsortedLimit (largest backlog first); 1 a split,
   // or the merge that must precede it (the paper runs a split as
-  // compaction + GC in sequence); 2 size-based scan-merge; 3 GC (most
-  // garbage first). Each requires input: a non-empty UnsortedStore, at
-  // least two unsorted tables, garbage > 0 in a partition with logs.
+  // compaction + GC in sequence); 2 size-based scan-merge of one run of
+  // similar-size tables (PickScanMergeRun); 3 GC (most garbage first).
+  // Each requires input: a non-empty UnsortedStore, at least two
+  // unsorted tables, garbage > 0 in a partition with logs.
   const uint64_t unsorted_bytes = p.UnsortedBytes();
   if (!p.unsorted.empty() &&
       (unsorted_bytes >= options_.unsorted_limit || compact_all_)) {
@@ -580,21 +581,59 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
 
 // ------------------------------------------------------------- scan merge
 
+std::vector<FileMeta> PickScanMergeRun(const std::vector<FileMeta>& unsorted) {
+  std::vector<FileMeta> by_age(unsorted);
+  std::sort(by_age.begin(), by_age.end(),
+            [](const FileMeta& a, const FileMeta& b) {
+              return a.table_id > b.table_id;
+            });
+  // Greedy maximal groups, newest first: a table joins the current group
+  // while the group's largest size stays within 2x of its smallest. A
+  // later group replaces the best only when strictly longer, so ties go
+  // to the newer group.
+  size_t best_begin = 0, best_len = 0, begin = 0;
+  uint64_t lo = 0, hi = 0;
+  for (size_t i = 0; i < by_age.size(); i++) {
+    const uint64_t size = by_age[i].size;
+    if (i == begin || std::max(hi, size) > 2 * std::min(lo, size)) {
+      begin = i;
+      lo = hi = size;
+    } else {
+      lo = std::min(lo, size);
+      hi = std::max(hi, size);
+    }
+    if (i + 1 - begin > best_len) {
+      best_begin = begin;
+      best_len = i + 1 - begin;
+    }
+  }
+  if (best_len < 2) {
+    best_begin = 0;
+    best_len = by_age.size();
+  }
+  return std::vector<FileMeta>(
+      std::make_reverse_iterator(by_age.begin() + best_begin + best_len),
+      std::make_reverse_iterator(by_age.begin() + best_begin));
+}
+
 Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
 
-  // The consolidated table reuses the *largest consumed* table_id (free
-  // to reuse — every consumed id is removed in the same edit). Taking
-  // max+1 instead would collide with, or outrank, tables flushed into the
-  // partition while this job runs: those get ids above the snapshot max
-  // and are strictly newer, so they must keep the higher probe priority.
+  // The run is contiguous in table-id order, so every snapshot table left
+  // in place is older or newer than all of it, and the output can reuse
+  // the run's *largest* id (free to reuse: the same edit removes it). It
+  // then still outranks the older tables left in place and is outranked
+  // by the newer ones and by tables flushed while this job runs, which
+  // get ids above the snapshot's max. Taking max+1 instead would collide
+  // with, or outrank, those newer tables.
+  const std::vector<FileMeta> run = PickScanMergeRun(p->unsorted);
+  const uint16_t oldest_id = run.front().table_id;
+  const uint16_t new_table_id = run.back().table_id;
   std::vector<Iterator*> children;
-  uint16_t new_table_id = 0;
   uint64_t bytes_read = 0;
-  for (const FileMeta& f : p->unsorted) {
+  for (const FileMeta& f : run) {
     children.push_back(table_cache_->NewIterator(f.number, f.size));
-    if (f.table_id > new_table_id) new_table_id = f.table_id;
     bytes_read += f.size;
   }
   std::unique_ptr<Iterator> merged(
@@ -607,11 +646,12 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   for (merged->SeekToFirst(); s.ok() && merged->Valid(); merged->Next()) {
     const Slice user_key = ExtractUserKey(merged->key());
     if (has_current && user_key.compare(Slice(current_user_key)) == 0) {
-      continue;  // Older version within the UnsortedStore: drop.
+      continue;  // Older version within the run: drop.
     }
     current_user_key.assign(user_key.data(), user_key.size());
     has_current = true;
-    // Tombstones are preserved: they still shadow the SortedStore.
+    // Tombstones are preserved: they still shadow older unsorted tables
+    // and the SortedStore.
     s = writer.Add(merged->key(), merged->value(),
                    user_key.size() + merged->value().size());
   }
@@ -619,12 +659,31 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   if (s.ok()) s = writer.Finish();
   if (!s.ok()) return s;
   const uint64_t bytes_written = writer.bytes_written();
-  // The output's own hashes seed the replacement index, off mu_.
+
+  // The replacement index, built off mu_ in table-id order as a rebuild
+  // inserts it: the snapshot tables left in place (their key-hash blocks)
+  // and the output's own hashes at its id. InstallUnsortedReplacement
+  // adds the tables flushed meanwhile.
+  std::vector<const FileMeta*> by_id;
+  for (const FileMeta& f : p->unsorted) by_id.push_back(&f);
+  std::sort(by_id.begin(), by_id.end(),
+            [](const FileMeta* a, const FileMeta* b) {
+              return a->table_id < b->table_id;
+            });
   std::unique_ptr<HashIndex> index = NewHashIndex();
-  for (uint64_t h : writer.key_hashes()) index->Insert(h, new_table_id);
+  size_t kept = 0;
+  for (const FileMeta* f : by_id) {
+    if (f->table_id == new_table_id) {
+      for (uint64_t h : writer.key_hashes()) index->Insert(h, new_table_id);
+    } else if (f->table_id < oldest_id || f->table_id > new_table_id) {
+      s = InsertTableIntoIndex(index.get(), *f);
+      if (!s.ok()) return s;
+      kept++;
+    }
+  }
 
   VersionEdit edit;
-  for (const FileMeta& f : p->unsorted) edit.RemoveUnsortedFile(pid, f.number);
+  for (const FileMeta& f : run) edit.RemoveUnsortedFile(pid, f.number);
   for (FileMeta f : writer.outputs()) {
     f.table_id = new_table_id;
     edit.AddUnsortedFile(pid, f);
@@ -643,7 +702,8 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     JsonBuilder ev;
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
-    ev.AddUint("input_tables", p->unsorted.size());
+    ev.AddUint("input_tables", run.size());
+    ev.AddUint("kept_tables", kept);
     ev.AddUint("output_tables", writer.outputs().size());
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
@@ -665,16 +725,17 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
   std::shared_ptr<const PartitionState> cur_p =
       versions_->current()->FindById(pid);
   assert(cur_p != nullptr);
-  std::set<uint64_t> consumed;
-  for (const FileMeta& f : snap.unsorted) consumed.insert(f.number);
+  // The job's `index` already covers every snapshot table the edit keeps.
+  std::set<uint64_t> in_snapshot;
+  for (const FileMeta& f : snap.unsorted) in_snapshot.insert(f.number);
 
   // Complete the replacement index before installing the edit, so a
   // failed read leaves both the version and the old index untouched.
   // Each survivor costs one key-hash block read under mu_; survivors
   // exist only when a flush landed during the job, and they are in
-  // table-id order, as a rebuild inserts them.
+  // table-id order, above every snapshot id, as a rebuild inserts them.
   for (const FileMeta& f : cur_p->unsorted) {
-    if (consumed.count(f.number)) continue;
+    if (in_snapshot.count(f.number)) continue;
     Status s = InsertTableIntoIndex(index.get(), f);
     if (!s.ok()) return s;
     result->survivors++;

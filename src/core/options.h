@@ -40,14 +40,19 @@ struct Options {
   size_t partition_size_limit = 256 * 1024 * 1024;
 
   /// Number of UnsortedStore tables that triggers the size-based merge
-  /// scan optimization (paper: scanMergeLimit). With the in-memory sorted
-  /// anchor view (enable_anchor_view) scans no longer pay a per-Next()
-  /// merge-heap pop per overlapping table, so the default was raised from
-  /// 8 to 16. The rewrite now pays off on point reads instead: it drops
-  /// the shadowed versions of hot keys, keeping the hash-index candidate
-  /// chain short (turning it off cost mixed_zipf 18% of its throughput;
-  /// see EXPERIMENTS.md). A scan-merge needs at least two tables, so
-  /// values below 2 act as 2.
+  /// scan optimization (paper: scanMergeLimit); it bounds a partition's
+  /// table count. Unlike the paper's, a scan-merge rewrites one run of
+  /// adjacent similar-size tables (at most 2x apart; the longest run, the
+  /// newest on a tie; the whole store when no two tables qualify), so an
+  /// earlier output is not rewritten each time the count is reached
+  /// again (DESIGN.md §5). With the in-memory sorted anchor view
+  /// (enable_anchor_view) scans no longer pay a per-Next() merge-heap pop
+  /// per overlapping table, so the default was raised from 8 to 16. The
+  /// rewrite now pays off on point reads instead: it drops the shadowed
+  /// versions of hot keys, keeping the hash-index candidate chain short
+  /// (turning it off cost mixed_zipf 18% of its throughput; see
+  /// EXPERIMENTS.md). A scan-merge needs at least two tables, so values
+  /// below 2 act as 2.
   int scan_merge_limit = 16;
 
   /// Stale value-log bytes in a partition that trigger GC. GC needs some

@@ -477,8 +477,9 @@ Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f) {
 
 Status UniKVDB::LoadHashIndex(const PartitionState& p,
                               std::unique_ptr<HashIndex>* out) {
-  // A scan-merge output keeps its largest consumed id but is appended
-  // after tables flushed in meanwhile, so list order is not id order.
+  // A scan-merge output keeps its run's largest id but is appended after
+  // the newer tables it left in place and those flushed meanwhile, so
+  // list order is not id order.
   std::vector<const FileMeta*> tables;
   for (const FileMeta& f : p.unsorted) tables.push_back(&f);
   std::sort(tables.begin(), tables.end(),
@@ -1395,7 +1396,8 @@ Status UniKVDB::GetFromStores(const PartitionState& p,
   }
   // Newer tables have larger table ids within an epoch, while the list's
   // order does not follow age: a scan-merge output is appended after the
-  // tables flushed while it ran, but reuses the largest id it consumed.
+  // newer tables it left in place and those flushed while it ran, but
+  // reuses the largest id it consumed.
   // Probing ids in descending order makes the newest version win, even
   // under keyTag collisions.
   std::sort(candidates->begin(), candidates->end(), std::greater<uint16_t>());

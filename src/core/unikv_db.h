@@ -89,6 +89,16 @@ struct EngineMetrics {
   std::vector<std::pair<uint64_t PerfContext::*, Counter*>> folded_;
 };
 
+/// The tables a scan-merge of UnsortedStore `unsorted` consumes
+/// (DESIGN.md §5), oldest first: with the tables ordered newest first
+/// by table_id and cut into maximal groups of adjacent tables whose
+/// largest size is at most twice their smallest, the group with the most
+/// tables (the newest on a tie), or every table when no group has two.
+/// The run is contiguous in table-id order, so its output can take the
+/// run's largest id without reordering it against the tables left in
+/// place.
+std::vector<FileMeta> PickScanMergeRun(const std::vector<FileMeta>& unsorted);
+
 /// The UniKV store: differentiated indexing (hash-indexed UnsortedStore +
 /// fully-sorted SortedStore with partial KV separation), dynamic range
 /// partitioning, and scan/GC machinery. See DESIGN.md.
@@ -348,13 +358,13 @@ class UniKVDB : public DB {
       REQUIRES(mu_);
   Status CompactMemTable(size_t shard_idx) EXCLUDES(mu_);
 
-  /// Installs `edit`, a merge or scan-merge that consumed every unsorted
-  /// table of `snap` (partition `snap.id` as the job saw it). Tables
-  /// flushed into the partition while the job ran survive the edit
-  /// (removals are by number): their key-hash blocks are added to
-  /// `index`, which the caller seeds with the hashes of the job's own
-  /// unsorted output, and `index` becomes the partition's hash index once
-  /// the edit is applied. Also drops the partition's cached anchor view.
+  /// Installs `edit`, a merge or scan-merge of `snap` (partition
+  /// `snap.id` as the job saw it). The caller builds `index` off mu_ over
+  /// every table of `snap` the edit keeps and the job's own unsorted
+  /// output. Tables flushed into the partition while the job ran survive
+  /// the edit (removals are by number): their key-hash blocks are added
+  /// to `index`, and `index` becomes the partition's hash index once the
+  /// edit is applied. Also drops the partition's cached anchor view.
   /// Call it as soon as mu_ is taken: the EVENTS
   /// install_micros it reports runs from its entry to LogAndApply's return.
   struct UnsortedInstall {

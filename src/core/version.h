@@ -52,7 +52,8 @@ struct PartitionState {
   std::string lower_bound;
   /// UnsortedStore tables in install order. table_id orders them by age:
   /// a scan-merge output reuses the largest id it consumed but is appended
-  /// after tables flushed while it ran.
+  /// after the newer tables it left in place and those flushed while it
+  /// ran.
   std::vector<FileMeta> unsorted;
   /// SortedStore tables: one sorted run, disjoint, key order.
   std::vector<FileMeta> sorted;

@@ -89,14 +89,6 @@ void HashIndex::Lookup(uint64_t key_hash,
   perf->hash_index_candidates += candidates->size() - candidates_before;
 }
 
-void HashIndex::Clear() {
-  for (Bucket& b : buckets_) {
-    b = Bucket();
-  }
-  overflow_.clear();
-  num_entries_ = 0;
-}
-
 size_t HashIndex::MemoryUsage() const {
   return buckets_.size() * sizeof(Bucket) +
          overflow_.size() * sizeof(OverflowEntry);

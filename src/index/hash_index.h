@@ -31,11 +31,10 @@ namespace unikv {
 /// newest-to-oldest order. keyTag collisions make candidates a superset;
 /// the caller disambiguates by reading the actual key from the table.
 ///
-/// Entries are never removed individually: the whole index is Clear()ed
-/// when the UnsortedStore is merged into the SortedStore. Thread safety:
-/// single writer; concurrent readers must be excluded externally (the DB
-/// holds its mutex around index access — operations are in-memory and
-/// cheap).
+/// Entries are never removed: merges and scan-merges install a new index
+/// built over the tables they leave. Thread safety: single writer;
+/// concurrent readers must be excluded externally (the DB holds its mutex
+/// around index access — operations are in-memory and cheap).
 class HashIndex {
  public:
   /// Sizes the bucket array for `expected_entries` at ~80 % inline
@@ -57,9 +56,6 @@ class HashIndex {
   /// Appends candidate table ids (newest first) that may hold the key
   /// hashing to `key_hash`.
   void Lookup(uint64_t key_hash, std::vector<uint16_t>* candidates) const;
-
-  /// Drops all entries (after an UnsortedStore -> SortedStore merge).
-  void Clear();
 
   uint64_t NumEntries() const { return num_entries_; }
   size_t NumBuckets() const { return buckets_.size(); }

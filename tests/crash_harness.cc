@@ -1,7 +1,10 @@
 #include "crash_harness.h"
 
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "core/iterator.h"
@@ -16,6 +19,41 @@ constexpr size_t kValueLen = 128;  // Above the 64-byte separation threshold.
 // Post-recovery usability probe; sorts after every workload key and is
 // excluded from state verification.
 constexpr const char* kProbeKey = "zz-post-crash-probe";
+// A partition with this many unsorted tables wants a scan-merge.
+constexpr int kScanMergeLimit = 4;
+
+// Whether every partition in `db`'s "db.sstables" report holds fewer than
+// kScanMergeLimit unsorted tables, i.e. wants no scan-merge.
+bool ScanMergesSettled(DB* db) {
+  std::string tables;
+  if (!db->GetProperty("db.sstables", &tables)) return false;
+  const char* kField = "unsorted=";
+  for (size_t pos = tables.find(kField); pos != std::string::npos;
+       pos = tables.find(kField, pos + 1)) {
+    if (std::strtoull(tables.c_str() + pos + std::strlen(kField), nullptr,
+                      10) >= kScanMergeLimit) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Waits until the scan-merges a flush started have installed, so they run
+// inside the barrier that caused them and the Env-call trace stays
+// deterministic. A job that fails (the env crashed) returns its error.
+Status AwaitScanMerges(DB* db) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  Status s;
+  while (s.ok() && !ScanMergesSettled(db)) {
+    s = db->GetBackgroundError();
+    if (s.ok() && std::chrono::steady_clock::now() > deadline) {
+      s = Status::IOError("scan-merge did not install within 10 s");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return s;
+}
 }  // namespace
 
 CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
@@ -47,8 +85,7 @@ CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
   for (uint64_t i = 0; i < 24; i++) put(i, 0, i % 4 == 0);
   barrier(Op::kFlush);
 
-  // Phase 2 — more keys, overwrites and tombstones; a second flush (also
-  // triggers the periodic hash-index checkpoint, interval = 2).
+  // Phase 2 — more keys, overwrites and tombstones; a second flush.
   for (uint64_t i = 24; i < 48; i++) put(i, 0, i % 8 == 0);
   for (uint64_t i = 0; i < 10; i++) put(i, 1, false);
   del(3);
@@ -68,9 +105,29 @@ CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
   barrier(Op::kFlush);
   barrier(Op::kCompact);
 
-  // Phase 5 — post-GC WAL tail, ending on a synced put so the workload's
-  // final state has a non-trivial durability floor.
+  // Phase 5 — post-GC WAL tail.
   for (uint64_t i = 48; i < 56; i++) put(i, 3, i % 2 == 1);
+
+  // Phase 6 — a partial scan-merge: one big table, then three small ones
+  // (overwrites and a tombstone of the big table's keys) reach
+  // kScanMergeLimit. The scan-merge consumes the small run and leaves
+  // the big table in place, under a newer output.
+  for (uint64_t i = 56; i < 60; i++) put(i, 4, false);
+  barrier(Op::kFlush);
+  put(57, 5, false);
+  barrier(Op::kFlush);
+  del(58);
+  put(49, 5, false);
+  barrier(Op::kFlush);
+  put(59, 5, false);
+  barrier(Op::kFlush);
+
+  // Phase 7 — a WAL tail, ending on a synced put so the workload's final
+  // state has a non-trivial durability floor. Its keys sit below the
+  // split boundary, so recovery's flush adds no table to the partition
+  // phase 6 left one table short of the trigger.
+  put(5, 6, false);
+  put(6, 6, true);
 }
 
 Options CrashHarness::MakeOptions(Env* env) const {
@@ -84,6 +141,8 @@ Options CrashHarness::MakeOptions(Env* env) const {
   o.gc_garbage_threshold = 1 << 20;
   o.partition_size_limit = 6 * 1024;  // Phase-3 merge output exceeds this.
   o.sorted_table_size = 2 * 1024;     // Several sorted tables per merge.
+  // Flush barriers reach this in phase 6 and wait for the scan-merge.
+  o.scan_merge_limit = kScanMergeLimit;
   o.write_shards = write_shards_;
   // One worker keeps the Env-call trace deterministic: with several, the
   // interleaving of per-partition jobs varies run to run and the counted
@@ -100,8 +159,13 @@ Status CrashHarness::ApplyOp(DB* db, const Op& op) const {
       return db->Put(w, op.key, op.value);
     case Op::kDelete:
       return db->Delete(w, op.key);
-    case Op::kFlush:
-      return db->FlushMemTable();
+    case Op::kFlush: {
+      // A flush that brings a partition to kScanMergeLimit tables starts
+      // a scan-merge, which this barrier waits for.
+      Status s = db->FlushMemTable();
+      if (s.ok()) s = AwaitScanMerges(db);
+      return s;
+    }
     case Op::kCompact:
       return db->CompactAll();
   }

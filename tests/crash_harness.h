@@ -18,8 +18,9 @@ namespace test {
 /// A fixed scripted workload — puts, overwrites, deletes, sync-puts, and
 /// FlushMemTable / CompactAll barriers — drives every background operation
 /// kind: WAL append/sync, memtable flush, UnsortedStore→SortedStore merge
-/// with KV separation, dynamic range split, value-log GC, hash-index
-/// checkpointing, and the manifest/CURRENT install. The harness can
+/// with KV separation, dynamic range split, value-log GC, a partial
+/// scan-merge (a run of small tables over a bigger one left in place),
+/// and the manifest/CURRENT install. The harness can
 ///
 ///  - profile the workload (no faults) over a FaultInjectionEnv to learn
 ///    N = the number of counted mutating Env calls and their trace, and

@@ -1,8 +1,9 @@
 // Deterministic crash-consistency matrix (DESIGN.md §crash consistency).
 //
 // A CrashHarness workload exercises every background-operation kind —
-// flush, UnsortedStore→SortedStore merge, dynamic range split, value-log
-// GC, WAL append/sync, manifest/CURRENT install — and the matrix tests
+// flush, UnsortedStore→SortedStore merge, partial scan-merge, dynamic
+// range split, value-log GC, WAL append/sync, manifest/CURRENT install —
+// and the matrix tests
 // crash at every counted mutating Env call, recover, reopen, and verify
 // the store against the golden model.
 
@@ -80,6 +81,7 @@ TEST(DbCrashTest, FaultPointCoverage) {
   EXPECT_GE(ParseStat(profile.stats, "merges"), 1u) << profile.stats;
   EXPECT_GE(ParseStat(profile.stats, "splits"), 1u) << profile.stats;
   EXPECT_GE(ParseStat(profile.stats, "gcs"), 1u) << profile.stats;
+  EXPECT_GE(ParseStat(profile.stats, "scan_merges"), 1u) << profile.stats;
 }
 
 TEST(DbCrashTest, CrashAtEveryFaultPoint) {

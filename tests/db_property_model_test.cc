@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -15,6 +17,7 @@
 #include "baseline/baselines.h"
 #include "core/db.h"
 #include "test_util.h"
+#include "util/event_logger.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -217,6 +220,22 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
   ASSERT_EQ(rit, model.rend());
   ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
   iter.reset();
+
+  // scan_merge_limit 3 over flushes of varied sizes: some scan-merge
+  // consumed a run and left older or newer tables in place, so the
+  // checks above covered partial scan-merges.
+  if (Cfg().engine == 0) {
+    std::ifstream events(dir_ + "/" + EventLogger::kFileName);
+    uint64_t kept = 0;
+    for (std::string line; std::getline(events, line);) {
+      const size_t pos = line.find("\"kept_tables\":");
+      if (line.find("\"event\":\"scan_merge\"") != std::string::npos &&
+          pos != std::string::npos) {
+        kept += std::strtoull(line.c_str() + pos + 14, nullptr, 10);
+      }
+    }
+    EXPECT_GT(kept, 0u) << "no scan-merge left a table in place";
+  }
 
   // Reopen and recheck a sample.
   db_.reset();

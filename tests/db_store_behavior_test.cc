@@ -12,11 +12,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/db.h"
 #include "core/filename.h"
+#include "core/iterator.h"
 #include "core/unikv_db.h"
 #include "test_util.h"
 #include "util/event_logger.h"
@@ -299,6 +302,188 @@ TEST_F(DbStoreBehaviorTest, ScanMergeKeepsNewestVersionAndTombstones) {
       EXPECT_EQ(test::TestValue(i, 1024), value);
     }
   }
+}
+
+FileMeta UnsortedTable(uint16_t table_id, uint64_t size) {
+  FileMeta f;
+  f.number = 100 + table_id;
+  f.table_id = table_id;
+  f.size = size;
+  return f;
+}
+
+std::vector<uint16_t> RunIds(const std::vector<FileMeta>& unsorted) {
+  std::vector<uint16_t> ids;
+  for (const FileMeta& f : PickScanMergeRun(unsorted)) {
+    ids.push_back(f.table_id);
+  }
+  return ids;
+}
+
+TEST(PickScanMergeRunTest, EqualSizesTakeEveryTable) {
+  std::vector<FileMeta> unsorted;
+  for (uint16_t id = 0; id < 5; id++) {
+    unsorted.push_back(UnsortedTable(id, 70000 + id * 1000));
+  }
+  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2, 3, 4}), RunIds(unsorted));
+}
+
+TEST(PickScanMergeRunTest, BigTableUnderSmallOnesIsLeftInPlace) {
+  std::vector<FileMeta> unsorted = {UnsortedTable(0, 1000000)};
+  for (uint16_t id = 1; id < 5; id++) {
+    unsorted.push_back(UnsortedTable(id, 70000));
+  }
+  EXPECT_EQ((std::vector<uint16_t>{1, 2, 3, 4}), RunIds(unsorted));
+}
+
+TEST(PickScanMergeRunTest, LargerGroupWinsAndTiesGoToTheNewer) {
+  // Three big (ids 0-2) under two small: the bigger group wins.
+  std::vector<FileMeta> unsorted = {
+      UnsortedTable(0, 500000), UnsortedTable(1, 400000),
+      UnsortedTable(2, 450000), UnsortedTable(3, 70000),
+      UnsortedTable(4, 80000)};
+  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2}), RunIds(unsorted));
+  // Two and two: the newer group.
+  unsorted.erase(unsorted.begin());
+  EXPECT_EQ((std::vector<uint16_t>{3, 4}), RunIds(unsorted));
+}
+
+TEST(PickScanMergeRunTest, NoPairWithinTwiceTakesEveryTable) {
+  const std::vector<FileMeta> unsorted = {
+      UnsortedTable(0, 1000), UnsortedTable(1, 3000), UnsortedTable(2, 9000),
+      UnsortedTable(3, 27000)};
+  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2, 3}), RunIds(unsorted));
+}
+
+TEST(PickScanMergeRunTest, RunIsContiguousInIdOrderNotListOrder) {
+  // A scan-merge output (id 3) was appended after a newer flush (id 4):
+  // in list order the small tables 0, 1, 2, 4 are adjacent, but in id
+  // order the big output separates 4 from the rest.
+  const std::vector<FileMeta> unsorted = {
+      UnsortedTable(0, 70000), UnsortedTable(1, 70000),
+      UnsortedTable(2, 70000), UnsortedTable(4, 70000),
+      UnsortedTable(3, 900000)};
+  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2}), RunIds(unsorted));
+}
+
+// Keys in `model` read back through Get, MultiGet, Scan and a reverse
+// iterator, and no other key of [0, key_space) does.
+void ExpectMatchesModel(DB* db, const std::map<int, std::string>& model,
+                        int key_space) {
+  std::vector<std::string> key_bufs;
+  for (int i = 0; i < key_space; i++) key_bufs.push_back(test::TestKey(i));
+  for (int i = 0; i < key_space; i++) {
+    std::string value;
+    Status s = db->Get(ReadOptions(), key_bufs[i], &value);
+    auto it = model.find(i);
+    if (it == model.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << i << " " << s.ToString();
+    } else {
+      ASSERT_TRUE(s.ok()) << i << " " << s.ToString();
+      EXPECT_EQ(it->second, value) << i;
+    }
+  }
+  const std::vector<Slice> keys(key_bufs.begin(), key_bufs.end());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(db->MultiGet(ReadOptions(), keys, &values, &statuses).ok());
+  for (int i = 0; i < key_space; i++) {
+    auto it = model.find(i);
+    if (it == model.end()) {
+      EXPECT_TRUE(statuses[i].IsNotFound()) << i;
+    } else {
+      ASSERT_TRUE(statuses[i].ok()) << i << " " << statuses[i].ToString();
+      EXPECT_EQ(it->second, values[i]) << i;
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(
+      db->Scan(ReadOptions(), test::TestKey(0), key_space + 1, &rows).ok());
+  ASSERT_EQ(model.size(), rows.size());
+  auto mit = model.begin();
+  for (size_t r = 0; r < rows.size(); r++, ++mit) {
+    EXPECT_EQ(test::TestKey(mit->first), rows[r].first);
+    EXPECT_EQ(mit->second, rows[r].second) << mit->first;
+  }
+  std::unique_ptr<Iterator> iter(db->NewIterator(ReadOptions()));
+  auto rit = model.rbegin();
+  for (iter->SeekToLast(); iter->Valid(); iter->Prev(), ++rit) {
+    ASSERT_NE(model.rend(), rit);
+    EXPECT_EQ(test::TestKey(rit->first), iter->key().ToString());
+    EXPECT_EQ(rit->second, iter->value().ToString()) << rit->first;
+  }
+  EXPECT_EQ(model.rend(), rit);
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+}
+
+TEST_F(DbStoreBehaviorTest, ScanMergeLeavesBigOutputUnderFreshFlushes) {
+  Options opt;
+  opt.write_buffer_size = 8 << 20;       // Only FlushMemTable flushes.
+  opt.unsorted_limit = 64 << 20;         // Never a regular merge.
+  opt.scan_merge_limit = 4;
+  Open(opt, "behavior_partial_scanmerge");
+  const int kKeySpace = 400;
+  std::map<int, std::string> model;
+  auto put = [&](int i, int version) {
+    const std::string value = test::TestValue(version * 1000 + i, 300);
+    ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i), value).ok());
+    model[i] = value;
+  };
+  auto scan_merges = [this] {
+    std::string stats;
+    db_->GetProperty("db.stats", &stats);
+    const size_t pos = stats.find("scan_merges=");
+    return std::strtoull(stats.c_str() + pos + std::strlen("scan_merges="),
+                         nullptr, 10);
+  };
+  auto await_scan_merges = [&](uint64_t n) {
+    for (int tries = 0; tries < 1000 && scan_merges() < n; tries++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(n, scan_merges()) << Sstables();
+  };
+
+  // Four similar flushes of overlapping keys fold into one big table.
+  for (int wave = 0; wave < 4; wave++) {
+    for (int i = wave * 50; i < wave * 50 + 200; i++) put(i, wave);
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(await_scan_merges(1));
+
+  // Three small flushes stacked on it: overwrites of the big table's keys,
+  // a tombstone for one, and new keys. The next scan-merge folds only
+  // them.
+  put(10, 10);
+  put(380, 10);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), test::TestKey(20)).ok());
+  model.erase(20);
+  put(10, 11);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  put(30, 12);
+  put(390, 12);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_NO_FATAL_FAILURE(await_scan_merges(2));
+  EXPECT_EQ(1u, SumEventField(dir_, "scan_merge", "kept_tables"));
+  EXPECT_EQ(4u + 3u, SumEventField(dir_, "scan_merge", "input_tables"));
+  EXPECT_NE(std::string::npos, Sstables().find("unsorted=2 ")) << Sstables();
+
+  // Fresh tables over the pair, one key still in the memtable.
+  put(40, 13);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  put(30, 14);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db_.get(), model, kKeySpace));
+
+  std::string entries_live, entries_rebuilt;
+  ASSERT_TRUE(db_->GetProperty("db.hash-index-entries", &entries_live));
+  db_.reset();
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, dir_, &raw).ok());
+  db_.reset(raw);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(db_.get(), model, kKeySpace));
+  // Recovery flushes the memtable's one key into one more table.
+  ASSERT_TRUE(db_->GetProperty("db.hash-index-entries", &entries_rebuilt));
+  EXPECT_EQ(std::stoull(entries_live) + 1, std::stoull(entries_rebuilt));
 }
 
 TEST_F(DbStoreBehaviorTest, SmallValuesStayInline) {

@@ -1,13 +1,15 @@
 // Tests for the structured event logger: standalone JSON-line behavior,
-// and end-to-end coverage that UniKV background jobs (flush, merge, GC)
-// each append one well-formed JSON event with a measured duration to
-// <dbname>/EVENTS.
+// and end-to-end coverage that UniKV background jobs (flush, merge,
+// scan-merge, GC) each append one well-formed JSON event with a measured
+// duration to <dbname>/EVENTS.
 
 #include "util/event_logger.h"
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,6 +217,46 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
   db.reset(raw);
   EXPECT_TRUE(Env::Default()->FileExists(dir + "/" +
                                          EventLogger::kFileName));
+}
+
+// A scan-merge line names the run it consumed (input_tables) and the
+// snapshot tables it left in place (kept_tables).
+TEST(EventLoggerTest, ScanMergeEventCountsRunAndKeptTables) {
+  std::string dir = test::NewTestDir("event_logger_scan_merge");
+  Options opt;
+  opt.write_buffer_size = 8 << 20;  // Only FlushMemTable flushes.
+  opt.unsorted_limit = 64 << 20;    // Never a regular merge.
+  opt.scan_merge_limit = 3;
+
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, dir, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  // One big table, then two small ones: the small pair is the run.
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), test::TestKey(i),
+                        test::TestValue(i, 256))
+                    .ok());
+  }
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  for (int i = 0; i < 2; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), test::TestKey(i), "small").ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+  std::vector<std::string> scan_merges;
+  for (int tries = 0; tries < 1000 && scan_merges.empty(); tries++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    for (const std::string& line :
+         ReadLines(dir + "/" + EventLogger::kFileName)) {
+      if (line.find("\"event\":\"scan_merge\"") != std::string::npos) {
+        scan_merges.push_back(line);
+      }
+    }
+  }
+  ASSERT_EQ(1u, scan_merges.size());
+  EXPECT_TRUE(test::IsValidJson(scan_merges[0])) << scan_merges[0];
+  EXPECT_NE(std::string::npos,
+            scan_merges[0].find("\"input_tables\":2,\"kept_tables\":1,"))
+      << scan_merges[0];
 }
 
 }  // namespace

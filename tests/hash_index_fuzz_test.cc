@@ -35,7 +35,8 @@ uint64_t H(const Slice& key) { return HashIndex::KeyHash(key); }
 class HashIndexFuzz {
  public:
   explicit HashIndexFuzz(uint32_t seed, size_t expected, int num_hashes)
-      : rnd_(seed), index_(expected, num_hashes) {}
+      : rnd_(seed), expected_(expected), num_hashes_(num_hashes),
+        index_(NewIndex()) {}
 
   void Run(int total_ops) {
     for (int op = 0; op < total_ops; op++) {
@@ -48,8 +49,8 @@ class HashIndexFuzz {
         LookupRandom();
       } else {
         // "Delete": the index has no per-key removal (entries only vanish
-        // at Clear), so a delete only shrinks the reference — candidates
-        // for the key may legally keep appearing.
+        // with the whole index), so a delete only shrinks the reference —
+        // candidates for the key may legally keep appearing.
         DeleteFromReference();
       }
       if (op > 0 && op % 1000 == 0 && rnd_.Uniform(4) == 0) {
@@ -60,10 +61,14 @@ class HashIndexFuzz {
   }
 
  private:
+  std::unique_ptr<HashIndex> NewIndex() const {
+    return std::make_unique<HashIndex>(expected_, num_hashes_);
+  }
+
   void InsertRandom() {
     std::string key = FuzzKey(rnd_.Uniform(20000));
     uint16_t table_id = static_cast<uint16_t>(rnd_.Uniform(0xFFFF));
-    index_.Insert(H(key), table_id);
+    index_->Insert(H(key), table_id);
     reference_[key] = table_id;
   }
 
@@ -76,7 +81,7 @@ class HashIndexFuzz {
                          static_cast<int>(std::min<size_t>(reference_.size(),
                                                            64))));
     uint16_t table_id = static_cast<uint16_t>(rnd_.Uniform(0xFFFF));
-    index_.Insert(H(it->first), table_id);
+    index_->Insert(H(it->first), table_id);
     it->second = table_id;
   }
 
@@ -92,20 +97,21 @@ class HashIndexFuzz {
   }
 
   void EndEpoch() {
-    // The UnsortedStore merged into the SortedStore: everything drops.
-    index_.Clear();
+    // The UnsortedStore merged into the SortedStore: the engine installs
+    // a new index, and everything drops.
+    index_ = NewIndex();
     reference_.clear();
-    ASSERT_EQ(0u, index_.NumEntries());
+    ASSERT_EQ(0u, index_->NumEntries());
     std::vector<uint16_t> candidates;
-    index_.Lookup(H(FuzzKey(rnd_.Uniform(20000))), &candidates);
-    EXPECT_TRUE(candidates.empty()) << "candidates survived Clear()";
+    index_->Lookup(H(FuzzKey(rnd_.Uniform(20000))), &candidates);
+    EXPECT_TRUE(candidates.empty()) << "candidates survived the new index";
   }
 
   void CheckKey(const std::string& key) {
     auto it = reference_.find(key);
     if (it == reference_.end()) return;  // Superset contract: nothing to say.
     std::vector<uint16_t> candidates;
-    index_.Lookup(H(key), &candidates);
+    index_->Lookup(H(key), &candidates);
     EXPECT_NE(candidates.end(),
               std::find(candidates.begin(), candidates.end(), it->second))
         << "latest table id missing for " << key;
@@ -114,7 +120,7 @@ class HashIndexFuzz {
   void VerifyAll() {
     for (const auto& [key, table_id] : reference_) {
       std::vector<uint16_t> candidates;
-      index_.Lookup(H(key), &candidates);
+      index_->Lookup(H(key), &candidates);
       ASSERT_NE(candidates.end(),
                 std::find(candidates.begin(), candidates.end(), table_id))
           << "final sweep: latest table id missing for " << key;
@@ -122,7 +128,9 @@ class HashIndexFuzz {
   }
 
   Random rnd_;
-  HashIndex index_;
+  const size_t expected_;
+  const int num_hashes_;
+  std::unique_ptr<HashIndex> index_;
   std::unordered_map<std::string, uint16_t> reference_;
 };
 
@@ -144,11 +152,14 @@ TEST(HashIndexFuzzTest, SingleHashDegeneratesGracefully) {
 }
 
 // One partition's UnsortedStore life: flushes install one table's hash
-// list each; a scan-merge replaces the tables its snapshot saw with their
-// key union under the largest consumed id, then re-adds the tables
-// flushed while it ran; a merge keeps only those. The survivors are
-// always the newest flushes, while the output is appended after them, so
-// list order and id order differ. After each step the live index must
+// list each; a scan-merge replaces a run of the tables its snapshot saw,
+// contiguous in id order, with their key union under the run's largest
+// id; a merge consumes the whole snapshot. A scan-merge builds its new
+// index from the snapshot tables it left in place (older and newer than
+// the run) and its output, in id order, then re-adds the tables flushed
+// while it ran; a merge re-adds only those. The output is appended after
+// the newer tables, so list order and id order differ. After each step
+// the live index must
 // equal one rebuilt from the surviving lists in table-id order, as
 // recovery does: same candidate ids in the same order for every key, or
 // a reopen could change which table a read trusts first.
@@ -169,8 +180,10 @@ class RebuildFuzz {
                                                        : 1)));
       if (dice < 80 || tables_.size() < 2) {
         Flush();
+      } else if (dice < 88) {
+        ScanMerge(tables_.size() - survivors, /*interior=*/false);
       } else if (dice < 95) {
-        ScanMerge(tables_.size() - survivors);
+        ScanMerge(tables_.size() - survivors, /*interior=*/true);
       } else {
         Merge(tables_.size() - survivors);
       }
@@ -183,6 +196,8 @@ class RebuildFuzz {
 
   /// Most overflow entries the live index held at any check.
   uint64_t MaxOverflow() const { return max_overflow_; }
+  /// Scan-merges that left snapshot tables on both sides of their run.
+  int InteriorScanMerges() const { return interior_scan_merges_; }
 
  private:
   static constexpr uint32_t kKeys = 5000;
@@ -214,18 +229,44 @@ class RebuildFuzz {
     flushes_since_job_++;
   }
 
-  void ScanMerge(size_t consumed) {
+  // Consumes the whole snapshot (the first `snapshot` tables), or with
+  // `interior` a run of at least two that is neither its oldest nor its
+  // newest table.
+  void ScanMerge(size_t snapshot, bool interior) {
+    std::vector<size_t> by_id(snapshot);
+    for (size_t i = 0; i < snapshot; i++) by_id[i] = i;
+    std::sort(by_id.begin(), by_id.end(), [this](size_t a, size_t b) {
+      return tables_[a].id < tables_[b].id;
+    });
+    size_t lo = 0, hi = snapshot;  // The run: by_id[lo, hi).
+    if (interior && snapshot >= 4) {
+      lo = 1 + rnd_.Uniform(static_cast<int>(snapshot - 3));
+      hi = lo + 2 + rnd_.Uniform(static_cast<int>(snapshot - 2 - lo));
+      interior_scan_merges_++;
+    }
     Table out;
     std::set<uint32_t> keys;
-    for (size_t i = 0; i < consumed; i++) {
-      out.id = std::max(out.id, tables_[i].id);
-      keys.insert(tables_[i].keys.begin(), tables_[i].keys.end());
+    std::vector<bool> in_run(tables_.size(), false);
+    for (size_t r = lo; r < hi; r++) {
+      const Table& t = tables_[by_id[r]];
+      out.id = std::max(out.id, t.id);
+      keys.insert(t.keys.begin(), t.keys.end());
+      in_run[by_id[r]] = true;
     }
     out.keys.assign(keys.begin(), keys.end());
     live_ = NewIndex();
-    InsertTable(live_.get(), out);
-    tables_.erase(tables_.begin(), tables_.begin() + consumed);
-    for (const Table& t : tables_) InsertTable(live_.get(), t);
+    for (size_t r = 0; r < snapshot; r++) {
+      if (r < lo || r >= hi) InsertTable(live_.get(), tables_[by_id[r]]);
+      if (r == hi - 1) InsertTable(live_.get(), out);
+    }
+    for (size_t i = snapshot; i < tables_.size(); i++) {
+      InsertTable(live_.get(), tables_[i]);
+    }
+    std::vector<Table> left;
+    for (size_t i = 0; i < tables_.size(); i++) {
+      if (!in_run[i]) left.push_back(std::move(tables_[i]));
+    }
+    tables_ = std::move(left);
     tables_.push_back(std::move(out));  // Appended after the survivors.
     flushes_since_job_ = 0;
   }
@@ -261,17 +302,20 @@ class RebuildFuzz {
   std::vector<Table> tables_;  // Install order, like PartitionState.
   size_t flushes_since_job_ = 0;
   uint64_t max_overflow_ = 0;
+  int interior_scan_merges_ = 0;
 };
 
 TEST(HashIndexFuzzTest, RebuildFromTableHashesEqualsLive) {
   RebuildFuzz fuzz(/*seed=*/771, /*expected=*/16384, /*num_hashes=*/2);
   fuzz.Run(300);
+  EXPECT_GT(fuzz.InteriorScanMerges(), 0);
 }
 
 TEST(HashIndexFuzzTest, RebuildEqualsLiveThroughOverflowChains) {
   RebuildFuzz fuzz(/*seed=*/772, /*expected=*/64, /*num_hashes=*/3);
   fuzz.Run(300);
   EXPECT_GT(fuzz.MaxOverflow(), 0u);
+  EXPECT_GT(fuzz.InteriorScanMerges(), 0);
 }
 
 }  // namespace

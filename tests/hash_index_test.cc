@@ -78,26 +78,6 @@ TEST(HashIndex, OverflowChainsFormUnderPressure) {
   }
 }
 
-TEST(HashIndex, ClearRemovesEverything) {
-  HashIndex index(100);
-  for (int i = 0; i < 200; i++) {
-    index.Insert(H(K(i)), 1);
-  }
-  index.Clear();
-  EXPECT_EQ(0u, index.NumEntries());
-  EXPECT_EQ(0u, index.NumOverflowEntries());
-  for (int i = 0; i < 200; i++) {
-    std::vector<uint16_t> candidates;
-    index.Lookup(H(K(i)), &candidates);
-    EXPECT_TRUE(candidates.empty());
-  }
-  // Reusable after clear.
-  index.Insert(H(K(1)), 9);
-  std::vector<uint16_t> candidates;
-  index.Lookup(H(K(1)), &candidates);
-  EXPECT_FALSE(candidates.empty());
-}
-
 TEST(HashIndex, MemoryMatchesPaperBudget) {
   // Paper: 8 bytes per entry; for ~1M 1KiB KVs per GiB of UnsortedStore
   // the index stays under ~1% of the data size at 80% utilization.
