@@ -37,20 +37,9 @@ bool DecodeAnchor(Slice value, Anchor* a) {
          GetVarint32(&value, &a->restart_index);
 }
 
-/// One sorted stream of (internal key, anchor) pairs feeding the merge.
-class AnchorSource {
- public:
-  virtual ~AnchorSource() = default;
-  virtual bool Valid() const = 0;
-  virtual void Next() = 0;
-  virtual Slice key() const = 0;
-  virtual Anchor anchor() const = 0;
-  virtual Status status() const = 0;
-};
-
 /// Walks one table block by block (via its index block), so every entry
 /// comes with the file offset of its data block and a restart slot hint.
-class TableSource : public AnchorSource {
+class TableSource {
  public:
   TableSource(TableCache* cache, const FileMeta& meta, uint32_t ordinal,
               int restart_interval)
@@ -71,11 +60,11 @@ class TableSource : public AnchorSource {
     InitDataBlock();
   }
 
-  bool Valid() const override {
+  bool Valid() const {
     return status_.ok() && data_iter_ != nullptr && data_iter_->Valid();
   }
 
-  void Next() override {
+  void Next() {
     assert(Valid());
     data_iter_->Next();
     entry_index_++;
@@ -89,9 +78,9 @@ class TableSource : public AnchorSource {
     }
   }
 
-  Slice key() const override { return data_iter_->key(); }
+  Slice key() const { return data_iter_->key(); }
 
-  Anchor anchor() const override {
+  Anchor anchor() const {
     Anchor a;
     a.ordinal = ordinal_;
     a.block_offset = block_offset_;
@@ -100,7 +89,7 @@ class TableSource : public AnchorSource {
     return a;
   }
 
-  Status status() const override {
+  Status status() const {
     if (!status_.ok()) return status_;
     if (index_iter_ != nullptr && !index_iter_->status().ok()) {
       return index_iter_->status();
@@ -147,43 +136,13 @@ class TableSource : public AnchorSource {
   Status status_;
 };
 
-/// Streams an existing view's entries, remapping nothing: ordinals stay
-/// valid because flushes only append to the covered list.
-class ViewSource : public AnchorSource {
- public:
-  ViewSource(const InternalKeyComparator& icmp, const AnchorView& base) {
-    iter_.reset(base.block->NewIterator(icmp));
-    iter_->SeekToFirst();
-  }
-
-  bool Valid() const override { return status_.ok() && iter_->Valid(); }
-  void Next() override { iter_->Next(); }
-  Slice key() const override { return iter_->key(); }
-
-  Anchor anchor() const override {
-    Anchor a;
-    if (!DecodeAnchor(iter_->value(), &a)) {
-      status_ = Status::Corruption("bad anchor payload");
-    }
-    return a;
-  }
-
-  Status status() const override {
-    return status_.ok() ? iter_->status() : status_;
-  }
-
- private:
-  std::unique_ptr<Iterator> iter_;
-  mutable Status status_;
-};
-
-/// K-way merge of sorted sources into a finished view block. Ties
+/// K-way merge of the tables' streams into a finished view block. Ties
 /// (identical internal keys, e.g. a recovery re-flush landing the same
 /// record in two tables) keep the earliest source's entry and drop the
 /// others — they are byte-identical copies of the same logical write, and
 /// dropping them keeps every surviving entry's cursor alignable by key.
 Status MergeSources(const InternalKeyComparator& icmp,
-                    std::vector<std::unique_ptr<AnchorSource>>* sources,
+                    std::vector<std::unique_ptr<TableSource>>* sources,
                     AnchorView* out) {
   BlockBuilder builder(kAnchorRestartInterval);
   std::string payload;
@@ -192,7 +151,7 @@ Status MergeSources(const InternalKeyComparator& icmp,
   for (;;) {
     int min_idx = -1;
     for (size_t i = 0; i < sources->size(); i++) {
-      AnchorSource* s = (*sources)[i].get();
+      TableSource* s = (*sources)[i].get();
       if (!s->Valid()) continue;
       if (min_idx < 0 ||
           icmp.Compare(s->key(), (*sources)[min_idx]->key()) < 0) {
@@ -201,7 +160,7 @@ Status MergeSources(const InternalKeyComparator& icmp,
     }
     if (min_idx < 0) break;
 
-    AnchorSource* min_src = (*sources)[min_idx].get();
+    TableSource* min_src = (*sources)[min_idx].get();
     payload.clear();
     EncodeAnchor(&payload, min_src->anchor());
     builder.Add(min_src->key(), Slice(payload));
@@ -211,7 +170,7 @@ Status MergeSources(const InternalKeyComparator& icmp,
     // the winner's still-valid slice).
     for (size_t i = 0; i < sources->size(); i++) {
       if (static_cast<int>(i) == min_idx) continue;
-      AnchorSource* s = (*sources)[i].get();
+      TableSource* s = (*sources)[i].get();
       if (s->Valid() && icmp.Compare(s->key(), min_src->key()) == 0) {
         s->Next();
       }
@@ -238,10 +197,9 @@ Status MergeSources(const InternalKeyComparator& icmp,
 
 }  // namespace
 
-bool AnchorView::CoversPrefix(const std::vector<FileMeta>& unsorted,
-                              size_t n) const {
-  if (covered.size() != n || n > unsorted.size()) return false;
-  for (size_t i = 0; i < n; i++) {
+bool AnchorView::Covers(const std::vector<FileMeta>& unsorted) const {
+  if (covered.size() != unsorted.size()) return false;
+  for (size_t i = 0; i < unsorted.size(); i++) {
     if (covered[i].number != unsorted[i].number) return false;
   }
   return true;
@@ -251,34 +209,13 @@ Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
                        const std::vector<FileMeta>& tables,
                        int restart_interval, AnchorView* out) {
   *out = AnchorView();
-  std::vector<std::unique_ptr<AnchorSource>> sources;
+  std::vector<std::unique_ptr<TableSource>> sources;
   for (size_t i = 0; i < tables.size(); i++) {
-    out->covered.push_back(
-        {tables[i].number, tables[i].size, tables[i].table_id});
+    out->covered.push_back({tables[i].number, tables[i].size});
     sources.push_back(std::make_unique<TableSource>(
         cache, tables[i], static_cast<uint32_t>(i), restart_interval));
   }
   return MergeSources(icmp, &sources, out);
-}
-
-Status MergeAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const AnchorView& base,
-                       std::span<const FileMeta> added, int restart_interval,
-                       AnchorView* out) {
-  AnchorView result;
-  result.covered = base.covered;
-  std::vector<std::unique_ptr<AnchorSource>> sources;
-  sources.push_back(std::make_unique<ViewSource>(icmp, base));
-  for (const FileMeta& f : added) {
-    sources.push_back(std::make_unique<TableSource>(
-        cache, f, static_cast<uint32_t>(result.covered.size()),
-        restart_interval));
-    result.covered.push_back({f.number, f.size, f.table_id});
-  }
-  Status s = MergeSources(icmp, &sources, &result);
-  if (!s.ok()) return s;
-  *out = std::move(result);
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------- iterator

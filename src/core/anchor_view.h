@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -34,18 +33,17 @@ class TableCache;
 /// accelerators: the iterator always verifies cursor alignment by key, so
 /// correctness never depends on them.
 ///
-/// Views are immutable, in-memory derived data: never persisted, built on
-/// demand by the first iterator that needs one, and cached per partition.
-/// The UnsortedStore is bounded by Options::unsorted_limit, so a view's
-/// key material is a small fraction of that; after a flush the next
-/// iterator extends the cached view with a single merge pass.
+/// Views are immutable, in-memory derived data: never persisted, built
+/// whole on demand by the first iterator that needs one, and cached per
+/// partition. The UnsortedStore is bounded by Options::unsorted_limit, so
+/// a view's key material is a small fraction of that; after any install
+/// that changes the tables, the next iterator builds a new view.
 struct AnchorView {
   /// Descriptor of one unsorted table the view covers, in the partition's
-  /// table order (oldest first, table_id ascending).
+  /// table order (oldest first).
   struct CoveredTable {
     uint64_t number = 0;
     uint64_t size = 0;
-    uint16_t table_id = 0;
   };
 
   std::vector<CoveredTable> covered;
@@ -58,15 +56,9 @@ struct AnchorView {
   /// Size of the block image in bytes (the view's memory footprint).
   uint64_t byte_size = 0;
 
-  /// True iff the view covers exactly the first `n` tables of `unsorted`
-  /// (same file numbers, same order; false when n > unsorted.size()).
-  bool CoversPrefix(const std::vector<FileMeta>& unsorted, size_t n) const;
-
-  /// True iff the view covers exactly `unsorted`. Anything else is stale:
-  /// an iterator must extend or rebuild it before use.
-  bool Covers(const std::vector<FileMeta>& unsorted) const {
-    return CoversPrefix(unsorted, unsorted.size());
-  }
+  /// True iff the view covers exactly `unsorted` (same file numbers, same
+  /// order). Anything else is stale: an iterator must rebuild it.
+  bool Covers(const std::vector<FileMeta>& unsorted) const;
 };
 
 using AnchorViewPtr = std::shared_ptr<const AnchorView>;
@@ -78,16 +70,6 @@ using AnchorViewPtr = std::shared_ptr<const AnchorView>;
 Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
                        const std::vector<FileMeta>& tables,
                        int restart_interval, AnchorView* out);
-
-/// Extends a view after flushes: merges `added` (the tables flushed since
-/// `base` was built, oldest first, each already internally sorted) into
-/// `base` in a single pass. `base` must cover the partition's unsorted
-/// tables as they were before those flushes; the result covers them plus
-/// `added` (appended, preserving order).
-Status MergeAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const AnchorView& base,
-                       std::span<const FileMeta> added, int restart_interval,
-                       AnchorView* out);
 
 /// Returns an internal-key iterator over the view: yields every entry of
 /// the covered tables in global sorted order, resolving values through

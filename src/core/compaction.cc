@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <span>
 
 #include "core/filename.h"
 #include "core/merging_iterator.h"
@@ -20,15 +21,16 @@ namespace unikv {
 void UniKVDB::MaybeScheduleWork() { bg_work_cv_.SignalAll(); }
 
 UniKVDB::Wanted UniKVDB::WantedWork(const PartitionState& p) {
-  // Ranks: 0 merge at UnsortedLimit (largest backlog first); 1 a split,
-  // or the merge that must precede it (the paper runs a split as
-  // compaction + GC in sequence); 2 size-based scan-merge of one run of
-  // similar-size tables (PickScanMergeRun); 3 GC (most garbage first).
-  // Each requires input: a non-empty UnsortedStore, at least two
-  // unsorted tables, garbage > 0 in a partition with logs.
+  // Ranks: 0 merge at UnsortedLimit or kMaxUnsortedTables (largest
+  // backlog first); 1 a split, or the merge that must precede it (the
+  // paper runs a split as compaction + GC in sequence); 2 size-based
+  // scan-merge of one run of similar-size tables (PickScanMergeRun); 3 GC
+  // (most garbage first). Each requires input: a non-empty UnsortedStore,
+  // at least two unsorted tables, garbage > 0 in a partition with logs.
   const uint64_t unsorted_bytes = p.UnsortedBytes();
   if (!p.unsorted.empty() &&
-      (unsorted_bytes >= options_.unsorted_limit || compact_all_)) {
+      (unsorted_bytes >= options_.unsorted_limit ||
+       p.unsorted.size() >= kMaxUnsortedTables || compact_all_)) {
     return {WorkKind::kMerge, 0, unsorted_bytes};
   }
   if (options_.enable_partitioning &&
@@ -192,16 +194,19 @@ Status UniKVDB::FlushMemTable() {
   if (!s.ok()) return s;
   MutexLock lock(&mu_);
   bg_work_cv_.SignalAll();
+  // A flush is done once its worker has also swept the files it made
+  // obsolete: flush_in_progress is cleared after the sweep.
   while (true) {
     if (has_bg_error_.load(std::memory_order_acquire)) break;
-    bool imm_pending = false;
+    bool pending = false;
     for (const auto& shard : shards_) {
-      if (shard->has_imm.load(std::memory_order_acquire)) {
-        imm_pending = true;
+      if (shard->has_imm.load(std::memory_order_acquire) ||
+          shard->flush_in_progress) {
+        pending = true;
         break;
       }
     }
-    if (!imm_pending) break;
+    if (!pending) break;
     bg_cv_.Wait();
   }
   return GetBackgroundError();
@@ -227,10 +232,9 @@ Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
                                         std::vector<FlushOutput>* outputs) {
   // Entries come out in internal-key order and partitions are contiguous
   // key ranges, so each partition's entries form one run: one table per
-  // partition touched. table_id is assigned by the caller at install
-  // time, under mu_, from the then-current version: a concurrent merge
-  // may clear this partition's epoch, so an id computed from `base` here
-  // could collide or break newest-first probe order.
+  // partition touched. The caller assigns table_id and the index position
+  // at install time, under mu_, from the then-current version: a merge or
+  // scan-merge installed while the tables were building changes both.
   std::unique_ptr<Iterator> iter(mem->NewIterator());
   Status s;
   FlushOutput* out = nullptr;
@@ -338,35 +342,13 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   }
   edit.SetLogNumber(min_wal);
 
-  // Assign table ids from the current version, under the same mutex hold
-  // that installs the edit. Ids must be allocated here — not while the
-  // tables were building — because a merge may have cleared the
-  // partition's epoch (restarting ids from 0) or consumed the tables an
-  // earlier snapshot-based id was computed against; probe order depends
-  // on ids being newest-largest within the installed epoch.
-  {
-    VersionPtr cur = versions_->current();
-    for (FlushOutput& out : outputs) {
-      auto p = cur->FindById(out.pid);
-      uint16_t next_id = 0;
-      if (p != nullptr) {
-        for (const FileMeta& f : p->unsorted) {
-          if (f.table_id >= next_id) next_id = f.table_id + 1;
-        }
-      }
-      out.meta.table_id = next_id;
-      edit.AddUnsortedFile(out.pid, out.meta);
-    }
-  }
-
-  // Bring the hash indexes up to date before the new version becomes
-  // visible (both are installed under this same mutex hold, so readers
-  // always observe a consistent pair).
-  for (const FlushOutput& out : outputs) {
-    HashIndex& index = *runtime_.at(out.pid).index;
-    for (uint64_t h : out.writer->key_hashes()) {
-      index.Insert(h, out.meta.table_id);
-    }
+  // Each output becomes its partition's newest table: it takes the next
+  // table_id and the position after the last table of the version this
+  // mutex hold installs over (RoutingStillValid checked its partitions).
+  const VersionPtr cur = versions_->current();
+  for (FlushOutput& out : outputs) {
+    out.meta.table_id = cur->FindById(out.pid)->NextTableId();
+    edit.AddUnsortedFile(out.pid, out.meta);
   }
 
   // Advance the recovery floor only as far as the sync-all made durable
@@ -378,6 +360,13 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   s = versions_->LogAndApply(&edit);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
+    // The indexes learn the outputs in the mutex hold that installed
+    // them, so readers, who capture both under mu_, see a matching pair.
+    for (const FlushOutput& out : outputs) {
+      const size_t position = cur->FindById(out.pid)->unsorted.size();
+      HashIndex& index = *runtime_.at(out.pid).index;
+      for (uint64_t h : out.writer->key_hashes()) index.Insert(h, position);
+    }
     {
       MutexLock shard_lock(&shard->mu);
       shard->imm->Unref();
@@ -410,7 +399,6 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     ev.AddUint("install_micros", install_us);
     event_log_->Log("flush", &ev);
   }
-  bg_cv_.SignalAll();
   return s;
 }
 
@@ -575,61 +563,50 @@ Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("install_micros", installed.micros);
     event_log_->Log("merge", &ev);
   }
-  bg_cv_.SignalAll();
   return s;
 }
 
 // ------------------------------------------------------------- scan merge
 
-std::vector<FileMeta> PickScanMergeRun(const std::vector<FileMeta>& unsorted) {
-  std::vector<FileMeta> by_age(unsorted);
-  std::sort(by_age.begin(), by_age.end(),
-            [](const FileMeta& a, const FileMeta& b) {
-              return a.table_id > b.table_id;
-            });
+std::pair<size_t, size_t> PickScanMergeRun(
+    const std::vector<FileMeta>& unsorted) {
   // Greedy maximal groups, newest first: a table joins the current group
-  // while the group's largest size stays within 2x of its smallest. A
-  // later group replaces the best only when strictly longer, so ties go
-  // to the newer group.
-  size_t best_begin = 0, best_len = 0, begin = 0;
+  // [i, end) while the group's largest size stays within 2x of its
+  // smallest. A later (older) group replaces the best only when strictly
+  // longer, so ties go to the newer group.
+  const size_t n = unsorted.size();
+  size_t best_first = 0, best_end = 0, end = n;
   uint64_t lo = 0, hi = 0;
-  for (size_t i = 0; i < by_age.size(); i++) {
-    const uint64_t size = by_age[i].size;
-    if (i == begin || std::max(hi, size) > 2 * std::min(lo, size)) {
-      begin = i;
+  for (size_t i = n; i-- > 0;) {
+    const uint64_t size = unsorted[i].size;
+    if (i + 1 == n || std::max(hi, size) > 2 * std::min(lo, size)) {
+      end = i + 1;
       lo = hi = size;
     } else {
       lo = std::min(lo, size);
       hi = std::max(hi, size);
     }
-    if (i + 1 - begin > best_len) {
-      best_begin = begin;
-      best_len = i + 1 - begin;
+    if (end - i > best_end - best_first) {
+      best_first = i;
+      best_end = end;
     }
   }
-  if (best_len < 2) {
-    best_begin = 0;
-    best_len = by_age.size();
-  }
-  return std::vector<FileMeta>(
-      std::make_reverse_iterator(by_age.begin() + best_begin + best_len),
-      std::make_reverse_iterator(by_age.begin() + best_begin));
+  if (best_end - best_first < 2) return {0, n};
+  return {best_first, best_end};
 }
 
 Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
 
-  // The run is contiguous in table-id order, so every snapshot table left
-  // in place is older or newer than all of it, and the output can reuse
-  // the run's *largest* id (free to reuse: the same edit removes it). It
-  // then still outranks the older tables left in place and is outranked
-  // by the newer ones and by tables flushed while this job runs, which
-  // get ids above the snapshot's max. Taking max+1 instead would collide
-  // with, or outrank, those newer tables.
-  const std::vector<FileMeta> run = PickScanMergeRun(p->unsorted);
-  const uint16_t oldest_id = run.front().table_id;
-  const uint16_t new_table_id = run.back().table_id;
+  // The run is contiguous in the table list, which is age order, so the
+  // output can keep the run's largest table_id (free to reuse: the same
+  // edit removes it) and takes the run's place: newer than the tables
+  // left in place before it, older than those after it and than tables
+  // flushed while this job runs.
+  const auto [first, end] = PickScanMergeRun(p->unsorted);
+  const std::span<const FileMeta> run =
+      std::span(p->unsorted).subspan(first, end - first);
   std::vector<Iterator*> children;
   uint64_t bytes_read = 0;
   for (const FileMeta& f : run) {
@@ -660,37 +637,32 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   if (!s.ok()) return s;
   const uint64_t bytes_written = writer.bytes_written();
 
-  // The replacement index, built off mu_ in table-id order as a rebuild
-  // inserts it: the snapshot tables left in place (their key-hash blocks)
-  // and the output's own hashes at its id. InstallUnsortedReplacement
-  // adds the tables flushed meanwhile.
-  std::vector<const FileMeta*> by_id;
-  for (const FileMeta& f : p->unsorted) by_id.push_back(&f);
-  std::sort(by_id.begin(), by_id.end(),
-            [](const FileMeta* a, const FileMeta* b) {
-              return a->table_id < b->table_id;
-            });
+  // The replacement index, built off mu_ over the list the edit leaves,
+  // in position order as a rebuild inserts it: the tables before the run
+  // keep their positions, the output takes the run's first, and the
+  // tables after it move down by run.size() - 1.
+  // InstallUnsortedReplacement adds the tables flushed meanwhile.
   std::unique_ptr<HashIndex> index = NewHashIndex();
-  size_t kept = 0;
-  for (const FileMeta* f : by_id) {
-    if (f->table_id == new_table_id) {
-      for (uint64_t h : writer.key_hashes()) index->Insert(h, new_table_id);
-    } else if (f->table_id < oldest_id || f->table_id > new_table_id) {
-      s = InsertTableIntoIndex(index.get(), *f);
-      if (!s.ok()) return s;
-      kept++;
-    }
+  for (size_t i = 0; s.ok() && i < first; i++) {
+    s = InsertTableIntoIndex(index.get(), p->unsorted[i], i);
   }
+  for (uint64_t h : writer.key_hashes()) index->Insert(h, first);
+  for (size_t i = end; s.ok() && i < p->unsorted.size(); i++) {
+    s = InsertTableIntoIndex(index.get(), p->unsorted[i], i - run.size() + 1);
+  }
+  if (!s.ok()) return s;
+  const size_t kept = p->unsorted.size() - run.size();
 
   VersionEdit edit;
   for (const FileMeta& f : run) edit.RemoveUnsortedFile(pid, f.number);
-  for (FileMeta f : writer.outputs()) {
-    f.table_id = new_table_id;
-    edit.AddUnsortedFile(pid, f);
-  }
+  // One table per unsorted writer (the run's tables are not empty).
+  FileMeta output = writer.outputs()[0];
+  output.table_id = run.back().table_id;
+  edit.AddUnsortedFile(pid, output);
 
   MutexLock lock(&mu_);
   UnsortedInstall installed;
+  installed.indexed = kept + 1;
   s = InstallUnsortedReplacement(*p, &edit, std::move(index), &installed);
   if (s.ok()) {
     metrics_.CountJob(pid, {{"scan_merges", 1},
@@ -710,7 +682,6 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("install_micros", installed.micros);
     event_log_->Log("scan_merge", &ev);
   }
-  bg_cv_.SignalAll();
   return s;
 }
 
@@ -732,11 +703,12 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
   // Complete the replacement index before installing the edit, so a
   // failed read leaves both the version and the old index untouched.
   // Each survivor costs one key-hash block read under mu_; survivors
-  // exist only when a flush landed during the job, and they are in
-  // table-id order, above every snapshot id, as a rebuild inserts them.
+  // exist only when a flush landed during the job. They are newer than
+  // every snapshot table, so they follow the job's tables in the list.
   for (const FileMeta& f : cur_p->unsorted) {
     if (in_snapshot.count(f.number)) continue;
-    Status s = InsertTableIntoIndex(index.get(), f);
+    Status s = InsertTableIntoIndex(index.get(), f,
+                                    result->indexed + result->survivors);
     if (!s.ok()) return s;
     result->survivors++;
   }
@@ -939,7 +911,6 @@ Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("install_micros", install_us);
     event_log_->Log("gc", &ev);
   }
-  bg_cv_.SignalAll();
   return s;
 }
 
@@ -1018,7 +989,6 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("install_micros", install_us);
     event_log_->Log("split", &ev);
   }
-  bg_cv_.SignalAll();
   return s;
 }
 

@@ -150,8 +150,8 @@ struct Options {
   // --- Ablation switches (F12 experiment). All default on. ---
 
   /// Off: point lookups in the UnsortedStore probe every table whose key
-  /// range covers the key, newest (largest table id) first, instead of
-  /// consulting the hash index. Unsorted tables still carry their
+  /// range covers the key, newest first, instead of consulting the hash
+  /// index. Unsorted tables still carry their
   /// key-hash block, so the table format does not depend on this switch.
   bool enable_hash_index = true;
   /// Off: merges write values inline into SortedStore tables (no value
@@ -159,7 +159,9 @@ struct Options {
   bool enable_kv_separation = true;
   /// Off: never split; a single partition grows without bound.
   bool enable_partitioning = true;
-  /// Off: no size-based merge, and Scan is the plain iterator loop.
+  /// Off: no size-based merge, and Scan is the plain iterator loop. A
+  /// partition then merges at UniKVDB::kMaxUnsortedTables tables even
+  /// below unsorted_limit.
   bool enable_scan_optimization = true;
   /// Off: scans always k-way-merge the overlapping unsorted tables. On:
   /// iterators over a partition with >= 2 unsorted tables use a sorted

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <span>
 
 #include "core/db_iter.h"
 #include "core/filename.h"
@@ -62,7 +61,6 @@ EngineMetrics::EngineMetrics() {
   stall_micros = registry.GetCounter("stall_micros");
   scan_entries = registry.GetCounter("scan_entries");
   anchor_view_builds = registry.GetCounter("anchor_view_builds");
-  anchor_view_merges = registry.GetCounter("anchor_view_merges");
   scan_anchor_hits = registry.GetCounter("scan_anchor_hits");
   anchor_view_bytes = registry.GetGauge("anchor_view_bytes");
   iterator_partitions_opened =
@@ -362,14 +360,7 @@ Status UniKVDB::Recover() {
     // Recovery is single-threaded: `base` is still current, so the
     // routing cannot have moved and table ids come straight from it.
     for (FlushOutput& out : new_tables) {
-      auto p = base->FindById(out.pid);
-      uint16_t next_id = 0;
-      if (p != nullptr) {
-        for (const FileMeta& f : p->unsorted) {
-          if (f.table_id >= next_id) next_id = f.table_id + 1;
-        }
-      }
-      out.meta.table_id = next_id;
+      out.meta.table_id = base->FindById(out.pid)->NextTableId();
       edit.AddUnsortedFile(out.pid, out.meta);
       metrics_.registry.GetCounter("flush_bytes")->Add(out.meta.size);
     }
@@ -463,7 +454,8 @@ std::unique_ptr<HashIndex> UniKVDB::NewHashIndex() const {
                                      options_.index_num_hashes);
 }
 
-Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f) {
+Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f,
+                                     size_t position) {
   std::vector<uint64_t> hashes;
   Status s = table_cache_->ReadKeyHashes(f.number, f.size, &hashes);
   if (s.IsCorruption()) {
@@ -471,24 +463,15 @@ Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f) {
                               s.ToString());
   }
   if (!s.ok()) return s;
-  for (uint64_t h : hashes) index->Insert(h, f.table_id);
+  for (uint64_t h : hashes) index->Insert(h, position);
   return Status::OK();
 }
 
 Status UniKVDB::LoadHashIndex(const PartitionState& p,
                               std::unique_ptr<HashIndex>* out) {
-  // A scan-merge output keeps its run's largest id but is appended after
-  // the newer tables it left in place and those flushed meanwhile, so
-  // list order is not id order.
-  std::vector<const FileMeta*> tables;
-  for (const FileMeta& f : p.unsorted) tables.push_back(&f);
-  std::sort(tables.begin(), tables.end(),
-            [](const FileMeta* a, const FileMeta* b) {
-              return a->table_id < b->table_id;
-            });
   std::unique_ptr<HashIndex> index = NewHashIndex();
-  for (const FileMeta* f : tables) {
-    Status s = InsertTableIntoIndex(index.get(), *f);
+  for (size_t i = 0; i < p.unsorted.size(); i++) {
+    Status s = InsertTableIntoIndex(index.get(), p.unsorted[i], i);
     if (!s.ok()) return s;
   }
   *out = std::move(index);
@@ -591,39 +574,24 @@ AnchorViewPtr UniKVDB::RefreshAnchorView(const PartitionState& p) {
   if (cached != nullptr && cached->Covers(p.unsorted)) return cached;
 
   AnchorView view;
-  Status s;
-  const int restart_interval = options_.table_options.block_restart_interval;
-  const size_t have = cached != nullptr ? cached->covered.size() : 0;
-  const bool extend = have > 0 && cached->CoversPrefix(p.unsorted, have);
-  if (extend) {
-    // Flushes appended tables since the view was built: fold just those
-    // in with one merge pass instead of re-reading every covered table.
-    s = MergeAnchorView(icmp_, table_cache_.get(), *cached,
-                        std::span(p.unsorted).subspan(have),
-                        restart_interval, &view);
-  } else {
-    s = BuildAnchorView(icmp_, table_cache_.get(), p.unsorted,
-                        restart_interval, &view);
-  }
+  Status s = BuildAnchorView(icmp_, table_cache_.get(), p.unsorted,
+                             options_.table_options.block_restart_interval,
+                             &view);
   if (!s.ok()) return nullptr;  // Never fatal: per-table children.
   metrics_.anchor_view_builds->Inc();
-  if (extend) metrics_.anchor_view_merges->Inc();
   AnchorViewPtr built = std::make_shared<const AnchorView>(std::move(view));
 
-  // Publish. A racing iterator may have published a view for the current
-  // version already, and an install may have moved on since p was
-  // captured: keep a cached view that covers the current tables, and
-  // cache the new view only while it still describes a prefix of them (a
-  // later iterator can extend it), never one over tables a merge consumed.
+  // Publish. An install may have moved on since p was captured, and a
+  // racing iterator may have cached a view of the current tables already:
+  // cache this one only when it covers the current tables and the cached
+  // one does not.
   MutexLock lock(&mu_);
   auto cp = versions_->current()->FindById(p.id);
-  if (cp == nullptr ||
-      !built->CoversPrefix(cp->unsorted, built->covered.size())) {
-    return built;
-  }
-  const AnchorViewPtr& current = runtime_.at(p.id).anchor_view;
-  if (current == nullptr || !current->Covers(cp->unsorted)) {
-    InstallAnchorViewLocked(p.id, built);
+  if (cp != nullptr && built->Covers(cp->unsorted)) {
+    const AnchorViewPtr& current = runtime_.at(p.id).anchor_view;
+    if (current == nullptr || !current->Covers(cp->unsorted)) {
+      InstallAnchorViewLocked(p.id, built);
+    }
   }
   return built;
 }
@@ -1387,29 +1355,24 @@ Status UniKVDB::GetFromStores(const PartitionState& p,
   if (!options_.enable_hash_index) {
     // Ablation mode: every table whose key range covers the key is a
     // candidate.
-    for (const FileMeta& f : p.unsorted) {
-      if (user_key.compare(Slice(f.smallest)) >= 0 &&
-          user_key.compare(Slice(f.largest)) <= 0) {
-        candidates->push_back(f.table_id);
+    for (size_t i = 0; i < p.unsorted.size(); i++) {
+      if (user_key.compare(Slice(p.unsorted[i].smallest)) >= 0 &&
+          user_key.compare(Slice(p.unsorted[i].largest)) <= 0) {
+        candidates->push_back(static_cast<uint16_t>(i));
       }
     }
   }
-  // Newer tables have larger table ids within an epoch, while the list's
-  // order does not follow age: a scan-merge output is appended after the
-  // newer tables it left in place and those flushed while it ran, but
-  // reuses the largest id it consumed.
-  // Probing ids in descending order makes the newest version win, even
-  // under keyTag collisions.
+  // The list is oldest first, so probing positions in descending order
+  // makes the newest version win, even under keyTag collisions.
   std::sort(candidates->begin(), candidates->end(), std::greater<uint16_t>());
   candidates->erase(std::unique(candidates->begin(), candidates->end()),
                     candidates->end());
-  for (uint16_t id : *candidates) {
-    for (const FileMeta& f : p.unsorted) {
-      if (f.table_id != id) continue;
-      perf->unsorted_tables_probed++;
-      if (settles(f, nullptr)) return s;
-      break;
+  for (uint16_t pos : *candidates) {
+    if (pos >= p.unsorted.size()) {
+      return Status::Corruption("hash index names a missing unsorted table");
     }
+    perf->unsorted_tables_probed++;
+    if (settles(p.unsorted[pos], nullptr)) return s;
   }
 
   // Binary search the sorted run by largest key (paper: compare boundary

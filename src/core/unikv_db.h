@@ -63,8 +63,7 @@ struct EngineMetrics {
   Counter* scan_entries;
 
   // Sorted anchor view (DESIGN.md §12).
-  Counter* anchor_view_builds;  // Views built or extended by iterators.
-  Counter* anchor_view_merges;  // Of those, extended by one merge pass.
+  Counter* anchor_view_builds;  // Views built by iterators.
   Counter* scan_anchor_hits;    // Partition children built on a view.
   Gauge* anchor_view_bytes;     // Current total view bytes across partitions.
 
@@ -89,15 +88,13 @@ struct EngineMetrics {
   std::vector<std::pair<uint64_t PerfContext::*, Counter*>> folded_;
 };
 
-/// The tables a scan-merge of UnsortedStore `unsorted` consumes
-/// (DESIGN.md §5), oldest first: with the tables ordered newest first
-/// by table_id and cut into maximal groups of adjacent tables whose
-/// largest size is at most twice their smallest, the group with the most
-/// tables (the newest on a tie), or every table when no group has two.
-/// The run is contiguous in table-id order, so its output can take the
-/// run's largest id without reordering it against the tables left in
-/// place.
-std::vector<FileMeta> PickScanMergeRun(const std::vector<FileMeta>& unsorted);
+/// The positions [first, end) of the tables a scan-merge of UnsortedStore
+/// `unsorted` (oldest first) consumes (DESIGN.md §5): with the tables cut,
+/// newest first, into maximal groups of adjacent tables whose largest
+/// size is at most twice their smallest, the group with the most tables
+/// (the newest on a tie), or every table when no group has two.
+std::pair<size_t, size_t> PickScanMergeRun(
+    const std::vector<FileMeta>& unsorted);
 
 /// The UniKV store: differentiated indexing (hash-indexed UnsortedStore +
 /// fully-sorted SortedStore with partial KV separation), dynamic range
@@ -109,6 +106,13 @@ class UniKVDB : public DB {
 
   static Status Open(const Options& options, const std::string& name,
                      DB** dbptr);
+
+  /// Unsorted tables at which a partition merges into the SortedStore
+  /// whatever their bytes, so hash-index positions stay far below
+  /// HashIndex::kMaxPositions. Scan-merges keep the count much lower;
+  /// only enable_scan_optimization = false lets a partition reach it.
+  static constexpr size_t kMaxUnsortedTables = 1024;
+  static_assert(kMaxUnsortedTables < HashIndex::kMaxPositions);
 
   Status Put(const WriteOptions& options, const Slice& key,
              const Slice& value) override;
@@ -204,12 +208,15 @@ class UniKVDB : public DB {
   Status CollectWalBatches(const std::string& fname,
                            std::vector<WalBatch>* out);
   /// Partition `p`'s hash index as of recovery: every unsorted table's
-  /// key hashes, inserted in table-id order (as the live index got them).
+  /// key hashes, inserted at its position, oldest first (as the live
+  /// index got them).
   Status LoadHashIndex(const PartitionState& p,
                        std::unique_ptr<HashIndex>* index);
-  /// Inserts table `f`'s key-hash block under its table id. Reads no data
-  /// block; a missing or corrupt block is Corruption naming the table.
-  Status InsertTableIntoIndex(HashIndex* index, const FileMeta& f);
+  /// Inserts table `f`'s key-hash block at list position `position`.
+  /// Reads no data block; a missing or corrupt block is Corruption naming
+  /// the table.
+  Status InsertTableIntoIndex(HashIndex* index, const FileMeta& f,
+                              size_t position);
   std::unique_ptr<HashIndex> NewHashIndex() const;
 
   /// The shard responsible for `user_key` (stable hash stripe; not
@@ -360,16 +367,19 @@ class UniKVDB : public DB {
 
   /// Installs `edit`, a merge or scan-merge of `snap` (partition
   /// `snap.id` as the job saw it). The caller builds `index` off mu_ over
+  /// the first `result->indexed` positions of the list the edit leaves:
   /// every table of `snap` the edit keeps and the job's own unsorted
   /// output. Tables flushed into the partition while the job ran survive
-  /// the edit (removals are by number): their key-hash blocks are added
-  /// to `index`, and `index` becomes the partition's hash index once the
-  /// edit is applied. Also drops the partition's cached anchor view.
-  /// Call it as soon as mu_ is taken: the EVENTS
-  /// install_micros it reports runs from its entry to LogAndApply's return.
+  /// the edit (removals are by number) at the positions after those:
+  /// their key-hash blocks are added to `index`, and `index` becomes the
+  /// partition's hash index once the edit is applied. Also drops the
+  /// partition's cached anchor view. Call it as soon as mu_ is taken: the
+  /// EVENTS install_micros it reports runs from its entry to
+  /// LogAndApply's return.
   struct UnsortedInstall {
-    size_t survivors = 0;  // Tables flushed in while the job ran.
-    uint64_t micros = 0;   // EVENTS install_micros.
+    size_t indexed = 0;    // In: positions the job's index covers.
+    size_t survivors = 0;  // Out: tables flushed in while the job ran.
+    uint64_t micros = 0;   // Out: EVENTS install_micros.
   };
   Status InstallUnsortedReplacement(const PartitionState& snap,
                                     VersionEdit* edit,
@@ -426,8 +436,8 @@ class UniKVDB : public DB {
   void MultiGetImpl(const ReadOptions& options, const Slice* keys, size_t n,
                     std::string* values, Status* statuses) EXCLUDES(mu_);
   /// Looks `lkey` up in one partition's stores: the UnsortedStore tables
-  /// named by the hash-index `candidates` (owned by the caller; sorted and
-  /// deduplicated in place), newest first, then the one SortedStore table
+  /// at the hash-index `candidates` positions (owned by the caller; sorted
+  /// and deduplicated in place), newest first, then the one SortedStore table
   /// a binary search over boundary keys picks. Tables are read through
   /// `pin`; `probe` carries the last SortedStore data block and scratch
   /// strings across the partition's keys. Returns OK with the value, or
@@ -456,11 +466,11 @@ class UniKVDB : public DB {
 
   /// On-demand anchor view of one partition (DESIGN.md §12), run without
   /// mu_ for a partition with >= 2 unsorted tables. Returns a view covering
-  /// exactly p.unsorted: the cached view when it already does, the cached
-  /// one extended by MergeAnchorView when it covers a prefix of them
-  /// (flushes appended the rest), else a fresh BuildAnchorView; null when
-  /// the build fails (the caller falls back to per-table children). A new
-  /// view is published to the partition's record under a short mu_ hold.
+  /// exactly p.unsorted: the cached view when it already does, else a
+  /// fresh BuildAnchorView; null when the build fails (the caller falls
+  /// back to per-table children). A new view is cached, under a short mu_
+  /// hold, when it covers the current version's tables and the cached
+  /// one does not.
   AnchorViewPtr RefreshAnchorView(const PartitionState& p) EXCLUDES(mu_);
 
   /// Replaces (or retires, view == nullptr) a partition's cached anchor
@@ -539,8 +549,9 @@ class UniKVDB : public DB {
   /// hold that makes it visible, so every partition a reader or job can
   /// route to has one; never erased (nothing removes partitions).
   struct PartitionRuntime {
-    /// Maps the keys of the partition's unsorted tables to table ids;
-    /// replaced wholesale by merge and scan-merge installs.
+    /// Maps the keys of the partition's unsorted tables to their positions
+    /// in the version's list; replaced wholesale by merge and scan-merge
+    /// installs.
     std::unique_ptr<HashIndex> index;
     /// Stale value-log bytes (GC trigger); counted from open, not stored.
     uint64_t vlog_garbage = 0;

@@ -76,15 +76,13 @@ void PutFileMeta(std::string* dst, const FileMeta& f) {
 }
 
 bool GetFileMeta(Slice* input, FileMeta* f) {
-  uint32_t table_id;
   Slice smallest, largest;
   if (!GetVarint64(input, &f->number) || !GetVarint64(input, &f->size) ||
-      !GetVarint64(input, &f->logical) || !GetVarint32(input, &table_id) ||
+      !GetVarint64(input, &f->logical) || !GetVarint32(input, &f->table_id) ||
       !GetLengthPrefixedSlice(input, &smallest) ||
       !GetLengthPrefixedSlice(input, &largest)) {
     return false;
   }
-  f->table_id = static_cast<uint16_t>(table_id);
   f->smallest = smallest.ToString();
   f->largest = largest.ToString();
   return true;
@@ -323,7 +321,12 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
 
   auto next = std::make_shared<VersionData>();
   for (auto& [pid, p] : parts) {
-    // Keep sorted files in key order.
+    // Keep unsorted files in age order (the hash index names them by
+    // position) and sorted files in key order.
+    std::stable_sort(p.unsorted.begin(), p.unsorted.end(),
+                     [](const FileMeta& a, const FileMeta& b) {
+                       return a.table_id < b.table_id;
+                     });
     std::sort(p.sorted.begin(), p.sorted.end(),
               [](const FileMeta& a, const FileMeta& b) {
                 return a.smallest < b.smallest;

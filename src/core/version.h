@@ -32,9 +32,10 @@ struct FileMeta {
   /// `size` wildly understates the data a SortedStore table governs;
   /// split decisions and table rotation use `logical` instead.
   uint64_t logical = 0;
-  /// Local UnsortedStore table id referenced by the hash index (meaningful
-  /// only for unsorted files; ids restart after every merge epoch).
-  uint16_t table_id = 0;
+  /// Age key of an unsorted table (meaningless for sorted files): larger
+  /// is newer. A flush takes the partition's newest key + 1 (0 on an
+  /// empty UnsortedStore); a scan-merge output keeps its run's largest.
+  uint32_t table_id = 0;
   std::string smallest;  // Smallest user key.
   std::string largest;   // Largest user key.
 };
@@ -50,16 +51,20 @@ struct PartitionState {
   uint32_t id = 0;
   /// Inclusive lower boundary user key; empty for the first partition.
   std::string lower_bound;
-  /// UnsortedStore tables in install order. table_id orders them by age:
-  /// a scan-merge output reuses the largest id it consumed but is appended
-  /// after the newer tables it left in place and those flushed while it
-  /// ran.
+  /// UnsortedStore tables, oldest first: VersionSet keeps them sorted by
+  /// table_id. The hash index names a table by its position here.
   std::vector<FileMeta> unsorted;
   /// SortedStore tables: one sorted run, disjoint, key order.
   std::vector<FileMeta> sorted;
   /// Value logs referenced by this partition's pointers (a log may be
   /// shared with a sibling partition after a split, until lazy GC).
   std::vector<VlogMeta> vlogs;
+
+  /// The table_id a flush into this partition takes: one above the
+  /// newest table's, or 0 when the UnsortedStore is empty.
+  uint32_t NextTableId() const {
+    return unsorted.empty() ? 0 : unsorted.back().table_id + 1;
+  }
 
   uint64_t UnsortedBytes() const {
     uint64_t n = 0;

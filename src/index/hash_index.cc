@@ -1,5 +1,7 @@
 #include "index/hash_index.h"
 
+#include <cassert>
+
 #include "util/hash.h"
 #include "util/perf_context.h"
 
@@ -35,14 +37,16 @@ uint16_t HashIndex::KeyTag(uint64_t key_hash) {
                                48);
 }
 
-void HashIndex::Insert(uint64_t key_hash, uint16_t table_id) {
+void HashIndex::Insert(uint64_t key_hash, size_t position) {
+  assert(position < kMaxPositions);
+  const uint16_t pos = static_cast<uint16_t>(position);
   const uint16_t tag = KeyTag(key_hash);
   // Probe candidate buckets h_1 .. h_n for an empty inline slot.
   for (int i = 0; i < num_hashes_; i++) {
     Bucket& b = buckets_[BucketFor(key_hash, i)];
-    if (b.table_id == kEmptyTable) {
+    if (b.position == kEmpty) {
       b.key_tag = tag;
-      b.table_id = table_id;
+      b.position = pos;
       num_entries_++;
       return;
     }
@@ -52,7 +56,7 @@ void HashIndex::Insert(uint64_t key_hash, uint16_t table_id) {
   Bucket& b = buckets_[BucketFor(key_hash, num_hashes_ - 1)];
   OverflowEntry e;
   e.key_tag = tag;
-  e.table_id = table_id;
+  e.position = pos;
   e.next = b.overflow_head;
   overflow_.push_back(e);
   b.overflow_head = static_cast<uint32_t>(overflow_.size() - 1);
@@ -77,13 +81,13 @@ void HashIndex::Lookup(uint64_t key_hash,
         const OverflowEntry& e = overflow_[cur];
         perf->hash_index_probes++;
         if (e.key_tag == tag) {
-          candidates->push_back(e.table_id);
+          candidates->push_back(e.position);
         }
         cur = e.next;
       }
     }
-    if (b.table_id != kEmptyTable && b.key_tag == tag) {
-      candidates->push_back(b.table_id);
+    if (b.position != kEmpty && b.key_tag == tag) {
+      candidates->push_back(b.position);
     }
   }
   perf->hash_index_candidates += candidates->size() - candidates_before;
@@ -97,7 +101,7 @@ size_t HashIndex::MemoryUsage() const {
 double HashIndex::InlineUtilization() const {
   size_t used = 0;
   for (const Bucket& b : buckets_) {
-    if (b.table_id != kEmptyTable) used++;
+    if (b.position != kEmpty) used++;
   }
   return buckets_.empty() ? 0.0
                           : static_cast<double>(used) / buckets_.size();

@@ -1,6 +1,7 @@
 #ifndef UNIKV_INDEX_HASH_INDEX_H_
 #define UNIKV_INDEX_HASH_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,16 +24,19 @@ namespace unikv {
 ///    the chain of bucket h_n(key) (newest first).
 ///  * Every entry is 8 bytes: <keyTag(2B), tableId(2B), next(4B)>, where
 ///    keyTag is 16 bits of a remix of the key hash, used to filter
-///    entries during lookup, and tableId identifies the UnsortedStore
-///    table holding the key.
+///    entries during lookup, and tableId is the position of the
+///    UnsortedStore table holding the key in its partition's table list
+///    (oldest first, PartitionState::unsorted).
 ///
 /// Lookup scans buckets h_n .. h_1, each bucket's overflow chain (newest
-/// first) before its inline slot, returning candidate table ids in
-/// newest-to-oldest order. keyTag collisions make candidates a superset;
-/// the caller disambiguates by reading the actual key from the table.
+/// first) before its inline slot, returning candidate positions.
+/// keyTag collisions make candidates a superset; the caller probes them
+/// newest (largest) first and disambiguates by reading the actual key
+/// from the table.
 ///
-/// Entries are never removed: merges and scan-merges install a new index
-/// built over the tables they leave. Thread safety: single writer;
+/// Entries are never removed: merges and scan-merges, which move tables
+/// to new positions, install a new index built over the tables they
+/// leave. Thread safety: single writer;
 /// concurrent readers must be excluded externally (the DB holds its mutex
 /// around index access — operations are in-memory and cheap).
 class HashIndex {
@@ -49,12 +53,15 @@ class HashIndex {
   /// of the on-disk format.
   static uint64_t KeyHash(const Slice& user_key);
 
-  /// Records that the key hashing to `key_hash` has its newest version in
-  /// table `table_id`.
-  void Insert(uint64_t key_hash, uint16_t table_id);
+  /// Positions an entry can name: every one below the empty-slot marker.
+  static constexpr size_t kMaxPositions = 0xFFFF;
 
-  /// Appends candidate table ids (newest first) that may hold the key
-  /// hashing to `key_hash`.
+  /// Records that the key hashing to `key_hash` has a version in the
+  /// table at `position` (< kMaxPositions).
+  void Insert(uint64_t key_hash, size_t position);
+
+  /// Appends the positions of the tables that may hold the key hashing
+  /// to `key_hash`.
   void Lookup(uint64_t key_hash, std::vector<uint16_t>* candidates) const;
 
   uint64_t NumEntries() const { return num_entries_; }
@@ -67,17 +74,17 @@ class HashIndex {
 
  private:
   static constexpr uint32_t kNoOverflow = 0xFFFFFFFFu;
-  static constexpr uint16_t kEmptyTable = 0xFFFFu;
+  static constexpr uint16_t kEmpty = kMaxPositions;
 
   struct Bucket {
     uint16_t key_tag = 0;
-    uint16_t table_id = kEmptyTable;  // kEmptyTable means inline slot empty.
+    uint16_t position = kEmpty;  // kEmpty means inline slot empty.
     uint32_t overflow_head = kNoOverflow;
   };
 
   struct OverflowEntry {
     uint16_t key_tag = 0;
-    uint16_t table_id = 0;
+    uint16_t position = 0;
     uint32_t next = kNoOverflow;
   };
 

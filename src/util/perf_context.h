@@ -32,7 +32,7 @@ struct PerfContext {
   uint64_t memtable_hits = 0;
   uint64_t hash_index_lookups = 0;    // HashIndex::Lookup calls.
   uint64_t hash_index_probes = 0;     // Buckets + overflow entries examined.
-  uint64_t hash_index_candidates = 0; // Candidate table ids returned.
+  uint64_t hash_index_candidates = 0; // Candidate positions returned.
   uint64_t bloom_checks = 0;          // Filter consultations (filter present).
   uint64_t bloom_negatives = 0;       // Filter said "definitely absent".
   uint64_t bloom_false_positives = 0; // Filter passed but key absent.

@@ -14,13 +14,16 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/db.h"
 #include "core/filename.h"
 #include "core/iterator.h"
 #include "core/unikv_db.h"
+#include "core/version.h"
 #include "test_util.h"
 #include "util/event_logger.h"
 #include "util/random.h"
@@ -304,66 +307,52 @@ TEST_F(DbStoreBehaviorTest, ScanMergeKeepsNewestVersionAndTombstones) {
   }
 }
 
-FileMeta UnsortedTable(uint16_t table_id, uint64_t size) {
-  FileMeta f;
-  f.number = 100 + table_id;
-  f.table_id = table_id;
-  f.size = size;
-  return f;
+// Unsorted tables of the given sizes, oldest first, as a version holds
+// them.
+std::vector<FileMeta> UnsortedTables(const std::vector<uint64_t>& sizes) {
+  std::vector<FileMeta> unsorted;
+  for (size_t i = 0; i < sizes.size(); i++) {
+    FileMeta f;
+    f.number = 100 + i;
+    f.table_id = static_cast<uint32_t>(i);
+    f.size = sizes[i];
+    unsorted.push_back(f);
+  }
+  return unsorted;
 }
 
-std::vector<uint16_t> RunIds(const std::vector<FileMeta>& unsorted) {
-  std::vector<uint16_t> ids;
-  for (const FileMeta& f : PickScanMergeRun(unsorted)) {
-    ids.push_back(f.table_id);
-  }
-  return ids;
-}
+using RunRange = std::pair<size_t, size_t>;
 
 TEST(PickScanMergeRunTest, EqualSizesTakeEveryTable) {
-  std::vector<FileMeta> unsorted;
-  for (uint16_t id = 0; id < 5; id++) {
-    unsorted.push_back(UnsortedTable(id, 70000 + id * 1000));
-  }
-  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2, 3, 4}), RunIds(unsorted));
+  EXPECT_EQ(RunRange(0, 5), PickScanMergeRun(UnsortedTables(
+                           {70000, 71000, 72000, 73000, 74000})));
 }
 
 TEST(PickScanMergeRunTest, BigTableUnderSmallOnesIsLeftInPlace) {
-  std::vector<FileMeta> unsorted = {UnsortedTable(0, 1000000)};
-  for (uint16_t id = 1; id < 5; id++) {
-    unsorted.push_back(UnsortedTable(id, 70000));
-  }
-  EXPECT_EQ((std::vector<uint16_t>{1, 2, 3, 4}), RunIds(unsorted));
+  EXPECT_EQ(RunRange(1, 5), PickScanMergeRun(UnsortedTables(
+                           {1000000, 70000, 70000, 70000, 70000})));
 }
 
 TEST(PickScanMergeRunTest, LargerGroupWinsAndTiesGoToTheNewer) {
-  // Three big (ids 0-2) under two small: the bigger group wins.
-  std::vector<FileMeta> unsorted = {
-      UnsortedTable(0, 500000), UnsortedTable(1, 400000),
-      UnsortedTable(2, 450000), UnsortedTable(3, 70000),
-      UnsortedTable(4, 80000)};
-  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2}), RunIds(unsorted));
+  // Three big (positions 0-2) under two small: the bigger group wins.
+  EXPECT_EQ(RunRange(0, 3), PickScanMergeRun(UnsortedTables(
+                           {500000, 400000, 450000, 70000, 80000})));
   // Two and two: the newer group.
-  unsorted.erase(unsorted.begin());
-  EXPECT_EQ((std::vector<uint16_t>{3, 4}), RunIds(unsorted));
+  EXPECT_EQ(RunRange(2, 4), PickScanMergeRun(UnsortedTables(
+                           {400000, 450000, 70000, 80000})));
 }
 
 TEST(PickScanMergeRunTest, NoPairWithinTwiceTakesEveryTable) {
-  const std::vector<FileMeta> unsorted = {
-      UnsortedTable(0, 1000), UnsortedTable(1, 3000), UnsortedTable(2, 9000),
-      UnsortedTable(3, 27000)};
-  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2, 3}), RunIds(unsorted));
+  EXPECT_EQ(RunRange(0, 4),
+            PickScanMergeRun(UnsortedTables({1000, 3000, 9000, 27000})));
 }
 
-TEST(PickScanMergeRunTest, RunIsContiguousInIdOrderNotListOrder) {
-  // A scan-merge output (id 3) was appended after a newer flush (id 4):
-  // in list order the small tables 0, 1, 2, 4 are adjacent, but in id
-  // order the big output separates 4 from the rest.
-  const std::vector<FileMeta> unsorted = {
-      UnsortedTable(0, 70000), UnsortedTable(1, 70000),
-      UnsortedTable(2, 70000), UnsortedTable(4, 70000),
-      UnsortedTable(3, 900000)};
-  EXPECT_EQ((std::vector<uint16_t>{0, 1, 2}), RunIds(unsorted));
+TEST(PickScanMergeRunTest, SmallTablesOnBothSidesOfABigOne) {
+  // A scan-merge output (position 3) sits between older and newer small
+  // tables: the run never reaches across it, and the older group wins by
+  // length.
+  EXPECT_EQ(RunRange(0, 3), PickScanMergeRun(UnsortedTables(
+                           {70000, 70000, 70000, 900000, 70000})));
 }
 
 // Keys in `model` read back through Get, MultiGet, Scan and a reverse
@@ -587,6 +576,173 @@ TEST_F(DbStoreBehaviorTest, NegativeLookupsTouchAtMostOneSortedTable) {
   std::string value;
   EXPECT_TRUE(db_->Get(ReadOptions(), "zzzz", &value).IsNotFound());
   EXPECT_TRUE(db_->Get(ReadOptions(), "", &value).IsNotFound());
+}
+
+uint64_t EngineCounter(DB* db, const char* name) {
+  return static_cast<UniKVDB*>(db)->TEST_metrics().SnapshotCounters().engine.at(
+      name);
+}
+
+// Waits (bounded by a watchdog) until engine counter `name` reaches `n`.
+void WaitForCounter(DB* db, const char* name, uint64_t n) {
+  Watchdog watchdog(std::string("waiting for ") + name);
+  while (EngineCounter(db, name) < n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Get, MultiGet and Scan all read `value` for key "k".
+void ExpectKReads(DB* db, const std::string& value) {
+  std::string got;
+  Status s = db->Get(ReadOptions(), "k", &got);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(value, got);
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE(db->MultiGet(ReadOptions(), {Slice("k")}, &values, &statuses)
+                  .ok());
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_EQ(value, values[0]);
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db->Scan(ReadOptions(), "k", 1, &rows).ok());
+  ASSERT_EQ(1u, rows.size());
+  EXPECT_EQ(value, rows[0].second);
+}
+
+// A partition whose UnsortedStore never empties keeps raising its newest
+// table_id: scan-merges dedup a small, repeatedly overwritten key set, so
+// it never reaches unsorted_limit. Ages past 16 bits must still read the
+// newest value: a 16-bit age would reach the hash index's empty-slot
+// marker (0xFFFF) after 65,535 flushes, and then wrap.
+TEST(UnsortedTableAgeTest, AgesPastSixteenBitsReadTheNewestValue) {
+  std::unique_ptr<MemEnv> env(NewMemEnv());
+  Options opt;
+  opt.env = env.get();
+  opt.unsorted_limit = 1ull << 30;
+  opt.scan_merge_limit = 2;
+  const std::string dbname = "/age_wrap";
+  auto open = [&](std::unique_ptr<DB>* db) {
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(opt, dbname, &raw).ok());
+    db->reset(raw);
+  };
+  std::unique_ptr<DB> db;
+  ASSERT_NO_FATAL_FAILURE(open(&db));
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v0").ok());
+  ASSERT_TRUE(db->FlushMemTable().ok());
+  db.reset();
+
+  // Give the only unsorted table age 65533. Apply adds before it removes,
+  // so moving the table to a new age takes two edits.
+  {
+    VersionSet versions(env.get(), dbname);
+    ASSERT_TRUE(versions.Recover(false, false).ok());
+    const PartitionState& p = *versions.current()->partitions[0];
+    ASSERT_EQ(1u, p.unsorted.size());
+    FileMeta f = p.unsorted[0];
+    f.table_id = 65533;
+    VersionEdit remove;
+    remove.RemoveUnsortedFile(p.id, f.number);
+    ASSERT_TRUE(versions.LogAndApply(&remove).ok());
+    VersionEdit add;
+    add.AddUnsortedFile(p.id, f);
+    ASSERT_TRUE(versions.LogAndApply(&add).ok());
+  }
+
+  ASSERT_NO_FATAL_FAILURE(open(&db));
+  ASSERT_NO_FATAL_FAILURE(ExpectKReads(db.get(), "v0"));
+  for (int i = 1; i <= 3; i++) {
+    SCOPED_TRACE(i);
+    const std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(db->Put(WriteOptions(), "k", value).ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());
+    // Two tables: one scan-merge folds them, keeping the newer age.
+    WaitForCounter(db.get(), "scan_merges", i);
+    ASSERT_NO_FATAL_FAILURE(ExpectKReads(db.get(), value));
+  }
+  db.reset();
+  ASSERT_NO_FATAL_FAILURE(open(&db));
+  ASSERT_NO_FATAL_FAILURE(ExpectKReads(db.get(), "v3"));
+}
+
+// With scan-merges off, nothing else bounds a partition's table count
+// below unsorted_limit; the count cap merges it, so index positions stay
+// far below HashIndex::kMaxPositions.
+TEST(UnsortedTableAgeTest, TableCountCapMergesWithoutScanOptimization) {
+  std::unique_ptr<MemEnv> env(NewMemEnv());
+  Options opt;
+  opt.env = env.get();
+  opt.unsorted_limit = 1ull << 30;
+  opt.enable_scan_optimization = false;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, "/table_cap", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  const size_t cap = UniKVDB::kMaxUnsortedTables;
+  for (size_t i = 0; i < cap; i++) {
+    // One table short of the cap, nothing has merged.
+    if (i + 1 == cap) {
+      EXPECT_EQ(0u, EngineCounter(db.get(), "merges"));
+    }
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), "k", "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  }
+  WaitForCounter(db.get(), "merges", 1);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectKReads(db.get(), "v" + std::to_string(cap - 1)));
+}
+
+// Holds every RemoveFile while closed, so a test can keep a job's
+// obsolete-file sweep in flight.
+class LatchedRemoveEnv : public InstrumentedEnv {
+ public:
+  explicit LatchedRemoveEnv(Env* base) : InstrumentedEnv(base) {}
+
+  void SetOpen(bool open) { open_.store(open); }
+  int Blocked() const { return blocked_.load(); }
+
+  Status RemoveFile(const std::string& fname) override {
+    blocked_.fetch_add(1);
+    while (!open_.load()) SleepForMicroseconds(1000);
+    blocked_.fetch_sub(1);
+    return InstrumentedEnv::RemoveFile(fname);
+  }
+
+ private:
+  std::atomic<bool> open_{true};
+  std::atomic<int> blocked_{0};
+};
+
+// FlushMemTable returns once the flush's worker has also swept the files
+// the flush made obsolete (here the retired WAL), not when the install
+// wakes it.
+TEST(FlushMemTableTest, ReturnsOnlyAfterTheFlushSweep) {
+  std::unique_ptr<MemEnv> mem(NewMemEnv());
+  LatchedRemoveEnv env(mem.get());
+  Options opt;
+  opt.env = &env;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, "/flush_sweep", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
+
+  env.SetOpen(false);
+  std::atomic<bool> returned{false};
+  std::thread flusher([&] {
+    EXPECT_TRUE(db->FlushMemTable().ok());
+    returned.store(true);
+  });
+  {
+    Watchdog watchdog("the flush's sweep");
+    while (env.Blocked() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+  env.SetOpen(true);
+  flusher.join();
+  EXPECT_TRUE(returned.load());
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // the latest table id recorded for a key always appears among its
 // candidates. A 20k-key pool over 16-bit tags guarantees plenty of real
 // tag collisions. A second fuzzer checks that rebuilding an index from
-// per-table hash lists in table-id order (recovery) answers exactly like
-// the index the installs built one table at a time.
+// per-table hash lists, each table at its list position (recovery),
+// answers exactly like the index the installs built one table at a time.
 
 #include <gtest/gtest.h>
 
@@ -151,18 +151,19 @@ TEST(HashIndexFuzzTest, SingleHashDegeneratesGracefully) {
   fuzz.Run(20000);
 }
 
-// One partition's UnsortedStore life: flushes install one table's hash
-// list each; a scan-merge replaces a run of the tables its snapshot saw,
-// contiguous in id order, with their key union under the run's largest
-// id; a merge consumes the whole snapshot. A scan-merge builds its new
-// index from the snapshot tables it left in place (older and newer than
-// the run) and its output, in id order, then re-adds the tables flushed
-// while it ran; a merge re-adds only those. The output is appended after
-// the newer tables, so list order and id order differ. After each step
-// the live index must
-// equal one rebuilt from the surviving lists in table-id order, as
-// recovery does: same candidate ids in the same order for every key, or
-// a reopen could change which table a read trusts first.
+// One partition's UnsortedStore life, with the index naming each table by
+// its position in the partition's list (oldest first): a flush appends a
+// table and inserts its hashes at the next position; a scan-merge
+// replaces a run of adjacent tables its snapshot saw with their key union
+// at the run's first position; a merge consumes the whole snapshot. A
+// scan-merge builds its new index over the list it leaves: the snapshot
+// tables before the run at their positions, its output, the snapshot
+// tables after the run shifted down by the run's length - 1, and then the
+// tables flushed while it ran at the positions after those; a merge
+// re-adds only those survivors, from position 0. After each step the
+// live index must equal one rebuilt from the list in order, as recovery
+// does: same candidate positions in the same order for every key, or a
+// reopen could change which table a read trusts first.
 class RebuildFuzz {
  public:
   RebuildFuzz(uint32_t seed, size_t expected, int num_hashes)
@@ -187,11 +188,8 @@ class RebuildFuzz {
       } else {
         Merge(tables_.size() - survivors);
       }
-      if (step % 10 == 9) {
-        ASSERT_NO_FATAL_FAILURE(VerifyRebuild());
-      }
+      ASSERT_NO_FATAL_FAILURE(VerifyRebuild());
     }
-    VerifyRebuild();
   }
 
   /// Most overflow entries the live index held at any check.
@@ -202,30 +200,22 @@ class RebuildFuzz {
  private:
   static constexpr uint32_t kKeys = 5000;
 
-  struct Table {
-    uint16_t id = 0;
-    std::vector<uint32_t> keys;  // Sorted, distinct: the table's key order.
-  };
+  using Table = std::vector<uint32_t>;  // Sorted, distinct keys.
 
   std::unique_ptr<HashIndex> NewIndex() const {
     return std::make_unique<HashIndex>(expected_, num_hashes_);
   }
 
-  static void InsertTable(HashIndex* index, const Table& t) {
-    for (uint32_t k : t.keys) index->Insert(H(FuzzKey(k)), t.id);
+  static void InsertTable(HashIndex* index, const Table& t, size_t pos) {
+    for (uint32_t k : t) index->Insert(H(FuzzKey(k)), pos);
   }
 
   void Flush() {
-    Table t;
-    for (const Table& old : tables_) {
-      t.id = std::max<uint16_t>(t.id, old.id + 1);
-    }
     std::set<uint32_t> keys;
     const uint32_t n = 1 + rnd_.Uniform(200);
     for (uint32_t i = 0; i < n; i++) keys.insert(rnd_.Uniform(kKeys));
-    t.keys.assign(keys.begin(), keys.end());
-    InsertTable(live_.get(), t);
-    tables_.push_back(std::move(t));
+    InsertTable(live_.get(), Table(keys.begin(), keys.end()), tables_.size());
+    tables_.emplace_back(keys.begin(), keys.end());
     flushes_since_job_++;
   }
 
@@ -233,58 +223,43 @@ class RebuildFuzz {
   // `interior` a run of at least two that is neither its oldest nor its
   // newest table.
   void ScanMerge(size_t snapshot, bool interior) {
-    std::vector<size_t> by_id(snapshot);
-    for (size_t i = 0; i < snapshot; i++) by_id[i] = i;
-    std::sort(by_id.begin(), by_id.end(), [this](size_t a, size_t b) {
-      return tables_[a].id < tables_[b].id;
-    });
-    size_t lo = 0, hi = snapshot;  // The run: by_id[lo, hi).
+    size_t lo = 0, hi = snapshot;  // The run: positions [lo, hi).
     if (interior && snapshot >= 4) {
       lo = 1 + rnd_.Uniform(static_cast<int>(snapshot - 3));
       hi = lo + 2 + rnd_.Uniform(static_cast<int>(snapshot - 2 - lo));
       interior_scan_merges_++;
     }
-    Table out;
     std::set<uint32_t> keys;
-    std::vector<bool> in_run(tables_.size(), false);
-    for (size_t r = lo; r < hi; r++) {
-      const Table& t = tables_[by_id[r]];
-      out.id = std::max(out.id, t.id);
-      keys.insert(t.keys.begin(), t.keys.end());
-      in_run[by_id[r]] = true;
+    for (size_t i = lo; i < hi; i++) {
+      keys.insert(tables_[i].begin(), tables_[i].end());
     }
-    out.keys.assign(keys.begin(), keys.end());
+    const Table out(keys.begin(), keys.end());
+    const size_t shift = hi - lo - 1;
     live_ = NewIndex();
-    for (size_t r = 0; r < snapshot; r++) {
-      if (r < lo || r >= hi) InsertTable(live_.get(), tables_[by_id[r]]);
-      if (r == hi - 1) InsertTable(live_.get(), out);
+    for (size_t i = 0; i < lo; i++) InsertTable(live_.get(), tables_[i], i);
+    InsertTable(live_.get(), out, lo);
+    for (size_t i = hi; i < tables_.size(); i++) {
+      InsertTable(live_.get(), tables_[i], i - shift);
     }
-    for (size_t i = snapshot; i < tables_.size(); i++) {
-      InsertTable(live_.get(), tables_[i]);
-    }
-    std::vector<Table> left;
-    for (size_t i = 0; i < tables_.size(); i++) {
-      if (!in_run[i]) left.push_back(std::move(tables_[i]));
-    }
-    tables_ = std::move(left);
-    tables_.push_back(std::move(out));  // Appended after the survivors.
+    tables_.erase(tables_.begin() + lo, tables_.begin() + hi);
+    tables_.insert(tables_.begin() + lo, out);
     flushes_since_job_ = 0;
   }
 
   void Merge(size_t consumed) {
     live_ = NewIndex();
     tables_.erase(tables_.begin(), tables_.begin() + consumed);
-    for (const Table& t : tables_) InsertTable(live_.get(), t);
+    for (size_t i = 0; i < tables_.size(); i++) {
+      InsertTable(live_.get(), tables_[i], i);
+    }
     flushes_since_job_ = 0;
   }
 
   void VerifyRebuild() {
-    std::vector<const Table*> by_id;
-    for (const Table& t : tables_) by_id.push_back(&t);
-    std::sort(by_id.begin(), by_id.end(),
-              [](const Table* a, const Table* b) { return a->id < b->id; });
     std::unique_ptr<HashIndex> rebuilt = NewIndex();
-    for (const Table* t : by_id) InsertTable(rebuilt.get(), *t);
+    for (size_t i = 0; i < tables_.size(); i++) {
+      InsertTable(rebuilt.get(), tables_[i], i);
+    }
     max_overflow_ = std::max(max_overflow_, live_->NumOverflowEntries());
     ASSERT_EQ(live_->NumEntries(), rebuilt->NumEntries());
     for (uint32_t k = 0; k < kKeys; k++) {
@@ -299,7 +274,7 @@ class RebuildFuzz {
   const size_t expected_;
   const int num_hashes_;
   std::unique_ptr<HashIndex> live_;
-  std::vector<Table> tables_;  // Install order, like PartitionState.
+  std::vector<Table> tables_;  // Oldest first, like PartitionState.
   size_t flushes_since_job_ = 0;
   uint64_t max_overflow_ = 0;
   int interior_scan_merges_ = 0;

@@ -7,6 +7,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/filename.h"
 #include "util/coding.h"
@@ -140,6 +142,67 @@ TEST(VersionSet, CreateRecoverAndApply) {
     EXPECT_EQ(100u, versions.current()->partitions[0]->unsorted[0].size);
     EXPECT_EQ(5u, versions.LogNumber());
   }
+}
+
+// (table_id, number) of partition 0's unsorted tables, in list order.
+std::vector<std::pair<uint32_t, uint64_t>> UnsortedOrder(
+    const VersionSet& versions) {
+  std::vector<std::pair<uint32_t, uint64_t>> order;
+  for (const FileMeta& f : versions.current()->partitions[0]->unsorted) {
+    order.emplace_back(f.table_id, f.number);
+  }
+  return order;
+}
+
+FileMeta UnsortedTable(uint64_t number, uint32_t table_id) {
+  FileMeta f;
+  f.number = number;
+  f.size = 100;
+  f.table_id = table_id;
+  f.smallest = "a";
+  f.largest = "z";
+  return f;
+}
+
+TEST(VersionSet, UnsortedTablesStayInAgeOrder) {
+  using Order = std::vector<std::pair<uint32_t, uint64_t>>;
+  std::unique_ptr<MemEnv> env(NewMemEnv());
+  {
+    VersionSet versions(env.get(), "/age");
+    ASSERT_TRUE(versions.Recover(true, false).ok());
+    // Edits may add tables in any order; the list follows table_id, which
+    // is 32 bits wide.
+    VersionEdit edit;
+    edit.AddUnsortedFile(0, UnsortedTable(10, 70005));
+    edit.AddUnsortedFile(0, UnsortedTable(11, 70001));
+    edit.AddUnsortedFile(0, UnsortedTable(12, 70003));
+    ASSERT_TRUE(versions.LogAndApply(&edit).ok());
+    VersionEdit edit2;
+    edit2.AddUnsortedFile(0, UnsortedTable(13, 70004));
+    edit2.AddUnsortedFile(0, UnsortedTable(14, 70002));
+    ASSERT_TRUE(versions.LogAndApply(&edit2).ok());
+    EXPECT_EQ((Order{{70001, 11}, {70002, 14}, {70003, 12}, {70004, 13},
+                     {70005, 10}}),
+              UnsortedOrder(versions));
+
+    // A scan-merge of the run at positions 1-3 adds its output (keeping
+    // the run's largest table_id) before removing the run: the output
+    // lands in the run's place, between the tables left on either side.
+    VersionEdit merge;
+    merge.AddUnsortedFile(0, UnsortedTable(20, 70004));
+    merge.RemoveUnsortedFile(0, 14);
+    merge.RemoveUnsortedFile(0, 12);
+    merge.RemoveUnsortedFile(0, 13);
+    ASSERT_TRUE(versions.LogAndApply(&merge).ok());
+    EXPECT_EQ((Order{{70001, 11}, {70004, 20}, {70005, 10}}),
+              UnsortedOrder(versions));
+  }
+  // MANIFEST replay applies the same edits and keeps the same order.
+  VersionSet versions(env.get(), "/age");
+  ASSERT_TRUE(versions.Recover(true, false).ok());
+  EXPECT_EQ((Order{{70001, 11}, {70004, 20}, {70005, 10}}),
+            UnsortedOrder(versions));
+  EXPECT_EQ(70006u, versions.current()->partitions[0]->NextTableId());
 }
 
 TEST(VersionSet, PartitionSplitOrderingPreserved) {
