@@ -1,10 +1,12 @@
-// Background maintenance for UniKVDB: memtable flushes, UnsortedStore ->
-// SortedStore merges with partial KV separation, size-based scan merges,
-// value-log garbage collection, and dynamic range-partition splits.
+// Background maintenance for UniKVDB: memtable flushes, the SortedStore
+// rewrite job (UnsortedStore -> SortedStore merges with partial KV
+// separation, and value-log garbage collection), size-based scan merges,
+// and dynamic range-partition splits.
 
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <set>
 #include <span>
 
 #include "core/filename.h"
@@ -150,11 +152,10 @@ Status UniKVDB::DispatchWork(const WorkItem& item) {
     case WorkKind::kFlush:
       return CompactMemTable(static_cast<size_t>(item.shard));
     case WorkKind::kMerge:
-      return MergePartition(item.partition);
-    case WorkKind::kScanMerge:
-      return ScanMergePartition(item.partition);
     case WorkKind::kGc:
-      return GcPartition(item.partition);
+      return RewritePartition(item.partition, item.kind);
+    case WorkKind::kScanMerge:
+      return ScanMergeRun(item.partition);
     case WorkKind::kSplit:
       return SplitPartition(item.partition);
     case WorkKind::kNone:
@@ -247,10 +248,9 @@ Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
       out = &outputs->emplace_back();
       out->pid = pid;
       out->writer = std::make_unique<TableOutputWriter>(
-          this, TableOutputWriter::Store::kUnsorted);
+          this, TableOutputWriter::Store::kUnsorted, pid);
     }
-    s = out->writer->Add(iter->key(), iter->value(),
-                         user_key.size() + iter->value().size());
+    s = out->writer->Add(iter->key(), iter->value());
   }
   if (s.ok()) s = iter->status();
   if (s.ok() && out != nullptr) s = out->writer->Finish();
@@ -402,166 +402,217 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   return s;
 }
 
-// ------------------------------------------------------------------ merge
+// ---------------------------------------------------------------- rewrite
 
-Status UniKVDB::MergePartition(std::shared_ptr<const PartitionState> p) {
+Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
+                                 WorkKind kind) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
-  const bool separate = options_.enable_kv_separation;
+  // The job's inputs besides the sorted run it replaces: a merge consumes
+  // every unsorted table, a GC moves the live values of every value log.
+  const bool merge = kind == WorkKind::kMerge;
+  const std::span<const FileMeta> tables =
+      merge ? std::span(p->unsorted) : std::span<const FileMeta>();
+  const std::span<const VlogMeta> logs =
+      merge ? std::span<const VlogMeta>() : std::span(p->vlogs);
+  std::set<uint64_t> moved;
+  for (const VlogMeta& v : logs) moved.insert(v.number);
 
-  // Inputs: every unsorted table + the sorted run.
   std::vector<Iterator*> children;
-  uint64_t bytes_read = 0;
-  for (const FileMeta& f : p->unsorted) {
+  uint64_t bytes_read = p->SortedBytes();
+  for (const FileMeta& f : tables) {
     children.push_back(table_cache_->NewIterator(f.number, f.size));
     bytes_read += f.size;
   }
   if (!p->sorted.empty()) {
-    bytes_read += p->SortedBytes();
     children.push_back(NewSortedRunIterator(table_cache_.get(), p->sorted));
   }
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
 
-  // Output value log (partial KV separation: only values arriving from
-  // the UnsortedStore are appended; SortedStore values keep their existing
-  // pointers).
-  TableOutputWriter writer(this, TableOutputWriter::Store::kSorted);
-  std::unique_ptr<ValueLogWriter> vlog;
-  uint64_t vlog_number = 0;
-  if (separate) {
-    vlog_number = writer.NewFileNumber();
-    std::unique_ptr<WritableFile> vfile;
-    Status s =
-        env_->NewWritableFile(ValueLogFileName(dbname_, vlog_number), &vfile);
-    if (!s.ok()) return s;
-    vlog = std::make_unique<ValueLogWriter>(std::move(vfile), pid,
-                                            vlog_number);
-  }
+  // An entry waits in the batch only behind a pointer into a moved log.
+  // Those are fetched with one ValueFetcher call per batch on this
+  // worker: pointers into the same log coalesce into span reads, each
+  // record is checked against its entry's user key, and the spans are
+  // copied, never mapped (GC sweeps whole logs, and ru_maxrss would
+  // count every mapped page). The fetcher's items point into the batch,
+  // which is sized once; Fetch reorders items, never entries, so the
+  // outputs are still written in key order.
+  struct Held {
+    std::string internal_key;
+    std::string value;  // The value, or the encoding of a kept pointer.
+    bool kept = false;  // A pointer into a log the job does not move.
+    Status status;      // A fetch's outcome.
+  };
+  constexpr size_t kBatchSize = 256;
+  std::vector<Held> batch(kBatchSize);
+  size_t held = 0;
+  std::vector<ValueFetcher::Item> items;  // One per held moved pointer.
+  ValueFetcher fetcher(vlog_cache_.get(), ValueFetcher::Spans::kCopied);
+  TableOutputWriter writer(this, TableOutputWriter::Store::kSorted, pid);
+
+  // A kept pointer is written as it is; every value the job holds, from
+  // an unsorted table or a moved log, goes through the separation rule.
+  auto put = [&](const Slice& internal_key, const Slice& value, bool kept) {
+    return kept ? writer.Add(internal_key, value)
+                : writer.AddValue(ExtractUserKey(internal_key),
+                                  ExtractSequence(internal_key), value);
+  };
+  auto write_batch = [&]() -> Status {
+    if (!items.empty()) fetcher.Fetch(items.data(), items.size());
+    items.clear();
+    const size_t n = held;
+    held = 0;
+    for (const Held& e : std::span(batch).first(n)) {
+      Status s = e.status.ok() ? put(e.internal_key, e.value, e.kept)
+                               : e.status;
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  };
 
   uint64_t garbage_added = 0;
   Status s;
   std::string current_user_key;
-  bool has_current_user_key = false;
-  std::string rewritten;
-
+  bool has_current = false;
   for (merged->SeekToFirst(); s.ok() && merged->Valid(); merged->Next()) {
-    Slice internal_key = merged->key();
     ParsedInternalKey ikey;
-    if (!ParseInternalKey(internal_key, &ikey)) {
-      s = Status::Corruption("corrupt internal key during merge");
+    if (!ParseInternalKey(merged->key(), &ikey)) {
+      s = Status::Corruption("corrupt internal key during rewrite");
       break;
     }
-
-    const bool first_occurrence =
-        !has_current_user_key ||
-        ikey.user_key.compare(Slice(current_user_key)) != 0;
-    if (first_occurrence) {
-      current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-      has_current_user_key = true;
-    } else {
-      // An older, shadowed version: drop it. If it pointed into a value
-      // log, its record becomes garbage.
-      if (ikey.type == kTypeValuePointer) {
-        ValuePointer ptr;
-        Slice encoded = merged->value();
-        if (ptr.DecodeFrom(&encoded)) garbage_added += ptr.size;
-      }
+    ValuePointer ptr;
+    const bool pointer = ikey.type == kTypeValuePointer;
+    Slice encoded = merged->value();
+    if (pointer && !ptr.DecodeFrom(&encoded)) {
+      s = Status::Corruption("bad value pointer during rewrite");
+      break;
+    }
+    const bool in_moved_log = pointer && moved.count(ptr.log_number) > 0;
+    if (has_current && ikey.user_key.compare(Slice(current_user_key)) == 0) {
+      // An older, shadowed version: drop it. Its record becomes garbage,
+      // unless its whole log is going away.
+      if (pointer && !in_moved_log) garbage_added += ptr.size;
       continue;
     }
+    current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
+    has_current = true;
+    // The SortedStore is the terminal level: tombstones die here.
+    if (ikey.type == kTypeDeletion) continue;
 
-    if (ikey.type == kTypeDeletion) {
-      // The SortedStore is the terminal level: tombstones die here.
+    const bool kept = pointer && !in_moved_log;
+    if (held == 0 && !in_moved_log) {
+      s = put(merged->key(), merged->value(), kept);
       continue;
     }
-
-    Slice out_value = merged->value();
-    ValueType out_type = ikey.type;
-    if (ikey.type == kTypeValue && separate &&
-        out_value.size() >= options_.value_separation_threshold) {
-      // Value arriving from the UnsortedStore: separate it. Values below
-      // the separation threshold stay inline (differentiated management
-      // of small KVs, paper §Memory overhead discussion).
-      ValuePointer ptr;
-      s = vlog->Add(ikey.user_key, out_value, &ptr);
-      if (!s.ok()) break;
-      rewritten.clear();
-      ptr.EncodeTo(&rewritten);
-      out_value = Slice(rewritten);
-      out_type = kTypeValuePointer;
-    }
-
-    std::string out_key;
-    AppendInternalKey(&out_key,
-                      ParsedInternalKey(ikey.user_key, ikey.sequence,
-                                        out_type));
-    // Logical bytes: key plus the value the entry governs (the pointed-to
-    // record for separated values).
-    uint64_t governed = ikey.user_key.size();
-    if (out_type == kTypeValuePointer) {
-      ValuePointer p2;
-      Slice encoded2(out_value);
-      if (p2.DecodeFrom(&encoded2)) governed += p2.size;
+    Held& e = batch[held++];
+    e.internal_key.assign(merged->key().data(), merged->key().size());
+    e.kept = kept;
+    e.status = Status::OK();
+    if (in_moved_log) {
+      bytes_read += ptr.size;
+      items.push_back(ValueFetcher::Item{ptr, ExtractUserKey(e.internal_key),
+                                         &e.value, &e.status});
     } else {
-      governed += out_value.size();
+      e.value.assign(merged->value().data(), merged->value().size());
     }
-    s = writer.Add(out_key, out_value, governed);
+    if (held == kBatchSize) s = write_batch();
   }
   if (s.ok()) s = merged->status();
+  if (s.ok()) s = write_batch();
   if (s.ok()) s = writer.Finish();
-
-  uint64_t vlog_size = 0;
-  if (s.ok() && vlog != nullptr) {
-    vlog_size = vlog->CurrentOffset();
-    if (vlog_size > 0) {
-      s = vlog->Sync();
-      if (s.ok()) s = vlog->Close();
-    }
-  }
   if (!s.ok()) return s;
-  const uint64_t bytes_written = writer.bytes_written() + vlog_size;
+  const uint64_t bytes_written = writer.bytes_written();
 
-  // Install: the snapshot's unsorted files and previous sorted files are
-  // replaced wholesale; old value logs stay (their dead records are GC'ed
-  // later). Removals are by file number, so unsorted tables flushed into
-  // this partition *while the merge ran* — which are not in the snapshot —
-  // survive the edit untouched.
+  // One edit replaces the consumed tables, the sorted run and the moved
+  // logs with the outputs. Removals are by number, so unsorted tables
+  // flushed in while the job ran survive it, and logs it does not move
+  // stay, their dead records left to a later GC. A moved log still
+  // shared with a sibling partition after a split survives physically
+  // until the sibling moves it too (lazy split completion).
   VersionEdit edit;
-  for (const FileMeta& f : p->unsorted) edit.RemoveUnsortedFile(pid, f.number);
+  for (const FileMeta& f : tables) edit.RemoveUnsortedFile(pid, f.number);
   for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
+  for (const VlogMeta& v : logs) edit.RemoveValueLog(pid, v.number);
   for (const FileMeta& f : writer.outputs()) edit.AddSortedFile(pid, f);
-  if (separate && vlog_size > 0) {
-    VlogMeta v;
-    v.number = vlog_number;
-    v.size = vlog_size;
-    edit.AddValueLog(pid, v);
-  }
+  if (writer.vlog().number != 0) edit.AddValueLog(pid, writer.vlog());
   // Built off mu_; InstallUnsortedReplacement adds the survivors.
-  std::unique_ptr<HashIndex> index = NewHashIndex();
+  std::unique_ptr<HashIndex> index;
+  if (!tables.empty()) index = NewHashIndex();
 
   MutexLock lock(&mu_);
-  UnsortedInstall installed;
-  s = InstallUnsortedReplacement(*p, &edit, std::move(index), &installed);
-  if (s.ok()) {
-    runtime_.at(pid).vlog_garbage += garbage_added;
-    metrics_.CountJob(pid, {{"merges", 1},
-                            {"merge_bytes_read", bytes_read},
-                            {"merge_bytes_written", bytes_written}});
+  const uint64_t install_start_us = env_->NowMicros();
+  // Per-partition exclusivity means no other job can have touched this
+  // partition's sorted run or value logs, but verify rather than assume:
+  // installing over a changed sorted run would lose data.
+  const auto same_numbers = [](const auto& a, const auto& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const auto& x, const auto& y) {
+                        return x.number == y.number;
+                      });
+  };
+  const VersionPtr cur = versions_->current();
+  const std::shared_ptr<const PartitionState> cur_p = cur->FindById(pid);
+  if (cur_p == nullptr || !same_numbers(cur_p->sorted, p->sorted) ||
+      !same_numbers(cur_p->vlogs, p->vlogs)) {
+    assert(false && "partition changed under an exclusive rewrite");
+    return Status::OK();
+  }
 
+  if (!logs.empty() &&
+      TEST_gc_unsafe_delete_before_install_.load(std::memory_order_relaxed)) {
+    // Deliberately wrong ordering, enabled only by the crash harness: the
+    // moved logs must outlive a durable manifest install (the safe path
+    // defers deletion to RemoveObsoleteFiles). Deleting first loses live
+    // values if we crash before the install becomes durable. Logs still
+    // shared with a sibling partition stay (they are not obsolete even
+    // after this edit), matching what the buggy ordering would delete.
+    std::set<uint64_t> shared;
+    for (const auto& other : cur->partitions) {
+      if (other->id == pid) continue;
+      for (const VlogMeta& v : other->vlogs) shared.insert(v.number);
+    }
+    for (const VlogMeta& v : logs) {
+      if (shared.count(v.number)) continue;
+      vlog_cache_->Evict(v.number);
+      // Best-effort: a survivor costs disk until the next obsolete-file
+      // sweep retries it; the job itself already succeeded.
+      (void)env_->RemoveFile(ValueLogFileName(dbname_, v.number));
+    }
+  }
+  size_t survivors = 0;
+  s = tables.empty() ? versions_->LogAndApply(&edit)
+                     : InstallUnsortedReplacement(*p, &edit, std::move(index),
+                                                  0, &survivors);
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
+  if (s.ok()) {
+    // A job that moved every log leaves none of the old garbage behind.
+    uint64_t& garbage = runtime_.at(pid).vlog_garbage;
+    if (logs.size() == p->vlogs.size()) garbage = 0;
+    garbage += garbage_added;
+
+    // Each kind reports under its own names; the fields are the same.
+    metrics_.CountJob(
+        pid, {{merge ? "merges" : "gcs", 1},
+              {merge ? "merge_bytes_read" : "gc_bytes_read", bytes_read},
+              {merge ? "merge_bytes_written" : "gc_bytes_written",
+               bytes_written}});
     const uint64_t dur = env_->NowMicros() - start_us;
-    metrics_.merge_latency->Add(static_cast<double>(dur));
+    (merge ? metrics_.merge_latency : metrics_.gc_latency)
+        ->Add(static_cast<double>(dur));
     JsonBuilder ev;
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("input_tables", p->unsorted.size() + p->sorted.size());
+    ev.AddUint("input_tables", tables.size() + p->sorted.size());
+    ev.AddUint("input_vlogs", logs.size());
     ev.AddUint("output_tables", writer.outputs().size());
-    ev.AddUint("surviving_tables", installed.survivors);
-    ev.AddUint("vlog_bytes", vlog_size);
+    ev.AddUint("surviving_tables", survivors);
+    ev.AddUint("vlog_bytes", writer.vlog().size);
     ev.AddUint("garbage_added", garbage_added);
-    ev.AddUint("install_micros", installed.micros);
-    event_log_->Log("merge", &ev);
+    ev.AddUint("install_micros", install_us);
+    event_log_->Log(merge ? "merge" : "gc", &ev);
   }
   return s;
 }
@@ -595,7 +646,7 @@ std::pair<size_t, size_t> PickScanMergeRun(
   return {best_first, best_end};
 }
 
-Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
+Status UniKVDB::ScanMergeRun(std::shared_ptr<const PartitionState> p) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
 
@@ -616,7 +667,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
 
-  TableOutputWriter writer(this, TableOutputWriter::Store::kUnsorted);
+  TableOutputWriter writer(this, TableOutputWriter::Store::kUnsorted, pid);
   Status s;
   std::string current_user_key;
   bool has_current = false;
@@ -629,8 +680,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     has_current = true;
     // Tombstones are preserved: they still shadow older unsorted tables
     // and the SortedStore.
-    s = writer.Add(merged->key(), merged->value(),
-                   user_key.size() + merged->value().size());
+    s = writer.Add(merged->key(), merged->value());
   }
   if (s.ok()) s = merged->status();
   if (s.ok()) s = writer.Finish();
@@ -661,9 +711,10 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
   edit.AddUnsortedFile(pid, output);
 
   MutexLock lock(&mu_);
-  UnsortedInstall installed;
-  installed.indexed = kept + 1;
-  s = InstallUnsortedReplacement(*p, &edit, std::move(index), &installed);
+  const uint64_t install_start_us = env_->NowMicros();
+  s = InstallUnsortedReplacement(*p, &edit, std::move(index), kept + 1,
+                                 nullptr);
+  const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
     metrics_.CountJob(pid, {{"scan_merges", 1},
                             {"scan_merge_bytes_read", bytes_read},
@@ -679,7 +730,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("output_tables", writer.outputs().size());
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("install_micros", installed.micros);
+    ev.AddUint("install_micros", install_us);
     event_log_->Log("scan_merge", &ev);
   }
   return s;
@@ -688,8 +739,7 @@ Status UniKVDB::ScanMergePartition(std::shared_ptr<const PartitionState> p) {
 Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
                                            VersionEdit* edit,
                                            std::unique_ptr<HashIndex> index,
-                                           UnsortedInstall* result) {
-  const uint64_t start_us = env_->NowMicros();
+                                           size_t indexed, size_t* survivors) {
   const uint32_t pid = snap.id;
   // Nothing removes partitions, and the job's busy claim keeps other
   // per-partition jobs off this one.
@@ -705,211 +755,20 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
   // Each survivor costs one key-hash block read under mu_; survivors
   // exist only when a flush landed during the job. They are newer than
   // every snapshot table, so they follow the job's tables in the list.
+  size_t n = 0;
   for (const FileMeta& f : cur_p->unsorted) {
     if (in_snapshot.count(f.number)) continue;
-    Status s = InsertTableIntoIndex(index.get(), f,
-                                    result->indexed + result->survivors);
+    Status s = InsertTableIntoIndex(index.get(), f, indexed + n++);
     if (!s.ok()) return s;
-    result->survivors++;
   }
+  if (survivors != nullptr) *survivors = n;
 
   Status s = versions_->LogAndApply(edit);
-  result->micros = env_->NowMicros() - start_us;
   if (s.ok()) {
     // The cached anchor view dies with the consumed tables; the next
     // iterator builds one over what remains if two or more tables do.
     InstallAnchorViewLocked(pid, nullptr);
     runtime_.at(pid).index = std::move(index);
-  }
-  return s;
-}
-
-// --------------------------------------------------------------------- GC
-
-Status UniKVDB::GcPartition(std::shared_ptr<const PartitionState> p) {
-  const uint64_t start_us = env_->NowMicros();
-  const uint32_t pid = p->id;
-
-  // New value log for the rewritten live values.
-  TableOutputWriter writer(this, TableOutputWriter::Store::kSorted);
-  const uint64_t vlog_number = writer.NewFileNumber();
-  std::unique_ptr<WritableFile> vfile;
-  Status s =
-      env_->NewWritableFile(ValueLogFileName(dbname_, vlog_number), &vfile);
-  if (!s.ok()) return s;
-  ValueLogWriter vlog(std::move(vfile), pid, vlog_number);
-
-  // Scan the SortedStore (the authority on liveness), fetch every live
-  // value, append it to the new log, and write back keys + new pointers.
-  uint64_t bytes_read = p->SortedBytes();
-  std::unique_ptr<Iterator> iter(
-      NewSortedRunIterator(table_cache_.get(), p->sorted));
-
-  // Live values are fetched a batch at a time with one ValueFetcher call
-  // on this worker: pointers into the same log coalesce into span reads,
-  // each record is checked against its entry's user key, and the spans
-  // are copied, never mapped (GC sweeps whole logs, and ru_maxrss would
-  // count every mapped page). Fetch reorders its items, not the entries,
-  // so the new table and log are still written in key order.
-  struct Entry {
-    std::string internal_key;
-    std::string value;  // Inline value, or the fetched one.
-    bool is_pointer = false;
-    ValuePointer ptr;
-    Status status;
-  };
-  std::vector<Entry> batch;
-  std::vector<ValueFetcher::Item> items;
-  const size_t kBatchSize = 256;
-  ValueFetcher fetcher(vlog_cache_.get(), ValueFetcher::Spans::kCopied);
-
-  auto flush_batch = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
-    items.clear();
-    for (Entry& e : batch) {
-      if (e.is_pointer) {
-        items.push_back(ValueFetcher::Item{
-            e.ptr, ExtractUserKey(e.internal_key), &e.value, &e.status});
-      }
-    }
-    if (!items.empty()) fetcher.Fetch(items.data(), items.size());
-    std::string encoded;
-    for (Entry& e : batch) {
-      if (!e.status.ok()) return e.status;
-      Slice user_key = ExtractUserKey(e.internal_key);
-      Slice out_value(e.value);
-      if (e.is_pointer) {
-        bytes_read += e.ptr.size;
-        ValuePointer new_ptr;
-        Status rs = vlog.Add(user_key, e.value, &new_ptr);
-        if (!rs.ok()) return rs;
-        encoded.clear();
-        new_ptr.EncodeTo(&encoded);
-        out_value = Slice(encoded);
-      }
-      Status rs = writer.Add(e.internal_key, out_value,
-                             user_key.size() + e.value.size());
-      if (!rs.ok()) return rs;
-    }
-    batch.clear();
-    return Status::OK();
-  };
-
-  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
-    Entry e;
-    e.internal_key = iter->key().ToString();
-    ValueType type = ExtractValueType(iter->key());
-    if (type == kTypeValuePointer) {
-      Slice encoded = iter->value();
-      if (!e.ptr.DecodeFrom(&encoded)) {
-        s = Status::Corruption("bad value pointer during GC");
-        break;
-      }
-      e.is_pointer = true;
-    } else {
-      e.value = iter->value().ToString();
-    }
-    batch.push_back(std::move(e));
-    if (batch.size() >= kBatchSize) {
-      s = flush_batch();
-    }
-  }
-  if (s.ok()) s = iter->status();
-  if (s.ok()) s = flush_batch();
-  if (s.ok()) s = writer.Finish();
-
-  uint64_t vlog_size = vlog.CurrentOffset();
-  if (s.ok() && vlog_size > 0) {
-    s = vlog.Sync();
-    if (s.ok()) s = vlog.Close();
-  }
-  if (!s.ok()) return s;
-  const uint64_t bytes_written = writer.bytes_written() + vlog_size;
-
-  // Install atomically: old sorted tables and this partition's references
-  // to the old logs go away; shared logs survive physically until the
-  // sibling partition GCs too (lazy split completion).
-  VersionEdit edit;
-  for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
-  for (const VlogMeta& v : p->vlogs) edit.RemoveValueLog(pid, v.number);
-  for (const FileMeta& f : writer.outputs()) edit.AddSortedFile(pid, f);
-  if (vlog_size > 0) {
-    VlogMeta v;
-    v.number = vlog_number;
-    v.size = vlog_size;
-    edit.AddValueLog(pid, v);
-  }
-
-  MutexLock lock(&mu_);
-  const uint64_t install_start_us = env_->NowMicros();
-
-  // Re-validate: per-partition exclusivity means no other job can have
-  // touched this partition's sorted run or value logs, but verify rather
-  // than assume — installing over a changed sorted run would lose data.
-  {
-    std::shared_ptr<const PartitionState> cur_p =
-        versions_->current()->FindById(pid);
-    bool unchanged = cur_p != nullptr &&
-                     cur_p->sorted.size() == p->sorted.size() &&
-                     cur_p->vlogs.size() == p->vlogs.size();
-    for (size_t i = 0; unchanged && i < p->sorted.size(); i++) {
-      unchanged = cur_p->sorted[i].number == p->sorted[i].number;
-    }
-    for (size_t i = 0; unchanged && i < p->vlogs.size(); i++) {
-      unchanged = cur_p->vlogs[i].number == p->vlogs[i].number;
-    }
-    if (!unchanged) {
-      assert(false && "partition changed under an exclusive GC");
-      return Status::OK();
-    }
-  }
-
-  if (TEST_gc_unsafe_delete_before_install_.load(std::memory_order_relaxed)) {
-    // Deliberately wrong ordering, enabled only by the crash harness: the
-    // old logs must outlive a durable manifest install (the safe path
-    // defers deletion to RemoveObsoleteFiles). Deleting first loses live
-    // values if we crash before the install becomes durable. Logs still
-    // shared with a sibling partition stay (they are not obsolete even
-    // after this edit), matching what the buggy ordering would delete.
-    VersionPtr cur = versions_->current();
-    for (const VlogMeta& v : p->vlogs) {
-      bool shared = false;
-      for (const auto& other : cur->partitions) {
-        if (other->id == pid) continue;
-        for (const VlogMeta& ov : other->vlogs) {
-          if (ov.number == v.number) {
-            shared = true;
-            break;
-          }
-        }
-      }
-      if (shared) continue;
-      vlog_cache_->Evict(v.number);
-      // Best-effort: a survivor costs disk until the next obsolete-file
-      // sweep retries it; GC itself already succeeded.
-      (void)env_->RemoveFile(ValueLogFileName(dbname_, v.number));
-    }
-  }
-  s = versions_->LogAndApply(&edit);
-  const uint64_t install_us = env_->NowMicros() - install_start_us;
-  if (s.ok()) {
-    runtime_.at(pid).vlog_garbage = 0;
-    metrics_.CountJob(pid, {{"gcs", 1},
-                            {"gc_bytes_read", bytes_read},
-                            {"gc_bytes_written", bytes_written}});
-
-    const uint64_t dur = env_->NowMicros() - start_us;
-    metrics_.gc_latency->Add(static_cast<double>(dur));
-    JsonBuilder ev;
-    ev.AddUint("partition", pid);
-    ev.AddUint("duration_micros", dur);
-    ev.AddUint("bytes_read", bytes_read);
-    ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("input_vlogs", p->vlogs.size());
-    ev.AddUint("output_tables", writer.outputs().size());
-    ev.AddUint("vlog_bytes", vlog_size);
-    ev.AddUint("install_micros", install_us);
-    event_log_->Log("gc", &ev);
   }
   return s;
 }

@@ -85,8 +85,6 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
     *type = FileType::kTableFile;
   } else if (suffix == "vlog") {
     *type = FileType::kValueLogFile;
-  } else if (suffix == "anchors") {
-    *type = FileType::kAnchorsFile;
   } else if (suffix == "tmp") {
     *type = FileType::kTempFile;
   } else {

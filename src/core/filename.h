@@ -8,11 +8,10 @@ namespace unikv {
 
 /// File kinds living inside a DB directory.
 enum class FileType {
-  kWalFile,        // %06llu.wal (legacy single-queue WAL; still replayed)
-  kShardWalFile,   // %06llu.swal (per-shard WAL, written since write_shards)
+  kWalFile,        // %06llu.wal (the LSM baselines' WAL)
+  kShardWalFile,   // %06llu.swal (UniKV's per-shard WAL)
   kTableFile,      // %06llu.sst
   kValueLogFile,   // %06llu.vlog
-  kAnchorsFile,    // %06llu.anchors (retired persisted anchor view; swept)
   kManifestFile,   // MANIFEST-%06llu
   kCurrentFile,    // CURRENT
   kTempFile,       // %06llu.tmp

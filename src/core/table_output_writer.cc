@@ -1,6 +1,7 @@
 #include "core/table_output_writer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 #include "core/filename.h"
@@ -28,9 +29,11 @@ TableOptions SortedTableOptions(const Options& options) {
 
 }  // namespace
 
-UniKVDB::TableOutputWriter::TableOutputWriter(UniKVDB* db, Store store)
+UniKVDB::TableOutputWriter::TableOutputWriter(UniKVDB* db, Store store,
+                                              uint32_t partition)
     : db_(db),
       unsorted_(store == Store::kUnsorted),
+      partition_(partition),
       table_options_(store == Store::kSorted
                          ? SortedTableOptions(db->options_)
                          : db->options_.table_options),
@@ -59,8 +62,17 @@ uint64_t UniKVDB::TableOutputWriter::NewFileNumber() {
 }
 
 Status UniKVDB::TableOutputWriter::Add(const Slice& internal_key,
-                                       const Slice& value, uint64_t governed) {
+                                       const Slice& value) {
   const Slice user_key = ExtractUserKey(internal_key);
+  uint64_t logical = user_key.size() + value.size();
+  if (ExtractValueType(internal_key) == kTypeValuePointer) {
+    ValuePointer ptr;
+    Slice encoded = value;
+    if (!ptr.DecodeFrom(&encoded)) {
+      return Status::Corruption("bad value pointer in table output");
+    }
+    logical = user_key.size() + ptr.size;
+  }
   if (builder_ == nullptr) {
     outputs_.emplace_back();
     FileMeta& meta = outputs_.back();
@@ -73,19 +85,62 @@ Status UniKVDB::TableOutputWriter::Add(const Slice& internal_key,
   }
   builder_->Add(internal_key, value);
   FileMeta& meta = outputs_.back();
-  meta.logical += governed;
+  meta.logical += logical;
   if (unsorted_ && (key_hashes_.empty() || Slice(meta.largest) != user_key)) {
     key_hashes_.push_back(HashIndex::KeyHash(user_key));
   }
   meta.largest.assign(user_key.data(), user_key.size());
   if (builder_->FileSize() >= rotation_size_ ||
       meta.logical >= rotation_logical_) {
-    return Finish();
+    return FinishTable();
   }
   return Status::OK();
 }
 
+Status UniKVDB::TableOutputWriter::AddValue(const Slice& user_key,
+                                            SequenceNumber seq,
+                                            const Slice& value) {
+  assert(!unsorted_);
+  const Options& options = db_->options_;
+  key_.clear();
+  if (!options.enable_kv_separation ||
+      value.size() < options.value_separation_threshold) {
+    AppendInternalKey(&key_, ParsedInternalKey(user_key, seq, kTypeValue));
+    return Add(key_, value);
+  }
+  if (vlog_writer_ == nullptr) {
+    const uint64_t number = NewFileNumber();
+    std::unique_ptr<WritableFile> f;
+    Status s =
+        db_->env_->NewWritableFile(ValueLogFileName(db_->dbname_, number), &f);
+    if (!s.ok()) return s;
+    vlog_writer_ =
+        std::make_unique<ValueLogWriter>(std::move(f), partition_, number);
+    vlog_.number = number;
+  }
+  ValuePointer ptr;
+  Status s = vlog_writer_->Add(user_key, value, &ptr);
+  if (!s.ok()) return s;
+  pointer_.clear();
+  ptr.EncodeTo(&pointer_);
+  AppendInternalKey(&key_,
+                    ParsedInternalKey(user_key, seq, kTypeValuePointer));
+  return Add(key_, pointer_);
+}
+
 Status UniKVDB::TableOutputWriter::Finish() {
+  Status s = FinishTable();
+  if (s.ok() && vlog_writer_ != nullptr) {
+    s = vlog_writer_->Sync();
+    if (s.ok()) s = vlog_writer_->Close();
+    vlog_.size = vlog_writer_->CurrentOffset();
+    bytes_written_ += vlog_.size;
+    vlog_writer_.reset();
+  }
+  return s;
+}
+
+Status UniKVDB::TableOutputWriter::FinishTable() {
   if (builder_ == nullptr) return Status::OK();
   Status s = builder_->Finish(unsorted_ ? &key_hashes_ : nullptr);
   if (s.ok()) s = file_->Sync();

@@ -282,10 +282,9 @@ Status UniKVDB::Recover() {
   s = versions_->Recover(options_.create_if_missing, options_.error_if_exists);
   if (!s.ok()) return s;
 
-  // Collect WAL files newer than the manifest's log number: per-shard
-  // .swal files plus legacy single-queue .wal files (a DB written before
-  // sharding, or with a different shard count, recovers the same way —
-  // the shard mapping is not persisted).
+  // Collect the shard WALs newer than the manifest's log number. A DB
+  // written with a different shard count recovers the same way: the
+  // shard mapping is not persisted.
   std::vector<std::string> children;
   s = env_->GetChildren(dbname_, &children);
   if (!s.ok()) return s;
@@ -295,7 +294,7 @@ Status UniKVDB::Recover() {
     uint64_t number;
     FileType type;
     if (ParseFileName(child, &number, &type) &&
-        (type == FileType::kWalFile || type == FileType::kShardWalFile) &&
+        type == FileType::kShardWalFile &&
         number >= versions_->LogNumber()) {
       wal_numbers.push_back(number);
       wal_files.push_back(dbname_ + "/" + child);
@@ -510,7 +509,6 @@ void UniKVDB::RemoveObsoleteFiles() {
     if (!ParseFileName(child, &number, &type)) continue;
     bool keep = true;
     switch (type) {
-      case FileType::kWalFile:
       case FileType::kShardWalFile:
         keep = number >= log_number;
         break;
@@ -521,10 +519,10 @@ void UniKVDB::RemoveObsoleteFiles() {
       case FileType::kValueLogFile:
         keep = live.count(number) > 0;
         break;
-      case FileType::kAnchorsFile:  // Anchor views are no longer persisted.
       case FileType::kTempFile:
         keep = false;
         break;
+      case FileType::kWalFile:  // The LSM baselines' WAL; UniKV writes none.
       case FileType::kCurrentFile:
       case FileType::kUnknown:
         keep = true;

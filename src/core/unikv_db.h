@@ -367,30 +367,27 @@ class UniKVDB : public DB {
 
   /// Installs `edit`, a merge or scan-merge of `snap` (partition
   /// `snap.id` as the job saw it). The caller builds `index` off mu_ over
-  /// the first `result->indexed` positions of the list the edit leaves:
-  /// every table of `snap` the edit keeps and the job's own unsorted
-  /// output. Tables flushed into the partition while the job ran survive
-  /// the edit (removals are by number) at the positions after those:
-  /// their key-hash blocks are added to `index`, and `index` becomes the
-  /// partition's hash index once the edit is applied. Also drops the
-  /// partition's cached anchor view. Call it as soon as mu_ is taken: the
-  /// EVENTS install_micros it reports runs from its entry to
-  /// LogAndApply's return.
-  struct UnsortedInstall {
-    size_t indexed = 0;    // In: positions the job's index covers.
-    size_t survivors = 0;  // Out: tables flushed in while the job ran.
-    uint64_t micros = 0;   // Out: EVENTS install_micros.
-  };
+  /// the first `indexed` positions of the list the edit leaves: every
+  /// table of `snap` the edit keeps and the job's own unsorted output.
+  /// Tables flushed into the partition while the job ran survive the
+  /// edit (removals are by number) at the positions after those: their
+  /// key-hash blocks are added to `index` (and counted in *survivors,
+  /// if given), and `index` becomes the partition's hash index once the
+  /// edit is applied. Also drops the partition's cached anchor view.
   Status InstallUnsortedReplacement(const PartitionState& snap,
                                     VersionEdit* edit,
                                     std::unique_ptr<HashIndex> index,
-                                    UnsortedInstall* result) REQUIRES(mu_);
+                                    size_t indexed, size_t* survivors)
+      REQUIRES(mu_);
 
-  Status MergePartition(std::shared_ptr<const PartitionState> p)
-      EXCLUDES(mu_);
-  Status ScanMergePartition(std::shared_ptr<const PartitionState> p)
-      EXCLUDES(mu_);
-  Status GcPartition(std::shared_ptr<const PartitionState> p) EXCLUDES(mu_);
+  /// The SortedStore rewrite job (DESIGN.md §5), run as a merge (`kind`
+  /// kMerge: consumes every unsorted table of `p`) or a GC (kGc: moves
+  /// the live values of every value log of `p`). Either way one pass
+  /// over the inputs and the sorted run writes a new sorted run and at
+  /// most one new value log.
+  Status RewritePartition(std::shared_ptr<const PartitionState> p,
+                          WorkKind kind) EXCLUDES(mu_);
+  Status ScanMergeRun(std::shared_ptr<const PartitionState> p) EXCLUDES(mu_);
   Status SplitPartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);
 

@@ -59,11 +59,9 @@ enum EditTag : uint32_t {
   kRemoveSorted = 9,
   kAddVlog = 10,
   kRemoveVlog = 11,
-  // 12 is retired (it named a hash-index checkpoint file). Not reused, so
-  // a MANIFEST of a store from before key-hash blocks fails to decode.
-  // Retired: pointed a partition at its persisted <n>.anchors file.
-  // Decoded and dropped so older MANIFESTs still open; never encoded.
-  kRetiredAnchorView = 13,
+  // 12 (a hash-index checkpoint file) and 13 (a persisted anchor view)
+  // are retired and never reused: a MANIFEST of a store from before
+  // key-hash blocks fails to decode (DESIGN.md §2).
 };
 
 void PutFileMeta(std::string* dst, const FileMeta& f) {
@@ -225,11 +223,6 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
           return Status::Corruption("bad edit: remove vlog");
         }
         removed_vlogs_.emplace_back(pid, number);
-        break;
-      case kRetiredAnchorView:
-        if (!GetVarint32(&input, &pid) || !GetVarint64(&input, &number)) {
-          return Status::Corruption("bad edit: anchor view");
-        }
         break;
       default:
         return Status::Corruption("unknown version edit tag");

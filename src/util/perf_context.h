@@ -16,10 +16,11 @@ namespace unikv {
 /// thread until Reset(); callers that want per-operation numbers snapshot
 /// the struct before the operation and subtract (DeltaSince).
 ///
-/// Caveat: work handed to other threads (parallel value fetches during
-/// scans/GC) lands in *those* threads' contexts. The engine-wide
-/// MetricsRegistry counters (see util/metrics.h) do cover cross-thread
-/// work; PerfContext is for tracing what the calling thread did.
+/// An operation's work, value fetches included, runs on its calling
+/// thread, and a background job's on its worker, so each lands in that
+/// thread's context. The engine-wide MetricsRegistry counters (see
+/// util/metrics.h) cover every thread; PerfContext is for tracing what
+/// the calling thread did.
 struct PerfContext {
   // Operation counts.
   uint64_t gets = 0;

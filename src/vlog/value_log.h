@@ -56,7 +56,6 @@ class ValueLogWriter {
   Status Close() { return file_->Close(); }
 
   uint64_t CurrentOffset() const { return offset_; }
-  uint64_t log_number() const { return log_number_; }
 
  private:
   std::unique_ptr<WritableFile> file_;

@@ -6,13 +6,11 @@
 // and recovery epochs, with inline and log-separated values, under a
 // pinned snapshot, and with scanners racing each other and a concurrent
 // flusher to build and publish views. Lifecycle tests check that views
-// are built on demand by iterators only, and that legacy .anchors files
-// are swept.
+// are built on demand by iterators only.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -21,7 +19,6 @@
 #include <vector>
 
 #include "core/db.h"
-#include "core/filename.h"
 #include "test_util.h"
 #include "util/env.h"
 #include "util/random.h"
@@ -206,7 +203,6 @@ class DbAnchorViewTest : public testing::Test {
     ASSERT_TRUE(db_->CompactAll().ok());
     // Dozens of flushes (and merges) without a scan build nothing.
     EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
-    EXPECT_TRUE(AnchorsFiles().empty());
     opt_ = AnchorOptions();
     Reopen(/*enable_anchor_view=*/true);
 
@@ -234,23 +230,6 @@ class DbAnchorViewTest : public testing::Test {
     ASSERT_GE(*stacked, 2) << sstables;
 
     EXPECT_EQ(0.0, MetricValue(db_.get(), "anchor_view_builds"));
-    EXPECT_TRUE(AnchorsFiles().empty());
-  }
-
-  std::vector<std::string> AnchorsFiles() {
-    std::vector<std::string> children, out;
-    // Empty-on-failure is fine: the assertions on `out` then fail with
-    // the missing-file story the test is about.
-    (void)Env::Default()->GetChildren(dir_, &children);
-    for (const std::string& c : children) {
-      uint64_t number;
-      FileType type;
-      if (ParseFileName(c, &number, &type) &&
-          type == FileType::kAnchorsFile) {
-        out.push_back(dir_ + "/" + c);
-      }
-    }
-    return out;
   }
 
   Options opt_;
@@ -451,7 +430,7 @@ TEST_F(DbAnchorViewTest, ScanFetchesValuesAcrossEpochs) {
 }
 
 // Views are built on demand by iterators, never by installs: flushes
-// alone build nothing and write no .anchors file; the first scan builds,
+// alone build nothing; the first scan builds,
 // a repeat scan reuses the cache, and after one more flush only the
 // partition that flush touched is rebuilt.
 TEST_F(DbAnchorViewTest, ViewLifecycleIsDrivenByIterators) {
@@ -474,7 +453,6 @@ TEST_F(DbAnchorViewTest, ViewLifecycleIsDrivenByIterators) {
   ASSERT_TRUE(db_->FlushMemTable().ok());
   ExpectMatchesModel(model);
   EXPECT_EQ(views + 1, MetricValue(db_.get(), "anchor_view_builds"));
-  EXPECT_TRUE(AnchorsFiles().empty());
 }
 
 // Partition pruning: a Scan that stays inside one partition builds only
@@ -566,31 +544,6 @@ TEST_F(DbAnchorViewTest, ScanConfinedToOnePartitionOpensOnlyIt) {
     EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
   }
   EXPECT_EQ(before + 2, MetricValue(db_.get(), "iterator_partitions_opened"));
-}
-
-// Earlier versions persisted views as <n>.anchors files. A store that
-// still holds one opens normally, the file is swept, and scans (which
-// rebuild the views in memory) match the model.
-TEST_F(DbAnchorViewTest, LegacyAnchorsFilesAreSwept) {
-  Open(AnchorOptions(), "anchor_legacy");
-  std::map<std::string, std::string> model;
-  FillManyTables(&model);
-  db_.reset();
-
-  const std::string legacy = dir_ + "/999999.anchors";
-  std::FILE* f = std::fopen(legacy.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not an anchor view", f);
-  std::fclose(f);
-  ASSERT_EQ(1u, AnchorsFiles().size());
-
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(opt_, dir_, &raw).ok());
-  db_.reset(raw);
-  EXPECT_FALSE(Env::Default()->FileExists(legacy));
-  EXPECT_TRUE(AnchorsFiles().empty());
-  ExpectMatchesModel(model);
-  EXPECT_GT(MetricValue(db_.get(), "scan_anchor_hits"), 0.0);
 }
 
 // fill_cache=false reads bypass block-cache insertion but return the

@@ -11,6 +11,7 @@
 #include "core/filename.h"
 #include "core/unikv_db.h"
 #include "test_util.h"
+#include "util/coding.h"
 #include "util/fault_injection_env.h"
 #include "util/random.h"
 #include "vlog/value_log.h"
@@ -208,6 +209,105 @@ TEST_F(DbGcTest, ObsoleteFilesAreDeleted) {
   }
   EXPECT_LE(wals, 2);
   EXPECT_EQ(0, tmps);
+}
+
+uint64_t EngineCounter(DB* db, const char* name) {
+  return static_cast<UniKVDB*>(db)->TEST_metrics().SnapshotCounters()
+      .engine.at(name);
+}
+
+// A GC sends each value it moves through the same separation rule as a
+// merge: reopened with KV separation off, it moves the live values of
+// the old logs inline and leaves the partition with no value log.
+TEST_F(DbGcTest, GcMovesValuesInlineWithSeparationOff) {
+  Options opt = GcOptions();
+  Open(opt, "gc_inline");
+  const int kKeys = 300;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kKeys; i++) {
+    model[test::TestKey(i)] = test::TestValue(i, 1024);
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), test::TestKey(i), model[test::TestKey(i)])
+            .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  ASSERT_GT(DirBytes(dir_, FileType::kValueLogFile), 0u);
+  db_.reset();
+
+  opt.enable_kv_separation = false;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, dir_, &raw).ok());
+  db_.reset(raw);
+  // The merge keeps the overwritten keys inline and turns their old
+  // records into garbage, so CompactAll follows it with a GC.
+  for (int i = 0; i < kKeys; i += 3) {
+    model[test::TestKey(i)] = test::TestValue(i + kKeys, 1024);
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), test::TestKey(i), model[test::TestKey(i)])
+            .ok());
+  }
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_GE(EngineCounter(db_.get(), "gcs"), 1u);
+  EXPECT_EQ(0u, DirBytes(dir_, FileType::kValueLogFile));
+  std::string json;
+  ASSERT_TRUE(db_->GetProperty("db.metrics.json", &json));
+  for (size_t pos = 0;
+       (pos = json.find("\"vlog_files\":", pos)) != std::string::npos;) {
+    pos += 13;
+    EXPECT_EQ(0u, std::stoull(json.substr(pos))) << json;
+  }
+  for (const auto& [key, expected] : model) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
+    EXPECT_EQ(expected, value) << key;
+  }
+}
+
+// Every SortedStore entry's logical size is its key plus its inline
+// value or its pointed-to value-log record, whichever job wrote it: after
+// a GC over separated values, each partition's logical_bytes is the sum
+// of key size plus record size over its live keys.
+TEST_F(DbGcTest, LogicalBytesCountPointedToRecords) {
+  Open(GcOptions(), "gc_logical");
+  const int kKeys = 300;
+  const size_t kValueSize = 1024;
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < kKeys; i += round + 1) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i + round * kKeys, kValueSize))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->CompactAll().ok());
+  }
+  ASSERT_GE(EngineCounter(db_.get(), "gcs"), 1u);
+
+  // Each partition's lower bound and logical_bytes, in key order.
+  std::string json;
+  ASSERT_TRUE(db_->GetProperty("db.metrics.json", &json));
+  std::vector<std::pair<std::string, uint64_t>> parts;
+  for (size_t pos = 0;
+       (pos = json.find("\"lower_bound\":\"", pos)) != std::string::npos;) {
+    pos += 15;
+    const size_t end = json.find('"', pos);
+    const size_t logical = json.find("\"logical_bytes\":", end);
+    ASSERT_NE(std::string::npos, logical) << json;
+    parts.emplace_back(json.substr(pos, end - pos),
+                       std::stoull(json.substr(logical + 16)));
+  }
+  ASSERT_FALSE(parts.empty()) << json;
+  std::vector<uint64_t> expected(parts.size(), 0);
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = test::TestKey(i);
+    size_t k = 0;
+    while (k + 1 < parts.size() && parts[k + 1].first <= key) k++;
+    const uint64_t record = 4 + VarintLength(key.size()) +
+                            VarintLength(kValueSize) + key.size() +
+                            kValueSize;
+    expected[k] += key.size() + record;
+  }
+  for (size_t k = 0; k < parts.size(); k++) {
+    EXPECT_EQ(expected[k], parts[k].second) << "partition " << k;
+  }
 }
 
 // Two records of the same size swapped inside a .vlog file keep valid

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/db.h"
+#include "core/unikv_db.h"
 #include "test_util.h"
 
 namespace unikv {
@@ -37,6 +38,15 @@ std::vector<std::string> ReadLines(const std::string& path) {
   if (!current.empty()) lines.push_back(current);
   std::fclose(f);
   return lines;
+}
+
+// The unsigned field `name` of an EVENTS line; fails the test if absent.
+uint64_t FieldOf(const std::string& line, const std::string& name) {
+  const std::string tag = "\"" + name + "\":";
+  const size_t pos = line.find(tag);
+  EXPECT_NE(pos, std::string::npos) << name << " missing: " << line;
+  if (pos == std::string::npos) return 0;
+  return std::stoull(line.substr(pos + tag.size()));
 }
 
 TEST(EventLoggerTest, WritesOneJsonObjectPerLine) {
@@ -175,13 +185,32 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
       ReadLines(dir + "/" + EventLogger::kFileName);
   ASSERT_FALSE(lines.empty());
 
-  int flushes = 0, merges = 0;
+  // Merge and GC are one job body; each kind's line keeps its name and
+  // fields, and perfbench sums their bytes_written.
+  const char* const kMergeFields[] = {
+      "bytes_read",    "bytes_written",    "input_tables",
+      "output_tables", "surviving_tables", "vlog_bytes",
+      "garbage_added", "install_micros"};
+  const char* const kGcFields[] = {"bytes_read",    "bytes_written",
+                                   "input_vlogs",   "output_tables",
+                                   "vlog_bytes",    "install_micros"};
+  int flushes = 0, merges = 0, gcs = 0;
+  uint64_t merge_bytes_written = 0, gc_bytes_written = 0;
   for (const std::string& line : lines) {
     EXPECT_TRUE(test::IsValidJson(line)) << line;
     EXPECT_NE(line.find("\"duration_micros\":"), std::string::npos) << line;
     EXPECT_NE(line.find("\"ts_micros\":"), std::string::npos) << line;
     if (line.find("\"event\":\"flush\"") != std::string::npos) flushes++;
-    if (line.find("\"event\":\"merge\"") != std::string::npos) merges++;
+    if (line.find("\"event\":\"merge\"") != std::string::npos) {
+      merges++;
+      for (const char* field : kMergeFields) FieldOf(line, field);
+      merge_bytes_written += FieldOf(line, "bytes_written");
+    }
+    if (line.find("\"event\":\"gc\"") != std::string::npos) {
+      gcs++;
+      for (const char* field : kGcFields) FieldOf(line, field);
+      gc_bytes_written += FieldOf(line, "bytes_written");
+    }
     // Every job that installs a version reports how long it held the DB
     // mutex for the install, at most its whole duration.
     for (const char* kind : {"flush", "merge", "scan_merge", "gc", "split"}) {
@@ -199,6 +228,7 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
   }
   EXPECT_GT(flushes, 0);
   EXPECT_GT(merges, 0);
+  EXPECT_GT(gcs, 0);
 
   // The event counts match what db.stats reports: one line per job.
   std::string stats;
@@ -209,6 +239,12 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
   EXPECT_NE(stats.find(" merges=" + std::to_string(merges)),
             std::string::npos)
       << stats;
+  EXPECT_NE(stats.find(" gcs=" + std::to_string(gcs)), std::string::npos)
+      << stats;
+  const CounterSnapshot counters =
+      static_cast<UniKVDB*>(db.get())->TEST_metrics().SnapshotCounters();
+  EXPECT_EQ(merge_bytes_written, counters.engine.at("merge_bytes_written"));
+  EXPECT_EQ(gc_bytes_written, counters.engine.at("gc_bytes_written"));
 
   // EVENTS must survive RemoveObsoleteFiles (it is not a tracked file
   // type) and reopen.

@@ -10,10 +10,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/filename.h"
 #include "util/coding.h"
 #include "util/env.h"
-#include "wal/log_writer.h"
 
 namespace unikv {
 namespace {
@@ -51,42 +49,17 @@ TEST(VersionEdit, EncodeDecodeRoundTrip) {
   EXPECT_EQ(encoded, reencoded);
 }
 
-// Stores from before anchor views stopped being persisted carry edit tag
-// 13 (pid, number of the partition's .anchors file). The tag still
-// decodes and is dropped, so new edits never emit it.
-constexpr uint32_t kRetiredAnchorViewTag = 13;
-
-void AppendRetiredAnchorView(std::string* dst, uint32_t pid,
-                             uint64_t number) {
-  PutVarint32(dst, kRetiredAnchorViewTag);
-  PutVarint32(dst, pid);
-  PutVarint64(dst, number);
-}
-
-TEST(VersionEdit, RetiredAnchorViewTagDecodesAndIsDropped) {
-  VersionEdit edit;
-  FileMeta f;
-  f.number = 10;
-  f.size = 100;
-  f.smallest = "a";
-  f.largest = "m";
-  edit.AddUnsortedFile(0, f);
-  std::string current;
-  edit.EncodeTo(&current);
-
-  std::string legacy = current;
-  AppendRetiredAnchorView(&legacy, 0, 11);
-  VersionEdit decoded;
-  ASSERT_TRUE(decoded.DecodeFrom(Slice(legacy)).ok());
-  std::string reencoded;
-  decoded.EncodeTo(&reencoded);
-  EXPECT_EQ(current, reencoded);
-
-  // A truncated tag-13 record is still corruption.
-  std::string truncated = current;
-  PutVarint32(&truncated, kRetiredAnchorViewTag);
-  PutVarint32(&truncated, 0);
-  EXPECT_FALSE(decoded.DecodeFrom(Slice(truncated)).ok());
+// Tags 12 (a hash-index checkpoint) and 13 (a persisted anchor view) are
+// retired: an edit carrying either does not decode.
+TEST(VersionEdit, RetiredTagsDoNotDecode) {
+  for (uint32_t tag : {12u, 13u}) {
+    std::string encoded;
+    PutVarint32(&encoded, tag);
+    PutVarint32(&encoded, 0);
+    PutVarint64(&encoded, 11);
+    VersionEdit edit;
+    EXPECT_TRUE(edit.DecodeFrom(Slice(encoded)).IsCorruption()) << tag;
+  }
 }
 
 TEST(VersionEdit, DecodeRejectsGarbage) {
@@ -255,51 +228,6 @@ TEST(VersionSet, PinnedVersionsKeepFilesLive) {
   live.clear();
   versions.AddLiveFiles(&live);
   EXPECT_FALSE(live.count(77));
-}
-
-// A MANIFEST whose records carry the retired anchor-view tag (as a
-// flush install used to write) recovers; Apply ignores the tag, so the
-// old .anchors file is not live and the sweep deletes it.
-TEST(VersionSet, RecoversManifestWithRetiredAnchorViewTag) {
-  std::unique_ptr<MemEnv> env(NewMemEnv());
-  uint64_t manifest = 0;
-  {
-    VersionSet versions(env.get(), "/db6");
-    ASSERT_TRUE(versions.Recover(true, false).ok());
-    manifest = versions.ManifestFileNumber();
-  }
-
-  VersionEdit edit;
-  FileMeta f;
-  f.number = 20;
-  f.size = 100;
-  f.smallest = "a";
-  f.largest = "m";
-  edit.AddUnsortedFile(0, f);
-  edit.SetNextFileNumber(30);
-  std::string record;
-  edit.EncodeTo(&record);
-  AppendRetiredAnchorView(&record, 0, 21);
-  AppendRetiredAnchorView(&record, 7, 22);  // Even for an unknown partition.
-
-  const std::string fname = ManifestFileName("/db6", manifest);
-  uint64_t size = 0;
-  ASSERT_TRUE(env->GetFileSize(fname, &size).ok());
-  std::unique_ptr<WritableFile> file;
-  ASSERT_TRUE(env->NewAppendableFile(fname, &file).ok());
-  log::Writer writer(file.get(), size);
-  ASSERT_TRUE(writer.AddRecord(record).ok());
-  ASSERT_TRUE(file->Close().ok());
-
-  VersionSet versions(env.get(), "/db6");
-  ASSERT_TRUE(versions.Recover(false, false).ok());
-  ASSERT_EQ(1u, versions.current()->partitions.size());
-  ASSERT_EQ(1u, versions.current()->partitions[0]->unsorted.size());
-  std::set<uint64_t> live;
-  versions.AddLiveFiles(&live);
-  EXPECT_TRUE(live.count(20));
-  EXPECT_FALSE(live.count(21));
-  EXPECT_FALSE(live.count(22));
 }
 
 TEST(VersionSet, ErrorIfExists) {
