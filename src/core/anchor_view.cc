@@ -39,12 +39,17 @@ bool DecodeAnchor(Slice value, Anchor* a) {
 
 /// Walks one table block by block (via its index block), so every entry
 /// comes with the file offset of its data block and a restart slot hint.
+/// Only the entries whose user key lies in [lower, upper) are yielded (an
+/// empty `upper` is no bound); the walk starts at the block holding
+/// `lower`.
 class TableSource {
  public:
   TableSource(TableCache* cache, const FileMeta& meta, uint32_t ordinal,
-              int restart_interval)
+              int restart_interval, const Slice& lower, const Slice& upper)
       : ordinal_(ordinal),
-        restart_interval_(restart_interval < 1 ? 1 : restart_interval) {
+        restart_interval_(restart_interval < 1 ? 1 : restart_interval),
+        lower_(lower),
+        upper_(upper) {
     const Table* table = nullptr;
     // The iterator is kept solely as the table-cache pin for `table`.
     pin_.reset(cache->NewIterator(meta.number, meta.size, &table,
@@ -56,12 +61,22 @@ class TableSource {
     }
     table_ = table;
     index_iter_.reset(table_->NewIndexIterator());
-    index_iter_->SeekToFirst();
+    if (lower_.empty()) {
+      index_iter_->SeekToFirst();
+    } else {
+      std::string target;
+      AppendInternalKey(&target, ParsedInternalKey(lower_, kMaxSequenceNumber,
+                                                   kValueTypeForSeek));
+      index_iter_->Seek(target);
+    }
     InitDataBlock();
+    // Counted steps, so restart hints stay exact; within one block.
+    while (Valid() && ExtractUserKey(key()).compare(lower_) < 0) Next();
   }
 
   bool Valid() const {
-    return status_.ok() && data_iter_ != nullptr && data_iter_->Valid();
+    return status_.ok() && data_iter_ != nullptr && data_iter_->Valid() &&
+           (upper_.empty() || ExtractUserKey(key()).compare(upper_) < 0);
   }
 
   void Next() {
@@ -127,6 +142,7 @@ class TableSource {
 
   const uint32_t ordinal_;
   const int restart_interval_;
+  const Slice lower_, upper_;
   const Table* table_ = nullptr;
   std::unique_ptr<Iterator> pin_;
   std::unique_ptr<Iterator> index_iter_;
@@ -197,23 +213,30 @@ Status MergeSources(const InternalKeyComparator& icmp,
 
 }  // namespace
 
-bool AnchorView::Covers(const std::vector<FileMeta>& unsorted) const {
-  if (covered.size() != unsorted.size()) return false;
-  for (size_t i = 0; i < unsorted.size(); i++) {
-    if (covered[i].number != unsorted[i].number) return false;
+bool AnchorView::Covers(const PartitionState& p) const {
+  if (covered.size() != p.unsorted.size() || lower != p.lower_bound ||
+      upper != p.upper_bound) {
+    return false;
+  }
+  for (size_t i = 0; i < p.unsorted.size(); i++) {
+    if (covered[i].number != p.unsorted[i].number) return false;
   }
   return true;
 }
 
 Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const std::vector<FileMeta>& tables,
-                       int restart_interval, AnchorView* out) {
+                       const PartitionState& p, int restart_interval,
+                       AnchorView* out) {
   *out = AnchorView();
+  out->lower = p.lower_bound;
+  out->upper = p.upper_bound;
   std::vector<std::unique_ptr<TableSource>> sources;
-  for (size_t i = 0; i < tables.size(); i++) {
-    out->covered.push_back({tables[i].number, tables[i].size});
+  for (size_t i = 0; i < p.unsorted.size(); i++) {
+    const FileMeta& f = p.unsorted[i];
+    out->covered.push_back({f.number, f.size});
     sources.push_back(std::make_unique<TableSource>(
-        cache, tables[i], static_cast<uint32_t>(i), restart_interval));
+        cache, f, static_cast<uint32_t>(i), restart_interval,
+        Slice(out->lower), Slice(out->upper)));
   }
   return MergeSources(icmp, &sources, out);
 }

@@ -47,6 +47,9 @@ struct AnchorView {
   };
 
   std::vector<CoveredTable> covered;
+  /// The partition range the view was built for: it holds only the
+  /// covered tables' entries inside [lower, upper).
+  std::string lower, upper;
   /// Raw block image (entries + restart trailer). Owns the bytes `block`
   /// points into; declared first so it outlives `block` on destruction.
   std::shared_ptr<const std::string> image;
@@ -56,20 +59,22 @@ struct AnchorView {
   /// Size of the block image in bytes (the view's memory footprint).
   uint64_t byte_size = 0;
 
-  /// True iff the view covers exactly `unsorted` (same file numbers, same
-  /// order). Anything else is stale: an iterator must rebuild it.
-  bool Covers(const std::vector<FileMeta>& unsorted) const;
+  /// True iff the view covers exactly `p`'s unsorted references (same
+  /// file numbers, same order) over `p`'s range. Anything else is stale:
+  /// an iterator must rebuild it.
+  bool Covers(const PartitionState& p) const;
 };
 
 using AnchorViewPtr = std::shared_ptr<const AnchorView>;
 
-/// Builds a view from scratch by walking every table in `tables` (block
-/// by block, so anchors carry real block offsets) and merging the k
-/// streams. `restart_interval` is the data-block restart interval the
-/// tables were written with (used to derive restart_index hints).
+/// Builds a view from scratch by walking the part of every unsorted table
+/// of `p` inside `p`'s range (block by block, so anchors carry real block
+/// offsets) and merging the k streams. `restart_interval` is the
+/// data-block restart interval the tables were written with (used to
+/// derive restart_index hints).
 Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const std::vector<FileMeta>& tables,
-                       int restart_interval, AnchorView* out);
+                       const PartitionState& p, int restart_interval,
+                       AnchorView* out);
 
 /// Returns an internal-key iterator over the view: yields every entry of
 /// the covered tables in global sorted order, resolving values through

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <set>
 #include <span>
 
@@ -23,26 +22,35 @@ namespace unikv {
 void UniKVDB::MaybeScheduleWork() { bg_work_cv_.SignalAll(); }
 
 UniKVDB::Wanted UniKVDB::WantedWork(const PartitionState& p) {
-  // Ranks: 0 merge at UnsortedLimit or kMaxUnsortedTables (largest
-  // backlog first); 1 a split, or the merge that must precede it (the
-  // paper runs a split as compaction + GC in sequence); 2 size-based
-  // scan-merge of one run of similar-size tables (PickScanMergeRun); 3 GC
-  // (most garbage first). Each requires input: a non-empty UnsortedStore,
-  // at least two unsorted tables, garbage > 0 in a partition with logs.
+  // Ranks: 0 a split (metadata-only, so it runs at once, and it halves the
+  // merge the partition would run next); 1 merge at UnsortedLimit or
+  // kMaxUnsortedTables (largest backlog first); 2 size-based scan-merge
+  // of one run of similar-size tables (PickScanMergeRun); 3 GC (most
+  // garbage first). Each requires input: at least two sorted tables to
+  // divide, a non-empty UnsortedStore, at least two unsorted tables,
+  // garbage > 0 in a partition with logs.
+  if (options_.enable_partitioning && p.sorted.size() >= 2 &&
+      p.LogicalBytes() >= options_.partition_size_limit) {
+    return {WorkKind::kSplit, 0, 0};
+  }
   const uint64_t unsorted_bytes = p.UnsortedBytes();
   if (!p.unsorted.empty() &&
       (unsorted_bytes >= options_.unsorted_limit ||
        p.unsorted.size() >= kMaxUnsortedTables || compact_all_)) {
-    return {WorkKind::kMerge, 0, unsorted_bytes};
-  }
-  if (options_.enable_partitioning &&
-      p.LogicalBytes() >= options_.partition_size_limit) {
-    if (!p.unsorted.empty()) return {WorkKind::kMerge, 1, 0};
-    if (p.sorted.size() >= 2) return {WorkKind::kSplit, 1, 0};
+    return {WorkKind::kMerge, 1, unsorted_bytes};
   }
   if (options_.enable_scan_optimization &&
       p.unsorted.size() >=
           static_cast<size_t>(std::max(2, options_.scan_merge_limit))) {
+    // A scan-merge pays by dropping shadowed versions. When the last merge
+    // or scan-merge dropped none (a load of new keys), it would only
+    // rewrite tables the merge rewrites again, so the partition merges
+    // instead when that costs less than its store: the merge's extra write
+    // is the sorted run, keys and pointers only.
+    if (runtime_.at(p.id).dropped_none &&
+        p.SortedBytes() < unsorted_bytes) {
+      return {WorkKind::kMerge, 1, unsorted_bytes};
+    }
     return {WorkKind::kScanMerge, 2, 0};
   }
   const uint64_t garbage = runtime_.at(p.id).vlog_garbage;
@@ -229,48 +237,80 @@ Status UniKVDB::CompactAll() {
 
 // ------------------------------------------------------------------ flush
 
-Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
-                                        std::vector<FlushOutput>* outputs) {
-  // Entries come out in internal-key order and partitions are contiguous
-  // key ranges, so each partition's entries form one run: one table per
-  // partition touched. The caller assigns table_id and the index position
-  // at install time, under mu_, from the then-current version: a merge or
-  // scan-merge installed while the tables were building changes both.
+namespace {
+
+// The reference each partition of `ver` installs for `table`, the flush
+// of `mem`, in key order: the partition's share of the table's keys, its
+// slice of the key-hash block (one hash per distinct key, in key order,
+// as the table writer counts them), and its part of the file's bytes in
+// proportion to its entries' bytes. table_id is left to the install.
+std::vector<std::pair<uint32_t, FileMeta>> FlushShares(MemTable* mem,
+                                                       const VersionData& ver,
+                                                       const FileMeta& table) {
+  std::vector<std::pair<uint32_t, FileMeta>> refs;
+  uint64_t total = 0;  // Entry bytes; `share` holds each reference's first.
+  uint32_t distinct = 0;
+  size_t pi = 0;
+  std::unique_ptr<Iterator> iter(mem->NewIterator());
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    const Slice user_key = ExtractUserKey(iter->key());
+    // Keys ascend, so the partition only ever moves right.
+    if (refs.empty()) pi = ver.FindPartition(user_key);
+    while (pi + 1 < ver.partitions.size() &&
+           user_key.compare(Slice(ver.partitions[pi + 1]->lower_bound)) >= 0) {
+      pi++;
+    }
+    const uint32_t pid = ver.partitions[pi]->id;
+    // A partition's first key is a new key; a user key never spans two.
+    const bool new_key = refs.empty() || refs.back().first != pid;
+    if (new_key) {
+      FileMeta& ref = refs.emplace_back(pid, table).second;
+      ref.smallest.assign(user_key.data(), user_key.size());
+      ref.logical = ref.share = 0;
+      ref.hash_begin = distinct;
+    }
+    FileMeta& ref = refs.back().second;
+    if (new_key || Slice(ref.largest) != user_key) {
+      ref.largest.assign(user_key.data(), user_key.size());
+      ref.hash_end = ++distinct;
+    }
+    ref.logical += user_key.size() + iter->value().size();
+    ref.share += iter->key().size() + iter->value().size();
+    total += iter->key().size() + iter->value().size();
+  }
+  // The shares add up to the file exactly: the last takes the remainder.
+  uint64_t assigned = 0;
+  for (size_t i = 0; i < refs.size(); i++) {
+    FileMeta& ref = refs[i].second;
+    ref.share = i + 1 == refs.size()
+                    ? table.size - assigned
+                    : static_cast<uint64_t>(static_cast<double>(table.size) *
+                                            ref.share / total);
+    assigned += ref.share;
+  }
+  return refs;
+}
+
+}  // namespace
+
+Status UniKVDB::FlushMemTableToUnsorted(MemTable* mem, const VersionData& base,
+                                        FlushOutput* out) {
+  // Entries come out in internal-key order into one table, whatever
+  // partitions they fall in; each partition it covers then references its
+  // own share (FlushShares).
+  out->writer = std::make_unique<TableOutputWriter>(
+      this, TableOutputWriter::Store::kUnsorted, /*partition=*/0);
   std::unique_ptr<Iterator> iter(mem->NewIterator());
   Status s;
-  FlushOutput* out = nullptr;
   for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
-    const Slice user_key = ExtractUserKey(iter->key());
-    const uint32_t pid = base->partitions[base->FindPartition(user_key)]->id;
-    if (out == nullptr || out->pid != pid) {
-      if (out != nullptr) s = out->writer->Finish();
-      if (!s.ok()) break;
-      out = &outputs->emplace_back();
-      out->pid = pid;
-      out->writer = std::make_unique<TableOutputWriter>(
-          this, TableOutputWriter::Store::kUnsorted, pid);
-    }
     s = out->writer->Add(iter->key(), iter->value());
   }
   if (s.ok()) s = iter->status();
-  if (s.ok() && out != nullptr) s = out->writer->Finish();
-  if (s.ok()) {
-    for (FlushOutput& o : *outputs) o.meta = o.writer->outputs()[0];
+  if (s.ok()) s = out->writer->Finish();
+  if (s.ok() && !out->writer->outputs().empty()) {
+    out->refs = FlushShares(mem, base, out->writer->outputs()[0]);
   }
   return s;
-}
-
-bool UniKVDB::RoutingStillValid(const VersionData& ver,
-                                const std::vector<FlushOutput>& outputs) {
-  for (const FlushOutput& out : outputs) {
-    // Partition ranges are contiguous, so if both endpoints of the table
-    // still map to the partition it was built for, every key in between
-    // does too.
-    const int pi = ver.FindPartition(Slice(out.meta.smallest));
-    if (ver.partitions[pi]->id != out.pid) return false;
-    if (ver.FindPartition(Slice(out.meta.largest)) != pi) return false;
-  }
-  return true;
 }
 
 Status UniKVDB::CompactMemTable(size_t shard_idx) {
@@ -281,7 +321,7 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     MutexLock shard_lock(&shard->mu);
     mem = shard->imm;
   }
-  VersionPtr base = versions_->current();
+  const VersionPtr base = versions_->current();
   assert(mem != nullptr);
 
   // Durability ceiling for the manifest floor. Every sequence allocated
@@ -294,30 +334,19 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   Status s = SyncAllShardWals(flush_ceiling, /*force=*/true);
   if (!s.ok()) return s;
 
-  std::vector<FlushOutput> outputs;
-  s = FlushMemTableToUnsorted(mem, base, &outputs);
+  FlushOutput out;
+  s = FlushMemTableToUnsorted(mem, *base, &out);
   if (!s.ok()) return s;
 
-  // Outputs a re-route below replaced; their writers are released with
-  // the rest, after mu_.
-  std::vector<FlushOutput> rerouted;
   MutexLock lock(&mu_);
-  uint64_t install_start_us = env_->NowMicros();
-
-  // A concurrent split may have moved partition boundaries while the
-  // tables were building; an output routed by the old boundaries could
-  // span a new partition edge and must not be installed. Discard and
-  // rebuild against the fresh version (splits are rare — in practice this
-  // loop body never runs).
-  while (!RoutingStillValid(*versions_->current(), outputs)) {
-    std::move(outputs.begin(), outputs.end(), std::back_inserter(rerouted));
-    outputs.clear();
-    base = versions_->current();
-    lock.Unlock();
-    s = FlushMemTableToUnsorted(mem, base, &outputs);
-    lock.Lock();
-    install_start_us = env_->NowMicros();
-    if (!s.ok()) return s;
+  const uint64_t install_start_us = env_->NowMicros();
+  // A split installed while the table was building moved a boundary (only
+  // splits change them, and each adds a partition): the shares are
+  // recomputed from the imm, still pinned, against the version this hold
+  // installs over. The table itself stays as built.
+  const VersionPtr cur = versions_->current();
+  if (!out.refs.empty() && cur->partitions.size() != base->partitions.size()) {
+    out.refs = FlushShares(mem, *cur, out.writer->outputs()[0]);
   }
 
   VersionEdit edit;
@@ -342,13 +371,11 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   }
   edit.SetLogNumber(min_wal);
 
-  // Each output becomes its partition's newest table: it takes the next
-  // table_id and the position after the last table of the version this
-  // mutex hold installs over (RoutingStillValid checked its partitions).
-  const VersionPtr cur = versions_->current();
-  for (FlushOutput& out : outputs) {
-    out.meta.table_id = cur->FindById(out.pid)->NextTableId();
-    edit.AddUnsortedFile(out.pid, out.meta);
+  // Each reference becomes its partition's newest: it takes the next
+  // table_id and the position after the partition's last table.
+  for (auto& [pid, ref] : out.refs) {
+    ref.table_id = cur->FindById(pid)->NextTableId();
+    edit.AddUnsortedFile(pid, ref);
   }
 
   // Advance the recovery floor only as far as the sync-all made durable
@@ -360,12 +387,15 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
   s = versions_->LogAndApply(&edit);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
-    // The indexes learn the outputs in the mutex hold that installed
+    // The indexes learn their slices in the mutex hold that installed
     // them, so readers, who capture both under mu_, see a matching pair.
-    for (const FlushOutput& out : outputs) {
-      const size_t position = cur->FindById(out.pid)->unsorted.size();
-      HashIndex& index = *runtime_.at(out.pid).index;
-      for (uint64_t h : out.writer->key_hashes()) index.Insert(h, position);
+    const std::vector<uint64_t>& hashes = out.writer->key_hashes();
+    for (const auto& [pid, ref] : out.refs) {
+      const size_t position = cur->FindById(pid)->unsorted.size();
+      HashIndex& index = *runtime_.at(pid).index;
+      for (uint32_t i = ref.hash_begin; i < ref.hash_end; i++) {
+        index.Insert(hashes[i], position);
+      }
     }
     {
       MutexLock shard_lock(&shard->mu);
@@ -380,22 +410,20 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
     metrics_.flush_latency->Add(static_cast<double>(dur));
     MetricsRegistry& reg = metrics_.registry;
     reg.GetCounter("flushes")->Inc();
-    uint64_t bytes_written = 0;
-    for (const FlushOutput& out : outputs) {
-      metrics_.CountJob(out.pid, {{"flush_bytes", out.meta.size}});
-      reg.GetCounter("flushes", out.pid)->Inc();
-      // Heat + write-amp inputs: entries and logical user bytes landing
-      // in the partition. Flush routing is where keys first meet
+    for (const auto& [pid, ref] : out.refs) {
+      metrics_.CountJob(pid, {{"flush_bytes", ref.share}});
+      reg.GetCounter("flushes", pid)->Inc();
+      // Heat + write-amp inputs: distinct keys and logical user bytes
+      // landing in the partition. Flush routing is where keys first meet
       // partition boundaries, so update frequency is measured here.
-      reg.GetCounter("heat_writes", out.pid)
-          ->Add(out.writer->key_hashes().size());
-      reg.GetCounter("user_bytes_flushed", out.pid)->Add(out.meta.logical);
-      bytes_written += out.meta.size;
+      reg.GetCounter("heat_writes", pid)->Add(ref.hash_end - ref.hash_begin);
+      reg.GetCounter("user_bytes_flushed", pid)->Add(ref.logical);
     }
     JsonBuilder ev;
     ev.AddUint("duration_micros", dur);
-    ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("output_tables", outputs.size());
+    ev.AddUint("bytes_written", out.writer->bytes_written());
+    ev.AddUint("output_tables", out.writer->outputs().size());
+    ev.AddUint("partitions", out.refs.size());
     ev.AddUint("install_micros", install_us);
     event_log_->Log("flush", &ev);
   }
@@ -418,14 +446,15 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
   std::set<uint64_t> moved;
   for (const VlogMeta& v : logs) moved.insert(v.number);
 
-  std::vector<Iterator*> children;
+  // Every input belongs to files the job is about to replace (or, for a
+  // shared table, to this partition's share of one), so none fills the
+  // block cache.
+  std::vector<Iterator*> children = UnsortedInputs(*p, tables);
   uint64_t bytes_read = p->SortedBytes();
-  for (const FileMeta& f : tables) {
-    children.push_back(table_cache_->NewIterator(f.number, f.size));
-    bytes_read += f.size;
-  }
+  for (const FileMeta& f : tables) bytes_read += f.share;
   if (!p->sorted.empty()) {
-    children.push_back(NewSortedRunIterator(table_cache_.get(), p->sorted));
+    children.push_back(NewSortedRunIterator(table_cache_.get(), p->sorted,
+                                            /*fill_cache=*/false));
   }
   std::unique_ptr<Iterator> merged(
       NewMergingIterator(icmp_, std::move(children)));
@@ -472,6 +501,7 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
   };
 
   uint64_t garbage_added = 0;
+  uint64_t dropped = 0;  // Shadowed versions and tombstones.
   Status s;
   std::string current_user_key;
   bool has_current = false;
@@ -493,12 +523,16 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
       // An older, shadowed version: drop it. Its record becomes garbage,
       // unless its whole log is going away.
       if (pointer && !in_moved_log) garbage_added += ptr.size;
+      dropped++;
       continue;
     }
     current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
     has_current = true;
     // The SortedStore is the terminal level: tombstones die here.
-    if (ikey.type == kTypeDeletion) continue;
+    if (ikey.type == kTypeDeletion) {
+      dropped++;
+      continue;
+    }
 
     const bool kept = pointer && !in_moved_log;
     if (held == 0 && !in_moved_log) {
@@ -586,10 +620,11 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
                                                   0, &survivors);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
+    PartitionRuntime& rt = runtime_.at(pid);
     // A job that moved every log leaves none of the old garbage behind.
-    uint64_t& garbage = runtime_.at(pid).vlog_garbage;
-    if (logs.size() == p->vlogs.size()) garbage = 0;
-    garbage += garbage_added;
+    if (logs.size() == p->vlogs.size()) rt.vlog_garbage = 0;
+    rt.vlog_garbage += garbage_added;
+    if (merge) rt.dropped_none = dropped == 0;
 
     // Each kind reports under its own names; the fields are the same.
     metrics_.CountJob(
@@ -611,6 +646,7 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
     ev.AddUint("surviving_tables", survivors);
     ev.AddUint("vlog_bytes", writer.vlog().size);
     ev.AddUint("garbage_added", garbage_added);
+    ev.AddUint("dropped_versions", dropped);
     ev.AddUint("install_micros", install_us);
     event_log_->Log(merge ? "merge" : "gc", &ev);
   }
@@ -629,7 +665,7 @@ std::pair<size_t, size_t> PickScanMergeRun(
   size_t best_first = 0, best_end = 0, end = n;
   uint64_t lo = 0, hi = 0;
   for (size_t i = n; i-- > 0;) {
-    const uint64_t size = unsorted[i].size;
+    const uint64_t size = unsorted[i].share;
     if (i + 1 == n || std::max(hi, size) > 2 * std::min(lo, size)) {
       end = i + 1;
       lo = hi = size;
@@ -658,22 +694,20 @@ Status UniKVDB::ScanMergeRun(std::shared_ptr<const PartitionState> p) {
   const auto [first, end] = PickScanMergeRun(p->unsorted);
   const std::span<const FileMeta> run =
       std::span(p->unsorted).subspan(first, end - first);
-  std::vector<Iterator*> children;
   uint64_t bytes_read = 0;
-  for (const FileMeta& f : run) {
-    children.push_back(table_cache_->NewIterator(f.number, f.size));
-    bytes_read += f.size;
-  }
+  for (const FileMeta& f : run) bytes_read += f.share;
   std::unique_ptr<Iterator> merged(
-      NewMergingIterator(icmp_, std::move(children)));
+      NewMergingIterator(icmp_, UnsortedInputs(*p, run)));
 
   TableOutputWriter writer(this, TableOutputWriter::Store::kUnsorted, pid);
   Status s;
   std::string current_user_key;
   bool has_current = false;
+  uint64_t dropped = 0;
   for (merged->SeekToFirst(); s.ok() && merged->Valid(); merged->Next()) {
     const Slice user_key = ExtractUserKey(merged->key());
     if (has_current && user_key.compare(Slice(current_user_key)) == 0) {
+      dropped++;
       continue;  // Older version within the run: drop.
     }
     current_user_key.assign(user_key.data(), user_key.size());
@@ -687,10 +721,13 @@ Status UniKVDB::ScanMergeRun(std::shared_ptr<const PartitionState> p) {
   if (!s.ok()) return s;
   const uint64_t bytes_written = writer.bytes_written();
 
+  // At most one table per unsorted writer, and none when the run's shares
+  // held no key of the partition (a split can leave a share empty).
+  const size_t outputs = writer.outputs().size();
   // The replacement index, built off mu_ over the list the edit leaves,
   // in position order as a rebuild inserts it: the tables before the run
   // keep their positions, the output takes the run's first, and the
-  // tables after it move down by run.size() - 1.
+  // tables after it move down by run.size() - outputs.
   // InstallUnsortedReplacement adds the tables flushed meanwhile.
   std::unique_ptr<HashIndex> index = NewHashIndex();
   for (size_t i = 0; s.ok() && i < first; i++) {
@@ -698,24 +735,27 @@ Status UniKVDB::ScanMergeRun(std::shared_ptr<const PartitionState> p) {
   }
   for (uint64_t h : writer.key_hashes()) index->Insert(h, first);
   for (size_t i = end; s.ok() && i < p->unsorted.size(); i++) {
-    s = InsertTableIntoIndex(index.get(), p->unsorted[i], i - run.size() + 1);
+    s = InsertTableIntoIndex(index.get(), p->unsorted[i],
+                             i - run.size() + outputs);
   }
   if (!s.ok()) return s;
   const size_t kept = p->unsorted.size() - run.size();
 
   VersionEdit edit;
   for (const FileMeta& f : run) edit.RemoveUnsortedFile(pid, f.number);
-  // One table per unsorted writer (the run's tables are not empty).
-  FileMeta output = writer.outputs()[0];
-  output.table_id = run.back().table_id;
-  edit.AddUnsortedFile(pid, output);
+  if (outputs > 0) {
+    FileMeta output = writer.outputs()[0];
+    output.table_id = run.back().table_id;
+    edit.AddUnsortedFile(pid, output);
+  }
 
   MutexLock lock(&mu_);
   const uint64_t install_start_us = env_->NowMicros();
-  s = InstallUnsortedReplacement(*p, &edit, std::move(index), kept + 1,
+  s = InstallUnsortedReplacement(*p, &edit, std::move(index), kept + outputs,
                                  nullptr);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
+    runtime_.at(pid).dropped_none = dropped == 0;
     metrics_.CountJob(pid, {{"scan_merges", 1},
                             {"scan_merge_bytes_read", bytes_read},
                             {"scan_merge_bytes_written", bytes_written}});
@@ -727,13 +767,26 @@ Status UniKVDB::ScanMergeRun(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("duration_micros", dur);
     ev.AddUint("input_tables", run.size());
     ev.AddUint("kept_tables", kept);
-    ev.AddUint("output_tables", writer.outputs().size());
+    ev.AddUint("output_tables", outputs);
+    ev.AddUint("dropped_versions", dropped);
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
     ev.AddUint("install_micros", install_us);
     event_log_->Log("scan_merge", &ev);
   }
   return s;
+}
+
+std::vector<Iterator*> UniKVDB::UnsortedInputs(
+    const PartitionState& p, std::span<const FileMeta> tables) {
+  std::vector<Iterator*> children;
+  for (const FileMeta& f : tables) {
+    children.push_back(NewClampedIterator(
+        table_cache_->NewIterator(f.number, f.size, nullptr,
+                                  /*fill_cache=*/false),
+        p.lower_bound, p.upper_bound));
+  }
+  return children;
 }
 
 Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
@@ -776,25 +829,21 @@ Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
 // ------------------------------------------------------------------ split
 
 Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
-  // Preconditions: no unsorted tables, >= 2 sorted tables. The key split
-  // is metadata-only because the sorted run already consists of disjoint
-  // tables; values are split lazily by later GC (paper: lazy split scheme
-  // integrated with GC). The whole job is metadata work, so it runs under
-  // one mutex hold against the *current* partition state — the snapshot
-  // PickWork saw may be stale by now (a flush can add unsorted tables at
-  // any time, and those would straddle the boundary).
+  // Metadata-only: the sorted run already consists of disjoint tables, so
+  // its tables are divided at a table boundary; values are split lazily
+  // by later GC (paper: lazy split scheme integrated with GC); and both
+  // children keep every unsorted reference, each reading it only inside
+  // its own range. The whole job runs under one mutex hold against the
+  // *current* partition state: the partition is claimed, so only flushes
+  // can have changed it since PickWork's snapshot, by adding references.
   const uint64_t start_us = env_->NowMicros();
   MutexLock lock(&mu_);
   const uint64_t install_start_us = env_->NowMicros();
-  std::shared_ptr<const PartitionState> cur_p =
-      versions_->current()->FindById(p->id);
-  if (cur_p == nullptr || !cur_p->unsorted.empty() ||
-      cur_p->sorted.size() < 2) {
-    // Preconditions no longer hold; bail out. The scheduler will merge
-    // the new unsorted data first and revisit the split.
+  p = versions_->current()->FindById(p->id);
+  if (p == nullptr || p->sorted.size() < 2) {
+    assert(false && "partition changed under an exclusive split");
     return Status::OK();
   }
-  p = cur_p;
 
   uint64_t total = 0;
   for (const FileMeta& f : p->sorted) total += f.logical;
@@ -823,18 +872,45 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
   for (const VlogMeta& v : p->vlogs) {
     edit.AddValueLog(npid, v);
   }
+  // Both children keep every reference, in the parent's order and with
+  // its table_id and hash slice, so positions do not change and each
+  // child's index is a copy of the parent's. A share on one side only
+  // becomes empty on the other; a share that straddles the boundary is
+  // halved between them (an estimate: which side holds more is unknown
+  // without reading the table).
+  size_t shared = 0;
+  for (const FileMeta& f : p->unsorted) {
+    const bool left = Slice(f.smallest).compare(Slice(boundary)) < 0;
+    const bool right = Slice(f.largest).compare(Slice(boundary)) >= 0;
+    FileMeta lo = f, hi = f;
+    hi.smallest = std::max(f.smallest, boundary);
+    if (left && right) {
+      shared++;
+      lo.share = f.share / 2;
+      hi.share = f.share - lo.share;
+    } else {
+      (left ? hi : lo).share = 0;
+    }
+    if (lo.share != f.share) {
+      edit.RemoveUnsortedFile(p->id, f.number);
+      edit.AddUnsortedFile(p->id, lo);
+    }
+    edit.AddUnsortedFile(npid, hi);
+  }
 
   Status s = versions_->LogAndApply(&edit);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
-    // Split preconditions guarantee no unsorted tables, so neither side
-    // has an anchor view: the merge that emptied the store retired it.
     PartitionRuntime& old_rt = runtime_.at(p->id);
     PartitionRuntime& new_rt = runtime_[npid];
-    new_rt.index = NewHashIndex();
+    new_rt.index = old_rt.index->Clone();
     new_rt.heat_reads = metrics_.RegisterPartition(npid);
     new_rt.vlog_garbage = old_rt.vlog_garbage - old_rt.vlog_garbage / 2;
     old_rt.vlog_garbage /= 2;
+    new_rt.dropped_none = old_rt.dropped_none;
+    // The parent's view spans both children's keys; the next iterator
+    // into either child builds one over its own range.
+    InstallAnchorViewLocked(p->id, nullptr);
     metrics_.CountJob(p->id, {{"splits", 1}});
 
     const uint64_t dur = env_->NowMicros() - start_us;
@@ -845,6 +921,7 @@ Status UniKVDB::SplitPartition(std::shared_ptr<const PartitionState> p) {
     ev.AddUint("duration_micros", dur);
     ev.AddString("boundary", boundary);
     ev.AddUint("tables_moved", p->sorted.size() - k);
+    ev.AddUint("unsorted_shared", shared);
     ev.AddUint("install_micros", install_us);
     event_log_->Log("split", &ev);
   }

@@ -251,7 +251,88 @@ class LazyConcatIterator : public Iterator {
   Status status_;
 };
 
+class ClampedIterator : public Iterator {
+ public:
+  ClampedIterator(Iterator* base, std::string lower, std::string upper)
+      : base_(base),
+        lower_(std::move(lower)),
+        upper_(std::move(upper)),
+        lower_seek_(SeekKey(lower_)),
+        upper_seek_(SeekKey(upper_)) {}
+
+  bool Valid() const override { return valid_; }
+  void SeekToFirst() override {
+    if (lower_.empty()) {
+      base_->SeekToFirst();
+    } else {
+      base_->Seek(lower_seek_);
+    }
+    Clamp();
+  }
+  void SeekToLast() override {
+    if (upper_.empty()) {
+      base_->SeekToLast();
+    } else {
+      // The last entry before the first one at or past `upper`.
+      base_->Seek(upper_seek_);
+      if (base_->Valid()) {
+        base_->Prev();
+      } else if (base_->status().ok()) {
+        base_->SeekToLast();
+      }
+    }
+    Clamp();
+  }
+  void Seek(const Slice& target) override {
+    if (ExtractUserKey(target).compare(Slice(lower_)) < 0) {
+      base_->Seek(lower_seek_);
+    } else {
+      base_->Seek(target);
+    }
+    Clamp();
+  }
+  void Next() override {
+    base_->Next();
+    Clamp();
+  }
+  void Prev() override {
+    base_->Prev();
+    Clamp();
+  }
+  Slice key() const override { return base_->key(); }
+  Slice value() const override { return base_->value(); }
+  Status status() const override { return base_->status(); }
+
+ private:
+  // The smallest internal key of `user_key`.
+  static std::string SeekKey(const std::string& user_key) {
+    std::string key;
+    AppendInternalKey(&key, ParsedInternalKey(user_key, kMaxSequenceNumber,
+                                              kValueTypeForSeek));
+    return key;
+  }
+
+  void Clamp() {
+    valid_ = false;
+    if (!base_->Valid()) return;
+    const Slice user_key = ExtractUserKey(base_->key());
+    valid_ = user_key.compare(Slice(lower_)) >= 0 &&
+             (upper_.empty() || user_key.compare(Slice(upper_)) < 0);
+  }
+
+  const std::unique_ptr<Iterator> base_;
+  const std::string lower_;
+  const std::string upper_;
+  const std::string lower_seek_, upper_seek_;  // Their SeekKeys.
+  bool valid_ = false;
+};
+
 }  // namespace
+
+Iterator* NewClampedIterator(Iterator* base, std::string lower,
+                             std::string upper) {
+  return new ClampedIterator(base, std::move(lower), std::move(upper));
+}
 
 Iterator* NewMergingIterator(const InternalKeyComparator& comparator,
                              std::vector<Iterator*> children) {

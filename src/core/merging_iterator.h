@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/dbformat.h"
@@ -37,6 +38,13 @@ using SourceOpener = std::function<Iterator*(size_t i)>;
 /// after the source is closed.
 Iterator* NewLazyConcatIterator(size_t n, SourceLocator locate,
                                 SourceOpener open);
+
+/// Yields only the entries of `base` whose user key lies in [lower,
+/// upper); an empty `upper` is no upper bound. Takes ownership of `base`.
+/// A partition reads its unsorted references through it, since a table
+/// may also hold its sibling partitions' keys (DESIGN.md §2).
+Iterator* NewClampedIterator(Iterator* base, std::string lower,
+                             std::string upper);
 
 /// A sorted run over `files` (disjoint, ordered by key, as FileMeta lists
 /// of a SortedStore or an LSM run are): Seek binary-searches the files'

@@ -146,8 +146,12 @@ Status UniKVDB::TableOutputWriter::FinishTable() {
   if (s.ok()) s = file_->Sync();
   if (s.ok()) s = file_->Close();
   if (s.ok()) {
-    outputs_.back().size = builder_->FileSize();
-    bytes_written_ += builder_->FileSize();
+    FileMeta& meta = outputs_.back();
+    meta.size = builder_->FileSize();
+    // As one partition's reference: the whole table is its share.
+    meta.share = meta.size;
+    if (unsorted_) meta.hash_end = static_cast<uint32_t>(key_hashes_.size());
+    bytes_written_ += meta.size;
   }
   builder_.reset();
   file_.reset();

@@ -17,7 +17,9 @@ namespace unikv {
 /// Writes every table a background job produces (DESIGN.md §5), in the
 /// layout of the store it writes for:
 ///  - kUnsorted (flush, scan-merge): table_options and exactly one table
-///    per writer; anchor views rely on that layout's restart interval.
+///    per writer; anchor views rely on that layout's restart interval. A
+///    flush's table may span several partitions, each referencing its
+///    share (DESIGN.md §2).
 ///    The writer hashes each distinct user key as it is added and writes
 ///    the list as the table's key-hash block (DESIGN.md §2).
 ///  - kSorted (the SortedStore rewrite job): the sorted layout, a table
@@ -35,8 +37,8 @@ class UniKVDB::TableOutputWriter {
  public:
   enum class Store { kUnsorted, kSorted };
 
-  /// `partition` is the partition the outputs are for; value pointers
-  /// into the writer's value log carry it.
+  /// `partition` is the partition the kSorted outputs are for; value
+  /// pointers into the writer's value log carry it.
   TableOutputWriter(UniKVDB* db, Store store, uint32_t partition);
   ~TableOutputWriter();
 

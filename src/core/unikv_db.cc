@@ -347,21 +347,21 @@ Status UniKVDB::Recover() {
   // Flush recovered entries so the old WALs can be retired, then start a
   // fresh WAL per shard.
   VersionEdit edit;
-  // Their writers keep the new tables pending until Recover returns.
-  std::vector<FlushOutput> new_tables;
+  // Its writer keeps the new table pending until Recover returns.
+  FlushOutput flushed;
   if (recovered->NumEntries() > 0) {
     VersionPtr base = versions_->current();
-    s = FlushMemTableToUnsorted(recovered, base, &new_tables);
+    s = FlushMemTableToUnsorted(recovered, *base, &flushed);
     if (!s.ok()) {
       recovered->Unref();
       return s;
     }
     // Recovery is single-threaded: `base` is still current, so the
-    // routing cannot have moved and table ids come straight from it.
-    for (FlushOutput& out : new_tables) {
-      out.meta.table_id = base->FindById(out.pid)->NextTableId();
-      edit.AddUnsortedFile(out.pid, out.meta);
-      metrics_.registry.GetCounter("flush_bytes")->Add(out.meta.size);
+    // shares cannot have moved and table ids come straight from it.
+    for (auto& [pid, ref] : flushed.refs) {
+      ref.table_id = base->FindById(pid)->NextTableId();
+      edit.AddUnsortedFile(pid, ref);
+      metrics_.registry.GetCounter("flush_bytes")->Add(ref.share);
     }
   }
   recovered->Unref();
@@ -462,7 +462,10 @@ Status UniKVDB::InsertTableIntoIndex(HashIndex* index, const FileMeta& f,
                               s.ToString());
   }
   if (!s.ok()) return s;
-  for (uint64_t h : hashes) index->Insert(h, position);
+  const size_t end = std::min<size_t>(f.hash_end, hashes.size());
+  for (size_t i = f.hash_begin; i < end; i++) {
+    index->Insert(hashes[i], position);
+  }
   return Status::OK();
 }
 
@@ -569,10 +572,10 @@ AnchorViewPtr UniKVDB::RefreshAnchorView(const PartitionState& p) {
     auto rt = runtime_.find(p.id);  // A split may have retired p's record.
     if (rt != runtime_.end()) cached = rt->second.anchor_view;
   }
-  if (cached != nullptr && cached->Covers(p.unsorted)) return cached;
+  if (cached != nullptr && cached->Covers(p)) return cached;
 
   AnchorView view;
-  Status s = BuildAnchorView(icmp_, table_cache_.get(), p.unsorted,
+  Status s = BuildAnchorView(icmp_, table_cache_.get(), p,
                              options_.table_options.block_restart_interval,
                              &view);
   if (!s.ok()) return nullptr;  // Never fatal: per-table children.
@@ -585,9 +588,9 @@ AnchorViewPtr UniKVDB::RefreshAnchorView(const PartitionState& p) {
   // one does not.
   MutexLock lock(&mu_);
   auto cp = versions_->current()->FindById(p.id);
-  if (cp != nullptr && built->Covers(cp->unsorted)) {
+  if (cp != nullptr && built->Covers(*cp)) {
     const AnchorViewPtr& current = runtime_.at(p.id).anchor_view;
-    if (current == nullptr || !current->Covers(cp->unsorted)) {
+    if (current == nullptr || !current->Covers(*cp)) {
       InstallAnchorViewLocked(p.id, built);
     }
   }
@@ -1463,16 +1466,19 @@ Iterator* UniKVDB::NewPartitionIterator(const PartitionState& p,
   if (view != nullptr) {
     // One anchor-guided child replaces one child per unsorted table:
     // Next() costs a view step + one cursor step instead of a k-way heap
-    // pop (DESIGN.md §12).
+    // pop (DESIGN.md §12). The view holds only the partition's range.
     children.push_back(NewAnchorViewIterator(
         icmp_, std::move(view), table_cache_.get(), fill_cache,
         tables_opened));
     metrics_.scan_anchor_hits->Inc();
   } else {
+    // A table may hold sibling partitions' keys too, so each is read
+    // clamped to the partition's range.
     for (const FileMeta& f : p.unsorted) {
       tables_opened->Inc();
-      children.push_back(
-          table_cache_->NewIterator(f.number, f.size, nullptr, fill_cache));
+      children.push_back(NewClampedIterator(
+          table_cache_->NewIterator(f.number, f.size, nullptr, fill_cache),
+          p.lower_bound, p.upper_bound));
     }
   }
   if (!p.sorted.empty()) {
@@ -1579,6 +1585,10 @@ Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
 
 // ------------------------------------------------------------ properties
 
+size_t UniKVDB::TEST_block_cache_charge() const {
+  return block_cache_ == nullptr ? 0 : block_cache_->TotalCharge();
+}
+
 Status UniKVDB::GetBackgroundError() {
   MutexLock lock(&err_mu_);
   return bg_error_;
@@ -1614,11 +1624,10 @@ bool UniKVDB::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
   if (property == Slice("db.num-files")) {
-    size_t n = 0;
-    for (const auto& p : ver->partitions) {
-      n += p->unsorted.size() + p->sorted.size() + p->vlogs.size();
-    }
-    std::snprintf(buf, sizeof(buf), "%zu", n);
+    // Distinct files: partitions share unsorted tables and value logs.
+    std::set<uint64_t> files;
+    ver->AddLiveFiles(&files);
+    std::snprintf(buf, sizeof(buf), "%zu", files.size());
     *value = buf;
     return true;
   }

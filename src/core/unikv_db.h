@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -91,7 +92,7 @@ struct EngineMetrics {
 /// The positions [first, end) of the tables a scan-merge of UnsortedStore
 /// `unsorted` (oldest first) consumes (DESIGN.md §5): with the tables cut,
 /// newest first, into maximal groups of adjacent tables whose largest
-/// size is at most twice their smallest, the group with the most tables
+/// share is at most twice their smallest, the group with the most tables
 /// (the newest on a tie), or every table when no group has two.
 std::pair<size_t, size_t> PickScanMergeRun(
     const std::vector<FileMeta>& unsorted);
@@ -134,6 +135,10 @@ class UniKVDB : public DB {
   /// The registry every report renders from, for tests that check each
   /// report against it.
   const MetricsRegistry& TEST_metrics() const { return metrics_.registry; }
+
+  /// The block cache's total charge (0 without a block cache), for tests
+  /// that check which reads fill it.
+  size_t TEST_block_cache_charge() const;
 
   /// Test-only: reintroduces the historical unsafe GC ordering (old value
   /// logs deleted before the manifest install is durable), so the crash
@@ -207,14 +212,14 @@ class UniKVDB : public DB {
   /// from all shard WALs by sequence number before replaying.
   Status CollectWalBatches(const std::string& fname,
                            std::vector<WalBatch>* out);
-  /// Partition `p`'s hash index as of recovery: every unsorted table's
-  /// key hashes, inserted at its position, oldest first (as the live
-  /// index got them).
+  /// Partition `p`'s hash index as of recovery: every unsorted
+  /// reference's hash slice, inserted at its position, oldest first (as
+  /// the live index got them).
   Status LoadHashIndex(const PartitionState& p,
                        std::unique_ptr<HashIndex>* index);
-  /// Inserts table `f`'s key-hash block at list position `position`.
-  /// Reads no data block; a missing or corrupt block is Corruption naming
-  /// the table.
+  /// Inserts reference `f`'s slice of its table's key-hash block at list
+  /// position `position`. Reads no data block; a missing or corrupt block
+  /// is Corruption naming the table.
   Status InsertTableIntoIndex(HashIndex* index, const FileMeta& f,
                               size_t position);
   std::unique_ptr<HashIndex> NewHashIndex() const;
@@ -338,31 +343,27 @@ class UniKVDB : public DB {
   /// Table output of every background job (core/table_output_writer.h).
   class TableOutputWriter;
 
+  /// One flush: a single UnsortedStore table and the reference each
+  /// partition it covers installs (DESIGN.md §2).
   struct FlushOutput {
-    uint32_t pid = 0;
     /// Wrote the table and holds it as a pending output until destroyed;
-    /// its key_hashes() are what the install inserts into the index.
+    /// its key_hashes() are the table's key-hash block, which the
+    /// references slice.
     std::unique_ptr<TableOutputWriter> writer;
-    FileMeta meta;
+    /// (partition id, reference), in key order; table_id is assigned at
+    /// install.
+    std::vector<std::pair<uint32_t, FileMeta>> refs;
   };
 
-  /// Flushes `mem` contents to per-partition UnsortedStore tables routed
-  /// by `base`'s partition boundaries and fills *outputs, also on failure
-  /// (their writers release the files). Called without holding mu_
-  /// (writers take it briefly for file numbers). Does not assign
-  /// table_ids, build an edit, or touch the hash indexes — the caller
-  /// does that under mu_ after re-validating the routing against
-  /// the then-current version (a concurrent split may have moved
-  /// boundaries while the tables were being built).
-  Status FlushMemTableToUnsorted(MemTable* mem, const VersionPtr& base,
-                                 std::vector<FlushOutput>* outputs)
-      EXCLUDES(mu_);
-
-  /// True iff every output's [smallest, largest] still maps to the
-  /// partition it was built for in `ver`.
-  bool RoutingStillValid(const VersionData& ver,
-                         const std::vector<FlushOutput>& outputs)
-      REQUIRES(mu_);
+  /// Writes `mem` to one UnsortedStore table and fills out->refs with the
+  /// partitions' shares of it under `base`'s boundaries (also on failure,
+  /// out->writer releases the file). Called without holding mu_ (the
+  /// writer takes it briefly for file numbers). Does not assign
+  /// table_ids, build an edit, or touch the hash indexes: the caller does
+  /// that under mu_, recomputing the shares if a split moved a boundary
+  /// meanwhile.
+  Status FlushMemTableToUnsorted(MemTable* mem, const VersionData& base,
+                                 FlushOutput* out) EXCLUDES(mu_);
   Status CompactMemTable(size_t shard_idx) EXCLUDES(mu_);
 
   /// Installs `edit`, a merge or scan-merge of `snap` (partition
@@ -379,6 +380,12 @@ class UniKVDB : public DB {
                                     std::unique_ptr<HashIndex> index,
                                     size_t indexed, size_t* survivors)
       REQUIRES(mu_);
+
+  /// One iterator per reference in `tables` (of partition `p`), each
+  /// clamped to `p`'s range, for a background job to consume. They do not
+  /// fill the block cache: the job replaces what it reads.
+  std::vector<Iterator*> UnsortedInputs(const PartitionState& p,
+                                        std::span<const FileMeta> tables);
 
   /// The SortedStore rewrite job (DESIGN.md §5), run as a merge (`kind`
   /// kMerge: consumes every unsorted table of `p`) or a GC (kGc: moves
@@ -558,6 +565,11 @@ class UniKVDB : public DB {
     /// A merge/scan-merge/GC/split is in flight; PickWork skips the
     /// partition so same-partition jobs never overlap.
     bool busy = false;
+    /// The partition's last merge or scan-merge dropped no version (its
+    /// keys were all new), so WantedWork runs a count-triggered job as a
+    /// merge when that is cheaper (DESIGN.md §5). A split's new partition
+    /// inherits it.
+    bool dropped_none = false;
     /// Cached anchor view over the unsorted tables (DESIGN.md §12), set
     /// by iterators and retired by merge and scan-merge installs. The
     /// view is immutable: readers copy the pointer under mu_ and use it

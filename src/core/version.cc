@@ -62,6 +62,9 @@ enum EditTag : uint32_t {
   // 12 (a hash-index checkpoint file) and 13 (a persisted anchor view)
   // are retired and never reused: a MANIFEST of a store from before
   // key-hash blocks fails to decode (DESIGN.md §2).
+  // An unsorted reference: kAddUnsorted's fields plus its share and hash
+  // slice. A kAddUnsorted record decodes as a reference to the whole file.
+  kAddUnsortedRef = 14,
 };
 
 void PutFileMeta(std::string* dst, const FileMeta& f) {
@@ -111,9 +114,12 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     PutVarint32(dst, pid);
   }
   for (const auto& [pid, f] : new_unsorted_) {
-    PutVarint32(dst, kAddUnsorted);
+    PutVarint32(dst, kAddUnsortedRef);
     PutVarint32(dst, pid);
     PutFileMeta(dst, f);
+    PutVarint64(dst, f.share);
+    PutVarint32(dst, f.hash_begin);
+    PutVarint32(dst, f.hash_end);
   }
   for (const auto& [pid, number] : removed_unsorted_) {
     PutVarint32(dst, kRemoveUnsorted);
@@ -188,6 +194,16 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
       case kAddUnsorted:
         if (!GetVarint32(&input, &pid) || !GetFileMeta(&input, &f)) {
           return Status::Corruption("bad edit: add unsorted");
+        }
+        f.share = f.size;
+        new_unsorted_.emplace_back(pid, f);
+        break;
+      case kAddUnsortedRef:
+        if (!GetVarint32(&input, &pid) || !GetFileMeta(&input, &f) ||
+            !GetVarint64(&input, &f.share) ||
+            !GetVarint32(&input, &f.hash_begin) ||
+            !GetVarint32(&input, &f.hash_end)) {
+          return Status::Corruption("bad edit: add unsorted reference");
         }
         new_unsorted_.emplace_back(pid, f);
         break;
@@ -278,21 +294,18 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
     return it == parts.end() ? nullptr : &it->second;
   };
 
-  for (const auto& [pid, f] : edit.new_unsorted_) {
-    PartitionState* p = find(pid);
-    if (p == nullptr) return Status::Corruption("edit: unknown partition");
-    p->unsorted.push_back(f);
-  }
+  // Removals apply before additions, so one edit can replace an entry of
+  // a partition in place (a split narrowing a reference).
   for (const auto& [pid, number] : edit.removed_unsorted_) {
     PartitionState* p = find(pid);
     if (p == nullptr) return Status::Corruption("edit: unknown partition");
     std::erase_if(p->unsorted,
                   [number](const FileMeta& f) { return f.number == number; });
   }
-  for (const auto& [pid, f] : edit.new_sorted_) {
+  for (const auto& [pid, f] : edit.new_unsorted_) {
     PartitionState* p = find(pid);
     if (p == nullptr) return Status::Corruption("edit: unknown partition");
-    p->sorted.push_back(f);
+    p->unsorted.push_back(f);
   }
   for (const auto& [pid, number] : edit.removed_sorted_) {
     PartitionState* p = find(pid);
@@ -300,10 +313,10 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
     std::erase_if(p->sorted,
                   [number](const FileMeta& f) { return f.number == number; });
   }
-  for (const auto& [pid, v] : edit.new_vlogs_) {
+  for (const auto& [pid, f] : edit.new_sorted_) {
     PartitionState* p = find(pid);
     if (p == nullptr) return Status::Corruption("edit: unknown partition");
-    p->vlogs.push_back(v);
+    p->sorted.push_back(f);
   }
   for (const auto& [pid, number] : edit.removed_vlogs_) {
     PartitionState* p = find(pid);
@@ -311,8 +324,13 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
     std::erase_if(p->vlogs,
                   [number](const VlogMeta& v) { return v.number == number; });
   }
+  for (const auto& [pid, v] : edit.new_vlogs_) {
+    PartitionState* p = find(pid);
+    if (p == nullptr) return Status::Corruption("edit: unknown partition");
+    p->vlogs.push_back(v);
+  }
 
-  auto next = std::make_shared<VersionData>();
+  std::vector<PartitionState> ordered;
   for (auto& [pid, p] : parts) {
     // Keep unsorted files in age order (the hash index names them by
     // position) and sorted files in key order.
@@ -324,13 +342,20 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
               [](const FileMeta& a, const FileMeta& b) {
                 return a.smallest < b.smallest;
               });
-    next->partitions.push_back(
-        std::make_shared<const PartitionState>(std::move(p)));
+    ordered.push_back(std::move(p));
   }
-  std::sort(next->partitions.begin(), next->partitions.end(),
-            [](const auto& a, const auto& b) {
-              return a->lower_bound < b->lower_bound;
+  std::sort(ordered.begin(), ordered.end(),
+            [](const PartitionState& a, const PartitionState& b) {
+              return a.lower_bound < b.lower_bound;
             });
+  auto next = std::make_shared<VersionData>();
+  for (size_t i = 0; i < ordered.size(); i++) {
+    // Each partition ends where the next begins.
+    ordered[i].upper_bound =
+        i + 1 < ordered.size() ? ordered[i + 1].lower_bound : std::string();
+    next->partitions.push_back(
+        std::make_shared<const PartitionState>(std::move(ordered[i])));
+  }
   *result = std::move(next);
   return Status::OK();
 }

@@ -22,9 +22,15 @@ namespace log {
 class Writer;
 }
 
-/// Metadata for one SSTable (UnsortedStore or SortedStore).
+/// Metadata for one SSTable (UnsortedStore or SortedStore). An
+/// UnsortedStore entry is a *reference* (DESIGN.md §2): a table file, of
+/// which several partitions may each own the keys inside their own range.
 struct FileMeta {
+  /// No upper end: a reference's hash slice runs to the table's last hash.
+  static constexpr uint32_t kAllHashes = 0xFFFFFFFFu;
+
   uint64_t number = 0;
+  /// Physical file size, used to open the table.
   uint64_t size = 0;
   /// Logical bytes the table is responsible for: keys plus the values
   /// they reference (pointed-to log records included). With partial KV
@@ -36,8 +42,19 @@ struct FileMeta {
   /// is newer. A flush takes the partition's newest key + 1 (0 on an
   /// empty UnsortedStore); a scan-merge output keeps its run's largest.
   uint32_t table_id = 0;
-  std::string smallest;  // Smallest user key.
-  std::string largest;   // Largest user key.
+  /// Bounds of the user keys the entry owns (inclusive). A flush records
+  /// its partition's share exactly; a split may leave them loose, never
+  /// narrower than the share. Readers clamp to the partition's range.
+  std::string smallest;
+  std::string largest;
+  /// Unsorted references only: the bytes of the partition's share, which
+  /// every size rule counts (the whole file for a table one partition
+  /// owns), and [hash_begin, hash_end), the slice of the table's key-hash
+  /// block (one hash per distinct key, key order) the partition's hash
+  /// index holds for it.
+  uint64_t share = 0;
+  uint32_t hash_begin = 0;
+  uint32_t hash_end = kAllHashes;
 };
 
 /// Metadata for one value log file.
@@ -51,8 +68,12 @@ struct PartitionState {
   uint32_t id = 0;
   /// Inclusive lower boundary user key; empty for the first partition.
   std::string lower_bound;
-  /// UnsortedStore tables, oldest first: VersionSet keeps them sorted by
-  /// table_id. The hash index names a table by its position here.
+  /// Exclusive upper boundary user key (the next partition's lower
+  /// bound); empty for the last partition. Derived, never logged.
+  std::string upper_bound;
+  /// UnsortedStore references, oldest first: VersionSet keeps them
+  /// sorted by table_id. The hash index names a reference by its position
+  /// here. A table file may be referenced by several partitions.
   std::vector<FileMeta> unsorted;
   /// SortedStore tables: one sorted run, disjoint, key order.
   std::vector<FileMeta> sorted;
@@ -66,9 +87,16 @@ struct PartitionState {
     return unsorted.empty() ? 0 : unsorted.back().table_id + 1;
   }
 
+  /// Whether `user_key` lies in [lower_bound, upper_bound).
+  bool Contains(const Slice& user_key) const {
+    return user_key.compare(Slice(lower_bound)) >= 0 &&
+           (upper_bound.empty() || user_key.compare(Slice(upper_bound)) < 0);
+  }
+
+  /// The shares of the partition's unsorted references, not their files.
   uint64_t UnsortedBytes() const {
     uint64_t n = 0;
-    for (const auto& f : unsorted) n += f.size;
+    for (const auto& f : unsorted) n += f.share;
     return n;
   }
   uint64_t SortedBytes() const {
@@ -110,6 +138,8 @@ struct VersionData {
   /// installing their edit.
   std::shared_ptr<const PartitionState> FindById(uint32_t pid) const;
 
+  /// Every file number any partition references: a table shared by
+  /// several partitions stays live until the last reference goes.
   void AddLiveFiles(std::set<uint64_t>* live) const;
 };
 

@@ -37,6 +37,14 @@ uint16_t HashIndex::KeyTag(uint64_t key_hash) {
                                48);
 }
 
+std::unique_ptr<HashIndex> HashIndex::Clone() const {
+  auto copy = std::make_unique<HashIndex>(0, num_hashes_);
+  copy->num_entries_ = num_entries_;
+  copy->buckets_ = buckets_;
+  copy->overflow_ = overflow_;
+  return copy;
+}
+
 void HashIndex::Insert(uint64_t key_hash, size_t position) {
   assert(position < kMaxPositions);
   const uint16_t pos = static_cast<uint16_t>(position);

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/slice.h"
@@ -36,7 +37,8 @@ namespace unikv {
 ///
 /// Entries are never removed: merges and scan-merges, which move tables
 /// to new positions, install a new index built over the tables they
-/// leave. Thread safety: single writer;
+/// leave; a split starts both children from a Clone of the parent's.
+/// Thread safety: single writer;
 /// concurrent readers must be excluded externally (the DB holds its mutex
 /// around index access — operations are in-memory and cheap).
 class HashIndex {
@@ -55,6 +57,10 @@ class HashIndex {
 
   /// Positions an entry can name: every one below the empty-slot marker.
   static constexpr size_t kMaxPositions = 0xFFFF;
+
+  /// An identical copy: same entries in the same slots, so it answers
+  /// every Lookup as this index does.
+  std::unique_ptr<HashIndex> Clone() const;
 
   /// Records that the key hashing to `key_hash` has a version in the
   /// table at `position` (< kMaxPositions).

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -79,6 +80,17 @@ CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
     op.kind = kind;
     ops_.push_back(std::move(op));
   };
+  auto check = [this] {
+    Op op;
+    op.kind = Op::kCheck;
+    ops_.push_back(std::move(op));
+  };
+  auto await_partitions = [this](int n) {
+    Op op;
+    op.kind = Op::kAwaitPartitions;
+    op.partitions = n;
+    ops_.push_back(std::move(op));
+  };
 
   // Phase 1 — WAL appends/syncs, then a flush (UnsortedStore tables, hash
   // index, manifest).
@@ -98,12 +110,20 @@ CrashHarness::CrashHarness(int write_shards) : write_shards_(write_shards) {
   barrier(Op::kCompact);
 
   // Phase 4 — overwrite separated values so their old vlog records become
-  // garbage, then merge + GC across the split partitions.
+  // garbage. The flush writes one table that both partitions reference,
+  // each within its range, and takes partition 0 past
+  // partition_size_limit: it splits while that straddling table is still
+  // unsorted, and the children share it. Then merge + GC across the
+  // partitions. Scans and point reads are checked after each step.
   for (uint64_t i = 8; i < 32; i++) put(i, 2, i % 6 == 0);
   del(20);
   del(21);
   barrier(Op::kFlush);
+  check();
+  await_partitions(3);
+  check();
   barrier(Op::kCompact);
+  check();
 
   // Phase 5 — post-GC WAL tail.
   for (uint64_t i = 48; i < 56; i++) put(i, 3, i % 2 == 1);
@@ -168,8 +188,75 @@ Status CrashHarness::ApplyOp(DB* db, const Op& op) const {
     }
     case Op::kCompact:
       return db->CompactAll();
+    case Op::kAwaitPartitions: {
+      // The background split the previous flush started.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      Status s;
+      std::string n;
+      while (s.ok() && db->GetProperty("db.num-partitions", &n) &&
+             std::stoi(n) < op.partitions) {
+        s = db->GetBackgroundError();
+        if (s.ok() && std::chrono::steady_clock::now() > deadline) {
+          s = Status::IOError("split did not install within 10 s");
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      return s;
+    }
+    case Op::kCheck:
+      break;  // RunWorkload compares the store with the model.
   }
   return Status::OK();
+}
+
+std::string CrashHarness::CheckAgainstModel(
+    DB* db, const std::map<std::string, std::string>& model) const {
+  // Forward and reverse iteration, a short Scan from every key, and a
+  // point read of every key.
+  std::unique_ptr<Iterator> it(db->NewIterator(ReadOptions()));
+  auto mit = model.begin();
+  for (it->SeekToFirst(); it->Valid(); it->Next(), ++mit) {
+    if (mit == model.end() || it->key() != Slice(mit->first) ||
+        it->value() != Slice(mit->second)) {
+      return "forward scan diverges at " + it->key().ToString();
+    }
+  }
+  if (!it->status().ok()) return "forward scan: " + it->status().ToString();
+  if (mit != model.end()) return "forward scan misses " + mit->first;
+  auto rit = model.rbegin();
+  for (it->SeekToLast(); it->Valid(); it->Prev(), ++rit) {
+    if (rit == model.rend() || it->key() != Slice(rit->first) ||
+        it->value() != Slice(rit->second)) {
+      return "reverse scan diverges at " + it->key().ToString();
+    }
+  }
+  if (!it->status().ok()) return "reverse scan: " + it->status().ToString();
+  if (rit != model.rend()) return "reverse scan misses " + rit->first;
+  for (const std::string& key : universe_) {
+    std::vector<std::pair<std::string, std::string>> rows;
+    Status s = db->Scan(ReadOptions(), key, 4, &rows);
+    if (!s.ok()) return "Scan from " + key + ": " + s.ToString();
+    auto want = model.lower_bound(key);
+    for (const auto& row : rows) {
+      if (want == model.end() || row.first != want->first ||
+          row.second != want->second) {
+        return "Scan from " + key + " diverges at " + row.first;
+      }
+      ++want;
+    }
+    if (rows.size() < 4 && want != model.end()) {
+      return "Scan from " + key + " stops short";
+    }
+    std::string value;
+    s = db->Get(ReadOptions(), key, &value);
+    auto found = model.find(key);
+    if (found == model.end() ? !s.IsNotFound()
+                             : !s.ok() || value != found->second) {
+      return "Get of " + key + " disagrees with the model: " + s.ToString();
+    }
+  }
+  return "";
 }
 
 void CrashHarness::ApplyToModel(const Op& op,
@@ -183,18 +270,30 @@ void CrashHarness::ApplyToModel(const Op& op,
       break;
     case Op::kFlush:
     case Op::kCompact:
-      break;  // Barriers don't change the logical contents.
+    case Op::kAwaitPartitions:
+    case Op::kCheck:
+      break;  // Barriers and checks don't change the logical contents.
   }
 }
 
 size_t CrashHarness::RunWorkload(DB* db, const FaultInjectionEnv& env,
-                                 size_t* synced_prefix,
+                                 size_t* synced_prefix, std::string* error,
                                  bool* in_flight_at_crash) const {
   size_t acked = 0;
   size_t synced = 0;
+  std::map<std::string, std::string> model;  // Of the acknowledged ops.
   if (in_flight_at_crash != nullptr) *in_flight_at_crash = false;
   for (const Op& op : ops_) {
     if (env.crashed()) break;
+    if (op.kind == Op::kCheck) {
+      // Everything so far is acknowledged, so the store must equal the
+      // model exactly.
+      *error = CheckAgainstModel(db, model);
+      if (!error->empty()) {
+        *error = "check after op " + std::to_string(acked) + ": " + *error;
+        break;
+      }
+    }
     Status s = ApplyOp(db, op);
     if (!s.ok()) {
       // An op interrupted by the crash is unacknowledged but may still be
@@ -207,6 +306,7 @@ size_t CrashHarness::RunWorkload(DB* db, const FaultInjectionEnv& env,
       break;
     }
     acked++;
+    ApplyToModel(op, &model);
     // A sync-acked write persists every earlier op; an acknowledged
     // barrier means the flush/merge installed through a synced manifest.
     if ((op.kind == Op::kPut || op.kind == Op::kDelete) && op.sync) {
@@ -333,7 +433,9 @@ std::string CrashHarness::RunProfile(Profile* out) {
   std::unique_ptr<DB> db(raw);
   if (!s.ok()) return "profile open failed: " + s.ToString();
   size_t synced = 0;
-  size_t acked = RunWorkload(db.get(), fenv, &synced);
+  std::string error;
+  size_t acked = RunWorkload(db.get(), fenv, &synced, &error);
+  if (!error.empty()) return "profile: " + error;
   if (acked != ops_.size()) {
     return "profile workload failed at op " + std::to_string(acked);
   }
@@ -346,6 +448,15 @@ std::string CrashHarness::RunProfile(Profile* out) {
 
   out->workload_calls = fenv.TotalMutatingCalls();
   out->trace = fenv.Trace();
+  std::unique_ptr<SequentialFile> events;
+  if (base->NewSequentialFile(std::string(kDbName) + "/EVENTS", &events)
+          .ok()) {
+    char buf[4096];
+    Slice chunk;
+    while (events->Read(sizeof(buf), &chunk, buf).ok() && !chunk.empty()) {
+      out->events.append(chunk.data(), chunk.size());
+    }
+  }
 
   // A clean reopen (counts M for RunReopenCrashAt's matrix; everything is
   // still present because nothing was dropped).
@@ -372,8 +483,10 @@ std::string CrashHarness::RunCrashAt(uint64_t index) {
   size_t synced = 0;
   size_t acked = 0;
   bool in_flight = false;
+  std::string error;
   if (open_s.ok()) {
-    acked = RunWorkload(db.get(), fenv, &synced, &in_flight);
+    acked = RunWorkload(db.get(), fenv, &synced, &error, &in_flight);
+    if (!error.empty()) return error;
   } else if (!fenv.crashed()) {
     return "initial open failed without crash: " + open_s.ToString();
   }
@@ -403,7 +516,9 @@ std::string CrashHarness::RunReopenCrashAt(uint64_t index) {
   std::unique_ptr<DB> db(raw);
   if (!s.ok()) return "open failed: " + s.ToString();
   size_t synced = 0;
-  size_t acked = RunWorkload(db.get(), fenv, &synced);
+  std::string error;
+  size_t acked = RunWorkload(db.get(), fenv, &synced, &error);
+  if (!error.empty()) return error;
   if (acked != ops_.size()) {
     return "workload failed at op " + std::to_string(acked);
   }

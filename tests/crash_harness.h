@@ -41,6 +41,7 @@ class CrashHarness {
     uint64_t reopen_calls = 0;    // M: counted calls in one clean reopen.
     std::vector<FaultInjectionEnv::CallRecord> trace;  // Workload portion.
     std::string stats;  // Final "db.stats" property text.
+    std::string events;  // The store's EVENTS file after the workload.
   };
 
   /// `write_shards` > 1 makes the scripted workload cross-shard: keys hash
@@ -69,25 +70,35 @@ class CrashHarness {
 
  private:
   struct Op {
-    enum Kind { kPut, kDelete, kFlush, kCompact };
+    // kAwaitPartitions waits for a background split to bring the store to
+    // `partitions` partitions; kCheck compares the store with the model
+    // of every op before it (scans and point reads).
+    enum Kind { kPut, kDelete, kFlush, kCompact, kAwaitPartitions, kCheck };
     Kind kind;
     std::string key;
     std::string value;
     bool sync = false;
+    int partitions = 0;
   };
 
   Options MakeOptions(Env* env) const;
   Status ApplyOp(DB* db, const Op& op) const;
   void ApplyToModel(const Op& op, std::map<std::string, std::string>* m) const;
 
-  /// Issues ops in order until one fails or the env crashes. Returns C
+  /// "" if `db` holds exactly `model`, read by forward and reverse
+  /// iteration, Scan and Get; else the first divergence.
+  std::string CheckAgainstModel(
+      DB* db, const std::map<std::string, std::string>& model) const;
+
+  /// Issues ops in order until one fails, a check fails (*error says
+  /// how), or the env crashes. Returns C
   /// (the acknowledged prefix length) and sets *synced_prefix to S. Sets
   /// *in_flight_at_crash when the crash interrupted an op mid-flight —
   /// that op is unacknowledged but may already be partially durable (a
   /// sharded sync write syncs its own WAL before the cross-shard
   /// sync-all), so verification accepts one cut past C for it.
   size_t RunWorkload(DB* db, const FaultInjectionEnv& env,
-                     size_t* synced_prefix,
+                     size_t* synced_prefix, std::string* error,
                      bool* in_flight_at_crash = nullptr) const;
 
   /// Checks that `db` equals model_at(c) for some c in [synced_prefix,

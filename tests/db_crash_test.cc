@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -42,6 +43,23 @@ bool TraceHas(const std::vector<FaultInjectionEnv::CallRecord>& trace,
               FaultOp op, const char* substr) {
   for (const auto& rec : trace) {
     if (rec.op == op && rec.filename.find(substr) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Whether some `event` line of an EVENTS file carries `field` >= `min`.
+bool EventHas(const std::string& events, const std::string& event,
+              const std::string& field, uint64_t min) {
+  std::istringstream in(events);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"event\":\"" + event + "\"") == std::string::npos) continue;
+    const std::string needle = "\"" + field + "\":";
+    const size_t pos = line.find(needle);
+    if (pos != std::string::npos &&
+        std::strtoull(line.c_str() + pos + needle.size(), nullptr, 10) >= min) {
       return true;
     }
   }
@@ -82,6 +100,14 @@ TEST(DbCrashTest, FaultPointCoverage) {
   EXPECT_GE(ParseStat(profile.stats, "splits"), 1u) << profile.stats;
   EXPECT_GE(ParseStat(profile.stats, "gcs"), 1u) << profile.stats;
   EXPECT_GE(ParseStat(profile.stats, "scan_merges"), 1u) << profile.stats;
+
+  // A flush wrote one table that two partitions reference, and a split
+  // divided a partition while a table straddling its boundary was still
+  // unsorted.
+  EXPECT_TRUE(EventHas(profile.events, "flush", "partitions", 2))
+      << profile.events;
+  EXPECT_TRUE(EventHas(profile.events, "split", "unsorted_shared", 1))
+      << profile.events;
 }
 
 TEST(DbCrashTest, CrashAtEveryFaultPoint) {

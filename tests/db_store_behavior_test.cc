@@ -308,18 +308,19 @@ TEST_F(DbStoreBehaviorTest, ScanMergeKeepsNewestVersionAndTombstones) {
 }
 
 // Unsorted tables of the given sizes, oldest first, as a version holds
-// them.
+// them: each is its partition's alone, so its share is its size.
 std::vector<FileMeta> UnsortedTables(const std::vector<uint64_t>& sizes) {
   std::vector<FileMeta> unsorted;
   for (size_t i = 0; i < sizes.size(); i++) {
     FileMeta f;
     f.number = 100 + i;
     f.table_id = static_cast<uint32_t>(i);
-    f.size = sizes[i];
+    f.size = f.share = sizes[i];
     unsorted.push_back(f);
   }
   return unsorted;
 }
+
 
 using RunRange = std::pair<size_t, size_t>;
 
@@ -353,6 +354,16 @@ TEST(PickScanMergeRunTest, SmallTablesOnBothSidesOfABigOne) {
   // length.
   EXPECT_EQ(RunRange(0, 3), PickScanMergeRun(UnsortedTables(
                            {70000, 70000, 70000, 900000, 70000})));
+}
+
+// A flush table shared by several partitions counts only the share each
+// partition owns: a big output stays out of a run of small shares of
+// big files.
+TEST(PickScanMergeRunTest, SharesNotFileSizesGroupTables) {
+  std::vector<FileMeta> unsorted = UnsortedTables(
+      {800000, 1000000, 1000000, 1000000, 1000000});
+  for (size_t i = 1; i < unsorted.size(); i++) unsorted[i].share = 70000;
+  EXPECT_EQ(RunRange(1, 5), PickScanMergeRun(unsorted));
 }
 
 // Keys in `model` read back through Get, MultiGet, Scan and a reverse
@@ -690,6 +701,42 @@ TEST(UnsortedTableAgeTest, TableCountCapMergesWithoutScanOptimization) {
   WaitForCounter(db.get(), "merges", 1);
   ASSERT_NO_FATAL_FAILURE(
       ExpectKReads(db.get(), "v" + std::to_string(cap - 1)));
+}
+
+// A scan-merge that dropped no version (every key was new) is not
+// repeated: at the next count trigger the partition merges into the
+// SortedStore, which rewrites those tables once. Overwrites keep
+// scan-merging (ScanMergeLeavesBigOutputUnderFreshFlushes).
+TEST(UnsortedTableAgeTest, NewKeysMergeInsteadOfScanMergingAgain) {
+  std::unique_ptr<MemEnv> env(NewMemEnv());
+  Options opt;
+  opt.env = env.get();
+  opt.unsorted_limit = 1ull << 30;  // Never a size-triggered merge.
+  opt.scan_merge_limit = 4;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, "/new_keys", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  int next = 0;
+  auto flush_new_keys = [&] {
+    for (int i = 0; i < 50; i++, next++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), test::TestKey(next),
+                          test::TestValue(next, 300))
+                      .ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());
+  };
+  for (int t = 0; t < 4; t++) ASSERT_NO_FATAL_FAILURE(flush_new_keys());
+  WaitForCounter(db.get(), "scan_merges", 1);
+  EXPECT_EQ(0u, EngineCounter(db.get(), "merges"));
+  // The output and three more tables reach the trigger again.
+  for (int t = 0; t < 3; t++) ASSERT_NO_FATAL_FAILURE(flush_new_keys());
+  WaitForCounter(db.get(), "merges", 1);
+  EXPECT_EQ(1u, EngineCounter(db.get(), "scan_merges"));
+  for (int i = 0; i < next; i++) {
+    std::string value;
+    ASSERT_TRUE(db->Get(ReadOptions(), test::TestKey(i), &value).ok()) << i;
+    EXPECT_EQ(test::TestValue(i, 300), value);
+  }
 }
 
 // Holds every RemoveFile while closed, so a test can keep a job's

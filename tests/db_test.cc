@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 
+#include "core/unikv_db.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -328,6 +329,33 @@ TEST_F(DbTest, SecondOpenOnSameDirRefused) {
   std::string value;
   EXPECT_TRUE(reopened->Get(ReadOptions(), "k", &value).ok());
   EXPECT_EQ("v", value);
+}
+
+// Background jobs read tables they are about to replace: a merge, a GC or
+// a scan-merge must not insert their blocks into the block cache.
+TEST_F(DbTest, BackgroundJobsDoNotFillTheBlockCache) {
+  Options opt = SmallOptions();
+  opt.block_cache_size = 64 << 20;  // Nothing is evicted.
+  OpenDb(opt, "_cache_fill");
+  auto* engine = static_cast<UniKVDB*>(db_.get());
+  for (int round = 0; round < 2; round++) {
+    for (int i = 0; i < 3000; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), test::TestKey(i),
+                           test::TestValue(i + round, 200))
+                      .ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  }
+  // Warm the cache over both stores: the data blocks every Get touches.
+  for (int i = 0; i < 3000; i += 3) {
+    EXPECT_EQ(test::TestValue(i + 1, 200), Get(test::TestKey(i)));
+  }
+  const size_t warm = engine->TEST_block_cache_charge();
+  EXPECT_GT(warm, 0u);
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_LE(engine->TEST_block_cache_charge(), warm);
+  // The outputs are readable; reading them is what fills the cache.
+  EXPECT_EQ(test::TestValue(1, 200), Get(test::TestKey(0)));
 }
 
 }  // namespace

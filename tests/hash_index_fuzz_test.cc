@@ -6,8 +6,9 @@
 // the latest table id recorded for a key always appears among its
 // candidates. A 20k-key pool over 16-bit tags guarantees plenty of real
 // tag collisions. A second fuzzer checks that rebuilding an index from
-// per-table hash lists, each table at its list position (recovery),
-// answers exactly like the index the installs built one table at a time.
+// the references' slices of per-table hash lists, each at its list
+// position (recovery), answers exactly like the live indexes that
+// flushes, merges, scan-merges and splits built.
 
 #include <gtest/gtest.h>
 
@@ -151,139 +152,206 @@ TEST(HashIndexFuzzTest, SingleHashDegeneratesGracefully) {
   fuzz.Run(20000);
 }
 
-// One partition's UnsortedStore life, with the index naming each table by
-// its position in the partition's list (oldest first): a flush appends a
-// table and inserts its hashes at the next position; a scan-merge
-// replaces a run of adjacent tables its snapshot saw with their key union
-// at the run's first position; a merge consumes the whole snapshot. A
-// scan-merge builds its new index over the list it leaves: the snapshot
-// tables before the run at their positions, its output, the snapshot
-// tables after the run shifted down by the run's length - 1, and then the
-// tables flushed while it ran at the positions after those; a merge
-// re-adds only those survivors, from position 0. After each step the
-// live index must equal one rebuilt from the list in order, as recovery
-// does: same candidate positions in the same order for every key, or a
-// reopen could change which table a read trusts first.
+// The UnsortedStores of a range-partitioned key space, with each index
+// naming a reference by its position in its partition's list (oldest
+// first). A table's key-hash block lists its distinct keys in key order,
+// and a reference holds a slice of it:
+//  - a flush writes one table and appends one reference per partition it
+//    covers, whose slice is the partition's keys, inserted at the next
+//    position;
+//  - a scan-merge replaces a run of adjacent references its snapshot saw
+//    with a table of their keys inside the partition's range (no table
+//    when there are none) at the run's first position;
+//  - a merge consumes the whole snapshot;
+//  - a split divides a partition's range; both children keep every
+//    reference with its slice, and each child's index is a clone of the
+//    parent's.
+// A scan-merge builds its new index over the list it leaves: the
+// snapshot references before the run at their positions, its output, the
+// references after the run shifted down, and then the references flushed
+// while it ran at the positions after those; a merge re-adds only those
+// survivors, from position 0. After each step every partition's live
+// index must equal one rebuilt from its references' slices in order, as
+// recovery does: as many entries, and the same candidate positions in the
+// same order for every key in its range, or a reopen could change which
+// table a read trusts first.
 class RebuildFuzz {
  public:
   RebuildFuzz(uint32_t seed, size_t expected, int num_hashes)
-      : rnd_(seed), expected_(expected), num_hashes_(num_hashes),
-        live_(NewIndex()) {}
+      : rnd_(seed), expected_(expected), num_hashes_(num_hashes) {
+    parts_.push_back(Partition{0, kKeys, {}, NewIndex(), 0});
+  }
 
   void Run(int steps) {
     for (int step = 0; step < steps; step++) {
       const uint32_t dice = rnd_.Uniform(100);
-      // A job's snapshot holds every table but the last `survivors`,
+      Partition& p = parts_[rnd_.Uniform(static_cast<int>(parts_.size()))];
+      // A job's snapshot holds every reference but the last `survivors`,
       // which are flushes installed since the previous job's install.
-      const size_t survivors = rnd_.Uniform(
-          static_cast<int>(std::min(flushes_since_job_ + 1,
-                                    tables_.size() > 1 ? tables_.size() - 1
-                                                       : 1)));
-      if (dice < 80 || tables_.size() < 2) {
+      const size_t n = p.refs.size();
+      const size_t survivors = rnd_.Uniform(static_cast<int>(
+          std::min(p.flushes_since_job + 1, n > 1 ? n - 1 : 1)));
+      if (dice < 75 || n < 2) {
         Flush();
-      } else if (dice < 88) {
-        ScanMerge(tables_.size() - survivors, /*interior=*/false);
+      } else if (dice < 83) {
+        ScanMerge(&p, n - survivors, /*interior=*/false);
+      } else if (dice < 90) {
+        ScanMerge(&p, n - survivors, /*interior=*/true);
       } else if (dice < 95) {
-        ScanMerge(tables_.size() - survivors, /*interior=*/true);
+        Merge(&p, n - survivors);
       } else {
-        Merge(tables_.size() - survivors);
+        Split(&p);
       }
       ASSERT_NO_FATAL_FAILURE(VerifyRebuild());
     }
   }
 
-  /// Most overflow entries the live index held at any check.
+  /// Most overflow entries a live index held at any check.
   uint64_t MaxOverflow() const { return max_overflow_; }
-  /// Scan-merges that left snapshot tables on both sides of their run.
+  /// Scan-merges that left snapshot references on both sides of their run.
   int InteriorScanMerges() const { return interior_scan_merges_; }
+  /// References both children of a split kept with keys on both sides.
+  int SharedAtSplit() const { return shared_at_split_; }
 
  private:
   static constexpr uint32_t kKeys = 5000;
 
   using Table = std::vector<uint32_t>;  // Sorted, distinct keys.
+  struct Ref {
+    size_t table = 0;
+    size_t begin = 0, end = 0;  // The slice of the table's keys.
+  };
+  struct Partition {
+    uint32_t lo = 0, hi = 0;  // The key range [lo, hi).
+    std::vector<Ref> refs;    // Oldest first, like PartitionState.
+    std::unique_ptr<HashIndex> live;
+    size_t flushes_since_job = 0;
+  };
 
   std::unique_ptr<HashIndex> NewIndex() const {
     return std::make_unique<HashIndex>(expected_, num_hashes_);
   }
 
-  static void InsertTable(HashIndex* index, const Table& t, size_t pos) {
-    for (uint32_t k : t) index->Insert(H(FuzzKey(k)), pos);
+  void Insert(HashIndex* index, const Ref& r, size_t pos) const {
+    for (size_t i = r.begin; i < r.end; i++) {
+      index->Insert(H(FuzzKey(tables_[r.table][i])), pos);
+    }
+  }
+
+  // The new table `keys` and a reference to all of it.
+  Ref AddTable(const std::set<uint32_t>& keys) {
+    tables_.emplace_back(keys.begin(), keys.end());
+    return Ref{tables_.size() - 1, 0, keys.size()};
   }
 
   void Flush() {
     std::set<uint32_t> keys;
-    const uint32_t n = 1 + rnd_.Uniform(200);
+    const uint32_t n = 1 + rnd_.Uniform(400);
     for (uint32_t i = 0; i < n; i++) keys.insert(rnd_.Uniform(kKeys));
-    InsertTable(live_.get(), Table(keys.begin(), keys.end()), tables_.size());
-    tables_.emplace_back(keys.begin(), keys.end());
-    flushes_since_job_++;
+    const Ref whole = AddTable(keys);
+    const Table& t = tables_[whole.table];
+    for (Partition& p : parts_) {
+      Ref r = whole;
+      r.begin = std::lower_bound(t.begin(), t.end(), p.lo) - t.begin();
+      r.end = std::lower_bound(t.begin(), t.end(), p.hi) - t.begin();
+      if (r.begin == r.end) continue;  // The table misses the partition.
+      Insert(p.live.get(), r, p.refs.size());
+      p.refs.push_back(r);
+      p.flushes_since_job++;
+    }
   }
 
-  // Consumes the whole snapshot (the first `snapshot` tables), or with
-  // `interior` a run of at least two that is neither its oldest nor its
-  // newest table.
-  void ScanMerge(size_t snapshot, bool interior) {
+  // Consumes the whole snapshot (the first `snapshot` references), or
+  // with `interior` a run of at least two that is neither its oldest nor
+  // its newest reference.
+  void ScanMerge(Partition* p, size_t snapshot, bool interior) {
     size_t lo = 0, hi = snapshot;  // The run: positions [lo, hi).
     if (interior && snapshot >= 4) {
       lo = 1 + rnd_.Uniform(static_cast<int>(snapshot - 3));
       hi = lo + 2 + rnd_.Uniform(static_cast<int>(snapshot - 2 - lo));
       interior_scan_merges_++;
     }
+    // The run's keys, read clamped to the partition's range.
     std::set<uint32_t> keys;
     for (size_t i = lo; i < hi; i++) {
-      keys.insert(tables_[i].begin(), tables_[i].end());
+      const Ref& r = p->refs[i];
+      for (size_t k = r.begin; k < r.end; k++) {
+        const uint32_t key = tables_[r.table][k];
+        if (key >= p->lo && key < p->hi) keys.insert(key);
+      }
     }
-    const Table out(keys.begin(), keys.end());
-    const size_t shift = hi - lo - 1;
-    live_ = NewIndex();
-    for (size_t i = 0; i < lo; i++) InsertTable(live_.get(), tables_[i], i);
-    InsertTable(live_.get(), out, lo);
-    for (size_t i = hi; i < tables_.size(); i++) {
-      InsertTable(live_.get(), tables_[i], i - shift);
+    std::vector<Ref> out;
+    if (!keys.empty()) out.push_back(AddTable(keys));
+    const size_t shift = hi - lo - out.size();
+    p->live = NewIndex();
+    for (size_t i = 0; i < lo; i++) Insert(p->live.get(), p->refs[i], i);
+    for (const Ref& r : out) Insert(p->live.get(), r, lo);
+    for (size_t i = hi; i < p->refs.size(); i++) {
+      Insert(p->live.get(), p->refs[i], i - shift);
     }
-    tables_.erase(tables_.begin() + lo, tables_.begin() + hi);
-    tables_.insert(tables_.begin() + lo, out);
-    flushes_since_job_ = 0;
+    p->refs.erase(p->refs.begin() + lo, p->refs.begin() + hi);
+    p->refs.insert(p->refs.begin() + lo, out.begin(), out.end());
+    p->flushes_since_job = 0;
   }
 
-  void Merge(size_t consumed) {
-    live_ = NewIndex();
-    tables_.erase(tables_.begin(), tables_.begin() + consumed);
-    for (size_t i = 0; i < tables_.size(); i++) {
-      InsertTable(live_.get(), tables_[i], i);
+  void Merge(Partition* p, size_t consumed) {
+    p->live = NewIndex();
+    p->refs.erase(p->refs.begin(), p->refs.begin() + consumed);
+    for (size_t i = 0; i < p->refs.size(); i++) {
+      Insert(p->live.get(), p->refs[i], i);
     }
-    flushes_since_job_ = 0;
+    p->flushes_since_job = 0;
+  }
+
+  void Split(Partition* p) {
+    if (p->hi - p->lo < 2 || parts_.size() >= 8) return;
+    const uint32_t boundary = p->lo + 1 + rnd_.Uniform(p->hi - p->lo - 1);
+    for (const Ref& r : p->refs) {
+      const Table& t = tables_[r.table];
+      if (t[r.begin] < boundary && t[r.end - 1] >= boundary) {
+        shared_at_split_++;
+      }
+    }
+    Partition right{boundary, p->hi, p->refs, p->live->Clone(),
+                    p->flushes_since_job};
+    p->hi = boundary;
+    parts_.push_back(std::move(right));  // May move *p: used no further.
   }
 
   void VerifyRebuild() {
-    std::unique_ptr<HashIndex> rebuilt = NewIndex();
-    for (size_t i = 0; i < tables_.size(); i++) {
-      InsertTable(rebuilt.get(), tables_[i], i);
-    }
-    max_overflow_ = std::max(max_overflow_, live_->NumOverflowEntries());
-    ASSERT_EQ(live_->NumEntries(), rebuilt->NumEntries());
-    for (uint32_t k = 0; k < kKeys; k++) {
-      std::vector<uint16_t> live, again;
-      live_->Lookup(H(FuzzKey(k)), &live);
-      rebuilt->Lookup(H(FuzzKey(k)), &again);
-      ASSERT_EQ(live, again) << FuzzKey(k);
+    for (const Partition& p : parts_) {
+      std::unique_ptr<HashIndex> rebuilt = NewIndex();
+      for (size_t i = 0; i < p.refs.size(); i++) {
+        Insert(rebuilt.get(), p.refs[i], i);
+      }
+      max_overflow_ = std::max(max_overflow_, p.live->NumOverflowEntries());
+      ASSERT_EQ(p.live->NumEntries(), rebuilt->NumEntries());
+      // A read probes the index of the partition whose range holds its
+      // key.
+      for (uint32_t k = p.lo; k < p.hi; k++) {
+        std::vector<uint16_t> live, again;
+        p.live->Lookup(H(FuzzKey(k)), &live);
+        rebuilt->Lookup(H(FuzzKey(k)), &again);
+        ASSERT_EQ(live, again) << FuzzKey(k);
+      }
     }
   }
 
   Random rnd_;
   const size_t expected_;
   const int num_hashes_;
-  std::unique_ptr<HashIndex> live_;
-  std::vector<Table> tables_;  // Oldest first, like PartitionState.
-  size_t flushes_since_job_ = 0;
+  std::vector<Table> tables_;
+  std::vector<Partition> parts_;
   uint64_t max_overflow_ = 0;
   int interior_scan_merges_ = 0;
+  int shared_at_split_ = 0;
 };
 
 TEST(HashIndexFuzzTest, RebuildFromTableHashesEqualsLive) {
   RebuildFuzz fuzz(/*seed=*/771, /*expected=*/16384, /*num_hashes=*/2);
   fuzz.Run(300);
   EXPECT_GT(fuzz.InteriorScanMerges(), 0);
+  EXPECT_GT(fuzz.SharedAtSplit(), 0);
 }
 
 TEST(HashIndexFuzzTest, RebuildEqualsLiveThroughOverflowChains) {
@@ -291,6 +359,7 @@ TEST(HashIndexFuzzTest, RebuildEqualsLiveThroughOverflowChains) {
   fuzz.Run(300);
   EXPECT_GT(fuzz.MaxOverflow(), 0u);
   EXPECT_GT(fuzz.InteriorScanMerges(), 0);
+  EXPECT_GT(fuzz.SharedAtSplit(), 0);
 }
 
 }  // namespace

@@ -117,6 +117,82 @@ TEST(VersionSet, CreateRecoverAndApply) {
   }
 }
 
+// A reference keeps its share and hash slice through a MANIFEST round
+// trip, and a kAddUnsorted record (tag 6, written before references)
+// decodes as a reference to the whole file. An edit's removals apply
+// before its additions, so one edit narrows a reference in place. Each
+// partition's upper bound is the next one's lower bound.
+TEST(VersionSet, UnsortedReferencesRoundTrip) {
+  std::unique_ptr<MemEnv> env(NewMemEnv());
+  {
+    VersionSet versions(env.get(), "/db");
+    ASSERT_TRUE(versions.Recover(true, false).ok());
+    std::string legacy;
+    PutVarint32(&legacy, 6);  // kAddUnsorted
+    PutVarint32(&legacy, 0);  // Partition.
+    PutVarint64(&legacy, 7);  // Number.
+    PutVarint64(&legacy, 300);  // Size.
+    PutVarint64(&legacy, 280);  // Logical bytes.
+    PutVarint32(&legacy, 0);  // table_id.
+    PutLengthPrefixedSlice(&legacy, Slice("a"));
+    PutLengthPrefixedSlice(&legacy, Slice("k"));
+    VersionEdit old_record;
+    ASSERT_TRUE(old_record.DecodeFrom(Slice(legacy)).ok());
+    ASSERT_TRUE(versions.LogAndApply(&old_record).ok());
+
+    FileMeta left;
+    left.number = 8;
+    left.size = 1000;
+    left.table_id = 1;
+    left.smallest = "b";
+    left.largest = "q";
+    left.share = 400;
+    left.hash_begin = 3;
+    left.hash_end = 9;
+    FileMeta right = left;
+    right.table_id = 0;
+    right.smallest = "m";
+    right.share = 600;
+    VersionEdit split;
+    split.AddPartition(1, "m");
+    split.AddUnsortedFile(0, left);
+    split.AddUnsortedFile(1, right);
+    ASSERT_TRUE(versions.LogAndApply(&split).ok());
+    left.share = 200;
+    VersionEdit narrow;
+    narrow.RemoveUnsortedFile(0, 8);
+    narrow.AddUnsortedFile(0, left);
+    ASSERT_TRUE(versions.LogAndApply(&narrow).ok());
+  }
+  VersionSet versions(env.get(), "/db");
+  ASSERT_TRUE(versions.Recover(false, false).ok());
+  const VersionPtr v = versions.current();
+  ASSERT_EQ(2u, v->partitions.size());
+  const PartitionState& p0 = *v->partitions[0];
+  const PartitionState& p1 = *v->partitions[1];
+  EXPECT_EQ("m", p0.upper_bound);
+  EXPECT_EQ("", p1.upper_bound);
+  EXPECT_TRUE(p0.Contains("l"));
+  EXPECT_FALSE(p0.Contains("m"));
+  ASSERT_EQ(2u, p0.unsorted.size());
+  EXPECT_EQ(7u, p0.unsorted[0].number);
+  EXPECT_EQ(300u, p0.unsorted[0].share);
+  EXPECT_EQ(0u, p0.unsorted[0].hash_begin);
+  EXPECT_EQ(FileMeta::kAllHashes, p0.unsorted[0].hash_end);
+  EXPECT_EQ(8u, p0.unsorted[1].number);
+  EXPECT_EQ(200u, p0.unsorted[1].share);
+  EXPECT_EQ(3u, p0.unsorted[1].hash_begin);
+  EXPECT_EQ(9u, p0.unsorted[1].hash_end);
+  EXPECT_EQ(500u, p0.UnsortedBytes());
+  ASSERT_EQ(1u, p1.unsorted.size());
+  EXPECT_EQ("m", p1.unsorted[0].smallest);
+  EXPECT_EQ(600u, p1.unsorted[0].share);
+  // One file, referenced twice, is live once.
+  std::set<uint64_t> live;
+  v->AddLiveFiles(&live);
+  EXPECT_EQ((std::set<uint64_t>{7, 8}), live);
+}
+
 // (table_id, number) of partition 0's unsorted tables, in list order.
 std::vector<std::pair<uint32_t, uint64_t>> UnsortedOrder(
     const VersionSet& versions) {
