@@ -1,4 +1,4 @@
-// Experiment F11 — Foreground write-path scalability (sharded write path
+// Experiment F14 — Foreground write-path scalability (sharded write path
 // at work; DESIGN.md §10).
 //
 // Sweeps 1→32 client threads over two configurations of the same UniKV
@@ -82,7 +82,7 @@ int main() {
       RunSweep(&sharded, "sharded_async", false, kAsyncOps, kThreads);
 
   PrintTableHeader(
-      "F11 write scalability (kops/s; sync = durable writes, async = "
+      "F14 write scalability (kops/s; sync = durable writes, async = "
       "buffered)",
       {"threads", "shard sync", "single sync", "shard async",
        "single async"});

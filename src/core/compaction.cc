@@ -1,7 +1,7 @@
-// Background maintenance for UniKVDB: memtable flushes, the SortedStore
-// rewrite job (UnsortedStore -> SortedStore merges with partial KV
-// separation, and value-log garbage collection), size-based scan merges,
-// and dynamic range-partition splits.
+// Background maintenance for UniKVDB: memtable flushes, the rewrite job
+// (UnsortedStore -> SortedStore merges with partial KV separation,
+// size-based scan merges within the UnsortedStore, and value-log garbage
+// collection), and dynamic range-partition splits.
 
 #include <algorithm>
 #include <chrono>
@@ -160,10 +160,9 @@ Status UniKVDB::DispatchWork(const WorkItem& item) {
     case WorkKind::kFlush:
       return CompactMemTable(static_cast<size_t>(item.shard));
     case WorkKind::kMerge:
+    case WorkKind::kScanMerge:
     case WorkKind::kGc:
       return RewritePartition(item.partition, item.kind);
-    case WorkKind::kScanMerge:
-      return ScanMergeRun(item.partition);
     case WorkKind::kSplit:
       return SplitPartition(item.partition);
     case WorkKind::kNone:
@@ -432,27 +431,70 @@ Status UniKVDB::CompactMemTable(size_t shard_idx) {
 
 // ---------------------------------------------------------------- rewrite
 
+std::pair<size_t, size_t> PickScanMergeRun(
+    const std::vector<FileMeta>& unsorted) {
+  // Greedy maximal groups, newest first: a table joins the current group
+  // [i, end) while the group's largest size stays within 2x of its
+  // smallest. A later (older) group replaces the best only when strictly
+  // longer, so ties go to the newer group.
+  const size_t n = unsorted.size();
+  size_t best_first = 0, best_end = 0, end = n;
+  uint64_t lo = 0, hi = 0;
+  for (size_t i = n; i-- > 0;) {
+    const uint64_t size = unsorted[i].share;
+    if (i + 1 == n || std::max(hi, size) > 2 * std::min(lo, size)) {
+      end = i + 1;
+      lo = hi = size;
+    } else {
+      lo = std::min(lo, size);
+      hi = std::max(hi, size);
+    }
+    if (end - i > best_end - best_first) {
+      best_first = i;
+      best_end = end;
+    }
+  }
+  if (best_end - best_first < 2) return {0, n};
+  return {best_first, best_end};
+}
+
 Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
                                  WorkKind kind) {
   const uint64_t start_us = env_->NowMicros();
   const uint32_t pid = p->id;
-  // The job's inputs besides the sorted run it replaces: a merge consumes
-  // every unsorted table, a GC moves the live values of every value log.
-  const bool merge = kind == WorkKind::kMerge;
-  const std::span<const FileMeta> tables =
-      merge ? std::span(p->unsorted) : std::span<const FileMeta>();
+  // The kind only picks the job's inputs: the positions [first, end) of
+  // the unsorted references it consumes, whether it consumes the sorted
+  // run (a terminal job: it writes the SortedStore), and the value logs
+  // whose live values it moves. A merge consumes every reference and the
+  // run; a scan-merge PickScanMergeRun's run of references and nothing
+  // else; a GC the run and every log.
+  const auto [first, end] =
+      kind == WorkKind::kScanMerge
+          ? PickScanMergeRun(p->unsorted)
+          : std::pair<size_t, size_t>(
+                0, kind == WorkKind::kMerge ? p->unsorted.size() : 0);
+  const bool terminal = kind != WorkKind::kScanMerge;
+  const std::span<const FileMeta> run =
+      std::span(p->unsorted).subspan(first, end - first);
   const std::span<const VlogMeta> logs =
-      merge ? std::span<const VlogMeta>() : std::span(p->vlogs);
+      kind == WorkKind::kGc ? std::span(p->vlogs) : std::span<const VlogMeta>();
   std::set<uint64_t> moved;
   for (const VlogMeta& v : logs) moved.insert(v.number);
 
   // Every input belongs to files the job is about to replace (or, for a
   // shared table, to this partition's share of one), so none fills the
-  // block cache.
-  std::vector<Iterator*> children = UnsortedInputs(*p, tables);
-  uint64_t bytes_read = p->SortedBytes();
-  for (const FileMeta& f : tables) bytes_read += f.share;
-  if (!p->sorted.empty()) {
+  // block cache. Unsorted inputs are clamped to the partition's range.
+  std::vector<Iterator*> children;
+  uint64_t bytes_read = 0;
+  for (const FileMeta& f : run) {
+    children.push_back(NewClampedIterator(
+        table_cache_->NewIterator(f.number, f.size, nullptr,
+                                  /*fill_cache=*/false),
+        p->lower_bound, p->upper_bound));
+    bytes_read += f.share;
+  }
+  if (terminal && !p->sorted.empty()) {
+    bytes_read += p->SortedBytes();
     children.push_back(NewSortedRunIterator(table_cache_.get(), p->sorted,
                                             /*fill_cache=*/false));
   }
@@ -470,7 +512,7 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
   struct Held {
     std::string internal_key;
     std::string value;  // The value, or the encoding of a kept pointer.
-    bool kept = false;  // A pointer into a log the job does not move.
+    bool kept = false;  // Written as it is (see `kept` below).
     Status status;      // A fetch's outcome.
   };
   constexpr size_t kBatchSize = 256;
@@ -478,10 +520,14 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
   size_t held = 0;
   std::vector<ValueFetcher::Item> items;  // One per held moved pointer.
   ValueFetcher fetcher(vlog_cache_.get(), ValueFetcher::Spans::kCopied);
-  TableOutputWriter writer(this, TableOutputWriter::Store::kSorted, pid);
+  TableOutputWriter writer(this,
+                           terminal ? TableOutputWriter::Store::kSorted
+                                    : TableOutputWriter::Store::kUnsorted,
+                           pid);
 
-  // A kept pointer is written as it is; every value the job holds, from
-  // an unsorted table or a moved log, goes through the separation rule.
+  // A kept entry is written as it is; every value a terminal job holds,
+  // from an unsorted table or a moved log, goes through the separation
+  // rule.
   auto put = [&](const Slice& internal_key, const Slice& value, bool kept) {
     return kept ? writer.Add(internal_key, value)
                 : writer.AddValue(ExtractUserKey(internal_key),
@@ -528,13 +574,16 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
     }
     current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
     has_current = true;
-    // The SortedStore is the terminal level: tombstones die here.
-    if (ikey.type == kTypeDeletion) {
+    // The SortedStore is the terminal level: tombstones die there. Below
+    // it they still shadow older unsorted tables and the sorted run.
+    if (terminal && ikey.type == kTypeDeletion) {
       dropped++;
       continue;
     }
 
-    const bool kept = pointer && !in_moved_log;
+    // Written as it is: every entry a non-terminal job keeps, and a
+    // pointer into a log the job does not move.
+    const bool kept = !terminal || (pointer && !in_moved_log);
     if (held == 0 && !in_moved_log) {
       s = put(merged->key(), merged->value(), kept);
       continue;
@@ -558,21 +607,54 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
   if (!s.ok()) return s;
   const uint64_t bytes_written = writer.bytes_written();
 
-  // One edit replaces the consumed tables, the sorted run and the moved
-  // logs with the outputs. Removals are by number, so unsorted tables
-  // flushed in while the job ran survive it, and logs it does not move
-  // stay, their dead records left to a later GC. A moved log still
-  // shared with a sibling partition after a split survives physically
-  // until the sibling moves it too (lazy split completion).
+  // One edit replaces the consumed references, the consumed sorted run
+  // and the moved logs with the outputs. Removals are by number, so
+  // unsorted tables flushed in while the job ran survive it, and logs it
+  // does not move stay, their dead records left to a later GC. A moved
+  // log still shared with a sibling partition after a split survives
+  // physically until the sibling moves it too (lazy split completion).
+  // A non-terminal output (at most one table, and none when the run's
+  // shares held no key of the partition) keeps the run's largest
+  // table_id, free to reuse as the same edit removes it: the run is
+  // contiguous in the age-ordered list, so the output takes its place.
   VersionEdit edit;
-  for (const FileMeta& f : tables) edit.RemoveUnsortedFile(pid, f.number);
-  for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
+  for (const FileMeta& f : run) edit.RemoveUnsortedFile(pid, f.number);
+  if (terminal) {
+    for (const FileMeta& f : p->sorted) edit.RemoveSortedFile(pid, f.number);
+  }
   for (const VlogMeta& v : logs) edit.RemoveValueLog(pid, v.number);
-  for (const FileMeta& f : writer.outputs()) edit.AddSortedFile(pid, f);
+  for (FileMeta f : writer.outputs()) {
+    if (terminal) {
+      edit.AddSortedFile(pid, f);
+    } else {
+      f.table_id = run.back().table_id;
+      edit.AddUnsortedFile(pid, f);
+    }
+  }
   if (writer.vlog().number != 0) edit.AddValueLog(pid, writer.vlog());
-  // Built off mu_; InstallUnsortedReplacement adds the survivors.
+
+  // A job that consumes references replaces the partition's hash index
+  // with one built here, off mu_, over the list the edit leaves, in
+  // position order as a rebuild inserts it: the tables before the run
+  // keep their positions, the unsorted output takes the run's first, and
+  // the tables after it move down by run.size() - unsorted_outputs (for a
+  // merge, an empty index). The install adds the tables flushed
+  // meanwhile. A job that consumes none keeps the current index.
+  const size_t unsorted_outputs = terminal ? 0 : writer.outputs().size();
+  const size_t kept_tables = p->unsorted.size() - run.size();
   std::unique_ptr<HashIndex> index;
-  if (!tables.empty()) index = NewHashIndex();
+  if (!run.empty()) {
+    index = NewHashIndex();
+    for (size_t i = 0; s.ok() && i < first; i++) {
+      s = InsertTableIntoIndex(index.get(), p->unsorted[i], i);
+    }
+    for (uint64_t h : writer.key_hashes()) index->Insert(h, first);
+    for (size_t i = end; s.ok() && i < p->unsorted.size(); i++) {
+      s = InsertTableIntoIndex(index.get(), p->unsorted[i],
+                               i - run.size() + unsorted_outputs);
+    }
+    if (!s.ok()) return s;
+  }
 
   MutexLock lock(&mu_);
   const uint64_t install_start_us = env_->NowMicros();
@@ -614,33 +696,68 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
       (void)env_->RemoveFile(ValueLogFileName(dbname_, v.number));
     }
   }
+
+  // Complete the replacement index before installing the edit, so a
+  // failed read leaves both the version and the old index untouched.
+  // Each survivor costs one key-hash block read under mu_; survivors
+  // exist only when a flush landed during the job. They are newer than
+  // every snapshot table, so they follow the job's tables in the list.
   size_t survivors = 0;
-  s = tables.empty() ? versions_->LogAndApply(&edit)
-                     : InstallUnsortedReplacement(*p, &edit, std::move(index),
-                                                  0, &survivors);
+  if (index != nullptr) {
+    std::set<uint64_t> in_snapshot;
+    for (const FileMeta& f : p->unsorted) in_snapshot.insert(f.number);
+    for (const FileMeta& f : cur_p->unsorted) {
+      if (in_snapshot.count(f.number)) continue;
+      s = InsertTableIntoIndex(index.get(), f,
+                               kept_tables + unsorted_outputs + survivors++);
+      if (!s.ok()) return s;
+    }
+  }
+  s = versions_->LogAndApply(&edit);
   const uint64_t install_us = env_->NowMicros() - install_start_us;
   if (s.ok()) {
     PartitionRuntime& rt = runtime_.at(pid);
+    if (index != nullptr) {
+      // The cached anchor view dies with the consumed tables; the next
+      // iterator builds one over what remains if two or more tables do.
+      InstallAnchorViewLocked(pid, nullptr);
+      rt.index = std::move(index);
+    }
     // A job that moved every log leaves none of the old garbage behind.
     if (logs.size() == p->vlogs.size()) rt.vlog_garbage = 0;
     rt.vlog_garbage += garbage_added;
-    if (merge) rt.dropped_none = dropped == 0;
+    if (!run.empty()) rt.dropped_none = dropped == 0;
 
     // Each kind reports under its own names; the fields are the same.
-    metrics_.CountJob(
-        pid, {{merge ? "merges" : "gcs", 1},
-              {merge ? "merge_bytes_read" : "gc_bytes_read", bytes_read},
-              {merge ? "merge_bytes_written" : "gc_bytes_written",
-               bytes_written}});
+    struct Names {
+      const char* event;
+      const char* jobs;
+      const char* bytes_read;
+      const char* bytes_written;
+      ConcurrentHistogram* latency;
+    };
+    const Names names =
+        kind == WorkKind::kMerge
+            ? Names{"merge", "merges", "merge_bytes_read",
+                    "merge_bytes_written", metrics_.merge_latency}
+        : kind == WorkKind::kScanMerge
+            ? Names{"scan_merge", "scan_merges", "scan_merge_bytes_read",
+                    "scan_merge_bytes_written", metrics_.scan_merge_latency}
+            : Names{"gc", "gcs", "gc_bytes_read", "gc_bytes_written",
+                    metrics_.gc_latency};
+    metrics_.CountJob(pid, {{names.jobs, 1},
+                            {names.bytes_read, bytes_read},
+                            {names.bytes_written, bytes_written}});
     const uint64_t dur = env_->NowMicros() - start_us;
-    (merge ? metrics_.merge_latency : metrics_.gc_latency)
-        ->Add(static_cast<double>(dur));
+    names.latency->Add(static_cast<double>(dur));
     JsonBuilder ev;
     ev.AddUint("partition", pid);
     ev.AddUint("duration_micros", dur);
     ev.AddUint("bytes_read", bytes_read);
     ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("input_tables", tables.size() + p->sorted.size());
+    ev.AddUint("input_tables",
+               run.size() + (terminal ? p->sorted.size() : 0));
+    ev.AddUint("kept_tables", kept_tables);
     ev.AddUint("input_vlogs", logs.size());
     ev.AddUint("output_tables", writer.outputs().size());
     ev.AddUint("surviving_tables", survivors);
@@ -648,180 +765,7 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
     ev.AddUint("garbage_added", garbage_added);
     ev.AddUint("dropped_versions", dropped);
     ev.AddUint("install_micros", install_us);
-    event_log_->Log(merge ? "merge" : "gc", &ev);
-  }
-  return s;
-}
-
-// ------------------------------------------------------------- scan merge
-
-std::pair<size_t, size_t> PickScanMergeRun(
-    const std::vector<FileMeta>& unsorted) {
-  // Greedy maximal groups, newest first: a table joins the current group
-  // [i, end) while the group's largest size stays within 2x of its
-  // smallest. A later (older) group replaces the best only when strictly
-  // longer, so ties go to the newer group.
-  const size_t n = unsorted.size();
-  size_t best_first = 0, best_end = 0, end = n;
-  uint64_t lo = 0, hi = 0;
-  for (size_t i = n; i-- > 0;) {
-    const uint64_t size = unsorted[i].share;
-    if (i + 1 == n || std::max(hi, size) > 2 * std::min(lo, size)) {
-      end = i + 1;
-      lo = hi = size;
-    } else {
-      lo = std::min(lo, size);
-      hi = std::max(hi, size);
-    }
-    if (end - i > best_end - best_first) {
-      best_first = i;
-      best_end = end;
-    }
-  }
-  if (best_end - best_first < 2) return {0, n};
-  return {best_first, best_end};
-}
-
-Status UniKVDB::ScanMergeRun(std::shared_ptr<const PartitionState> p) {
-  const uint64_t start_us = env_->NowMicros();
-  const uint32_t pid = p->id;
-
-  // The run is contiguous in the table list, which is age order, so the
-  // output can keep the run's largest table_id (free to reuse: the same
-  // edit removes it) and takes the run's place: newer than the tables
-  // left in place before it, older than those after it and than tables
-  // flushed while this job runs.
-  const auto [first, end] = PickScanMergeRun(p->unsorted);
-  const std::span<const FileMeta> run =
-      std::span(p->unsorted).subspan(first, end - first);
-  uint64_t bytes_read = 0;
-  for (const FileMeta& f : run) bytes_read += f.share;
-  std::unique_ptr<Iterator> merged(
-      NewMergingIterator(icmp_, UnsortedInputs(*p, run)));
-
-  TableOutputWriter writer(this, TableOutputWriter::Store::kUnsorted, pid);
-  Status s;
-  std::string current_user_key;
-  bool has_current = false;
-  uint64_t dropped = 0;
-  for (merged->SeekToFirst(); s.ok() && merged->Valid(); merged->Next()) {
-    const Slice user_key = ExtractUserKey(merged->key());
-    if (has_current && user_key.compare(Slice(current_user_key)) == 0) {
-      dropped++;
-      continue;  // Older version within the run: drop.
-    }
-    current_user_key.assign(user_key.data(), user_key.size());
-    has_current = true;
-    // Tombstones are preserved: they still shadow older unsorted tables
-    // and the SortedStore.
-    s = writer.Add(merged->key(), merged->value());
-  }
-  if (s.ok()) s = merged->status();
-  if (s.ok()) s = writer.Finish();
-  if (!s.ok()) return s;
-  const uint64_t bytes_written = writer.bytes_written();
-
-  // At most one table per unsorted writer, and none when the run's shares
-  // held no key of the partition (a split can leave a share empty).
-  const size_t outputs = writer.outputs().size();
-  // The replacement index, built off mu_ over the list the edit leaves,
-  // in position order as a rebuild inserts it: the tables before the run
-  // keep their positions, the output takes the run's first, and the
-  // tables after it move down by run.size() - outputs.
-  // InstallUnsortedReplacement adds the tables flushed meanwhile.
-  std::unique_ptr<HashIndex> index = NewHashIndex();
-  for (size_t i = 0; s.ok() && i < first; i++) {
-    s = InsertTableIntoIndex(index.get(), p->unsorted[i], i);
-  }
-  for (uint64_t h : writer.key_hashes()) index->Insert(h, first);
-  for (size_t i = end; s.ok() && i < p->unsorted.size(); i++) {
-    s = InsertTableIntoIndex(index.get(), p->unsorted[i],
-                             i - run.size() + outputs);
-  }
-  if (!s.ok()) return s;
-  const size_t kept = p->unsorted.size() - run.size();
-
-  VersionEdit edit;
-  for (const FileMeta& f : run) edit.RemoveUnsortedFile(pid, f.number);
-  if (outputs > 0) {
-    FileMeta output = writer.outputs()[0];
-    output.table_id = run.back().table_id;
-    edit.AddUnsortedFile(pid, output);
-  }
-
-  MutexLock lock(&mu_);
-  const uint64_t install_start_us = env_->NowMicros();
-  s = InstallUnsortedReplacement(*p, &edit, std::move(index), kept + outputs,
-                                 nullptr);
-  const uint64_t install_us = env_->NowMicros() - install_start_us;
-  if (s.ok()) {
-    runtime_.at(pid).dropped_none = dropped == 0;
-    metrics_.CountJob(pid, {{"scan_merges", 1},
-                            {"scan_merge_bytes_read", bytes_read},
-                            {"scan_merge_bytes_written", bytes_written}});
-
-    const uint64_t dur = env_->NowMicros() - start_us;
-    metrics_.scan_merge_latency->Add(static_cast<double>(dur));
-    JsonBuilder ev;
-    ev.AddUint("partition", pid);
-    ev.AddUint("duration_micros", dur);
-    ev.AddUint("input_tables", run.size());
-    ev.AddUint("kept_tables", kept);
-    ev.AddUint("output_tables", outputs);
-    ev.AddUint("dropped_versions", dropped);
-    ev.AddUint("bytes_read", bytes_read);
-    ev.AddUint("bytes_written", bytes_written);
-    ev.AddUint("install_micros", install_us);
-    event_log_->Log("scan_merge", &ev);
-  }
-  return s;
-}
-
-std::vector<Iterator*> UniKVDB::UnsortedInputs(
-    const PartitionState& p, std::span<const FileMeta> tables) {
-  std::vector<Iterator*> children;
-  for (const FileMeta& f : tables) {
-    children.push_back(NewClampedIterator(
-        table_cache_->NewIterator(f.number, f.size, nullptr,
-                                  /*fill_cache=*/false),
-        p.lower_bound, p.upper_bound));
-  }
-  return children;
-}
-
-Status UniKVDB::InstallUnsortedReplacement(const PartitionState& snap,
-                                           VersionEdit* edit,
-                                           std::unique_ptr<HashIndex> index,
-                                           size_t indexed, size_t* survivors) {
-  const uint32_t pid = snap.id;
-  // Nothing removes partitions, and the job's busy claim keeps other
-  // per-partition jobs off this one.
-  std::shared_ptr<const PartitionState> cur_p =
-      versions_->current()->FindById(pid);
-  assert(cur_p != nullptr);
-  // The job's `index` already covers every snapshot table the edit keeps.
-  std::set<uint64_t> in_snapshot;
-  for (const FileMeta& f : snap.unsorted) in_snapshot.insert(f.number);
-
-  // Complete the replacement index before installing the edit, so a
-  // failed read leaves both the version and the old index untouched.
-  // Each survivor costs one key-hash block read under mu_; survivors
-  // exist only when a flush landed during the job. They are newer than
-  // every snapshot table, so they follow the job's tables in the list.
-  size_t n = 0;
-  for (const FileMeta& f : cur_p->unsorted) {
-    if (in_snapshot.count(f.number)) continue;
-    Status s = InsertTableIntoIndex(index.get(), f, indexed + n++);
-    if (!s.ok()) return s;
-  }
-  if (survivors != nullptr) *survivors = n;
-
-  Status s = versions_->LogAndApply(edit);
-  if (s.ok()) {
-    // The cached anchor view dies with the consumed tables; the next
-    // iterator builds one over what remains if two or more tables do.
-    InstallAnchorViewLocked(pid, nullptr);
-    runtime_.at(pid).index = std::move(index);
+    event_log_->Log(names.event, &ev);
   }
   return s;
 }

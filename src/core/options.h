@@ -25,7 +25,9 @@ struct Options {
   /// Block cache capacity in bytes (0 disables the shared cache).
   size_t block_cache_size = 8 * 1024 * 1024;
 
-  /// SSTable layout knobs.
+  /// SSTable layout knobs. SortedStore tables override the block size
+  /// and restart interval with their own fixed layout (16 KiB blocks,
+  /// every entry a restart; core/table_output_writer.cc).
   TableOptions table_options;
 
   // --- UniKV-specific knobs (ignored by baselines) ---
@@ -61,28 +63,6 @@ struct Options {
 
   /// Target size of each SortedStore SSTable produced by merges/GC.
   size_t sorted_table_size = 2 * 1024 * 1024;
-
-  /// Data-block size for SortedStore tables (merge and GC outputs).
-  /// 0 inherits table_options.block_size. Once values separate, a
-  /// SortedStore entry is just a key plus a value pointer (~40 bytes), so
-  /// a 4KiB block holds only ~100 entries: every point probe lands in a
-  /// different block and pays a full block-cache lookup, and batched
-  /// sorted probes almost never reuse the previously pinned block.
-  /// Larger blocks amortize both (binary search only grows
-  /// logarithmically with entries per block); the cost is coarser reads
-  /// on a cold block-cache miss. 16KiB keeps that cold read moderate.
-  size_t sorted_block_size = 16 * 1024;
-
-  /// Restart interval for SortedStore data blocks (merge and GC outputs).
-  /// SortedStore entries are short — a key plus a value pointer once
-  /// values separate — so prefix compression saves almost nothing, while
-  /// every point probe pays a linear prefix-decode scan between restart
-  /// points. 1 makes every entry a restart: the in-block search becomes a
-  /// pure binary search over full keys and the scan disappears.
-  /// UnsortedStore tables keep table_options.block_restart_interval
-  /// (default 16): their blocks carry full values, where the prefix bytes
-  /// saved are cheap relative to the payload.
-  int sorted_block_restart_interval = 1;
 
   /// Values shorter than this stay inline in SortedStore tables instead
   /// of being separated into the value logs (the paper's suggested

@@ -22,8 +22,8 @@ namespace unikv {
 ///    share (DESIGN.md §2).
 ///    The writer hashes each distinct user key as it is added and writes
 ///    the list as the table's key-hash block (DESIGN.md §2).
-///  - kSorted (the SortedStore rewrite job): the sorted layout, a table
-///    rotated once it reaches `sorted_table_size` on disk or
+///  - kSorted (a terminal rewrite job: merge, GC): the sorted layout, a
+///    table rotated once it reaches `sorted_table_size` on disk or
 ///    max(sorted_table_size, partition_size_limit / 8) governed logical
 ///    bytes, so a partition that is large in separated values still
 ///    yields several tables (split points). The writer also owns the

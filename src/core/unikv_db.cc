@@ -486,7 +486,15 @@ void UniKVDB::RemoveObsoleteFiles() {
   const uint64_t start_us = env_->NowMicros();
   std::set<uint64_t> live;
   uint64_t log_number, manifest_number;
+  // The directory is listed before the live set is taken, and off mu_,
+  // which every read takes. A job registers each output as pending (under
+  // mu_) before it creates the file, so a file the listing sees is, by
+  // the snapshot below, still pending, live in a version, or abandoned
+  // (an orphan, rightly swept). Outputs created after the listing are not
+  // in it. WALs are numbered above every log floor while they are live.
+  // Temp and manifest files are written only by single-threaded Recover.
   std::vector<std::string> children;
+  if (!env_->GetChildren(dbname_, &children).ok()) return;
   {
     MutexLock lock(&mu_);
     if (has_bg_error_.load(std::memory_order_acquire)) {
@@ -496,13 +504,6 @@ void UniKVDB::RemoveObsoleteFiles() {
     live.insert(pending_outputs_.begin(), pending_outputs_.end());
     log_number = versions_->LogNumber();
     manifest_number = versions_->ManifestFileNumber();
-    // The directory listing must happen while the live set is
-    // authoritative. Peer workers register a pending output (under mu_)
-    // *before* creating the file, so any file this listing can observe is
-    // covered by the snapshot above; with the mutex dropped between the
-    // two, a peer could register and create a fresh output in the window
-    // and this sweep would delete it.
-    if (!env_->GetChildren(dbname_, &children).ok()) return;
   }
 
   std::string removed;

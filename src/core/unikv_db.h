@@ -6,7 +6,6 @@
 #include <initializer_list>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -366,35 +365,18 @@ class UniKVDB : public DB {
                                  FlushOutput* out) EXCLUDES(mu_);
   Status CompactMemTable(size_t shard_idx) EXCLUDES(mu_);
 
-  /// Installs `edit`, a merge or scan-merge of `snap` (partition
-  /// `snap.id` as the job saw it). The caller builds `index` off mu_ over
-  /// the first `indexed` positions of the list the edit leaves: every
-  /// table of `snap` the edit keeps and the job's own unsorted output.
-  /// Tables flushed into the partition while the job ran survive the
-  /// edit (removals are by number) at the positions after those: their
-  /// key-hash blocks are added to `index` (and counted in *survivors,
-  /// if given), and `index` becomes the partition's hash index once the
-  /// edit is applied. Also drops the partition's cached anchor view.
-  Status InstallUnsortedReplacement(const PartitionState& snap,
-                                    VersionEdit* edit,
-                                    std::unique_ptr<HashIndex> index,
-                                    size_t indexed, size_t* survivors)
-      REQUIRES(mu_);
-
-  /// One iterator per reference in `tables` (of partition `p`), each
-  /// clamped to `p`'s range, for a background job to consume. They do not
-  /// fill the block cache: the job replaces what it reads.
-  std::vector<Iterator*> UnsortedInputs(const PartitionState& p,
-                                        std::span<const FileMeta> tables);
-
-  /// The SortedStore rewrite job (DESIGN.md §5), run as a merge (`kind`
-  /// kMerge: consumes every unsorted table of `p`) or a GC (kGc: moves
-  /// the live values of every value log of `p`). Either way one pass
-  /// over the inputs and the sorted run writes a new sorted run and at
-  /// most one new value log.
+  /// The rewrite job (DESIGN.md §5): one pass over some of partition
+  /// `p`'s inputs writes their newest versions into one store. `kind`
+  /// picks the inputs: kMerge consumes every unsorted reference and the
+  /// sorted run, kScanMerge the run of references PickScanMergeRun
+  /// names, kGc the sorted run and every value log. A job that consumes
+  /// the sorted run is terminal: it writes a new sorted run and at most
+  /// one new value log, and drops tombstones. A scan-merge writes at most
+  /// one unsorted table in its run's place and keeps every entry as it
+  /// is. A job that consumes references also replaces the partition's
+  /// hash index and drops its cached anchor view at install.
   Status RewritePartition(std::shared_ptr<const PartitionState> p,
                           WorkKind kind) EXCLUDES(mu_);
-  Status ScanMergeRun(std::shared_ptr<const PartitionState> p) EXCLUDES(mu_);
   Status SplitPartition(std::shared_ptr<const PartitionState> p)
       EXCLUDES(mu_);
 

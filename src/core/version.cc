@@ -52,16 +52,16 @@ enum EditTag : uint32_t {
   kNextFileNumber = 2,
   kLastSequence = 3,
   kNewPartition = 4,
-  kRemovePartition = 5,
   kAddUnsorted = 6,
   kRemoveUnsorted = 7,
   kAddSorted = 8,
   kRemoveSorted = 9,
   kAddVlog = 10,
   kRemoveVlog = 11,
-  // 12 (a hash-index checkpoint file) and 13 (a persisted anchor view)
-  // are retired and never reused: a MANIFEST of a store from before
-  // key-hash blocks fails to decode (DESIGN.md §2).
+  // Retired tags, never reused: 5 (a partition removal; nothing wrote
+  // one), 12 (a hash-index checkpoint file) and 13 (a persisted anchor
+  // view). An edit carrying one fails to decode, so a MANIFEST of a store
+  // from before key-hash blocks does not open (DESIGN.md §2).
   // An unsorted reference: kAddUnsorted's fields plus its share and hash
   // slice. A kAddUnsorted record decodes as a reference to the whole file.
   kAddUnsortedRef = 14,
@@ -108,10 +108,6 @@ void VersionEdit::EncodeTo(std::string* dst) const {
     PutVarint32(dst, kNewPartition);
     PutVarint32(dst, pid);
     PutLengthPrefixedSlice(dst, Slice(lower));
-  }
-  for (uint32_t pid : removed_partitions_) {
-    PutVarint32(dst, kRemovePartition);
-    PutVarint32(dst, pid);
   }
   for (const auto& [pid, f] : new_unsorted_) {
     PutVarint32(dst, kAddUnsortedRef);
@@ -185,12 +181,6 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
         new_partitions_.emplace_back(pid, lower.ToString());
         break;
       }
-      case kRemovePartition:
-        if (!GetVarint32(&input, &pid)) {
-          return Status::Corruption("bad edit: remove partition");
-        }
-        removed_partitions_.push_back(pid);
-        break;
       case kAddUnsorted:
         if (!GetVarint32(&input, &pid) || !GetFileMeta(&input, &f)) {
           return Status::Corruption("bad edit: add unsorted");
@@ -284,9 +274,6 @@ Status VersionSet::Apply(const VersionEdit& edit, VersionPtr base,
     p.lower_bound = lower;
     parts[pid] = std::move(p);
     if (pid >= next_partition_id_) next_partition_id_ = pid + 1;
-  }
-  for (uint32_t pid : edit.removed_partitions_) {
-    parts.erase(pid);
   }
 
   auto find = [&parts](uint32_t pid) -> PartitionState* {

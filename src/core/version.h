@@ -166,7 +166,6 @@ class VersionEdit {
   void AddPartition(uint32_t pid, const std::string& lower_bound) {
     new_partitions_.emplace_back(pid, lower_bound);
   }
-  void RemovePartition(uint32_t pid) { removed_partitions_.push_back(pid); }
   void AddUnsortedFile(uint32_t pid, const FileMeta& f) {
     new_unsorted_.emplace_back(pid, f);
   }
@@ -200,7 +199,6 @@ class VersionEdit {
   SequenceNumber last_sequence_ = 0;
 
   std::vector<std::pair<uint32_t, std::string>> new_partitions_;
-  std::vector<uint32_t> removed_partitions_;
   std::vector<std::pair<uint32_t, FileMeta>> new_unsorted_;
   std::vector<std::pair<uint32_t, uint64_t>> removed_unsorted_;
   std::vector<std::pair<uint32_t, FileMeta>> new_sorted_;

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -249,40 +250,11 @@ TEST_F(DbConcurrencyTest, ManualFlushRacesConcurrentWriters) {
 
 // --------------------------------------------------------------- overlap
 
-// Forwards to a base Env but, while armed, turns appends to .sst/.vlog
-// files into a rendezvous: the first background job to append parks
-// inside the call (bounded wait) until a second job is also mid-append,
-// and `max_in_flight` records the peak. Two jobs inside .sst/.vlog
-// appends at once is direct proof the scheduler overlaps independent
-// work — no wall-clock windows involved, so the proof cannot flake on a
-// slow or single-CPU host (a sleeping first arriver yields the CPU to
-// whichever worker owns the second job). WAL, manifest and EVENTS writes
-// are not wrapped so the foreground isn't stalled.
-class RendezvousEnv : public Env {
+// Forwards every call to `base`; the test Envs below override the calls
+// they watch.
+class ForwardingEnv : public Env {
  public:
-  explicit RendezvousEnv(Env* base) : base_(base) {}
-
-  std::atomic<bool> armed{false};
-  std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
-  // Park attempts are rationed: if the scheduler really serializes (the
-  // regression this test exists to catch), every lone append would park
-  // and the test would crawl; after the budget it free-runs and the
-  // max_in_flight assertion reports the failure.
-  std::atomic<int> park_budget{10};
-
-  Status NewWritableFile(const std::string& fname,
-                         std::unique_ptr<WritableFile>* result) override {
-    std::unique_ptr<WritableFile> file;
-    Status s = base_->NewWritableFile(fname, &file);
-    if (!s.ok()) return s;
-    if (fname.ends_with(".sst") || fname.ends_with(".vlog")) {
-      *result = std::make_unique<RendezvousFile>(this, std::move(file));
-    } else {
-      *result = std::move(file);
-    }
-    return s;
-  }
+  explicit ForwardingEnv(Env* base) : base_(base) {}
 
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override {
@@ -292,6 +264,10 @@ class RendezvousEnv : public Env {
       const std::string& fname,
       std::unique_ptr<RandomAccessFile>* result) override {
     return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    return base_->NewWritableFile(fname, result);
   }
   Status NewAppendableFile(const std::string& fname,
                            std::unique_ptr<WritableFile>* result) override {
@@ -326,6 +302,45 @@ class RendezvousEnv : public Env {
   uint64_t NowMicros() override { return base_->NowMicros(); }
   void SleepForMicroseconds(int micros) override {
     base_->SleepForMicroseconds(micros);
+  }
+
+ protected:
+  Env* const base_;
+};
+
+// Forwards to a base Env but, while armed, turns appends to .sst/.vlog
+// files into a rendezvous: the first background job to append parks
+// inside the call (bounded wait) until a second job is also mid-append,
+// and `max_in_flight` records the peak. Two jobs inside .sst/.vlog
+// appends at once is direct proof the scheduler overlaps independent
+// work — no wall-clock windows involved, so the proof cannot flake on a
+// slow or single-CPU host (a sleeping first arriver yields the CPU to
+// whichever worker owns the second job). WAL, manifest and EVENTS writes
+// are not wrapped so the foreground isn't stalled.
+class RendezvousEnv : public ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  std::atomic<bool> armed{false};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  // Park attempts are rationed: if the scheduler really serializes (the
+  // regression this test exists to catch), every lone append would park
+  // and the test would crawl; after the budget it free-runs and the
+  // max_in_flight assertion reports the failure.
+  std::atomic<int> park_budget{10};
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    std::unique_ptr<WritableFile> file;
+    Status s = base_->NewWritableFile(fname, &file);
+    if (!s.ok()) return s;
+    if (fname.ends_with(".sst") || fname.ends_with(".vlog")) {
+      *result = std::make_unique<RendezvousFile>(this, std::move(file));
+    } else {
+      *result = std::move(file);
+    }
+    return s;
   }
 
  private:
@@ -369,8 +384,6 @@ class RendezvousEnv : public Env {
     RendezvousEnv* env_;
     std::unique_ptr<WritableFile> base_;
   };
-
-  Env* base_;
 };
 
 // Pulls `"key":<uint>` out of one EVENTS JSON line. A needle with the
@@ -473,6 +486,76 @@ TEST_F(DbConcurrencyTest, BackgroundJobsOverlapAcrossPartitions) {
     ASSERT_TRUE(db_->Get(ReadOptions(), test::TestKey(k), &value).ok()) << k;
     EXPECT_EQ(test::TestValue(k + 1, 256), value);
   }
+}
+
+// ----------------------------------------------------------------- sweep
+
+// While armed, the next directory listing parks until released, and
+// `entered` says a caller is parked there.
+class ListingLatchEnv : public ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  std::atomic<bool> armed{false};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    if (armed.exchange(false)) {
+      entered.store(true);
+      while (!released.load()) SleepForMicroseconds(1000);
+    }
+    return base_->GetChildren(dir, result);
+  }
+};
+
+// The obsolete-file sweep after every background job lists the directory
+// off the DB mutex, so a point read, which takes the mutex, never waits
+// for the listing.
+TEST_F(DbConcurrencyTest, SweepListsTheDirectoryWithoutBlockingReads) {
+  auto* env = new ListingLatchEnv(Env::Default());
+  env_.reset(env);
+  Options opt = BusyOptions();
+  opt.env = env;
+  opt.background_threads = 1;
+  dir_ = test::NewTestDir("conc_sweep_listing");
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(opt, dir_, &raw).ok());
+  db_.reset(raw);
+  ASSERT_TRUE(db_->Put(WriteOptions(), "key", "value").ok());
+
+  // The flush's sweep parks in its listing; FlushMemTable returns only
+  // after that sweep.
+  env->armed.store(true);
+  Status flushed;
+  std::thread flusher([&] { flushed = db_->FlushMemTable(); });
+  for (int i = 0; i < 10000 && !env->entered.load(); i++) {
+    env->SleepForMicroseconds(1000);
+  }
+  const bool parked = env->entered.load();
+
+  std::atomic<bool> read{false};
+  Status got;
+  std::string value;
+  std::thread reader([&] {
+    got = db_->Get(ReadOptions(), "key", &value);
+    read.store(true);
+  });
+  for (int i = 0; i < 5000 && parked && !read.load(); i++) {
+    env->SleepForMicroseconds(1000);
+  }
+  const bool read_while_parked = read.load();
+  env->released.store(true);
+  reader.join();
+  flusher.join();
+
+  ASSERT_TRUE(parked) << "no sweep listed the directory after the flush";
+  EXPECT_TRUE(read_while_parked)
+      << "Get waited for the sweep's directory listing";
+  EXPECT_TRUE(flushed.ok()) << flushed.ToString();
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  EXPECT_EQ("value", value);
 }
 
 }  // namespace

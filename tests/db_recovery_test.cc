@@ -306,7 +306,7 @@ uint64_t StatOf(DB* db, const std::string& name) {
 
 // A table flushed into a partition while its merge runs survives the
 // merge install, which adds the survivor's key-hash block to the new
-// index (InstallUnsortedReplacement). Every survivor key — new keys and
+// index (RewritePartition's install). Every survivor key — new keys and
 // overwrites of merged ones — reads its newest value before and after a
 // reopen, and the rebuilt index matches the live one.
 TEST_F(DbRecoveryTest, MergeInstallKeepsTablesFlushedDuringIt) {

@@ -648,7 +648,9 @@ TEST(UnsortedTableAgeTest, AgesPastSixteenBitsReadTheNewestValue) {
   {
     VersionSet versions(env.get(), dbname);
     ASSERT_TRUE(versions.Recover(false, false).ok());
-    const PartitionState& p = *versions.current()->partitions[0];
+    // Pinned: the first edit retires the version `p` lives in.
+    const VersionPtr ver = versions.current();
+    const PartitionState& p = *ver->partitions[0];
     ASSERT_EQ(1u, p.unsorted.size());
     FileMeta f = p.unsorted[0];
     f.table_id = 65533;

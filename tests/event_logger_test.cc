@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -164,13 +165,15 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
   opt.unsorted_limit = 128 * 1024;
   opt.sorted_table_size = 64 * 1024;
   opt.gc_garbage_threshold = 64 * 1024;
+  opt.scan_merge_limit = 3;  // Scan-merges between the merges.
 
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(opt, dir, &raw).ok());
   std::unique_ptr<DB> db(raw);
 
   // Write enough (with overwrites, so merges create vlog garbage and GC
-  // has work) to force flushes and merges, then drain everything.
+  // has work) to force flushes, scan-merges and merges, then drain
+  // everything.
   const int kKeys = 2000;
   for (int round = 0; round < 2; round++) {
     for (int i = 0; i < kKeys; i++) {
@@ -185,31 +188,29 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
       ReadLines(dir + "/" + EventLogger::kFileName);
   ASSERT_FALSE(lines.empty());
 
-  // Merge and GC are one job body; each kind's line keeps its name and
-  // fields, and perfbench sums their bytes_written.
-  const char* const kMergeFields[] = {
-      "bytes_read",    "bytes_written",    "input_tables",
+  // Merge, scan-merge and GC are one job body; each kind's line keeps its
+  // name and carries the same fields, and perfbench sums their
+  // bytes_written.
+  const char* const kRewriteFields[] = {
+      "partition",     "bytes_read",       "bytes_written",
+      "input_tables",  "kept_tables",      "input_vlogs",
       "output_tables", "surviving_tables", "vlog_bytes",
-      "garbage_added", "install_micros"};
-  const char* const kGcFields[] = {"bytes_read",    "bytes_written",
-                                   "input_vlogs",   "output_tables",
-                                   "vlog_bytes",    "install_micros"};
-  int flushes = 0, merges = 0, gcs = 0;
-  uint64_t merge_bytes_written = 0, gc_bytes_written = 0;
+      "garbage_added", "dropped_versions", "install_micros"};
+  std::map<std::string, int> jobs;
+  std::map<std::string, uint64_t> bytes_written;
   for (const std::string& line : lines) {
     EXPECT_TRUE(test::IsValidJson(line)) << line;
     EXPECT_NE(line.find("\"duration_micros\":"), std::string::npos) << line;
     EXPECT_NE(line.find("\"ts_micros\":"), std::string::npos) << line;
-    if (line.find("\"event\":\"flush\"") != std::string::npos) flushes++;
-    if (line.find("\"event\":\"merge\"") != std::string::npos) {
-      merges++;
-      for (const char* field : kMergeFields) FieldOf(line, field);
-      merge_bytes_written += FieldOf(line, "bytes_written");
-    }
-    if (line.find("\"event\":\"gc\"") != std::string::npos) {
-      gcs++;
-      for (const char* field : kGcFields) FieldOf(line, field);
-      gc_bytes_written += FieldOf(line, "bytes_written");
+    for (const char* kind : {"flush", "merge", "scan_merge", "gc"}) {
+      if (line.find("\"event\":\"" + std::string(kind) + "\"") ==
+          std::string::npos) {
+        continue;
+      }
+      jobs[kind]++;
+      if (std::string(kind) == "flush") continue;
+      for (const char* field : kRewriteFields) FieldOf(line, field);
+      bytes_written[kind] += FieldOf(line, "bytes_written");
     }
     // Every job that installs a version reports how long it held the DB
     // mutex for the install, at most its whole duration.
@@ -226,25 +227,34 @@ TEST(EventLoggerTest, DbBackgroundJobsEmitEvents) {
       EXPECT_LE(install, duration) << line;
     }
   }
-  EXPECT_GT(flushes, 0);
-  EXPECT_GT(merges, 0);
-  EXPECT_GT(gcs, 0);
+  EXPECT_GT(jobs["flush"], 0);
+  EXPECT_GT(jobs["merge"], 0);
+  EXPECT_GT(jobs["scan_merge"], 0);
+  EXPECT_GT(jobs["gc"], 0);
 
-  // The event counts match what db.stats reports: one line per job.
+  // The event counts match what db.stats reports, one line per job, and
+  // each kind's bytes_written sums to its registry series.
   std::string stats;
   ASSERT_TRUE(db->GetProperty("db.stats", &stats));
-  EXPECT_NE(stats.find("flushes=" + std::to_string(flushes)),
+  EXPECT_NE(stats.find("flushes=" + std::to_string(jobs["flush"])),
             std::string::npos)
       << stats;
-  EXPECT_NE(stats.find(" merges=" + std::to_string(merges)),
+  EXPECT_NE(stats.find(" merges=" + std::to_string(jobs["merge"])),
             std::string::npos)
       << stats;
-  EXPECT_NE(stats.find(" gcs=" + std::to_string(gcs)), std::string::npos)
+  EXPECT_NE(
+      stats.find(" scan_merges=" + std::to_string(jobs["scan_merge"]) + " "),
+      std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find(" gcs=" + std::to_string(jobs["gc"])),
+            std::string::npos)
       << stats;
   const CounterSnapshot counters =
       static_cast<UniKVDB*>(db.get())->TEST_metrics().SnapshotCounters();
-  EXPECT_EQ(merge_bytes_written, counters.engine.at("merge_bytes_written"));
-  EXPECT_EQ(gc_bytes_written, counters.engine.at("gc_bytes_written"));
+  EXPECT_EQ(bytes_written["merge"], counters.engine.at("merge_bytes_written"));
+  EXPECT_EQ(bytes_written["scan_merge"],
+            counters.engine.at("scan_merge_bytes_written"));
+  EXPECT_EQ(bytes_written["gc"], counters.engine.at("gc_bytes_written"));
 
   // EVENTS must survive RemoveObsoleteFiles (it is not a tracked file
   // type) and reopen.

@@ -23,7 +23,6 @@ TEST(VersionEdit, EncodeDecodeRoundTrip) {
   edit.SetLastSequence(999999);
   edit.AddPartition(0, "");
   edit.AddPartition(3, "mboundary");
-  edit.RemovePartition(2);
   FileMeta f;
   f.number = 10;
   f.size = 12345;
@@ -49,10 +48,11 @@ TEST(VersionEdit, EncodeDecodeRoundTrip) {
   EXPECT_EQ(encoded, reencoded);
 }
 
-// Tags 12 (a hash-index checkpoint) and 13 (a persisted anchor view) are
-// retired: an edit carrying either does not decode.
+// Tags 5 (a partition removal), 12 (a hash-index checkpoint) and 13 (a
+// persisted anchor view) are retired: an edit carrying one does not
+// decode.
 TEST(VersionEdit, RetiredTagsDoNotDecode) {
-  for (uint32_t tag : {12u, 13u}) {
+  for (uint32_t tag : {5u, 12u, 13u}) {
     std::string encoded;
     PutVarint32(&encoded, tag);
     PutVarint32(&encoded, 0);
