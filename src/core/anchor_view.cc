@@ -15,52 +15,32 @@
 
 namespace unikv {
 
+void AnchorView::Anchor::EncodeTo(std::string* dst) const {
+  PutVarint32(dst, ordinal);
+  block.EncodeTo(dst);
+}
+
+bool AnchorView::Anchor::DecodeFrom(Slice input) {
+  return GetVarint32(&input, &ordinal) && block.DecodeFrom(&input).ok();
+}
+
 namespace {
 
 constexpr int kAnchorRestartInterval = 16;
 
-struct Anchor {
-  uint32_t ordinal = 0;
-  uint64_t block_offset = 0;
-  uint32_t restart_index = 0;
-};
-
-void EncodeAnchor(std::string* dst, const Anchor& a) {
-  PutVarint32(dst, a.ordinal);
-  PutVarint64(dst, a.block_offset);
-  PutVarint32(dst, a.restart_index);
-}
-
-bool DecodeAnchor(Slice value, Anchor* a) {
-  return GetVarint32(&value, &a->ordinal) &&
-         GetVarint64(&value, &a->block_offset) &&
-         GetVarint32(&value, &a->restart_index);
-}
-
 /// Walks one table block by block (via its index block), so every entry
-/// comes with the file offset of its data block and a restart slot hint.
-/// Only the entries whose user key lies in [lower, upper) are yielded (an
-/// empty `upper` is no bound); the walk starts at the block holding
-/// `lower`.
+/// comes with the handle of its data block. Only the entries whose user
+/// key lies in [lower, upper) are yielded (an empty `upper` is no bound);
+/// the walk starts at the block holding `lower`.
 class TableSource {
  public:
-  TableSource(TableCache* cache, const FileMeta& meta, uint32_t ordinal,
-              int restart_interval, const Slice& lower, const Slice& upper)
-      : ordinal_(ordinal),
-        restart_interval_(restart_interval < 1 ? 1 : restart_interval),
+  TableSource(const Table* table, uint32_t ordinal, const Slice& lower,
+              const Slice& upper)
+      : table_(table),
+        ordinal_(ordinal),
         lower_(lower),
-        upper_(upper) {
-    const Table* table = nullptr;
-    // The iterator is kept solely as the table-cache pin for `table`.
-    pin_.reset(cache->NewIterator(meta.number, meta.size, &table,
-                                  false /*fill_cache*/));
-    if (table == nullptr) {
-      status_ = pin_->status();
-      if (status_.ok()) status_ = Status::Corruption("table open failed");
-      return;
-    }
-    table_ = table;
-    index_iter_.reset(table_->NewIndexIterator());
+        upper_(upper),
+        index_iter_(table->NewIndexIterator()) {
     if (lower_.empty()) {
       index_iter_->SeekToFirst();
     } else {
@@ -70,7 +50,8 @@ class TableSource {
       index_iter_->Seek(target);
     }
     InitDataBlock();
-    // Counted steps, so restart hints stay exact; within one block.
+    // Within one block: the index entry sought names the block holding
+    // the first key >= lower.
     while (Valid() && ExtractUserKey(key()).compare(lower_) < 0) Next();
   }
 
@@ -82,7 +63,6 @@ class TableSource {
   void Next() {
     assert(Valid());
     data_iter_->Next();
-    entry_index_++;
     while (data_iter_ != nullptr && !data_iter_->Valid() && status_.ok()) {
       if (!data_iter_->status().ok()) {
         status_ = data_iter_->status();
@@ -95,20 +75,16 @@ class TableSource {
 
   Slice key() const { return data_iter_->key(); }
 
-  Anchor anchor() const {
-    Anchor a;
+  AnchorView::Anchor anchor() const {
+    AnchorView::Anchor a;
     a.ordinal = ordinal_;
-    a.block_offset = block_offset_;
-    a.restart_index =
-        static_cast<uint32_t>(entry_index_ / restart_interval_);
+    a.block = block_;
     return a;
   }
 
   Status status() const {
     if (!status_.ok()) return status_;
-    if (index_iter_ != nullptr && !index_iter_->status().ok()) {
-      return index_iter_->status();
-    }
+    if (!index_iter_->status().ok()) return index_iter_->status();
     if (data_iter_ != nullptr && !data_iter_->status().ok()) {
       return data_iter_->status();
     }
@@ -118,17 +94,14 @@ class TableSource {
  private:
   void InitDataBlock() {
     data_iter_.reset();
-    entry_index_ = 0;
     while (index_iter_->Valid()) {
-      BlockHandle handle;
       Slice input = index_iter_->value();
-      Status s = handle.DecodeFrom(&input);
+      Status s = block_.DecodeFrom(&input);
       if (!s.ok()) {
         status_ = s;
         return;
       }
-      block_offset_ = handle.offset();
-      data_iter_.reset(table_->NewBlockIterator(handle, false /*fill_cache*/));
+      data_iter_.reset(table_->NewBlockIterator(block_, false /*fill_cache*/));
       data_iter_->SeekToFirst();
       if (data_iter_->Valid()) return;
       if (!data_iter_->status().ok()) {
@@ -140,15 +113,12 @@ class TableSource {
     data_iter_.reset();
   }
 
+  const Table* const table_;
   const uint32_t ordinal_;
-  const int restart_interval_;
   const Slice lower_, upper_;
-  const Table* table_ = nullptr;
-  std::unique_ptr<Iterator> pin_;
-  std::unique_ptr<Iterator> index_iter_;
+  const std::unique_ptr<Iterator> index_iter_;
   std::unique_ptr<Iterator> data_iter_;
-  uint64_t block_offset_ = 0;
-  uint64_t entry_index_ = 0;
+  BlockHandle block_;
   Status status_;
 };
 
@@ -178,7 +148,7 @@ Status MergeSources(const InternalKeyComparator& icmp,
 
     TableSource* min_src = (*sources)[min_idx].get();
     payload.clear();
-    EncodeAnchor(&payload, min_src->anchor());
+    min_src->anchor().EncodeTo(&payload);
     builder.Add(min_src->key(), Slice(payload));
     entries++;
 
@@ -225,18 +195,21 @@ bool AnchorView::Covers(const PartitionState& p) const {
 }
 
 Status BuildAnchorView(const InternalKeyComparator& icmp, TableCache* cache,
-                       const PartitionState& p, int restart_interval,
-                       AnchorView* out) {
+                       const PartitionState& p, AnchorView* out) {
   *out = AnchorView();
   out->lower = p.lower_bound;
   out->upper = p.upper_bound;
+  out->covered.resize(p.unsorted.size());
   std::vector<std::unique_ptr<TableSource>> sources;
   for (size_t i = 0; i < p.unsorted.size(); i++) {
     const FileMeta& f = p.unsorted[i];
-    out->covered.push_back({f.number, f.size});
+    AnchorView::CoveredTable& t = out->covered[i];
+    t.number = f.number;
+    Status s = cache->Pin(f.number, f.size, &t.table);
+    if (!s.ok()) return s;
     sources.push_back(std::make_unique<TableSource>(
-        cache, f, static_cast<uint32_t>(i), restart_interval,
-        Slice(out->lower), Slice(out->upper)));
+        t.table.table(), static_cast<uint32_t>(i), Slice(out->lower),
+        Slice(out->upper)));
   }
   return MergeSources(icmp, &sources, out);
 }
@@ -247,19 +220,16 @@ namespace {
 
 /// Internal-key iterator driven by the view block. key() always comes
 /// straight from the view; value() resolves through the owning table's
-/// cursor. Cursors open lazily (a scan over a narrow range touches only
-/// the tables that contribute entries in it) and advance in lockstep with
-/// the view; any cursor found misaligned is simply re-seeked to the
-/// current view key, and a re-seek that still disagrees means the view
-/// does not describe the table anymore — surfaced as Corruption.
+/// cursor, a data-block iterator over the block the anchor names. A
+/// cursor opens at its table's first value read and moves only when
+/// value() needs it, so stepping the view costs nothing in the tables,
+/// and a scan reads only the blocks its values live in.
 class AnchorViewIterator : public Iterator {
  public:
   AnchorViewIterator(const InternalKeyComparator& icmp, AnchorViewPtr view,
-                     TableCache* cache, bool fill_cache,
-                     Counter* cursors_opened)
+                     bool fill_cache, Counter* cursors_opened)
       : icmp_(icmp),
         view_(std::move(view)),
-        cache_(cache),
         fill_cache_(fill_cache),
         cursors_opened_(cursors_opened),
         view_iter_(view_->block->NewIterator(icmp)),
@@ -273,13 +243,11 @@ class AnchorViewIterator : public Iterator {
 
   void Next() override {
     assert(Valid());
-    StepAlignedCursor(+1);
     view_iter_->Next();
   }
 
   void Prev() override {
     assert(Valid());
-    StepAlignedCursor(-1);
     view_iter_->Prev();
   }
 
@@ -297,78 +265,61 @@ class AnchorViewIterator : public Iterator {
 
   Status status() const override {
     if (!status_.ok()) return status_;
-    if (!view_iter_->status().ok()) return view_iter_->status();
-    for (const auto& c : cursors_) {
-      if (c.iter != nullptr && !c.iter->status().ok()) {
-        return c.iter->status();
-      }
-    }
-    return Status::OK();
+    return view_iter_->status();
   }
 
  private:
+  /// A forward scan leaves a table's cursor on the entry before the next
+  /// one the view names from that table, or a few entries before it when
+  /// the build dropped duplicates; farther than this, a Seek is cheaper.
+  static constexpr int kMaxCursorSteps = 4;
+
   struct Cursor {
-    std::unique_ptr<Iterator> iter;
+    std::unique_ptr<Iterator> iter;  // Over the data block at block_offset.
+    uint64_t block_offset = 0;
   };
 
-  bool CurrentAnchor(Anchor* a) const {
-    if (!DecodeAnchor(view_iter_->value(), a) ||
-        a->ordinal >= cursors_.size()) {
-      status_ = Status::Corruption("bad anchor payload");
-      return false;
-    }
-    return true;
-  }
-
-  /// If the current entry's cursor is open and sitting exactly on the
-  /// current view key, step it along with the view (the cheap lockstep
-  /// path). A closed or misaligned cursor is left alone — value() will
-  /// re-seek it if and when it is next needed.
-  void StepAlignedCursor(int dir) {
-    Anchor a;
-    if (!CurrentAnchor(&a)) return;
-    Iterator* iter = cursors_[a.ordinal].iter.get();
-    if (iter == nullptr || !iter->Valid()) return;
-    if (icmp_.Compare(iter->key(), view_iter_->key()) != 0) return;
-    if (dir > 0) {
-      iter->Next();
-    } else {
-      iter->Prev();
-    }
-  }
-
   /// Returns the current entry's cursor positioned exactly on the current
-  /// view key, opening or re-seeking it as needed. nullptr (with status_
-  /// set) when the table disagrees with the view.
+  /// view key, opening it on the anchor's block or moving it as needed.
+  /// nullptr (with status_ set) when the table disagrees with the view.
   Iterator* AlignedCursor() const {
-    Anchor a;
-    if (!CurrentAnchor(&a)) return nullptr;
-    Cursor& c = cursors_[a.ordinal];
-    const Slice target = view_iter_->key();
-    if (c.iter == nullptr) {
-      const AnchorView::CoveredTable& t = view_->covered[a.ordinal];
-      cursors_opened_->Inc();
-      c.iter.reset(cache_->NewIterator(t.number, t.size, nullptr,
-                                       fill_cache_));
-      c.iter->Seek(target);
-    } else if (!c.iter->Valid() ||
-               icmp_.Compare(c.iter->key(), target) != 0) {
-      c.iter->Seek(target);
-    }
-    if (!c.iter->Valid() || icmp_.Compare(c.iter->key(), target) != 0) {
-      if (status_.ok()) {
-        status_ = c.iter->status().ok()
-                      ? Status::Corruption("anchor view out of sync")
-                      : c.iter->status();
-      }
+    AnchorView::Anchor a;
+    if (!a.DecodeFrom(view_iter_->value()) || a.ordinal >= cursors_.size()) {
+      status_ = Status::Corruption("bad anchor payload");
       return nullptr;
     }
-    return c.iter.get();
+    Cursor& c = cursors_[a.ordinal];
+    if (c.iter == nullptr || c.block_offset != a.block.offset()) {
+      if (c.iter == nullptr) cursors_opened_->Inc();
+      c.iter.reset(view_->covered[a.ordinal].table.table()->NewBlockIterator(
+          a.block, fill_cache_));
+      c.block_offset = a.block.offset();
+    }
+    Iterator* iter = c.iter.get();
+    const Slice target = view_iter_->key();
+    auto compare = [&] {
+      return iter->Valid() ? icmp_.Compare(iter->key(), target) : 1;
+    };
+    int cmp = compare();
+    for (int step = 0; cmp < 0 && step < kMaxCursorSteps; step++) {
+      iter->Next();
+      cmp = compare();
+    }
+    if (cmp != 0) {
+      iter->Seek(target);
+      cmp = compare();
+    }
+    if (cmp != 0) {
+      status_ = iter->status().ok()
+                    ? Status::Corruption("anchor view out of sync")
+                    : iter->status();
+      return nullptr;
+    }
+    return iter;
   }
 
   const InternalKeyComparator icmp_;
   const AnchorViewPtr view_;
-  TableCache* const cache_;
   const bool fill_cache_;
   Counter* const cursors_opened_;
   const std::unique_ptr<Iterator> view_iter_;
@@ -379,9 +330,9 @@ class AnchorViewIterator : public Iterator {
 }  // namespace
 
 Iterator* NewAnchorViewIterator(const InternalKeyComparator& icmp,
-                                AnchorViewPtr view, TableCache* cache,
-                                bool fill_cache, Counter* cursors_opened) {
-  return new AnchorViewIterator(icmp, std::move(view), cache, fill_cache,
+                                AnchorViewPtr view, bool fill_cache,
+                                Counter* cursors_opened) {
+  return new AnchorViewIterator(icmp, std::move(view), fill_cache,
                                 cursors_opened);
 }
 

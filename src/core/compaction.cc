@@ -488,8 +488,7 @@ Status UniKVDB::RewritePartition(std::shared_ptr<const PartitionState> p,
   uint64_t bytes_read = 0;
   for (const FileMeta& f : run) {
     children.push_back(NewClampedIterator(
-        table_cache_->NewIterator(f.number, f.size, nullptr,
-                                  /*fill_cache=*/false),
+        table_cache_->NewIterator(f.number, f.size, /*fill_cache=*/false),
         p->lower_bound, p->upper_bound));
     bytes_read += f.share;
   }

@@ -58,6 +58,9 @@ class DB {
   virtual Iterator* NewIterator(const ReadOptions& options) = 0;
 
   /// Range scan convenience: up to `count` pairs with key >= start.
+  /// `*out` is resized to the rows returned, and each row is written in
+  /// place, so reusing one vector across scans keeps its rows' string
+  /// allocations (as MultiGet's slots do). On error `*out` is empty.
   /// UniKV's implementation collects the rows first and then fetches
   /// their separated values in one batched step, as MultiGet does; the
   /// default wraps NewIterator.

@@ -364,8 +364,7 @@ Iterator* NewSortedRunIterator(TableCache* cache,
   };
   auto open = [cache, files, fill_cache, tables_opened](size_t i) {
     if (tables_opened != nullptr) tables_opened->Inc();
-    return cache->NewIterator(files[i].number, files[i].size, nullptr,
-                              fill_cache);
+    return cache->NewIterator(files[i].number, files[i].size, fill_cache);
   };
   return new LazyConcatIterator(files.size(), std::move(locate),
                                 std::move(open));

@@ -146,8 +146,8 @@ struct Options {
   /// Off: scans always k-way-merge the overlapping unsorted tables. On:
   /// iterators over a partition with >= 2 unsorted tables use a sorted
   /// anchor view (DESIGN.md §12), built on first use and cached in memory
-  /// (never persisted), that they binary-search once and then stream with
-  /// one lockstep cursor per table.
+  /// (never persisted), that they binary-search once and then stream,
+  /// reading each value through its table's cursor.
   bool enable_anchor_view = true;
 
   // --- Baseline LSM knobs ---

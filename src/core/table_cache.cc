@@ -1,5 +1,7 @@
 #include "core/table_cache.h"
 
+#include <utility>
+
 #include "core/filename.h"
 #include "table/cache.h"
 #include "table/table.h"
@@ -49,8 +51,7 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
 }
 
 Iterator* TableCache::NewIterator(uint64_t file_number, uint64_t file_size,
-                                  const Table** tableptr, bool fill_cache) {
-  if (tableptr != nullptr) *tableptr = nullptr;
+                                  bool fill_cache) {
   void* handle = nullptr;
   Status s = FindTable(file_number, file_size, &handle);
   if (!s.ok()) return NewErrorIterator(s);
@@ -60,7 +61,6 @@ Iterator* TableCache::NewIterator(uint64_t file_number, uint64_t file_size,
   Iterator* result = table->NewIterator(fill_cache);
   Cache* cache = cache_.get();
   result->RegisterCleanup([cache, h] { cache->Release(h); });
-  if (tableptr != nullptr) *tableptr = table;
   return result;
 }
 
@@ -90,31 +90,50 @@ Status TableCache::Get(uint64_t file_number, uint64_t file_size,
   return s;
 }
 
-TableCache::BatchPin::~BatchPin() {
-  Cache* cache = cache_->cache_.get();
-  for (size_t i = 0; i < num_inline_; i++) {
-    cache->Release(reinterpret_cast<Cache::Handle*>(inline_[i].second));
+TablePin& TablePin::operator=(TablePin&& other) noexcept {
+  if (this != &other) {
+    Release();
+    cache_ = std::exchange(other.cache_, nullptr);
+    handle_ = std::exchange(other.handle_, nullptr);
+    table_ = std::exchange(other.table_, nullptr);
   }
-  for (const auto& [number, handle] : overflow_) {
-    cache->Release(reinterpret_cast<Cache::Handle*>(handle));
-  }
+  return *this;
 }
 
-void* TableCache::BatchPin::Find(uint64_t file_number) const {
+void TablePin::Release() {
+  if (handle_ != nullptr) cache_->Release(handle_);
+  cache_ = nullptr;
+  handle_ = nullptr;
+  table_ = nullptr;
+}
+
+Status TableCache::Pin(uint64_t file_number, uint64_t file_size,
+                       TablePin* pin) {
+  void* handle = nullptr;
+  Status s = FindTable(file_number, file_size, &handle);
+  if (!s.ok()) return s;
+  pin->Release();
+  pin->cache_ = cache_.get();
+  pin->handle_ = reinterpret_cast<Cache::Handle*>(handle);
+  pin->table_ = reinterpret_cast<Table*>(cache_->Value(pin->handle_));
+  return Status::OK();
+}
+
+const Table* TableCache::BatchPin::Find(uint64_t file_number) const {
   for (size_t i = 0; i < num_inline_; i++) {
-    if (inline_[i].first == file_number) return inline_[i].second;
+    if (inline_[i].first == file_number) return inline_[i].second.table();
   }
-  for (const auto& [number, handle] : overflow_) {
-    if (number == file_number) return handle;
+  for (const auto& [number, pin] : overflow_) {
+    if (number == file_number) return pin.table();
   }
   return nullptr;
 }
 
-void TableCache::BatchPin::Add(uint64_t file_number, void* handle) {
+void TableCache::BatchPin::Add(uint64_t file_number, TablePin pin) {
   if (num_inline_ < kInline) {
-    inline_[num_inline_++] = Entry(file_number, handle);
+    inline_[num_inline_++] = Entry(file_number, std::move(pin));
   } else {
-    overflow_.emplace_back(file_number, handle);
+    overflow_.emplace_back(file_number, std::move(pin));
   }
 }
 
@@ -123,14 +142,14 @@ Status TableCache::GetPinned(BatchPin* pin, uint64_t file_number,
                              bool fill_cache, bool* found,
                              std::string* key_out, std::string* value_out,
                              Table::Probe* probe) {
-  void* handle = pin->Find(file_number);
-  if (handle == nullptr) {
-    Status s = FindTable(file_number, file_size, &handle);
+  const Table* table = pin->Find(file_number);
+  if (table == nullptr) {
+    TablePin table_pin;
+    Status s = Pin(file_number, file_size, &table_pin);
     if (!s.ok()) return s;
-    pin->Add(file_number, handle);
+    table = table_pin.table();
+    pin->Add(file_number, std::move(table_pin));
   }
-  Cache::Handle* h = reinterpret_cast<Cache::Handle*>(handle);
-  Table* table = reinterpret_cast<Table*>(cache_->Value(h));
   return table->Get(internal_key, found, key_out, value_out, probe,
                     fill_cache);
 }

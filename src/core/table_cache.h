@@ -14,8 +14,30 @@
 
 namespace unikv {
 
-class Cache;
 class Env;
+
+/// One table held open through the cache: the Table stays open, and
+/// counts against the cache's `max_open_tables` budget, until the pin is
+/// destroyed (an LRU entry in use is never evicted, so pins may hold the
+/// cache above its budget). Move-only; must not outlive the TableCache.
+class TablePin {
+ public:
+  TablePin() = default;
+  ~TablePin() { Release(); }
+  TablePin(TablePin&& other) noexcept { *this = std::move(other); }
+  TablePin& operator=(TablePin&& other) noexcept;
+
+  /// The pinned table; null for an empty pin.
+  const Table* table() const { return table_; }
+
+ private:
+  friend class TableCache;
+  void Release();
+
+  Cache* cache_ = nullptr;
+  Cache::Handle* handle_ = nullptr;
+  const Table* table_ = nullptr;
+};
 
 /// Caches open Table readers keyed by file number. Thread-safe.
 class TableCache {
@@ -28,12 +50,10 @@ class TableCache {
   TableCache(const TableCache&) = delete;
   TableCache& operator=(const TableCache&) = delete;
 
-  /// Returns an iterator over the named table. If `tableptr` is non-null,
-  /// also stores the Table* backing the iterator (valid while the iterator
-  /// lives). `fill_cache` false keeps blocks this iterator reads out of
-  /// the block cache (ReadOptions::fill_cache).
+  /// Returns an iterator over the named table. `fill_cache` false keeps
+  /// blocks this iterator reads out of the block cache
+  /// (ReadOptions::fill_cache).
   Iterator* NewIterator(uint64_t file_number, uint64_t file_size,
-                        const Table** tableptr = nullptr,
                         bool fill_cache = true);
 
   /// Seeks `internal_key` in the named table; see Table::Get for
@@ -42,30 +62,32 @@ class TableCache {
              const Slice& internal_key, bool* found, std::string* key_out,
              std::string* value_out, bool fill_cache = true);
 
-  /// Keeps the LRU handles of the tables a point read touches in one
-  /// partition pinned until destruction, so N lookups of the same table
-  /// inside one MultiGet cost one cache Lookup/Release pair instead of N
-  /// (per-key handle churn is pure shared-LRU contention). Single-caller;
-  /// must not outlive the TableCache.
+  /// Opens (or finds) the named table and pins it in *pin, replacing
+  /// whatever *pin held.
+  Status Pin(uint64_t file_number, uint64_t file_size, TablePin* pin);
+
+  /// Keeps the tables a point read touches in one partition pinned until
+  /// destruction, so N lookups of the same table inside one MultiGet cost
+  /// one cache Lookup/Release pair instead of N (per-key handle churn is
+  /// pure shared-LRU contention). Single-caller; must not outlive the
+  /// TableCache.
   class BatchPin {
    public:
-    explicit BatchPin(TableCache* cache) : cache_(cache) {}
-    ~BatchPin();
+    BatchPin() = default;
 
     BatchPin(const BatchPin&) = delete;
     BatchPin& operator=(const BatchPin&) = delete;
 
    private:
     friend class TableCache;
-    using Entry = std::pair<uint64_t, void*>;  // (file_number, handle)
-    /// Returns the pinned handle of `file_number`, or null.
-    void* Find(uint64_t file_number) const;
-    void Add(uint64_t file_number, void* handle);
+    using Entry = std::pair<uint64_t, TablePin>;  // (file_number, pin)
+    /// Returns the pinned table of `file_number`, or null.
+    const Table* Find(uint64_t file_number) const;
+    void Add(uint64_t file_number, TablePin pin);
 
-    TableCache* const cache_;
-    /// Pinned handles, released in ~BatchPin. A pin serves one partition's
-    /// tables, so the list stays short; its first kInline entries live in
-    /// the object, so a Get (one or a few tables) allocates nothing.
+    /// A pin serves one partition's tables, so the list stays short; its
+    /// first kInline entries live in the object, so a Get (one or a few
+    /// tables) allocates nothing.
     static constexpr size_t kInline = 4;
     Entry inline_[kInline];
     size_t num_inline_ = 0;

@@ -148,18 +148,39 @@ void UniKVDB::FlushPerfPending() {
   fs.ops = 0;
 }
 
+namespace {
+
+/// Row `n` of a scan's output, appended when *out holds fewer rows. Scans
+/// fill rows in place, so each row's strings keep the capacity a previous
+/// scan into the same vector gave them.
+std::pair<std::string, std::string>& ScanRow(
+    std::vector<std::pair<std::string, std::string>>* out, size_t n) {
+  if (n == out->size()) out->emplace_back();
+  return (*out)[n];
+}
+
+}  // namespace
+
 Status DB::Scan(const ReadOptions& options, const Slice& start, int count,
                 std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
   // Non-positive counts are an empty scan, not an error. (Callers that
   // sized buffers from `count` have been bitten by a negative int turning
   // into a huge size_t.)
-  if (count <= 0) return Status::OK();
-  std::unique_ptr<Iterator> iter(NewIterator(options));
-  for (iter->Seek(start); iter->Valid() && count > 0; iter->Next(), count--) {
-    out->emplace_back(iter->key().ToString(), iter->value().ToString());
+  if (count <= 0) {
+    out->clear();
+    return Status::OK();
   }
-  return iter->status();
+  std::unique_ptr<Iterator> iter(NewIterator(options));
+  size_t n = 0;
+  for (iter->Seek(start); iter->Valid() && count > 0; iter->Next(), count--) {
+    auto& row = ScanRow(out, n++);
+    row.first.assign(iter->key().data(), iter->key().size());
+    row.second.assign(iter->value().data(), iter->value().size());
+  }
+  out->resize(n);
+  Status s = iter->status();
+  if (!s.ok()) out->clear();
+  return s;
 }
 
 Status DB::MultiGet(const ReadOptions& options, const std::vector<Slice>& keys,
@@ -576,9 +597,7 @@ AnchorViewPtr UniKVDB::RefreshAnchorView(const PartitionState& p) {
   if (cached != nullptr && cached->Covers(p)) return cached;
 
   AnchorView view;
-  Status s = BuildAnchorView(icmp_, table_cache_.get(), p,
-                             options_.table_options.block_restart_interval,
-                             &view);
+  Status s = BuildAnchorView(icmp_, table_cache_.get(), p, &view);
   if (!s.ok()) return nullptr;  // Never fatal: per-table children.
   metrics_.anchor_view_builds->Inc();
   AnchorViewPtr built = std::make_shared<const AnchorView>(std::move(view));
@@ -1271,7 +1290,7 @@ void UniKVDB::MultiGetImpl(const ReadOptions& options, const Slice* keys,
   for (size_t r = 0; r < m;) {
     const int part = reads[r].partition;
     const PartitionState& p = *ver->partitions[part];
-    TableCache::BatchPin table_pin(table_cache_.get());
+    TableCache::BatchPin table_pin;
     Table::Probe probe;
     for (; r < m && reads[r].partition == part; r++) {
       KeyRead& k = reads[r];
@@ -1466,11 +1485,12 @@ Iterator* UniKVDB::NewPartitionIterator(const PartitionState& p,
   }
   if (view != nullptr) {
     // One anchor-guided child replaces one child per unsorted table:
-    // Next() costs a view step + one cursor step instead of a k-way heap
-    // pop (DESIGN.md §12). The view holds only the partition's range.
-    children.push_back(NewAnchorViewIterator(
-        icmp_, std::move(view), table_cache_.get(), fill_cache,
-        tables_opened));
+    // Next() costs a view step instead of a k-way heap pop, and a value
+    // read one cursor move in the block the anchor names (DESIGN.md §12).
+    // The view holds only the partition's range.
+    children.push_back(
+        NewAnchorViewIterator(icmp_, std::move(view), fill_cache,
+                              tables_opened));
     metrics_.scan_anchor_hits->Inc();
   } else {
     // A table may hold sibling partitions' keys too, so each is read
@@ -1478,7 +1498,7 @@ Iterator* UniKVDB::NewPartitionIterator(const PartitionState& p,
     for (const FileMeta& f : p.unsorted) {
       tables_opened->Inc();
       children.push_back(NewClampedIterator(
-          table_cache_->NewIterator(f.number, f.size, nullptr, fill_cache),
+          table_cache_->NewIterator(f.number, f.size, fill_cache),
           p.lower_bound, p.upper_bound));
     }
   }
@@ -1519,67 +1539,66 @@ Status UniKVDB::Scan(const ReadOptions& options, const Slice& start,
 Status UniKVDB::ScanImpl(const ReadOptions& options, const Slice& start,
                          int count,
                          std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
-  // Match DB::Scan: non-positive counts are an empty scan. Without the
-  // clamp a negative `count` flows into entries.reserve() below, where it
-  // converts to a near-SIZE_MAX size_t.
-  if (count <= 0) return Status::OK();
   if (!options_.enable_scan_optimization) {
     return DB::Scan(options, start, count, out);
   }
+  // Match DB::Scan: non-positive counts are an empty scan.
+  if (count <= 0) {
+    out->clear();
+    return Status::OK();
+  }
 
-  // Collect keys and value pointers from the stores, then fetch every
-  // separated value in one ValueFetcher step, as MultiGet does.
+  // Write keys and inline values into *out's rows in place and collect
+  // the value pointers, then fetch every separated value in one
+  // ValueFetcher step, as MultiGet does.
   SequenceNumber seq;
   Iterator* internal = NewInternalIterator(options, &seq);
   DBIter iter(icmp_, internal, seq, vlog_cache_.get());
 
-  struct PendingEntry {
-    std::string key;
-    std::string value;  // Inline, or fetched through ptr.
+  struct Separated {
+    size_t row;
     ValuePointer ptr;
-    bool is_pointer = false;
     Status status;
   };
-  std::vector<PendingEntry> entries;
-  // The reserve is a hint only: cap it so a huge requested count (larger
-  // than the store) does not pre-allocate gigabytes.
-  entries.reserve(std::min<size_t>(count, 4096));
-
+  std::vector<Separated> separated;
+  // A hint only: capped so a count larger than the store does not
+  // pre-allocate for it.
+  separated.reserve(std::min<size_t>(count, 4096));
+  size_t n = 0;
   for (iter.Seek(start); iter.Valid() && count > 0; iter.Next(), count--) {
-    PendingEntry e;
-    e.key = iter.key().ToString();
+    auto& row = ScanRow(out, n);
+    row.first.assign(iter.key().data(), iter.key().size());
     if (iter.raw_type() == kTypeValuePointer) {
       Slice encoded = iter.raw_value();
-      if (!e.ptr.DecodeFrom(&encoded)) {
+      ValuePointer ptr;
+      if (!ptr.DecodeFrom(&encoded)) {
         return Status::Corruption("bad value pointer in scan");
       }
-      e.is_pointer = true;
+      separated.push_back(Separated{n, ptr, Status::OK()});
     } else {
-      e.value = iter.raw_value().ToString();
+      row.second.assign(iter.raw_value().data(), iter.raw_value().size());
     }
-    entries.push_back(std::move(e));
+    n++;
   }
   Status s = iter.status();
   if (!s.ok()) return s;
+  out->resize(n);
 
   // Merges and GC write values in key order, so a sorted scan mostly
   // dereferences ascending offsets within each log: the fetcher turns the
-  // scan's pointers into a few span reads on this thread.
+  // scan's pointers into a few span reads on this thread. Items point at
+  // their rows' strings, which no longer move.
   std::vector<ValueFetcher::Item> items;
-  for (PendingEntry& e : entries) {
-    if (e.is_pointer) {
-      items.push_back(
-          ValueFetcher::Item{e.ptr, e.key, &e.value, &e.status});
-    }
+  items.reserve(separated.size());
+  for (Separated& v : separated) {
+    auto& row = (*out)[v.row];
+    items.push_back(
+        ValueFetcher::Item{v.ptr, row.first, &row.second, &v.status});
   }
   ValueFetcher(vlog_cache_.get(), ValueFetcher::Spans::kMapped)
       .Fetch(items.data(), items.size());
-
-  out->reserve(entries.size());
-  for (PendingEntry& e : entries) {
-    if (!e.status.ok()) return e.status;
-    out->emplace_back(std::move(e.key), std::move(e.value));
+  for (const Separated& v : separated) {
+    if (!v.status.ok()) return v.status;
   }
   return Status::OK();
 }

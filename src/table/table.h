@@ -41,8 +41,8 @@ class Table {
 
   /// Returns an iterator over the index block: keys are the last internal
   /// key of each data block, values decode to BlockHandles (feed them to
-  /// BlockReader). Used by the anchor-view builder to walk data blocks
-  /// with their file offsets in hand.
+  /// NewBlockIterator). Used by the anchor-view builder to walk data blocks
+  /// with their handles in hand.
   Iterator* NewIndexIterator() const;
 
   /// Batch-local reuse state for a run of Get() calls with ascending keys
@@ -97,6 +97,10 @@ class Table {
   /// that data block. `arg` is the Table*. (Used by the two-level iterator.)
   static Iterator* BlockReader(void* arg, const Slice& index_value);
 
+  /// Returns an iterator over the data block `handle` names, resolved
+  /// through the block cache (see FindBlock for `fill_cache`). A handle
+  /// that names no block of this table fails its checksum: the iterator
+  /// carries that Corruption.
   Iterator* NewBlockIterator(const BlockHandle& handle,
                              bool fill_cache = true) const;
 

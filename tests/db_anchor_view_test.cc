@@ -6,21 +6,32 @@
 // and recovery epochs, with inline and log-separated values, under a
 // pinned snapshot, and with scanners racing each other and a concurrent
 // flusher to build and publish views. Lifecycle tests check that views
-// are built on demand by iterators only.
+// are built on demand by iterators only, and the sync tests that a view
+// which no longer describes its tables fails the read.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/anchor_view.h"
 #include "core/db.h"
+#include "core/filename.h"
+#include "core/table_cache.h"
+#include "table/block.h"
+#include "table/block_builder.h"
+#include "table/format.h"
+#include "table/table_builder.h"
 #include "test_util.h"
 #include "util/env.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace unikv {
@@ -564,6 +575,126 @@ TEST_F(DbAnchorViewTest, NoFillCacheScanMatches) {
   }
   ASSERT_EQ(mit, model.end());
   ASSERT_TRUE(iter->status().ok());
+}
+
+
+// A view that no longer describes its tables fails the read loudly and
+// never returns another entry's value (DESIGN.md §12). Two tables with
+// identical layouts (same entry count, key and value lengths) interleave
+// their keys, so the views below name real blocks of the wrong table.
+class AnchorViewSyncTest : public testing::Test {
+ protected:
+  AnchorViewSyncTest() : env_(NewMemEnv()) {
+    EXPECT_TRUE(env_->CreateDir("/av").ok());
+    cache_ = std::make_unique<TableCache>(env_.get(), "/av", TableOptions(),
+                                          nullptr);
+    for (uint32_t t = 0; t < 2; t++) {
+      FileMeta f;
+      f.number = t + 1;
+      f.size = BuildTable(f.number, t);
+      part_.unsorted.push_back(f);
+    }
+  }
+
+  // Table `t` holds keys k0000+t, k0002+t, ... with values naming `t`.
+  uint64_t BuildTable(uint64_t number, uint32_t t) {
+    std::unique_ptr<WritableFile> file;
+    EXPECT_TRUE(
+        env_->NewWritableFile(TableFileName("/av", number), &file).ok());
+    TableBuilder builder(TableOptions(), file.get());
+    for (int i = 0; i < 200; i++) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "k%04d", 2 * i + static_cast<int>(t));
+      std::string ikey;
+      AppendInternalKey(&ikey, ParsedInternalKey(key, 100, kTypeValue));
+      const std::string value = Value(t, key);
+      builder.Add(ikey, value);
+      expected_[key] = value;
+    }
+    EXPECT_TRUE(builder.Finish().ok());
+    EXPECT_TRUE(file->Close().ok());
+    return builder.FileSize();
+  }
+
+  static std::string Value(uint32_t t, const std::string& key) {
+    return std::string(t == 0 ? "A:" : "B:") + key + std::string(90, '.');
+  }
+
+  AnchorView Build() {
+    AnchorView view;
+    EXPECT_TRUE(BuildAnchorView(icmp_, cache_.get(), part_, &view).ok());
+    EXPECT_EQ(2u, view.covered.size());
+    return view;
+  }
+
+  // Walks the view forward, checking every value read; returns the walk's
+  // status and counts the entries read in *read.
+  Status Walk(AnchorView view, size_t* read) {
+    Counter opened;
+    std::unique_ptr<Iterator> iter(NewAnchorViewIterator(
+        icmp_, std::make_shared<const AnchorView>(std::move(view)),
+        true /*fill_cache*/, &opened));
+    *read = 0;
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      const std::string key = ExtractUserKey(iter->key()).ToString();
+      const std::string value = iter->value().ToString();
+      if (!iter->status().ok()) break;
+      EXPECT_EQ(expected_[key], value) << key;
+      ++*read;
+    }
+    return iter->status();
+  }
+
+  std::unique_ptr<MemEnv> env_;
+  std::unique_ptr<TableCache> cache_;
+  InternalKeyComparator icmp_;
+  PartitionState part_;
+  std::map<std::string, std::string> expected_;
+};
+
+TEST_F(AnchorViewSyncTest, SwappedTablesFailOutOfSync) {
+  size_t read = 0;
+  ASSERT_TRUE(Walk(Build(), &read).ok());
+  EXPECT_EQ(expected_.size(), read);
+
+  AnchorView view = Build();
+  std::swap(view.covered[0].table, view.covered[1].table);
+  Status s = Walk(std::move(view), &read);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find("anchor view out of sync"))
+      << s.ToString();
+  EXPECT_EQ(0u, read);
+}
+
+TEST_F(AnchorViewSyncTest, WrongBlockOffsetFailsChecksum) {
+  AnchorView view = Build();
+  // Re-encode every anchor one byte past its block.
+  BlockBuilder builder(16);
+  std::unique_ptr<Iterator> entries(view.block->NewIterator(icmp_));
+  std::string payload;
+  for (entries->SeekToFirst(); entries->Valid(); entries->Next()) {
+    AnchorView::Anchor a;
+    ASSERT_TRUE(a.DecodeFrom(entries->value()));
+    a.block.set_offset(a.block.offset() + 1);
+    payload.clear();
+    a.EncodeTo(&payload);
+    builder.Add(entries->key(), payload);
+  }
+  entries.reset();
+  const Slice image = builder.Finish();
+  view.image = std::make_shared<const std::string>(image.data(), image.size());
+  BlockContents contents;
+  contents.data = Slice(*view.image);
+  contents.cachable = false;
+  contents.heap_allocated = false;  // view.image owns the bytes.
+  view.block = std::make_shared<Block>(contents);
+
+  size_t read = 0;
+  Status s = Walk(std::move(view), &read);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(std::string::npos, s.ToString().find("checksum"))
+      << s.ToString();
+  EXPECT_EQ(0u, read);
 }
 
 }  // namespace

@@ -115,6 +115,9 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
   Random walk_rnd(Seed() * 11 + 5);
   const int kKeySpace = 200;
   const int kOps = 2500;
+  // One vector for every scan: each scan writes its rows over the last
+  // one's, so a row left stale shows up against the model.
+  std::vector<std::pair<std::string, std::string>> out;
 
   for (int op = 0; op < kOps; op++) {
     int dice = rnd.Uniform(100);
@@ -173,7 +176,6 @@ TEST_P(ModelTest, RandomOpsMatchModel) {
       // Short scan.
       std::string start = test::TestKey(rnd.Uniform(kKeySpace));
       int count = 1 + rnd.Uniform(20);
-      std::vector<std::pair<std::string, std::string>> out;
       ASSERT_TRUE(db_->Scan(ReadOptions(), start, count, &out).ok());
       auto it = model.lower_bound(start);
       for (size_t i = 0; i < out.size(); i++, ++it) {
